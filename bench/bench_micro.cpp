@@ -4,8 +4,8 @@
 // predicate (filtered vs forced-exact), convex hull, the single-observer
 // angular sweep (warmed scratch, allocation-counted), whole-graph
 // obstructed visibility serial vs pooled (vs the O(n^3) oracle), smallest
-// enclosing circle, snapshot construction (allocating vs scratch-reusing,
-// with a heap-allocation counter), one full SSYNC round serial vs pooled,
+// enclosing circle, snapshot construction (scratch-reusing, with a
+// heap-allocation counter), one full SSYNC round serial vs pooled,
 // and one full ASYNC engine run per size.
 //
 // bench/baselines/seed_bench_micro.json holds the pre-kernel-rewrite
@@ -91,6 +91,22 @@ std::vector<Vec2> random_points(std::size_t n, std::uint64_t seed) {
   return pts;
 }
 
+struct SplitPoints {
+  std::vector<double> xs;
+  std::vector<double> ys;
+};
+
+/// random_points(n, seed) as the split x/y arrays the visibility kernel and
+/// the Look snapshot take (sim::WorldState's layout).
+SplitPoints random_split_points(std::size_t n, std::uint64_t seed) {
+  SplitPoints s;
+  for (const Vec2 p : random_points(n, seed)) {
+    s.xs.push_back(p.x);
+    s.ys.push_back(p.y);
+  }
+  return s;
+}
+
 void BM_Orient2dFiltered(benchmark::State& state) {
   const auto pts = random_points(3072, 1);
   std::size_t i = 0;
@@ -122,42 +138,13 @@ void BM_ConvexHull(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvexHull)->Range(64, 4096)->Complexity(benchmark::oNLogN);
 
-void BM_VisibleFrom(benchmark::State& state) {
-  // Single-observer angular sweep on warmed scratch — the exact kernel one
-  // Look executes. The counter column pins the zero-allocation claim for
-  // the steady-state Look path.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto pts = random_points(n, 3);
-  lumen::geom::VisibilityScratch scratch;
-  std::vector<std::size_t> out;
-  lumen::geom::visible_from(pts, 0, scratch, out);  // Warm.
-  const std::size_t allocs_before = alloc_count();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    lumen::geom::visible_from(pts, i, scratch, out);
-    benchmark::DoNotOptimize(out.data());
-    i = (i + 1) % n;
-  }
-  state.counters["heap_allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(alloc_count() - allocs_before) /
-      static_cast<double>(state.iterations()));
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_VisibleFrom)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Complexity();
-
 void BM_VisibleFromSoA(benchmark::State& state) {
-  // The split-array kernel exactly as sim::WorldState feeds it: the
-  // key-build loop streams xs/ys directly instead of materialising Vec2
-  // pairs. Output is bit-identical to BM_VisibleFrom's AoS form; the delta
-  // between the two families is pure memory-layout effect.
+  // Single-observer angular sweep on warmed scratch — the exact kernel one
+  // Look executes, fed split arrays exactly as sim::WorldState does. The
+  // counter column pins the zero-allocation claim for the steady-state
+  // Look path.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto pts = random_points(n, 3);
-  std::vector<double> xs(n);
-  std::vector<double> ys(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    xs[j] = pts[j].x;
-    ys[j] = pts[j].y;
-  }
+  const auto [xs, ys] = random_split_points(n, 3);
   lumen::geom::VisibilityScratch scratch;
   std::vector<std::size_t> out;
   lumen::geom::visible_from(xs, ys, 0, scratch, out);  // Warm.
@@ -184,17 +171,10 @@ BENCHMARK(BM_VisibleFromSoA)
 void BM_BuildKeys(benchmark::State& state) {
   // The batched SoA key build in isolation — the stage the SIMD dispatch
   // vectorizes (subtraction, half-plane split, diamond key, presort
-  // records). Runs at whatever level the dispatcher selected; set
-  // LUMEN_SIMD=scalar|sse2|avx2 to pin one. The context section records
-  // the level this binary actually ran.
+  // records). Runs at the level the dispatcher selected for this CPU; the
+  // context section records it.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto pts = random_points(n, 3);
-  std::vector<double> xs(n);
-  std::vector<double> ys(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    xs[j] = pts[j].x;
-    ys[j] = pts[j].y;
-  }
+  const auto [xs, ys] = random_split_points(n, 3);
   lumen::geom::VisibilityScratch scratch;
   const lumen::geom::Vec2 o{xs[0], ys[0]};
   lumen::geom::simd::build_keys_soa(xs.data(), ys.data(), n, 0, o, scratch);
@@ -371,37 +351,21 @@ void BM_SmallestEnclosingCircle(benchmark::State& state) {
 }
 BENCHMARK(BM_SmallestEnclosingCircle)->Range(64, 4096);
 
-void BM_BuildSnapshot(benchmark::State& state) {
-  const auto pts = random_points(static_cast<std::size_t>(state.range(0)), 5);
-  const std::vector<lumen::model::Light> lights(pts.size(),
-                                                lumen::model::Light::kOff);
-  lumen::util::Prng rng{6};
-  const auto frame = lumen::model::LocalFrame::random(pts[0], rng);
-  const std::size_t allocs_before = alloc_count();
-  for (auto _ : state) {
-    auto snap = lumen::model::build_snapshot(pts, lights, 0, frame);
-    benchmark::DoNotOptimize(snap);
-  }
-  state.counters["heap_allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(alloc_count() - allocs_before) /
-      static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_BuildSnapshot)->Range(32, 1024);
-
 void BM_BuildSnapshotScratch(benchmark::State& state) {
   // The engine's steady-state Look path: warmed scratch buffers, zero heap
   // traffic (the counter column proves it).
-  const auto pts = random_points(static_cast<std::size_t>(state.range(0)), 5);
-  const std::vector<lumen::model::Light> lights(pts.size(),
-                                                lumen::model::Light::kOff);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto [xs, ys] = random_split_points(n, 5);
+  const std::vector<lumen::model::Light> lights(n, lumen::model::Light::kOff);
   lumen::util::Prng rng{6};
-  const auto frame = lumen::model::LocalFrame::random(pts[0], rng);
+  const auto frame = lumen::model::LocalFrame::random({xs[0], ys[0]}, rng);
   lumen::model::SnapshotScratch scratch;
   lumen::model::Snapshot snap;
-  lumen::model::build_snapshot(pts, lights, 0, frame, scratch, snap);  // Warm.
+  // Warm.
+  lumen::model::build_snapshot(xs, ys, lights, 0, frame, scratch, snap);
   const std::size_t allocs_before = alloc_count();
   for (auto _ : state) {
-    lumen::model::build_snapshot(pts, lights, 0, frame, scratch, snap);
+    lumen::model::build_snapshot(xs, ys, lights, 0, frame, scratch, snap);
     benchmark::DoNotOptimize(snap);
   }
   state.counters["heap_allocs_per_iter"] = benchmark::Counter(

@@ -163,13 +163,9 @@ int cmd_describe(const std::vector<std::string>& args) {
     return 2;
   }
   // Numbers read off this host depend on which batch-kernel ISA the
-  // geometry layer dispatched to; say so up front (the override knob is
-  // LUMEN_SIMD=scalar|sse2|avx2|neon, unsupported values clamp down).
+  // geometry layer dispatched to for this CPU; say so up front.
   std::cout << "simd dispatch: "
-            << geom::simd::to_string(geom::simd::active_level())
-            << " (best supported: "
-            << geom::simd::to_string(geom::simd::best_supported_level())
-            << ", override with LUMEN_SIMD)\n\n";
+            << geom::simd::to_string(geom::simd::active_level()) << "\n\n";
   const auto* e = analysis::ExperimentRegistry::instance().find(args[0]);
   if (e != nullptr) {
     std::cout << e->id << " " << e->name << "\n\n"

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 using namespace lumen;
 
@@ -65,11 +66,17 @@ int main(int argc, char** argv) {
 
   // Census over the final configuration: role / light / what the algorithm
   // would decide next (identity frame — decisions are frame-invariant).
+  std::vector<double> xs, ys;
+  for (const geom::Vec2 p : run.final_positions) {
+    xs.push_back(p.x);
+    ys.push_back(p.y);
+  }
+  model::SnapshotScratch scratch;
+  model::Snapshot snap;
   std::map<std::string, std::size_t> census;
   for (std::size_t i = 0; i < n; ++i) {
     model::LocalFrame frame{run.final_positions[i], 0.0, 1.0, false};
-    const auto snap =
-        model::build_snapshot(run.final_positions, run.final_lights, i, frame);
+    model::build_snapshot(xs, ys, run.final_lights, i, frame, scratch, snap);
     const auto view = core::build_view(snap);
     const auto action = algorithm->compute(snap);
     std::string key = role_name(view.role);

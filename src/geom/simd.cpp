@@ -1,9 +1,7 @@
-// lumen_geom: SIMD level detection, LUMEN_SIMD override, kernel dispatch.
+// lumen_geom: SIMD level detection and kernel dispatch.
 #include "geom/simd.hpp"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
+#include <array>
 
 namespace lumen::geom::simd {
 
@@ -43,53 +41,40 @@ void sort_f32key_records(std::vector<std::uint64_t>& records,
 
 namespace {
 
-/// The 128-bit level's public name depends on the architecture the wide128
-/// TU was compiled for.
-constexpr Level kWide128Level =
-#if defined(__aarch64__) || defined(_M_ARM64)
-    Level::kNeon;
-#else
-    Level::kSse2;
-#endif
+/// The rows of kernel_table(): at most scalar, one 128-bit level and AVX2.
+struct Table {
+  std::array<Kernels, 3> rows{};
+  std::size_t size = 0;
+};
 
-bool level_supported(Level level) noexcept {
-  switch (level) {
-    case Level::kScalar:
-      return true;
-    case Level::kSse2:
-    case Level::kNeon:
+Table make_table() noexcept {
+  Table t;
+  t.rows[t.size++] = {Level::kScalar, scalar::build_keys_soa,
+                      scalar::sort_f32key_records, scalar::hull_cull_mask};
 #ifdef LUMEN_SIMD_HAVE_WIDE128
-      return level == kWide128Level;
+  // The 128-bit level's public name depends on the architecture the
+  // wide128 TU was compiled for.
+#if defined(__aarch64__) || defined(_M_ARM64)
+  constexpr Level kWide128Level = Level::kNeon;
 #else
-      return false;
+  constexpr Level kWide128Level = Level::kSse2;
 #endif
-    case Level::kAvx2:
+  t.rows[t.size++] = {kWide128Level, wide128::build_keys_soa,
+                      wide128::sort_f32key_records, wide128::hull_cull_mask};
+#endif
 #ifdef LUMEN_SIMD_HAVE_AVX2
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
+  if (__builtin_cpu_supports("avx2") != 0) {
+    t.rows[t.size++] = {Level::kAvx2, avx2::build_keys_soa,
+                        avx2::sort_f32key_records, avx2::hull_cull_mask};
   }
-  return false;
+#endif
+  return t;
 }
 
-/// -1 = not yet resolved; otherwise the int value of the active Level.
-std::atomic<int> g_active{-1};
-
-Level resolve_startup_level() noexcept {
-  Level level = best_supported_level();
-  if (const char* env = std::getenv("LUMEN_SIMD")) {
-    const auto requested = level_from_string(env);
-    if (requested.has_value() && level_supported(*requested)) {
-      level = *requested;
-    } else {
-      std::fprintf(stderr,
-                   "lumen: LUMEN_SIMD=%s is not available on this host; "
-                   "using %s\n",
-                   env, std::string(to_string(level)).c_str());
-    }
-  }
-  return level;
+/// The dispatched row, resolved once.
+const Kernels& active() noexcept {
+  static const Kernels& k = kernel_table().back();
+  return k;
 }
 
 }  // namespace
@@ -108,96 +93,26 @@ std::string_view to_string(Level level) noexcept {
   return "scalar";
 }
 
-std::optional<Level> level_from_string(std::string_view s) noexcept {
-  if (s == "scalar") return Level::kScalar;
-  if (s == "sse2") return Level::kSse2;
-  if (s == "neon") return Level::kNeon;
-  if (s == "avx2") return Level::kAvx2;
-  return std::nullopt;
+std::span<const Kernels> kernel_table() noexcept {
+  static const Table t = make_table();
+  return {t.rows.data(), t.size};
 }
 
-Level best_supported_level() noexcept {
-  if (level_supported(Level::kAvx2)) return Level::kAvx2;
-  if (level_supported(kWide128Level)) return kWide128Level;
-  return Level::kScalar;
-}
-
-Level active_level() noexcept {
-  int v = g_active.load(std::memory_order_acquire);
-  if (v < 0) {
-    // Racing first calls both compute the same value; the store is
-    // idempotent.
-    const Level resolved = resolve_startup_level();
-    g_active.store(static_cast<int>(resolved), std::memory_order_release);
-    return resolved;
-  }
-  return static_cast<Level>(v);
-}
-
-bool set_active_level(Level level) noexcept {
-  if (!level_supported(level)) return false;
-  g_active.store(static_cast<int>(level), std::memory_order_release);
-  return true;
-}
+Level active_level() noexcept { return active().level; }
 
 void build_keys_soa(const double* xs, const double* ys, std::size_t n,
                     std::size_t i, Vec2 o, VisibilityScratch& scratch) {
-  switch (active_level()) {
-#ifdef LUMEN_SIMD_HAVE_AVX2
-    case Level::kAvx2:
-      avx2::build_keys_soa(xs, ys, n, i, o, scratch);
-      return;
-#endif
-#ifdef LUMEN_SIMD_HAVE_WIDE128
-    case Level::kSse2:
-    case Level::kNeon:
-      wide128::build_keys_soa(xs, ys, n, i, o, scratch);
-      return;
-#endif
-    default:
-      scalar::build_keys_soa(xs, ys, n, i, o, scratch);
-      return;
-  }
+  active().build_keys_soa(xs, ys, n, i, o, scratch);
 }
 
 void sort_angular_records(std::vector<std::uint64_t>& records,
                           std::vector<std::uint64_t>& tmp, float max_key) {
-  switch (active_level()) {
-#ifdef LUMEN_SIMD_HAVE_AVX2
-    case Level::kAvx2:
-      avx2::sort_f32key_records(records, tmp, max_key);
-      return;
-#endif
-#ifdef LUMEN_SIMD_HAVE_WIDE128
-    case Level::kSse2:
-    case Level::kNeon:
-      wide128::sort_f32key_records(records, tmp, max_key);
-      return;
-#endif
-    default:
-      scalar::sort_f32key_records(records, tmp, max_key);
-      return;
-  }
+  active().sort_angular_records(records, tmp, max_key);
 }
 
 void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
                     std::uint8_t* inside) {
-  switch (active_level()) {
-#ifdef LUMEN_SIMD_HAVE_AVX2
-    case Level::kAvx2:
-      avx2::hull_cull_mask(pts, n, quad, inside);
-      return;
-#endif
-#ifdef LUMEN_SIMD_HAVE_WIDE128
-    case Level::kSse2:
-    case Level::kNeon:
-      wide128::hull_cull_mask(pts, n, quad, inside);
-      return;
-#endif
-    default:
-      scalar::hull_cull_mask(pts, n, quad, inside);
-      return;
-  }
+  active().hull_cull_mask(pts, n, quad, inside);
 }
 
 }  // namespace lumen::geom::simd

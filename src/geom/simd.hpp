@@ -5,10 +5,9 @@
 // interior cull that shrinks the convex-hull candidate set — are data
 // parallel over the SoA coordinate arrays. This layer provides batched
 // versions of both, compiled per instruction set (SSE2/AVX2 on x86-64, NEON
-// on aarch64, plus an always-present scalar reference) and selected once at
-// startup: the best level the host supports, overridable with
-// LUMEN_SIMD=scalar|sse2|avx2|neon (unsupported requests clamp down; the
-// scalar fallback always exists).
+// on aarch64, plus an always-present scalar reference). The CPU alone picks
+// the level: the dispatched entry points run the widest level this binary
+// carries and this host can execute, resolved once on first use.
 //
 // The hard contract is BIT-IDENTITY: every level produces byte-for-byte the
 // same AngularKey sequences, presort records and cull mask as the scalar
@@ -18,8 +17,8 @@
 // allowed to CERTIFY a stage-A decision the scalar filter would also
 // certify, never to decide an uncertain one (uncertain lanes keep the
 // conservative outcome, exactly like the scalar certify-only filters).
-// tests/geom_simd_test.cpp pins scalar-vs-vector equality per kernel and
-// end-to-end through the golden-seed digests.
+// tests/geom_simd_test.cpp walks kernel_table() and pins every row against
+// the scalar row; the golden-seed digests pin it end to end.
 #pragma once
 
 #include "geom/vec2.hpp"
@@ -27,7 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <string_view>
 
 namespace lumen::geom::simd {
@@ -43,31 +42,34 @@ enum class Level : int {
 };
 
 [[nodiscard]] std::string_view to_string(Level level) noexcept;
-[[nodiscard]] std::optional<Level> level_from_string(std::string_view s) noexcept;
 
-/// The widest level this binary supports on this host (compile-time kernel
-/// availability AND runtime CPU feature detection).
-[[nodiscard]] Level best_supported_level() noexcept;
+/// One dispatch level's batch kernels; each entry has the signature and
+/// contract of the dispatched function of the same name below.
+struct Kernels {
+  Level level;
+  void (*build_keys_soa)(const double* xs, const double* ys, std::size_t n,
+                         std::size_t i, Vec2 o, VisibilityScratch& scratch);
+  void (*sort_angular_records)(std::vector<std::uint64_t>& records,
+                               std::vector<std::uint64_t>& tmp, float max_key);
+  void (*hull_cull_mask)(const Vec2* pts, std::size_t n, const Vec2 quad[4],
+                         std::uint8_t* inside);
+};
 
-/// The level batch kernels currently dispatch to. Resolved once on first
-/// use: best_supported_level() unless the LUMEN_SIMD environment variable
-/// names a supported level (an unsupported or unknown value falls back to
-/// the best supported level with a one-time stderr warning).
+/// The levels compiled into this binary AND runnable on this CPU, in
+/// increasing width: the scalar reference is always the first row, and
+/// the dispatched entry points below run the last row.
+[[nodiscard]] std::span<const Kernels> kernel_table() noexcept;
+
+/// The level the dispatched entry points run: kernel_table().back().level.
 [[nodiscard]] Level active_level() noexcept;
 
-/// Forces the active level (tests and benchmarks compare levels this way).
-/// Returns false — and leaves the active level unchanged — if this binary
-/// cannot run `level` here. Not thread-safe against concurrent kernel
-/// calls; switch only between runs.
-bool set_active_level(Level level) noexcept;
-
-/// Batched SoA angular-key build: exactly detail::build_keys over
-/// pt(j) = {xs[j], ys[j]} (observer `i` and coincident points skipped),
-/// filling scratch.upper/lower with the half-partitioned AngularKeys AND
+/// Batched SoA angular-key build over pt(j) = {xs[j], ys[j]} (observer `i`
+/// and coincident points skipped; each key is detail::make_key's), filling
+/// scratch.upper/lower with the half-partitioned AngularKeys AND
 /// scratch.upper_order/lower_order with the (akey bits << 32 | slot)
-/// presort records the radix sort consumes. All four vectors are sized
+/// presort records the presort consumes. All four vectors are sized
 /// exactly (a cheap vectorized counting pass precedes the build), so cold
-/// calls reserve the true split instead of 2x the point count.
+/// calls reserve the true split rather than a guess.
 void build_keys_soa(const double* xs, const double* ys, std::size_t n,
                     std::size_t i, Vec2 o, VisibilityScratch& scratch);
 

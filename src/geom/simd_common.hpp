@@ -23,9 +23,9 @@ inline std::uint64_t order_record(float akey, std::size_t slot) noexcept {
          static_cast<std::uint32_t>(slot);
 }
 
-/// Appends point j's angular key (direction d = p - o, nonzero) to the
-/// half-partitioned key and presort-record vectors — one point of
-/// detail::build_keys, with the sort_half record build fused in.
+/// Appends point j's angular key (direction d = p - o, nonzero; the key is
+/// detail::make_key's) to the half-partitioned key vectors, together with
+/// its presort record.
 inline void append_key(Vec2 d, std::uint32_t j, VisibilityScratch& scratch) {
   using geom::detail::diamond_key;
   using geom::detail::half_of;

@@ -1,9 +1,9 @@
 // lumen_geom: scalar reference implementation of the batch kernels.
 //
-// This level always exists (LUMEN_SIMD=scalar selects it, and hosts with
-// no vector kernels compiled in fall back to it). It IS the bit-identity
-// reference: every vector level must reproduce these outputs byte for
-// byte. Note it still performs the exact-split counting pass and fuses the
+// This level always exists (it is the first row of kernel_table(), and
+// hosts with no vector kernels compiled in dispatch to it). It IS the
+// bit-identity reference: every vector level must reproduce these outputs
+// byte for byte. Note it still performs the exact-split counting pass and fuses the
 // presort-record build, so "scalar" differs from the vector levels only in
 // lane width, never in behavior.
 #include "geom/simd.hpp"

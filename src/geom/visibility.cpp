@@ -54,14 +54,17 @@ bool VisibilityGraph::complete() const noexcept {
   return true;
 }
 
-namespace {
+void visible_from(std::span<const double> xs, std::span<const double> ys,
+                  std::size_t i, VisibilityScratch& scratch,
+                  std::vector<std::size_t>& out) {
+  detail::visible_from_soa_impl(xs.data(), ys.data(), xs.size(), i, scratch,
+                                out);
+}
 
-/// Shared graph fill over any per-observer sweep(i, scratch, out): the AoS
-/// entry point instantiates it with visible_from_impl, the SoA one with the
-/// batch-kernel sweep (visible_from_soa_impl).
-template <class SweepFn>
-VisibilityGraph compute_visibility_graph(std::size_t n, util::ThreadPool* pool,
-                                         const SweepFn& sweep) {
+VisibilityGraph compute_visibility(std::span<const double> xs,
+                                   std::span<const double> ys,
+                                   util::ThreadPool* pool) {
+  const std::size_t n = xs.size();
   VisibilityGraph g(n);
   if (pool != nullptr && n >= detail::kMinParallelObservers) {
     // Every observer writes only its own row; the per-observer relation is
@@ -77,7 +80,7 @@ VisibilityGraph compute_visibility_graph(std::size_t n, util::ThreadPool* pool,
         n,
         [&](std::size_t slot, std::size_t i) {
           ObserverScratch& s = slots[slot];
-          sweep(i, s.scratch, s.out);
+          visible_from(xs, ys, i, s.scratch, s.out);
           for (const std::size_t j : s.out) g.set_half(i, j);
         },
         /*grain=*/4);
@@ -86,55 +89,22 @@ VisibilityGraph compute_visibility_graph(std::size_t n, util::ThreadPool* pool,
   VisibilityScratch scratch;
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < n; ++i) {
-    sweep(i, scratch, out);
+    visible_from(xs, ys, i, scratch, out);
     for (const std::size_t j : out) g.set_half(i, j);
   }
   return g;
 }
 
-}  // namespace
-
-std::vector<std::size_t> visible_from(std::span<const Vec2> pts, std::size_t i) {
-  VisibilityScratch scratch;
-  std::vector<std::size_t> visible;
-  visible_from(pts, i, scratch, visible);
-  return visible;
-}
-
-void visible_from(std::span<const Vec2> pts, std::size_t i,
-                  VisibilityScratch& scratch, std::vector<std::size_t>& out) {
-  detail::visible_from_impl([pts](std::size_t j) noexcept { return pts[j]; },
-                            pts.size(), i, scratch, out);
-}
-
-void visible_from(std::span<const double> xs, std::span<const double> ys,
-                  std::size_t i, VisibilityScratch& scratch,
-                  std::vector<std::size_t>& out) {
-  detail::visible_from_soa_impl(xs.data(), ys.data(), xs.size(), i, scratch,
-                                out);
-}
-
 VisibilityGraph compute_visibility(std::span<const Vec2> pts,
                                    util::ThreadPool* pool) {
-  const auto pt = [pts](std::size_t j) noexcept { return pts[j]; };
-  return compute_visibility_graph(
-      pts.size(), pool,
-      [&](std::size_t i, VisibilityScratch& scratch,
-          std::vector<std::size_t>& out) {
-        detail::visible_from_impl(pt, pts.size(), i, scratch, out);
-      });
-}
-
-VisibilityGraph compute_visibility(std::span<const double> xs,
-                                   std::span<const double> ys,
-                                   util::ThreadPool* pool) {
-  return compute_visibility_graph(
-      xs.size(), pool,
-      [&](std::size_t i, VisibilityScratch& scratch,
-          std::vector<std::size_t>& out) {
-        detail::visible_from_soa_impl(xs.data(), ys.data(), xs.size(), i,
-                                      scratch, out);
-      });
+  std::vector<double> xs, ys;
+  xs.reserve(pts.size());
+  ys.reserve(pts.size());
+  for (const Vec2 p : pts) {
+    xs.push_back(p.x);
+    ys.push_back(p.y);
+  }
+  return compute_visibility(xs, ys, pool);
 }
 
 bool visible_naive(std::span<const Vec2> pts, std::size_t i, std::size_t j) {

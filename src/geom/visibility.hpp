@@ -18,8 +18,9 @@
 // is a strict total order (orientation, then squared distance, then
 // index), the fixed-up sequence is the unique exact-sorted order, so the
 // output is bit-identical to a direct exact sort. Keys stream out of
-// either AoS (span of Vec2) or SoA (split x/y arrays) storage through one
-// shared kernel. A brute-force O(n^3) checker is kept as the test oracle.
+// split x/y coordinate arrays (the simulation's WorldState layout); the
+// Vec2 entry points split their points once and run the same kernel. A
+// brute-force O(n^3) checker is kept as the test oracle.
 #pragma once
 
 #include "geom/vec2.hpp"
@@ -101,49 +102,35 @@ struct AngularKey {
 struct VisibilityScratch {
   std::vector<AngularKey> upper;  ///< Keys with direction angle in [0, pi).
   std::vector<AngularKey> lower;  ///< Keys with direction angle in [pi, 2pi).
-  std::vector<std::uint64_t> order;      ///< (akey bits << 32) | slot records.
-  std::vector<std::uint64_t> order_tmp;  ///< Radix ping-pong buffer.
-  /// Per-half presort records, filled by the batched SoA key build in the
-  /// same pass that fills upper/lower (the gather loop the AoS path runs
-  /// inside sort_half is fused into the key build on the SoA path).
+  std::vector<std::uint64_t> order_tmp;  ///< Presort bucket workspace.
+  /// Per-half (akey bits << 32 | slot) presort records, filled by the
+  /// batched key build in the same pass that fills upper/lower.
   std::vector<std::uint64_t> upper_order;
   std::vector<std::uint64_t> lower_order;
   std::vector<std::uint32_t> dirty;      ///< VisibilityCache: deduped dirty set.
   std::vector<std::uint8_t> mark;        ///< VisibilityCache: membership mask.
 };
 
-/// Indices of the robots visible from observer `i` (excluding i itself).
-/// Coincident points never see each other (they are collisions, flagged
-/// elsewhere). O(n log n).
-[[nodiscard]] std::vector<std::size_t> visible_from(std::span<const Vec2> pts,
-                                                    std::size_t i);
-
-/// Buffer-reusing overload: fills `out` with the visible indices using
-/// `scratch` for the sort keys and workspace. Performs no heap allocation
-/// once the buffers have warmed to the point count. Produces exactly the
-/// same index sequence as the allocating overload (which delegates to this
-/// one).
-void visible_from(std::span<const Vec2> pts, std::size_t i,
-                  VisibilityScratch& scratch, std::vector<std::size_t>& out);
-
-/// SoA overload: identical output to the AoS form for pts[j] == {xs[j],
-/// ys[j]}; the key-build loop streams the split coordinate arrays
-/// directly, which is how the simulation's WorldState feeds the kernel
-/// without materialising Vec2 pairs.
+/// Fills `out` with the indices of the robots visible from observer `i`
+/// (excluding i itself) among the points {xs[j], ys[j]}, using `scratch`
+/// for the sort keys and workspace. Coincident points never see each other
+/// (they are collisions, flagged elsewhere). O(n log n); performs no heap
+/// allocation once the buffers have warmed to the point count.
 void visible_from(std::span<const double> xs, std::span<const double> ys,
                   std::size_t i, VisibilityScratch& scratch,
                   std::vector<std::size_t>& out);
 
-/// Full visibility graph, O(n^2 log n). With a pool, observers fan out
-/// across the workers (each task fills only its own rows, so the result is
-/// bit-identical to the serial sweep for any pool size); nullptr runs
-/// serially on the caller.
-[[nodiscard]] VisibilityGraph compute_visibility(std::span<const Vec2> pts,
-                                                 util::ThreadPool* pool = nullptr);
-
-/// SoA full graph; identical output to the AoS form.
+/// Full visibility graph over split coordinate arrays, O(n^2 log n). With
+/// a pool, observers fan out across the workers (each task fills only its
+/// own rows, so the result is bit-identical to the serial sweep for any
+/// pool size); nullptr runs serially on the caller.
 [[nodiscard]] VisibilityGraph compute_visibility(std::span<const double> xs,
                                                  std::span<const double> ys,
+                                                 util::ThreadPool* pool = nullptr);
+
+/// Full graph over Vec2 points: splits them once into xs/ys and runs the
+/// split-array sweep above, so the output is identical to it.
+[[nodiscard]] VisibilityGraph compute_visibility(std::span<const Vec2> pts,
                                                  util::ThreadPool* pool = nullptr);
 
 /// Brute-force oracle: is j visible from i? O(n) per query.

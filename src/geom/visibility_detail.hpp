@@ -1,9 +1,10 @@
 // lumen_geom: internals of the obstructed-visibility kernel.
 //
-// Shared by visibility.cpp (the one-shot per-observer sweep) and
-// visibility_cache.cpp (the incremental per-observer maintenance): the key
-// build, the two-tier exact sort (float diamond-angle radix presort +
-// exact fixup of suspect chains) and the equal-direction run emission.
+// Shared by visibility.cpp (the one-shot per-observer sweep),
+// visibility_cache.cpp (the incremental per-observer maintenance) and the
+// batch key build in geom/simd: the key formulas, the two-tier exact sort
+// (float diamond-angle presort + exact fixup of suspect chains) and the
+// equal-direction run emission.
 // Everything here preserves the bit-identity contract documented in
 // visibility.hpp — the sorted sequence is the unique exact angular order,
 // and emission applies the exact on_segment_open blocking relation — so
@@ -192,9 +193,8 @@ void emit_half_records(const PtFn& pt, Vec2 o,
 /// exactly orient2d(o, pts[a], pts[b]) (see orient2d_around), making the
 /// order bit-identical to the direct formulation.
 ///
-/// The records come either from sort_half below (the AoS path, which
-/// gathers them out of the keys) or fused out of the batched SoA key build
-/// (geom/simd.hpp), which skips that strided gather.
+/// The records come fused out of the batched key build (geom/simd.hpp),
+/// so no pass gathers them out of the keys.
 template <class PtFn>
 void sort_records(const PtFn& pt, Vec2 o, const std::vector<AngularKey>& keys,
                   std::vector<std::uint64_t>& order,
@@ -230,88 +230,8 @@ void sort_records(const PtFn& pt, Vec2 o, const std::vector<AngularKey>& keys,
   if (m - chain_begin > 1) std::sort(ord(chain_begin), order.end(), exact_less);
 }
 
-/// Record build + exact sort for one half: fills scratch.order with the
-/// presort records gathered from the keys, then delegates to sort_records.
-template <class PtFn>
-void sort_half(const PtFn& pt, Vec2 o, const std::vector<AngularKey>& keys,
-               VisibilityScratch& scratch) {
-  const std::size_t m = keys.size();
-  std::vector<std::uint64_t>& order = scratch.order;
-  order.clear();
-  if (m == 0) return;
-  order.reserve(m);
-  for (std::uint32_t s = 0; s < m; ++s) {
-    order.push_back(
-        (std::uint64_t{std::bit_cast<std::uint32_t>(keys[s].akey)} << 32) | s);
-  }
-  sort_records(pt, o, keys, order, scratch.order_tmp);
-}
-
-/// Sort + emit for one half, reading keys through the order indirection
-/// (the one-shot AoS path — emission scans the records, same as the SoA
-/// path below).
-template <class PtFn>
-void sort_and_dedup_half(const PtFn& pt, Vec2 o,
-                         const std::vector<AngularKey>& keys,
-                         VisibilityScratch& scratch,
-                         std::vector<std::size_t>& out) {
-  if (keys.empty()) return;
-  sort_half(pt, o, keys, scratch);
-  emit_half_records(pt, o, keys, scratch.order, out);
-}
-
-/// Builds the per-observer sort keys in one pass: every subtraction,
-/// half-plane classification, pseudo-angle and squared norm the presort,
-/// comparator and dedup pass will need, computed exactly once per point
-/// and partitioned by half-plane. Coincident points are skipped (they
-/// never see each other; collisions are flagged elsewhere).
-template <class PtFn>
-void build_keys(const PtFn& pt, std::size_t n, std::size_t i, Vec2 o,
-                std::vector<AngularKey>& upper,
-                std::vector<AngularKey>& lower) {
-  upper.clear();
-  lower.clear();
-  // Split estimate: the two halves partition the n-1 candidates, so
-  // reserving n per half would hold 2x the points in memory forever (cold
-  // cost ~64 bytes/point of dead capacity). A lopsided split grows one half
-  // once more; steady-state reuse keeps whatever capacity that settled at.
-  // The SoA batch path (geom/simd.hpp) sizes exactly via a counting pass.
-  const std::size_t est = n / 2 + 8;
-  upper.reserve(est);
-  lower.reserve(est);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == i) continue;
-    const Vec2 p = pt(j);
-    if (p == o) continue;
-    const Vec2 d = p - o;
-    if (half_of(d) == 0) {
-      upper.push_back(AngularKey{d, norm_sq(d), diamond_key(d),
-                                 static_cast<std::uint32_t>(j)});
-    } else {
-      lower.push_back(AngularKey{d, norm_sq(d), diamond_key(Vec2{-d.x, -d.y}),
-                                 static_cast<std::uint32_t>(j)});
-    }
-  }
-}
-
-/// Shared kernel over an arbitrary point accessor pt(j) -> Vec2. The AoS
-/// and SoA entry points instantiate it with a span lookup and a split-
-/// array gather respectively; everything downstream of the key build is
-/// layout-independent.
-template <class PtFn>
-void visible_from_impl(const PtFn& pt, std::size_t n, std::size_t i,
-                       VisibilityScratch& scratch,
-                       std::vector<std::size_t>& out) {
-  const Vec2 o = pt(i);
-  build_keys(pt, n, i, o, scratch.upper, scratch.lower);
-  out.clear();
-  out.reserve(scratch.upper.size() + scratch.lower.size());
-  sort_and_dedup_half(pt, o, scratch.upper, scratch, out);
-  sort_and_dedup_half(pt, o, scratch.lower, scratch, out);
-}
-
 /// Sort + emit for one half whose presort records were PREBUILT by the
-/// batched SoA key build; `order` is that half's record vector
+/// batched key build; `order` is that half's record vector
 /// (scratch.upper_order / lower_order), exact-sorted in place.
 template <class PtFn>
 void sort_and_dedup_half_records(const PtFn& pt, Vec2 o,
@@ -324,12 +244,11 @@ void sort_and_dedup_half_records(const PtFn& pt, Vec2 o,
   emit_half_records(pt, o, keys, order, out);
 }
 
-/// The SoA one-shot sweep: the runtime-dispatched batch key build
+/// The one-shot per-observer sweep: the runtime-dispatched batch key build
 /// (geom/simd.hpp) fills keys AND presort records in one pass over the
-/// split coordinate arrays; sorting and emission are shared with the AoS
-/// path. Output bit-identical to visible_from_impl over
-/// pt(j) = {xs[j], ys[j]} — the batch kernels reproduce build_keys byte
-/// for byte at every dispatch level.
+/// split coordinate arrays, then each half is exact-sorted and emitted.
+/// Every dispatch level builds byte-identical keys, so the output is the
+/// same at every level.
 inline void visible_from_soa_impl(const double* xs, const double* ys,
                                   std::size_t n, std::size_t i,
                                   VisibilityScratch& scratch,

@@ -12,29 +12,6 @@ std::size_t Snapshot::count_light(Light l) const noexcept {
   return c;
 }
 
-Snapshot build_snapshot(std::span<const geom::Vec2> positions,
-                        std::span<const Light> lights, std::size_t observer,
-                        const LocalFrame& frame) {
-  Snapshot snap;
-  SnapshotScratch scratch;
-  build_snapshot(positions, lights, observer, frame, scratch, snap);
-  return snap;
-}
-
-void build_snapshot(std::span<const geom::Vec2> positions,
-                    std::span<const Light> lights, std::size_t observer,
-                    const LocalFrame& frame, SnapshotScratch& scratch,
-                    Snapshot& out) {
-  geom::visible_from(positions, observer, scratch.visibility,
-                     scratch.visible_ids);
-  out.reset(lights[observer]);
-  out.positions.reserve(scratch.visible_ids.size() + 1);
-  out.lights.reserve(scratch.visible_ids.size() + 1);
-  for (const std::size_t j : scratch.visible_ids) {
-    out.push_visible(frame.to_local(positions[j]), lights[j]);
-  }
-}
-
 void build_snapshot(std::span<const double> xs, std::span<const double> ys,
                     std::span<const Light> lights, std::size_t observer,
                     const LocalFrame& frame, SnapshotScratch& scratch,

@@ -93,27 +93,13 @@ struct SnapshotScratch {
   std::vector<std::size_t> visible_ids;
 };
 
-/// Builds the snapshot of `observer` against world-state arrays.
-/// `positions[i]` / `lights[i]` are the CURRENT world position (possibly
-/// mid-move under ASYNC) and light of robot i. Visibility is obstructed;
-/// entries are mapped through `frame` into the observer's local coordinates.
-[[nodiscard]] Snapshot build_snapshot(std::span<const geom::Vec2> positions,
-                                      std::span<const Light> lights,
-                                      std::size_t observer,
-                                      const LocalFrame& frame);
-
-/// Buffer-reusing overload: refills `out` in place. Performs no heap
-/// allocation once `scratch` and `out` have warmed to the swarm size.
-/// Produces exactly the same snapshot as the allocating overload (which
-/// delegates to this one).
-void build_snapshot(std::span<const geom::Vec2> positions,
-                    std::span<const Light> lights, std::size_t observer,
-                    const LocalFrame& frame, SnapshotScratch& scratch,
-                    Snapshot& out);
-
-/// SoA overload: identical output for positions[j] == {xs[j], ys[j]}. The
-/// visibility sweep streams the split coordinate arrays (sim::WorldState's
-/// layout) without materialising Vec2 pairs.
+/// Builds the snapshot of `observer` against world-state arrays, refilling
+/// `out` in place. {xs[i], ys[i]} / `lights[i]` are the CURRENT world
+/// position (possibly mid-move under ASYNC) and light of robot i
+/// (sim::WorldState's split layout). Visibility is obstructed; entries are
+/// mapped through `frame` into the observer's local coordinates. Performs
+/// no heap allocation once `scratch` and `out` have warmed to the swarm
+/// size.
 void build_snapshot(std::span<const double> xs, std::span<const double> ys,
                     std::span<const Light> lights, std::size_t observer,
                     const LocalFrame& frame, SnapshotScratch& scratch,

@@ -1,19 +1,14 @@
-// lumen_util: LSD radix sort for packed (key << 32 | slot) records.
+// lumen_util: value-bucketed sorting for packed (key << 32 | slot) records.
 //
 // The geometry kernels presort by a 32-bit approximate key (a float
-// pseudo-angle, a rounded coordinate) with the element's slot id packed
-// into the low half. Sorting the full 64-bit word ascending then means
-// "by key, ties in slot order" — and because callers append records in
-// ascending slot order, a STABLE sort over just the key bytes produces
-// exactly that order without ever touching the low half. Four LSD
-// counting passes over the high 32 bits do the job in O(n) with no
-// comparisons; identity passes (every record sharing a key byte, common
-// for float exponent bytes of clustered data) are detected from the
-// histogram and skipped.
+// pseudo-angle) with the element's slot id packed into the low half.
+// Sorting the full 64-bit word ascending then means "by key, ties in slot
+// order". Because the key's value lives in a known small interval, one
+// value-proportional bucket scatter establishes almost all of that order
+// in O(n), and the leftover per-bucket runs are tiny comparison sorts.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -22,61 +17,19 @@
 
 namespace lumen::util {
 
-/// One element of an exact 64-bit-keyed stable sort: the full key (e.g. the
-/// monotone bit image of a double coordinate) plus the element's slot id.
-/// Unlike the packed 32-bit records below, key and payload are separate
-/// fields, so EQUAL keys are genuinely equal — no approximate-key tie runs
-/// exist and no comparison-sort repair pass is ever needed; stability alone
-/// carries the secondary order.
+/// One element of an exact 64-bit-keyed sort (the convex hull's fringe
+/// sort in geom/hull.cpp): the full key (the monotone bit image of a double
+/// coordinate) plus the element's slot id. Unlike the packed 32-bit records
+/// below, key and payload are separate fields, so EQUAL keys are genuinely
+/// equal values.
 struct Key64Record {
   std::uint64_t key;
   std::uint32_t slot;
 };
 
 /// Below this many records a plain comparison sort of the packed words
-/// beats the radix passes.
+/// beats the bucket scatter.
 inline constexpr std::size_t kRadixMinRecords = 96;
-
-/// Sorts `records` ascending by full 64-bit value. Precondition: records
-/// were appended with low-32 slots in ascending order (the stable radix
-/// path never inspects the low half and relies on it). `tmp` is the
-/// ping-pong buffer; it keeps its capacity across calls.
-inline void sort_key32_records(std::vector<std::uint64_t>& records,
-                               std::vector<std::uint64_t>& tmp) {
-  const std::size_t m = records.size();
-  if (m < kRadixMinRecords) {
-    std::sort(records.begin(), records.end());
-    return;
-  }
-  tmp.resize(m);
-  std::uint64_t* src = records.data();
-  std::uint64_t* dst = tmp.data();
-  int passes_done = 0;
-  for (int pass = 0; pass < 4; ++pass) {
-    const int shift = 32 + 8 * pass;
-    std::array<std::size_t, 256> count{};
-    for (std::size_t k = 0; k < m; ++k) {
-      ++count[static_cast<std::size_t>((src[k] >> shift) & 0xff)];
-    }
-    if (count[static_cast<std::size_t>((src[0] >> shift) & 0xff)] == m) {
-      continue;  // Identity pass: every record shares this byte.
-    }
-    std::size_t sum = 0;
-    for (std::size_t& c : count) {
-      const std::size_t this_bucket = c;
-      c = sum;
-      sum += this_bucket;
-    }
-    for (std::size_t k = 0; k < m; ++k) {
-      dst[count[static_cast<std::size_t>((src[k] >> shift) & 0xff)]++] = src[k];
-    }
-    std::swap(src, dst);
-    ++passes_done;
-  }
-  if (passes_done % 2 != 0) {
-    std::copy(tmp.begin(), tmp.end(), records.begin());
-  }
-}
 
 /// Finishing pass of a value-bucketed sort: `bucket_ends[b]` is the END
 /// offset of bucket b in `dst` (what the scatter's post-increment cursors
@@ -112,17 +65,13 @@ inline void sort_bucketed_runs(std::uint64_t* dst,
 /// Sorts packed (float_bits << 32 | slot) records ascending by full 64-bit
 /// value, specialised for keys that are the bit images of finite,
 /// non-negative floats bounded by `max_key` (values landing exactly on
-/// max_key are clamped into the last bucket). Because the key's VALUE is
-/// known to live in a small interval, one value-proportional bucket
-/// scatter replaces the four byte passes of sort_key32_records: with ~one
-/// record per bucket, almost all order is established by the single
-/// scatter, and the leftover per-bucket runs are tiny comparison sorts.
-/// Produces exactly the full ascending 64-bit order (bucket boundaries are
-/// monotone in the key, the scatter is stable, and each bucket is
-/// comparison-sorted on the whole word), so it is a drop-in replacement
-/// for sort_key32_records wherever the value precondition holds. `tmp`
-/// holds the bucket cursors and the scatter destination; it keeps its
-/// capacity across calls.
+/// max_key are clamped into the last bucket). With ~one record per
+/// bucket, almost all order is established by the single scatter, and the
+/// leftover per-bucket runs are tiny comparison sorts. Produces exactly the
+/// full ascending 64-bit order (bucket boundaries are monotone in the key,
+/// the scatter is stable, and each bucket is comparison-sorted on the whole
+/// word). `tmp` holds the bucket cursors and the scatter destination; it
+/// keeps its capacity across calls.
 inline void sort_f32key_records(std::vector<std::uint64_t>& records,
                                 std::vector<std::uint64_t>& tmp,
                                 float max_key) {
@@ -158,59 +107,6 @@ inline void sort_f32key_records(std::vector<std::uint64_t>& records,
   for (const std::uint64_t rec : records) dst[cursors[bucket_of(rec)]++] = rec;
   sort_bucketed_runs(dst, cursors, nb);
   std::memcpy(records.data(), dst, m * sizeof(std::uint64_t));
-}
-
-/// STABLE ascending sort of `records` by the full 64-bit key; records with
-/// equal keys keep their relative order. Eight LSD counting passes with
-/// identity-pass skipping, exactly like sort_key32_records but over an
-/// exact key that lives outside the payload. Chaining two calls — sort by a
-/// secondary key, rewrite keys in place, sort by the primary — yields the
-/// exact lexicographic (primary, secondary, insertion) order with zero
-/// comparisons, which is how the convex hull orders (x, y, index) without
-/// any tie-run repair sort. `tmp` is the ping-pong buffer and keeps its
-/// capacity across calls.
-inline void sort_key64_records(std::vector<Key64Record>& records,
-                               std::vector<Key64Record>& tmp) {
-  const std::size_t m = records.size();
-  if (m < kRadixMinRecords) {
-    // Stability matters here (unlike the packed-record path, ties are
-    // real): stable_sort preserves the insertion order the radix passes
-    // would.
-    std::stable_sort(records.begin(), records.end(),
-                     [](const Key64Record& a, const Key64Record& b) {
-                       return a.key < b.key;
-                     });
-    return;
-  }
-  tmp.resize(m);
-  Key64Record* src = records.data();
-  Key64Record* dst = tmp.data();
-  int passes_done = 0;
-  for (int pass = 0; pass < 8; ++pass) {
-    const int shift = 8 * pass;
-    std::array<std::size_t, 256> count{};
-    for (std::size_t k = 0; k < m; ++k) {
-      ++count[static_cast<std::size_t>((src[k].key >> shift) & 0xff)];
-    }
-    if (count[static_cast<std::size_t>((src[0].key >> shift) & 0xff)] == m) {
-      continue;  // Identity pass: every record shares this key byte.
-    }
-    std::size_t sum = 0;
-    for (std::size_t& c : count) {
-      const std::size_t this_bucket = c;
-      c = sum;
-      sum += this_bucket;
-    }
-    for (std::size_t k = 0; k < m; ++k) {
-      dst[count[static_cast<std::size_t>((src[k].key >> shift) & 0xff)]++] =
-          src[k];
-    }
-    std::swap(src, dst);
-    ++passes_done;
-  }
-  if (passes_done % 2 != 0) {
-    std::copy(tmp.begin(), tmp.end(), records.begin());
-  }
 }
 
 }  // namespace lumen::util

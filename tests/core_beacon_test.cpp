@@ -10,6 +10,7 @@
 #include "geom/hull.hpp"
 #include "geom/predicates.hpp"
 #include "model/snapshot.hpp"
+#include "split_points.hpp"
 #include "util/prng.hpp"
 
 namespace lumen::core {
@@ -28,7 +29,7 @@ struct OwnedView : LocalView {
 OwnedView view_of(const std::vector<Vec2>& world, std::size_t observer) {
   const model::LocalFrame frame{world[observer], 0.0, 1.0, false};
   OwnedView v;
-  v.snap = model::build_snapshot(
+  v.snap = testutil::snapshot_of(
       world, std::vector<Light>(world.size(), Light::kOff), observer, frame);
   static_cast<LocalView&>(v) = build_view(v.snap);
   return v;
@@ -206,7 +207,7 @@ TEST(PlanExits, PerpendicularPlansNearestFirstWithValidFeet) {
   std::vector<Light> lights(world.size(), Light::kCorner);
   lights[0] = Light::kInterior;
   const model::LocalFrame frame{world[0], 0.0, 1.0, false};
-  const auto snap = model::build_snapshot(world, lights, 0, frame);
+  const auto snap = testutil::snapshot_of(world, lights, 0, frame);
   const auto view = build_view(snap);
   const auto plans = plan_exits(view, view.self());
   ASSERT_FALSE(plans.empty());
@@ -226,7 +227,7 @@ TEST(PlanExits, PerpendicularPlansNearestFirstWithValidFeet) {
 TEST(PlanExits, RequiresCornerLitAnchors) {
   const std::vector<Vec2> world = {{5, 2}, {0, 0}, {10, 0}, {10, 10}, {0, 10}};
   const model::LocalFrame frame{world[0], 0.0, 1.0, false};
-  const auto snap = model::build_snapshot(
+  const auto snap = testutil::snapshot_of(
       world, std::vector<Light>(world.size(), Light::kOff), 0, frame);
   const auto view = build_view(snap);
   EXPECT_TRUE(plan_exits(view, view.self()).empty());
@@ -240,7 +241,7 @@ TEST(PlanExits, FootOutsideBandSkipsThatEdge) {
   std::vector<Light> lights(world.size(), Light::kCorner);
   lights[0] = Light::kInterior;
   const model::LocalFrame frame{world[0], 0.0, 1.0, false};
-  const auto snap = model::build_snapshot(world, lights, 0, frame);
+  const auto snap = testutil::snapshot_of(world, lights, 0, frame);
   const auto view = build_view(snap);
   for (const auto& plan : plan_exits(view, view.self())) {
     // Local frame: the bottom edge lies at y == -1.5.
@@ -268,7 +269,7 @@ TEST(PlanExits, TargetsExtendHullStrictly) {
     std::vector<Light> lights(world.size(), Light::kCorner);
     lights[interior] = Light::kInterior;
     const model::LocalFrame frame{world[interior], 0.0, 1.0, false};
-    const auto snap = model::build_snapshot(world, lights, interior, frame);
+    const auto snap = testutil::snapshot_of(world, lights, interior, frame);
     const auto view = build_view(snap);
     if (view.role != Role::kInterior) continue;
     for (const auto& plan : plan_exits(view, view.self())) {

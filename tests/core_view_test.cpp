@@ -8,6 +8,7 @@
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
 #include "model/snapshot.hpp"
+#include "split_points.hpp"
 #include "util/prng.hpp"
 
 namespace lumen::core {
@@ -29,7 +30,7 @@ OwnedView view_of(const std::vector<Vec2>& world, const std::vector<Light>& ligh
                   std::size_t observer) {
   const model::LocalFrame frame{world[observer], 0.0, 1.0, false};
   OwnedView v;
-  v.snap = model::build_snapshot(world, lights, observer, frame);
+  v.snap = testutil::snapshot_of(world, lights, observer, frame);
   static_cast<LocalView&>(v) = build_view(v.snap);
   return v;
 }
@@ -81,7 +82,7 @@ TEST(BuildView, LineRoleSurvivesRandomFrames) {
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t observer = 1 + rng.next_below(7);
     const auto frame = model::LocalFrame::random(world[observer], rng);
-    const auto snap = model::build_snapshot(world, lights, observer, frame);
+    const auto snap = testutil::snapshot_of(world, lights, observer, frame);
     const auto view = build_view(snap);
     EXPECT_EQ(view.role, Role::kLine) << "trial " << trial;
   }

@@ -2,17 +2,17 @@
 //
 // The contract in geom/simd.hpp is that every vector level reproduces the
 // scalar reference BYTE FOR BYTE: same AngularKey images, same presort
-// records, same cull mask, same sorted record order. These tests enumerate
-// every level the running binary supports (set_active_level refuses the
-// rest) and memcmp each kernel's output against the scalar level across
-// adversarial input families — uniform random, collinear-heavy (exercises
+// records, same cull mask, same sorted record order. These tests walk
+// geom::simd::kernel_table() — every level compiled in and runnable on this
+// CPU, scalar first — and memcmp each row's output against the scalar row
+// across adversarial input families — uniform random, collinear-heavy (exercises
 // the dy == 0 half-plane tie-break), coincident-heavy (skipped lanes), and
 // a small integer lattice (exactly representable coordinates, maximal key
 // ties) — at sizes chosen to hit every vector-width remainder path.
 #include "geom/simd.hpp"
 #include "geom/visibility.hpp"
+#include "split_points.hpp"
 #include "util/prng.hpp"
-#include "util/radix.hpp"
 
 #include <gtest/gtest.h>
 
@@ -26,23 +26,8 @@ namespace lumen {
 namespace {
 
 using geom::Vec2;
+using geom::simd::Kernels;
 using geom::simd::Level;
-
-std::vector<Level> supported_levels() {
-  std::vector<Level> levels;
-  for (Level level : {Level::kScalar, Level::kSse2, Level::kNeon, Level::kAvx2}) {
-    if (geom::simd::set_active_level(level)) levels.push_back(level);
-  }
-  geom::simd::set_active_level(geom::simd::best_supported_level());
-  return levels;
-}
-
-/// Restores the default dispatch choice when a test exits, even on failure.
-struct LevelGuard {
-  ~LevelGuard() {
-    geom::simd::set_active_level(geom::simd::best_supported_level());
-  }
-};
 
 struct InputFamily {
   const char* name;
@@ -116,15 +101,11 @@ constexpr InputFamily kFamilies[] = {
 // Sizes straddling every remainder path of the 2- and 4-lane kernels.
 constexpr std::size_t kSizes[] = {0, 1, 2, 3, 5, 8, 9, 16, 17, 64, 257};
 
-void run_build(const std::vector<Vec2>& pts, std::size_t i,
-               geom::VisibilityScratch& scratch) {
-  std::vector<double> xs, ys;
-  for (const Vec2 p : pts) {
-    xs.push_back(p.x);
-    ys.push_back(p.y);
-  }
+void run_build(const Kernels& row, const std::vector<Vec2>& pts,
+               std::size_t i, geom::VisibilityScratch& scratch) {
+  const auto [xs, ys] = testutil::split_points(pts);
   const Vec2 o = pts.empty() ? Vec2{0.0, 0.0} : pts[i];
-  geom::simd::build_keys_soa(xs.data(), ys.data(), pts.size(), i, o, scratch);
+  row.build_keys_soa(xs.data(), ys.data(), pts.size(), i, o, scratch);
 }
 
 void expect_keys_equal(const std::vector<geom::AngularKey>& ref,
@@ -139,11 +120,16 @@ void expect_keys_equal(const std::vector<geom::AngularKey>& ref,
   }
 }
 
+TEST(GeomSimd, KernelTableStartsScalarAndDispatchesItsLastRow) {
+  const auto table = geom::simd::kernel_table();
+  ASSERT_FALSE(table.empty());
+  EXPECT_EQ(table.front().level, Level::kScalar);
+  EXPECT_EQ(geom::simd::active_level(), table.back().level);
+}
+
 TEST(GeomSimd, EveryLevelBuildsBitIdenticalKeys) {
-  LevelGuard guard;
-  const auto levels = supported_levels();
-  ASSERT_FALSE(levels.empty());
-  ASSERT_EQ(levels.front(), Level::kScalar);
+  const auto table = geom::simd::kernel_table();
+  const Kernels& scalar = table.front();
   for (const InputFamily& family : kFamilies) {
     for (std::size_t n : kSizes) {
       const auto pts = family.make(n, 7u * n + 13u);
@@ -152,17 +138,14 @@ TEST(GeomSimd, EveryLevelBuildsBitIdenticalKeys) {
       if (n > 1) observers.push_back(n - 1);
       for (std::size_t i : observers) {
         geom::VisibilityScratch ref;
-        ASSERT_TRUE(geom::simd::set_active_level(Level::kScalar));
-        run_build(pts, i, ref);
-        for (Level level : levels) {
-          if (level == Level::kScalar) continue;
+        run_build(scalar, pts, i, ref);
+        for (const Kernels& row : table.subspan(1)) {
           geom::VisibilityScratch got;
-          ASSERT_TRUE(geom::simd::set_active_level(level));
-          run_build(pts, i, got);
+          run_build(row, pts, i, got);
           const std::string what =
               std::string(family.name) + " n=" + std::to_string(n) + " i=" +
               std::to_string(i) + " level=" +
-              std::string(geom::simd::to_string(level));
+              std::string(geom::simd::to_string(row.level));
           expect_keys_equal(ref.upper, got.upper, what + " upper");
           expect_keys_equal(ref.lower, got.lower, what + " lower");
           EXPECT_EQ(ref.upper_order, got.upper_order) << what;
@@ -174,8 +157,7 @@ TEST(GeomSimd, EveryLevelBuildsBitIdenticalKeys) {
 }
 
 TEST(GeomSimd, EveryLevelCullsBitIdentically) {
-  LevelGuard guard;
-  const auto levels = supported_levels();
+  const auto table = geom::simd::kernel_table();
   for (const InputFamily& family : kFamilies) {
     for (std::size_t n : kSizes) {
       if (n < 4) continue;
@@ -190,24 +172,19 @@ TEST(GeomSimd, EveryLevelCullsBitIdentically) {
       }
       const Vec2 quad[4] = {pts[iw], pts[is], pts[ie], pts[in]};
       std::vector<std::uint8_t> ref(n, 0xcd);
-      ASSERT_TRUE(geom::simd::set_active_level(Level::kScalar));
-      geom::simd::hull_cull_mask(pts.data(), n, quad, ref.data());
-      for (Level level : levels) {
-        if (level == Level::kScalar) continue;
+      table.front().hull_cull_mask(pts.data(), n, quad, ref.data());
+      for (const Kernels& row : table.subspan(1)) {
         std::vector<std::uint8_t> got(n, 0xab);
-        ASSERT_TRUE(geom::simd::set_active_level(level));
-        geom::simd::hull_cull_mask(pts.data(), n, quad, got.data());
+        row.hull_cull_mask(pts.data(), n, quad, got.data());
         EXPECT_EQ(ref, got)
             << family.name << " n=" << n
-            << " level=" << geom::simd::to_string(level);
+            << " level=" << geom::simd::to_string(row.level);
       }
     }
   }
 }
 
 TEST(GeomSimd, EveryLevelSortsRecordsCanonically) {
-  LevelGuard guard;
-  const auto levels = supported_levels();
   util::Prng rng(424242);
   for (std::size_t m : {0u, 1u, 50u, 95u, 96u, 97u, 300u, 4096u}) {
     // Diamond pseudo-angles: finite floats in [0, 2), heavy on ties.
@@ -223,52 +200,13 @@ TEST(GeomSimd, EveryLevelSortsRecordsCanonically) {
     }
     std::vector<std::uint64_t> expected = records;
     std::sort(expected.begin(), expected.end());
-    for (Level level : levels) {
-      ASSERT_TRUE(geom::simd::set_active_level(level));
+    for (const Kernels& row : geom::simd::kernel_table()) {
       std::vector<std::uint64_t> got = records;
       std::vector<std::uint64_t> tmp;
-      geom::simd::sort_angular_records(got, tmp, 2.0f);
+      row.sort_angular_records(got, tmp, 2.0f);
       EXPECT_EQ(expected, got)
-          << "m=" << m << " level=" << geom::simd::to_string(level);
+          << "m=" << m << " level=" << geom::simd::to_string(row.level);
     }
-  }
-}
-
-TEST(GeomSimd, Key64RadixMatchesStableSort) {
-  util::Prng rng(99);
-  for (std::size_t m : {0u, 3u, 95u, 96u, 500u, 3000u}) {
-    std::vector<util::Key64Record> records;
-    records.reserve(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      // Narrow key range => dense ties, the case that breaks unstable sorts.
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(rng.uniform(0.0, 17.0)) << 40;
-      records.push_back({key, static_cast<std::uint32_t>(k)});
-    }
-    std::vector<util::Key64Record> expected = records;
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const util::Key64Record& a, const util::Key64Record& b) {
-                       return a.key < b.key;
-                     });
-    std::vector<util::Key64Record> tmp;
-    util::sort_key64_records(records, tmp);
-    ASSERT_EQ(expected.size(), records.size()) << "m=" << m;
-    for (std::size_t k = 0; k < m; ++k) {
-      EXPECT_EQ(expected[k].key, records[k].key) << "m=" << m << " k=" << k;
-      EXPECT_EQ(expected[k].slot, records[k].slot) << "m=" << m << " k=" << k;
-    }
-  }
-}
-
-TEST(GeomSimd, ActiveLevelRoundTripsThroughStrings) {
-  LevelGuard guard;
-  for (Level level : supported_levels()) {
-    ASSERT_TRUE(geom::simd::set_active_level(level));
-    EXPECT_EQ(geom::simd::active_level(), level);
-    const auto parsed =
-        geom::simd::level_from_string(geom::simd::to_string(level));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, level);
   }
 }
 

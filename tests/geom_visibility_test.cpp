@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "geom/hull.hpp"
+#include "split_points.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -47,8 +48,11 @@ TEST(Visibility, NearestOnRayWinsBothSides) {
   // Four robots on a vertical ray from the observer plus the observer: the
   // observer sees only the nearest above and the nearest below.
   const std::vector<Vec2> pts = {{0, 0}, {0, 2}, {0, 5}, {0, -1}, {0, -7}};
-  const auto vis = visible_from(pts, 0);
-  EXPECT_EQ(vis.size(), 2u);
+  const auto split = testutil::split_points(pts);
+  VisibilityScratch scratch;
+  std::vector<std::size_t> vis;
+  visible_from(split.xs, split.ys, 0, scratch, vis);
+  EXPECT_EQ(vis, (std::vector<std::size_t>{1, 3}));
   const auto g = compute_visibility(pts);
   EXPECT_TRUE(g.sees(0, 1));
   EXPECT_FALSE(g.sees(0, 2));

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "geom/hull.hpp"
+#include "split_points.hpp"
 #include "util/prng.hpp"
 
 namespace lumen::model {
@@ -102,7 +103,7 @@ TEST(Snapshot, ObstructionExcludesBlockedRobots) {
   const std::vector<Vec2> pts = {{0, 0}, {5, 0}, {10, 0}, {0, 7}};
   const std::vector<Light> lights(4, Light::kOff);
   const LocalFrame identity;
-  const Snapshot snap = build_snapshot(pts, lights, 0, identity);
+  const Snapshot snap = testutil::snapshot_of(pts, lights, 0, identity);
   // Robot 2 is hidden behind robot 1; robot 3 is visible.
   EXPECT_EQ(snap.visible_count(), 2u);
 }
@@ -111,7 +112,7 @@ TEST(Snapshot, EntriesAreInLocalFrame) {
   const std::vector<Vec2> pts = {{10, 10}, {13, 14}};
   const std::vector<Light> lights = {Light::kOff, Light::kCorner};
   const LocalFrame frame{{10, 10}, 0.0, 1.0, false};
-  const Snapshot snap = build_snapshot(pts, lights, 0, frame);
+  const Snapshot snap = testutil::snapshot_of(pts, lights, 0, frame);
   ASSERT_EQ(snap.visible_count(), 1u);
   EXPECT_NEAR(snap.other_positions()[0].x, 3.0, 1e-12);
   EXPECT_NEAR(snap.other_positions()[0].y, 4.0, 1e-12);
@@ -144,10 +145,10 @@ TEST(Snapshot, VisibleSetInvariantUnderFrames) {
     lights.push_back(kAllLights[rng.next_below(kLightCount)]);
   }
   const LocalFrame identity{pts[0], 0.0, 1.0, false};
-  const Snapshot reference = build_snapshot(pts, lights, 0, identity);
+  const Snapshot reference = testutil::snapshot_of(pts, lights, 0, identity);
   for (int trial = 0; trial < 20; ++trial) {
     const LocalFrame f = LocalFrame::random(pts[0], rng);
-    const Snapshot snap = build_snapshot(pts, lights, 0, f);
+    const Snapshot snap = testutil::snapshot_of(pts, lights, 0, f);
     ASSERT_EQ(snap.visible_count(), reference.visible_count());
     for (std::size_t k = 0; k < snap.visible_count(); ++k) {
       EXPECT_EQ(snap.other_lights()[k], reference.other_lights()[k]);
