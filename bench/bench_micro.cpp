@@ -5,8 +5,9 @@
 // angular sweep (warmed scratch, allocation-counted), whole-graph
 // obstructed visibility serial vs pooled (vs the O(n^3) oracle), smallest
 // enclosing circle, snapshot construction (scratch-reusing, with a
-// heap-allocation counter), one full SSYNC round serial vs pooled,
-// and one full ASYNC engine run per size.
+// heap-allocation counter), Compute's classification (corner and interior
+// views) and async-log's arbitration, one full SSYNC round serial vs
+// pooled, and one full ASYNC engine run per size.
 //
 // bench/baselines/seed_bench_micro.json holds the pre-kernel-rewrite
 // numbers; bench/compare_bench.py gates CI on regressions against the
@@ -17,7 +18,9 @@
 // stays human-readable); CI archives the JSON artifact.
 #include <benchmark/benchmark.h>
 
+#include "core/cv_async.hpp"
 #include "core/registry.hpp"
+#include "core/view.hpp"
 #include "gen/generators.hpp"
 #include "geom/circle.hpp"
 #include "geom/hull.hpp"
@@ -96,15 +99,19 @@ struct SplitPoints {
   std::vector<double> ys;
 };
 
-/// random_points(n, seed) as the split x/y arrays the visibility kernel and
-/// the Look snapshot take (sim::WorldState's layout).
-SplitPoints random_split_points(std::size_t n, std::uint64_t seed) {
+/// Points as the split x/y arrays the visibility kernel and the Look
+/// snapshot take (sim::WorldState's layout).
+SplitPoints split(const std::vector<Vec2>& pts) {
   SplitPoints s;
-  for (const Vec2 p : random_points(n, seed)) {
+  for (const Vec2 p : pts) {
     s.xs.push_back(p.x);
     s.ys.push_back(p.y);
   }
   return s;
+}
+
+SplitPoints random_split_points(std::size_t n, std::uint64_t seed) {
+  return split(random_points(n, seed));
 }
 
 void BM_Orient2dFiltered(benchmark::State& state) {
@@ -373,6 +380,71 @@ void BM_BuildSnapshotScratch(benchmark::State& state) {
       static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_BuildSnapshotScratch)->Range(32, 1024);
+
+/// An observer's Look snapshot of a uniform-disk world (visible robots in
+/// the Look's angular order): hull vertices Corner-lit, a `transit_share` of
+/// the rest Transit-lit. The observer is a hull vertex (`corner`) or the
+/// robot nearest the centroid.
+lumen::model::Snapshot disk_snapshot(std::size_t n, bool corner,
+                                     double transit_share,
+                                     lumen::model::Light self) {
+  using lumen::model::Light;
+  const auto world =
+      lumen::gen::generate(lumen::gen::ConfigFamily::kUniformDisk, n, 8);
+  const auto hull = lumen::geom::convex_hull_indices(world);
+  std::vector<Light> lights(n, Light::kOff);
+  lumen::util::Prng rng{9};
+  for (Light& light : lights) {
+    if (rng.bernoulli(transit_share)) light = Light::kTransit;
+  }
+  for (const std::size_t k : hull) lights[k] = Light::kCorner;
+  std::size_t observer = hull.front();
+  if (!corner) {
+    Vec2 centroid{};
+    for (const Vec2 p : world) centroid += p;
+    centroid = centroid / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (lumen::geom::distance_sq(world[i], centroid) <
+          lumen::geom::distance_sq(world[observer], centroid)) {
+        observer = i;
+      }
+    }
+  }
+  lights[observer] = self;
+  const auto [xs, ys] = split(world);
+  lumen::model::SnapshotScratch scratch;
+  lumen::model::Snapshot snap;
+  lumen::model::build_snapshot(xs, ys, lights, observer,
+                               lumen::model::LocalFrame{world[observer], 0.0, 1.0, false},
+                               scratch, snap);
+  return snap;
+}
+
+void BM_BuildView(benchmark::State& state, bool corner) {
+  // Compute's classification step. A Corner view is decided by the O(n)
+  // corner certificate; an interior one still builds the local hull.
+  const auto snap = disk_snapshot(static_cast<std::size_t>(state.range(0)), corner,
+                                  0.0, lumen::model::Light::kOff);
+  for (auto _ : state) {
+    auto view = lumen::core::build_view(snap);
+    benchmark::DoNotOptimize(view);
+  }
+}
+BENCHMARK_CAPTURE(BM_BuildView, corner, true)->Arg(512);
+BENCHMARK_CAPTURE(BM_BuildView, interior, false)->Arg(512);
+
+void BM_AsyncArbitration(benchmark::State& state) {
+  // A Transit observer's move-Look in async-log: plan, then arbitrate
+  // against ~40% Transit rivals (gap-first prefilter, rival re-planning).
+  const auto snap = disk_snapshot(static_cast<std::size_t>(state.range(0)), false,
+                                  0.4, lumen::model::Light::kTransit);
+  const lumen::core::CompleteVisibilityAsync algo;
+  for (auto _ : state) {
+    auto action = algo.compute(snap);
+    benchmark::DoNotOptimize(action);
+  }
+}
+BENCHMARK(BM_AsyncArbitration)->Arg(512);
 
 void BM_FullAsyncRun(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -65,7 +65,7 @@ std::optional<GateEdge> nearest_corner_lit_edge(const LocalView& view) {
     const double d = geom::point_segment_distance(e, view.self());
     if (d < best_dist) {
       best_dist = d;
-      best = GateEdge{i1, i2, e.a, e.b, d};
+      best = GateEdge{i1, i2, e.a, e.b, d, k};
     }
   }
   return best;

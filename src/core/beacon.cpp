@@ -30,12 +30,18 @@ double wedge_bound(Vec2 u, Vec2 v, Vec2 base, Vec2 n) noexcept {
   return a0 / -slope;
 }
 
-/// Index into view.hull of the hull position holding pts-index `i`, or npos.
-std::size_t hull_position_of(const LocalView& view, std::size_t i) noexcept {
-  for (std::size_t k = 0; k < view.hull.size(); ++k) {
-    if (view.hull[k] == i) return k;
-  }
-  return static_cast<std::size_t>(-1);
+/// Height bound from the hull edges adjacent to the gate: the edge into c1
+/// and the edge out of c2 (+inf when the gate carries no hull position).
+double adjacent_wedge_bound(const LocalView& view, const GateEdge& gate, Vec2 base,
+                            Vec2 n) noexcept {
+  double h_wedge = std::numeric_limits<double>::infinity();
+  const std::size_t h = view.hull.size();
+  if (gate.k == kNoHullPosition || h < 3) return h_wedge;
+  const Vec2 c0 = view.pts[view.hull[(gate.k + h - 1) % h]];
+  h_wedge = std::min(h_wedge, wedge_bound(c0, gate.c1, base, n));
+  const Vec2 c3 = view.pts[view.hull[(gate.k + 2) % h]];
+  // Constraint at c2: orient(p, c2, c3) > 0 == orient(c2, c3, p) > 0.
+  return std::min(h_wedge, wedge_bound(gate.c2, c3, base, n));
 }
 
 }  // namespace
@@ -64,20 +70,7 @@ std::optional<Vec2> interior_insertion_target(const LocalView& view,
   const Vec2 base = gate.c1 + u * (lambda * len);
 
   // Wedge constraints from the hull edges adjacent to the gate.
-  double h_wedge = std::numeric_limits<double>::infinity();
-  const std::size_t h = view.hull.size();
-  const std::size_t k1 = hull_position_of(view, gate.i1);
-  const std::size_t k2 = hull_position_of(view, gate.i2);
-  if (k1 != static_cast<std::size_t>(-1) && h >= 3) {
-    const Vec2 c0 = view.pts[view.hull[(k1 + h - 1) % h]];
-    h_wedge = std::min(h_wedge, wedge_bound(c0, gate.c1, base, n));
-  }
-  if (k2 != static_cast<std::size_t>(-1) && h >= 3) {
-    const Vec2 c3 = view.pts[view.hull[(k2 + 1) % h]];
-    // Constraint at c2: orient(p, c2, c3) > 0 == orient(c2, c3, p) > 0.
-    h_wedge = std::min(h_wedge, wedge_bound(gate.c2, c3, base, n));
-  }
-
+  const double h_wedge = adjacent_wedge_bound(view, gate, base, n);
   double h_cap = 0.25 * len;
   if (std::isfinite(h_wedge)) h_cap = std::min(h_cap, 0.45 * h_wedge);
   if (h_cap <= len * 1e-12) {
@@ -110,18 +103,7 @@ std::optional<Vec2> perpendicular_target(const LocalView& view,
   if (t_raw < 0.08 || t_raw > 0.92) return std::nullopt;
   const Vec2 base = gate.c1 + u * (t_raw * len);
 
-  double h_wedge = std::numeric_limits<double>::infinity();
-  const std::size_t h = view.hull.size();
-  const std::size_t k1 = hull_position_of(view, gate.i1);
-  const std::size_t k2 = hull_position_of(view, gate.i2);
-  if (k1 != static_cast<std::size_t>(-1) && h >= 3) {
-    const Vec2 c0 = view.pts[view.hull[(k1 + h - 1) % h]];
-    h_wedge = std::min(h_wedge, wedge_bound(c0, gate.c1, base, n));
-  }
-  if (k2 != static_cast<std::size_t>(-1) && h >= 3) {
-    const Vec2 c3 = view.pts[view.hull[(k2 + 1) % h]];
-    h_wedge = std::min(h_wedge, wedge_bound(gate.c2, c3, base, n));
-  }
+  const double h_wedge = adjacent_wedge_bound(view, gate, base, n);
   double h_cap = 0.25 * len;
   if (std::isfinite(h_wedge)) h_cap = std::min(h_cap, 0.45 * h_wedge);
   if (h_cap <= len * 1e-12) h_cap = 0.05 * len;
@@ -150,10 +132,11 @@ std::vector<ExitPlan> plan_exits(const LocalView& view, Vec2 from) {
       continue;
     }
     const geom::Segment edge{view.pts[i1], view.pts[i2]};
-    GateEdge gate{i1, i2, edge.a, edge.b,
-                  geom::point_segment_distance(edge, from)};
+    GateEdge gate{i1, i2, edge.a, edge.b, 0.0, k};
     const auto target = perpendicular_target(view, gate, from, witness);
     if (!target) continue;
+    // Ranked only for gates that pass the band test, so only those pay it.
+    gate.distance = geom::point_segment_distance(edge, from);
     plans.push_back(ExitPlan{gate, *target, geom::distance(from, *target)});
   }
   std::sort(plans.begin(), plans.end(), [](const ExitPlan& a, const ExitPlan& b) {

@@ -5,6 +5,7 @@
 #include "geom/segment.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -36,6 +37,35 @@ bool mover_within(const LocalView& view, double radius) {
   return false;
 }
 
+/// The path's bounding box, widened so that a point outside it is certainly
+/// farther than `corridor` from the path AS COMPUTED by
+/// point_segment_distance: the rounded closest point (a lerp) strays from
+/// the exact box by a few ulps of the largest endpoint coordinate, the
+/// rounded difference to it loses at most an ulp more, and hypot(dx, dy) is
+/// never below |dx| by more than an ulp. A relative slack of 2^-40 — ~8000
+/// ulps — covers all of it, and the absolute DBL_MIN term the subnormal
+/// range, so the box only skips points the exact test would pass as clear.
+class CorridorBox {
+ public:
+  CorridorBox(const geom::Segment& path, double corridor) noexcept {
+    const double scale = std::max({std::fabs(path.a.x), std::fabs(path.a.y),
+                                   std::fabs(path.b.x), std::fabs(path.b.y)}) +
+                         corridor;
+    const double reach =
+        corridor + (0x1p-40 * scale + std::numeric_limits<double>::min());
+    lo_ = Vec2{std::min(path.a.x, path.b.x) - reach, std::min(path.a.y, path.b.y) - reach};
+    hi_ = Vec2{std::max(path.a.x, path.b.x) + reach, std::max(path.a.y, path.b.y) + reach};
+  }
+
+  [[nodiscard]] bool excludes(Vec2 q) const noexcept {
+    return q.x < lo_.x || q.x > hi_.x || q.y < lo_.y || q.y > hi_.y;
+  }
+
+ private:
+  Vec2 lo_;
+  Vec2 hi_;
+};
+
 /// First plan (for the robot at pts[subject], usually the observer at 0)
 /// whose approach corridor is free of parked robots: nobody may sit
 /// essentially ON the straight path (grazing guard; a robot exactly on the
@@ -60,12 +90,13 @@ std::optional<ExitPlan> first_clear_plan(const LocalView& view,
       std::isfinite(nearest_sq) ? 0.05 * std::sqrt(nearest_sq) : 0.0;
   for (const ExitPlan& plan : plan_exits(view, from)) {
     const geom::Segment path{from, plan.target};
+    const CorridorBox box(path, corridor);
     bool clear = true;
     for (std::size_t i = 0; i < view.pts.size() && clear; ++i) {
       if (i == subject || i == plan.gate.i1 || i == plan.gate.i2) continue;
-      if (geom::point_segment_distance(path, view.pts[i]) <= corridor) {
-        clear = false;
-      }
+      const Vec2 q = view.pts[i];
+      if (box.excludes(q)) continue;
+      if (geom::point_segment_distance(path, q) <= corridor) clear = false;
     }
     if (clear) return plan;
   }
@@ -93,7 +124,7 @@ std::optional<ExitPlan> fallback_plan(const LocalView& view) {
     const double d = geom::point_segment_distance(e, view.self());
     if (d < best_dist) {
       best_dist = d;
-      best = GateEdge{i1, i2, e.a, e.b, d};
+      best = GateEdge{i1, i2, e.a, e.b, d, k};
     }
   }
   if (!best) return std::nullopt;
@@ -103,16 +134,42 @@ std::optional<ExitPlan> fallback_plan(const LocalView& view) {
   return ExitPlan{*best, *target, geom::distance(view.self(), *target)};
 }
 
+/// Distance from p to hull edge k of the view.
+double edge_distance(const LocalView& view, std::size_t k, geom::Vec2 p) {
+  const std::size_t h = view.hull.size();
+  const geom::Segment e{view.pts[view.hull[k]], view.pts[view.hull[(k + 1) % h]]};
+  return geom::point_segment_distance(e, p);
+}
+
 /// Distance from p to the nearest hull edge of the view — the shared scalar
 /// the fallback serialization orders rivals by.
 double nearest_edge_distance(const LocalView& view, geom::Vec2 p) {
-  const std::size_t h = view.hull.size();
   double best = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < h; ++k) {
-    const geom::Segment e{view.pts[view.hull[k]], view.pts[view.hull[(k + 1) % h]]};
-    best = std::min(best, geom::point_segment_distance(e, p));
+  for (std::size_t k = 0; k < view.hull.size(); ++k) {
+    best = std::min(best, edge_distance(view, k, p));
   }
   return best;
+}
+
+/// The arbitration prefilter's skip test,
+///   gap > (nearest_edge_distance(view, p) + quarter_edge) + slack,
+/// decided without the O(h) minimum wherever a bound settles it. The minimum
+/// is >= 0, so gap <= quarter_edge + slack keeps the rival; it is <= every
+/// edge's distance d_k, so gap > (d_k + quarter_edge) + slack at any edge
+/// skips it. Rounded addition is monotone, so neither bound can flip the
+/// comparison; only a full scan with no skipping edge keeps the rival.
+/// `edge` is where the scan starts — the edge that skipped the previous
+/// rival, since neighbours tend to be skipped by the same edge — and is left
+/// at the edge that skipped this one.
+bool out_of_reach(const LocalView& view, geom::Vec2 p, double gap,
+                  double quarter_edge, double slack, std::size_t& edge) {
+  if (gap <= quarter_edge + slack) return false;
+  const std::size_t h = view.hull.size();
+  for (std::size_t step = 0; step < h; ++step) {
+    if (gap > (edge_distance(view, edge, p) + quarter_edge) + slack) return true;
+    edge = edge + 1 == h ? 0 : edge + 1;
+  }
+  return false;
 }
 
 }  // namespace
@@ -198,8 +255,9 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
       const geom::Segment my_path{view.self(), plan->target};
       // Sound prefilter: a rival's exit path never leaves the disk of
       // radius (distance to its nearest hull edge + 0.25 * longest edge)
-      // around the rival, so rivals farther than that from my path cannot
-      // conflict — skip the expensive plan modelling for them.
+      // around the rival, so rivals farther than that from my path (plus
+      // 0.1 * my exit) cannot conflict — skip the expensive plan modelling
+      // for them.
       double longest_edge = 0.0;
       for (std::size_t k = 0; k < view.hull.size(); ++k) {
         longest_edge = std::max(
@@ -207,19 +265,18 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
             geom::distance(view.pts[view.hull[k]],
                            view.pts[view.hull[(k + 1) % view.hull.size()]]));
       }
+      const double quarter_edge = 0.25 * longest_edge;
+      const double slack = 0.1 * plan->exit_distance;
+      std::size_t skip_edge = 0;
       for (std::size_t i = 1; i < view.pts.size(); ++i) {
         const Light light = view.lights[i];
         if (light != Light::kTransit && light != Light::kMoving) continue;
         const Vec2 rival = view.pts[i];
-        const double reach =
-            nearest_edge_distance(view, rival) + 0.25 * longest_edge;
         const double gap = geom::point_segment_distance(my_path, rival);
-        if (gap > reach + 0.1 * plan->exit_distance) continue;
+        if (out_of_reach(view, rival, gap, quarter_edge, slack, skip_edge)) continue;
         // A robot in flight close to my intended path is a hazard no matter
         // what its (unknowable) destination is — yield on position alone.
-        if (light == Light::kMoving &&
-            geom::point_segment_distance(geom::Segment{view.self(), plan->target},
-                                         rival) <= 0.03 * plan->exit_distance) {
+        if (light == Light::kMoving && gap <= 0.03 * plan->exit_distance) {
           return Action::stay(Light::kTransit);
         }
         // Model the rival with the SAME planner the rival itself runs, so

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 namespace lumen::core {
 
@@ -41,8 +42,92 @@ Role line_role(std::span<const Vec2> pts) {
   return (has_positive && has_negative) ? Role::kLine : Role::kLineEnd;
 }
 
+/// For p and q collinear with o and distinct from it: true iff they lie on
+/// the same ray from o, i.e. p - o and q - o agree in the sign of each
+/// coordinate. Exact: the signs are read by comparing coordinates.
+bool same_ray(Vec2 o, Vec2 p, Vec2 q) noexcept {
+  const auto sign = [](double v, double origin) { return (v > origin) - (v < origin); };
+  return sign(p.x, o.x) == sign(q.x, o.x) && sign(p.y, o.y) == sign(q.y, o.y);
+}
+
+/// The cone around o spanned by the points added so far: from ray o->a
+/// counter-clockwise to ray o->b, opening below pi. Every step is an exact
+/// orientation sign, or (while the cone is a single ray) an exact
+/// coordinate-sign comparison telling the same ray from the opposite one.
+/// Whether the points fit depends only on the set added, so neither the
+/// order nor repeats change the answer.
+class HalfPlaneCone {
+ public:
+  explicit HalfPlaneCone(Vec2 o) noexcept : o_(o) {}
+
+  /// Adds p; false once the points added no longer fit in one open
+  /// half-plane bounded by a line through o (points equal to o are ignored).
+  bool add(Vec2 p) noexcept {
+    if (p == o_) return true;
+    if (empty_) {
+      a_ = b_ = p;
+      empty_ = false;
+      return true;
+    }
+    if (single_ray_) {
+      const int s = geom::orient2d_inline(o_, a_, p);
+      if (s > 0) {
+        b_ = p;
+      } else if (s < 0) {
+        a_ = p;  // b_ still holds the old ray.
+      } else {
+        return same_ray(o_, a_, p);  // Opposite rays: o lies between two points.
+      }
+      single_ray_ = false;
+      return true;
+    }
+    const int sa = geom::orient2d_inline(o_, a_, p);
+    const int sb = geom::orient2d_inline(o_, p, b_);
+    if (sa >= 0 && sb >= 0) return true;  // Inside the closed cone.
+    if (sa < 0 && sb > 0) {
+      a_ = p;  // Clockwise of a by less than the remaining opening.
+    } else if (sa > 0 && sb < 0) {
+      b_ = p;  // Counter-clockwise of b, likewise.
+    } else {
+      return false;  // The cone would reach pi.
+    }
+    return true;
+  }
+
+ private:
+  Vec2 o_;
+  Vec2 a_{};
+  Vec2 b_{};
+  bool empty_ = true;
+  bool single_ray_ = true;
+};
+
+/// The corner certificate: true iff pts[0] is a strict vertex of the convex
+/// hull of pts, i.e. iff every point not coincident with it lies in one open
+/// half-plane bounded by a line through it. The monotone-chain hull keeps
+/// exactly the strict vertices (and index 0 among coincident points), so
+/// this equals "convex_hull_indices(pts) contains 0", in O(n) instead of
+/// O(n log n). The walk takes golden-ratio strides through the snapshot: the
+/// Look emits robots in angular order, and an interior observer's cone only
+/// fails once it holds a robot from the observer's sparsest side, which a
+/// walk in snapshot order would often reach last.
+bool observer_is_strict_vertex(std::span<const Vec2> pts) noexcept {
+  const std::size_t m = pts.size() - 1;  // Robots besides the observer.
+  std::size_t stride =
+      std::max<std::size_t>(1, static_cast<std::size_t>(0.618 * static_cast<double>(m)));
+  while (std::gcd(stride, m) != 1) ++stride;  // Coprime: each robot once.
+  HalfPlaneCone cone(pts[0]);
+  for (std::size_t step = 0, j = 0; step < m; ++step) {
+    if (!cone.add(pts[1 + j])) return false;
+    j += stride;
+    if (j >= m) j -= m;
+  }
+  return true;
+}
+
 /// Result of minimizing point-to-edge distance over the hull boundary.
 struct NearestEdge {
+  std::size_t k = 0;
   std::size_t i1 = 0;
   std::size_t i2 = 0;
   geom::Segment edge{};
@@ -61,7 +146,7 @@ std::optional<NearestEdge> scan_nearest_hull_edge(const LocalView& view, Vec2 p)
     const std::size_t i2 = view.hull[(k + 1) % h];
     const geom::Segment e{view.pts[i1], view.pts[i2]};
     const double d = geom::point_segment_distance(e, p);
-    if (d < best.dist) best = NearestEdge{i1, i2, e, d};
+    if (d < best.dist) best = NearestEdge{k, i1, i2, e, d};
   }
   if (!std::isfinite(best.dist)) return std::nullopt;
   return best;
@@ -87,11 +172,11 @@ LocalView build_view(const model::Snapshot& snap) {
     view.hull = geom::convex_hull_indices(view.pts);
     return view;
   }
-  view.hull = geom::convex_hull_indices(view.pts);
-  if (std::find(view.hull.begin(), view.hull.end(), std::size_t{0}) != view.hull.end()) {
+  if (observer_is_strict_vertex(view.pts)) {
     view.role = Role::kCorner;
     return view;
   }
+  view.hull = geom::convex_hull_indices(view.pts);
   const auto hull_pts = view.hull_points();
   const auto pos = geom::classify_against_hull(hull_pts, view.self());
   view.role = pos == geom::HullPosition::kEdge ? Role::kSide : Role::kInterior;
@@ -101,7 +186,7 @@ LocalView build_view(const model::Snapshot& snap) {
 std::optional<GateEdge> nearest_hull_edge(const LocalView& view) {
   const auto best = scan_nearest_hull_edge(view, view.self());
   if (!best) return std::nullopt;
-  return GateEdge{best->i1, best->i2, best->edge.a, best->edge.b, best->dist};
+  return GateEdge{best->i1, best->i2, best->edge.a, best->edge.b, best->dist, best->k};
 }
 
 std::optional<GateEdge> containing_hull_edge(const LocalView& view) {
@@ -115,7 +200,7 @@ std::optional<GateEdge> containing_hull_edge(const LocalView& view) {
     const std::size_t i1 = view.hull[k];
     const std::size_t i2 = view.hull[(k + 1) % h];
     if (geom::on_segment_open(view.pts[i1], view.pts[i2], self)) {
-      return GateEdge{i1, i2, view.pts[i1], view.pts[i2], 0.0};
+      return GateEdge{i1, i2, view.pts[i1], view.pts[i2], 0.0, k};
     }
   }
   return std::nullopt;

@@ -44,7 +44,10 @@ enum class Role {
 struct LocalView {
   std::span<const geom::Vec2> pts;     ///< Observer first, then visible robots.
   std::span<const model::Light> lights;  ///< Parallel to pts.
-  std::vector<std::size_t> hull;       ///< CCW strict-vertex indices into pts.
+  /// CCW strict-vertex indices into pts. Empty for kCorner and kAlone: the
+  /// corner certificate decides kCorner without building the hull, and no
+  /// rule reads the hull of a Corner or Alone view.
+  std::vector<std::size_t> hull;
   Role role = Role::kAlone;
 
   [[nodiscard]] std::size_t count() const noexcept { return pts.size(); }
@@ -58,6 +61,9 @@ struct LocalView {
 /// position and light storage; keep the snapshot alive while using it.
 [[nodiscard]] LocalView build_view(const model::Snapshot& snap);
 
+/// GateEdge::k of an edge that is not a hull edge of the view it is used with.
+inline constexpr std::size_t kNoHullPosition = static_cast<std::size_t>(-1);
+
 /// A gate: a hull edge through which an interior/side robot exits.
 struct GateEdge {
   std::size_t i1 = 0;  ///< Index (into LocalView::pts) of the first endpoint.
@@ -65,6 +71,9 @@ struct GateEdge {
   geom::Vec2 c1{};
   geom::Vec2 c2{};
   double distance = 0.0;  ///< Observer's distance to the closed edge.
+  /// Hull position of the edge: hull[k] == i1 and hull[(k + 1) % h] == i2.
+  /// kNoHullPosition drops the adjacent-edge wedge bounds of the targets.
+  std::size_t k = kNoHullPosition;
 };
 
 /// The hull edge nearest to the observer (its gate candidate).

@@ -7,8 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include "core/beacon.hpp"
+#include "core/view.hpp"
 #include "geom/segment.hpp"
 #include "model/snapshot.hpp"
+#include "util/prng.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
 
 namespace lumen::core {
 namespace {
@@ -245,6 +253,270 @@ TEST(CvAsync, SideRobotPopsOut) {
   EXPECT_EQ(a.light, Light::kMoving);
   EXPECT_LT(a.target.y, 0.0);  // Away from the interior witness.
   EXPECT_NEAR(a.target.x, 0.0, 1e-12);
+}
+
+// --- async-log arbitration against an unpruned oracle ----------------------
+
+// The Interior rule of CompleteVisibilityAsync::compute with no pruning at
+// all: every corridor point takes the exact distance test and every rival
+// pays the full nearest-edge minimum before the reach comparison. compute()
+// prunes both with bounds that must never change a decision, so it has to
+// agree with this reference bit for bit — the role visible_naive plays for
+// the visibility kernel.
+namespace oracle {
+
+constexpr double kConflictMargin = 0.02;
+
+std::optional<ExitPlan> first_clear_plan(const LocalView& view, std::size_t subject) {
+  const Vec2 from = view.pts[subject];
+  double nearest_sq = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < view.pts.size(); ++i) {
+    if (i == subject) continue;
+    nearest_sq = std::min(nearest_sq, geom::distance_sq(from, view.pts[i]));
+  }
+  const double corridor =
+      std::isfinite(nearest_sq) ? 0.05 * std::sqrt(nearest_sq) : 0.0;
+  for (const ExitPlan& plan : plan_exits(view, from)) {
+    const geom::Segment path{from, plan.target};
+    bool clear = true;
+    for (std::size_t i = 0; i < view.pts.size() && clear; ++i) {
+      if (i == subject || i == plan.gate.i1 || i == plan.gate.i2) continue;
+      if (geom::point_segment_distance(path, view.pts[i]) <= corridor) clear = false;
+    }
+    if (clear) return plan;
+  }
+  return std::nullopt;
+}
+
+std::optional<ExitPlan> fallback_plan(const LocalView& view) {
+  const std::size_t h = view.hull.size();
+  if (h < 3) return std::nullopt;
+  std::optional<GateEdge> best;
+  double best_dist = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < h; ++k) {
+    const std::size_t i1 = view.hull[k];
+    const std::size_t i2 = view.hull[(k + 1) % h];
+    if (i1 == 0 || i2 == 0) continue;
+    if (view.lights[i1] != Light::kCorner || view.lights[i2] != Light::kCorner) continue;
+    const geom::Segment e{view.pts[i1], view.pts[i2]};
+    const double d = geom::point_segment_distance(e, view.self());
+    if (d < best_dist) {
+      best_dist = d;
+      best = GateEdge{i1, i2, e.a, e.b, d, k};
+    }
+  }
+  if (!best || gate_blocked_by_closer_robot(view, *best)) return std::nullopt;
+  const auto target = interior_insertion_target(view, *best);
+  if (!target) return std::nullopt;
+  return ExitPlan{*best, *target, geom::distance(view.self(), *target)};
+}
+
+double nearest_edge_distance(const LocalView& view, Vec2 p) {
+  const std::size_t h = view.hull.size();
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < h; ++k) {
+    const geom::Segment e{view.pts[view.hull[k]], view.pts[view.hull[(k + 1) % h]]};
+    best = std::min(best, geom::point_segment_distance(e, p));
+  }
+  return best;
+}
+
+Action interior(const LocalView& view, Light self_light) {
+  auto plan = first_clear_plan(view, 0);
+  const bool fallback = !plan.has_value();
+  if (fallback) plan = fallback_plan(view);
+  if (!plan) return Action::stay(Light::kInterior);
+  if (self_light != Light::kTransit) return Action::stay(Light::kTransit);
+  if (fallback) {
+    const double own = nearest_edge_distance(view, view.self());
+    for (std::size_t i = 1; i < view.pts.size(); ++i) {
+      if (view.lights[i] == Light::kMoving) return Action::stay(Light::kTransit);
+      if (view.lights[i] == Light::kTransit &&
+          nearest_edge_distance(view, view.pts[i]) <= own) {
+        return Action::stay(Light::kTransit);
+      }
+    }
+    return Action::move_to(plan->target, Light::kMoving);
+  }
+  const geom::Segment my_path{view.self(), plan->target};
+  double longest_edge = 0.0;
+  for (std::size_t k = 0; k < view.hull.size(); ++k) {
+    longest_edge = std::max(
+        longest_edge, geom::distance(view.pts[view.hull[k]],
+                                     view.pts[view.hull[(k + 1) % view.hull.size()]]));
+  }
+  for (std::size_t i = 1; i < view.pts.size(); ++i) {
+    const Light light = view.lights[i];
+    if (light != Light::kTransit && light != Light::kMoving) continue;
+    const Vec2 rival = view.pts[i];
+    const double reach = nearest_edge_distance(view, rival) + 0.25 * longest_edge;
+    const double gap = geom::point_segment_distance(my_path, rival);
+    if (gap > reach + 0.1 * plan->exit_distance) continue;
+    if (light == Light::kMoving &&
+        geom::point_segment_distance(geom::Segment{view.self(), plan->target}, rival) <=
+            0.03 * plan->exit_distance) {
+      return Action::stay(Light::kTransit);
+    }
+    const auto rival_plan = first_clear_plan(view, i);
+    geom::Segment rival_path{rival, rival};
+    double rival_exit = 0.0;
+    if (rival_plan) {
+      rival_path = geom::Segment{rival, rival_plan->target};
+      rival_exit = rival_plan->exit_distance;
+    }
+    const double margin =
+        kConflictMargin *
+        std::min(plan->exit_distance, rival_exit > 0.0 ? rival_exit : plan->exit_distance);
+    if (geom::segment_segment_distance(my_path, rival_path) > margin) continue;
+    if (light == Light::kMoving) return Action::stay(Light::kTransit);
+    if (rival_exit <= 0.0) return Action::stay(Light::kInterior);
+    if (rival_exit <= plan->exit_distance) return Action::stay(Light::kTransit);
+  }
+  return Action::move_to(plan->target, Light::kMoving);
+}
+
+}  // namespace oracle
+
+bool is_flight_light(Light light) {
+  return light == Light::kTransit || light == Light::kMoving;
+}
+
+/// A hull of Corner-lit (mostly) vertices around the observer — a random
+/// polygon or an axis-aligned rectangle, whose perpendicular exit paths are
+/// axis-aligned and so run along the corridor boxes' edges — filled with
+/// robots of which a `flight_share` carry Transit or Moving lights. A few
+/// Moving robots sit just outside the hull, mid-flight.
+std::vector<SnapshotEntry> arbitration_view(util::Prng& rng, double scale) {
+  std::vector<SnapshotEntry> visible;
+  const Vec2 centre{rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)};
+  const auto corner_light = [&] {
+    return rng.bernoulli(0.85) ? Light::kCorner : Light::kOff;
+  };
+  const bool rectangle = rng.bernoulli(0.3);
+  const Vec2 half{rng.uniform(0.8, 1.5), rng.uniform(0.8, 1.5)};
+  if (rectangle) {
+    for (const Vec2 sign : {Vec2{-1, -1}, Vec2{1, -1}, Vec2{1, 1}, Vec2{-1, 1}}) {
+      visible.push_back({centre + Vec2{sign.x * half.x, sign.y * half.y}, corner_light()});
+    }
+  } else {
+    const std::uint64_t m = 5 + rng.next_below(20);
+    for (std::uint64_t k = 0; k < m; ++k) {
+      const double theta = rng.uniform(0.0, 6.283185307179586);
+      visible.push_back({centre + Vec2{std::cos(theta), std::sin(theta)}, corner_light()});
+    }
+  }
+  const double flight_share = rng.uniform(0.3, 0.6);
+  const std::uint64_t count = 10 + rng.next_below(50);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    Vec2 p;
+    if (rectangle) {
+      p = centre + Vec2{rng.uniform(-0.9, 0.9) * half.x, rng.uniform(-0.9, 0.9) * half.y};
+    } else {
+      do {
+        p = Vec2{rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)};
+      } while (geom::norm(p) > 0.9);
+      p += centre;
+    }
+    Light light = Light::kOff;
+    if (rng.bernoulli(flight_share)) {
+      light = rng.bernoulli(0.5) ? Light::kTransit : Light::kMoving;
+      if (light == Light::kMoving && rng.bernoulli(0.1)) p = centre + (p - centre) * 1.3;
+    } else {
+      constexpr Light kParked[] = {Light::kOff, Light::kInterior, Light::kCorner,
+                                   Light::kSide};
+      light = kParked[rng.next_below(4)];
+    }
+    visible.push_back({p, light});
+  }
+  for (SnapshotEntry& e : visible) e.position = e.position * scale;
+  return visible;
+}
+
+/// Adds a robot at the corridor distance of `subject`'s first clear path:
+/// on the normal through a random point of the path, stepped ulp by ulp to
+/// the last offset whose computed distance is still <= corridor, or to the
+/// first one past it. Returns true when the corridor (set by the subject's
+/// nearest neighbour) survived the addition, i.e. the robot sits exactly on
+/// the boundary the pruned corridor test must respect.
+bool place_at_corridor(std::vector<SnapshotEntry>& visible, Light self,
+                       std::size_t subject, util::Prng& rng) {
+  const Snapshot snap = make_snapshot(self, visible);
+  const LocalView view = build_view(snap);
+  if (view.role != Role::kInterior) return false;
+  const auto plan = oracle::first_clear_plan(view, subject);
+  if (!plan) return false;
+  const Vec2 from = view.pts[subject];
+  double nearest_sq = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < view.pts.size(); ++i) {
+    if (i != subject) nearest_sq = std::min(nearest_sq, geom::distance_sq(from, view.pts[i]));
+  }
+  const double corridor = 0.05 * std::sqrt(nearest_sq);
+  const geom::Segment path{from, plan->target};
+  const Vec2 foot = geom::lerp(path.a, path.b, rng.uniform(0.05, 0.95));
+  const Vec2 normal = geom::perp(geom::normalized(path.b - path.a)) *
+                      (rng.bernoulli(0.5) ? 1.0 : -1.0);
+  const auto at = [&](double s) { return foot + normal * s; };
+  const auto inside = [&](double s) {
+    return geom::point_segment_distance(path, at(s)) <= corridor;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  double s = corridor;
+  for (int step = 0; step < 256 && !inside(s); ++step) s = std::nextafter(s, 0.0);
+  for (int step = 0; step < 256 && inside(std::nextafter(s, inf)); ++step) {
+    s = std::nextafter(s, inf);
+  }
+  if (rng.bernoulli(0.5)) s = std::nextafter(s, inf);
+  const Vec2 q = at(s);
+  const Light light = rng.bernoulli(0.5) ? (rng.bernoulli(0.5) ? Light::kTransit : Light::kMoving)
+                                         : Light::kOff;
+  visible.push_back({q, light});
+  return geom::distance_sq(from, q) > nearest_sq;
+}
+
+TEST(CvAsync, PrunedArbitrationMatchesUnprunedOracle) {
+  const CompleteVisibilityAsync algo;
+  util::Prng rng{2024};
+  int compared = 0, boundary = 0, fallbacks = 0, moved = 0, held = 0, withdrew = 0;
+  for (const double scale : {1e-3, 1.0, 1e6}) {
+    for (int trial = 0; trial < 500; ++trial) {
+      std::vector<SnapshotEntry> visible = arbitration_view(rng, scale);
+      const Light self = rng.bernoulli(0.8) ? Light::kTransit : Light::kInterior;
+      // Boundary robots for my own path and for a few rivals' modelled ones.
+      if (place_at_corridor(visible, self, 0, rng)) ++boundary;
+      for (int r = 0; r < 3; ++r) {
+        const std::size_t pick = rng.next_below(visible.size());
+        if (is_flight_light(visible[pick].light) &&
+            place_at_corridor(visible, self, pick + 1, rng)) {
+          ++boundary;
+        }
+      }
+      const Snapshot snap = make_snapshot(self, visible);
+      const LocalView view = build_view(snap);
+      if (view.role != Role::kInterior) continue;
+      const Action expected = oracle::interior(view, self);
+      const Action actual = algo.compute(snap);
+      ++compared;
+      if (!oracle::first_clear_plan(view, 0) && oracle::fallback_plan(view)) ++fallbacks;
+      EXPECT_EQ(actual.light, expected.light) << "scale " << scale << " trial " << trial;
+      EXPECT_EQ(actual.target.x, expected.target.x) << "scale " << scale << " trial " << trial;
+      EXPECT_EQ(actual.target.y, expected.target.y) << "scale " << scale << " trial " << trial;
+      if (expected.moves()) {
+        ++moved;
+      } else if (expected.light == Light::kTransit) {
+        ++held;
+      } else {
+        ++withdrew;
+      }
+    }
+  }
+  // Every outcome of the rule and the diagonal fallback are exercised, and
+  // the boundary placements mostly kept the corridor they were aimed at.
+  EXPECT_GT(compared, 1000);
+  EXPECT_GT(boundary, 500);
+  EXPECT_GT(fallbacks, 20);
+  EXPECT_GT(moved, 100);
+  EXPECT_GT(held, 100);
+  EXPECT_GT(withdrew, 20);
 }
 
 // --- baseline specific ------------------------------------------------------

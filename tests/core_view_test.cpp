@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
 #include "model/snapshot.hpp"
@@ -229,6 +232,157 @@ TEST(LocalViewAccessors, HullPointsMatchIndices) {
   }
   EXPECT_EQ(view.count(), world.size());
   EXPECT_EQ(view.self(), (Vec2{0, 0}));
+}
+
+
+// The corner certificate decides kCorner in O(n) without building the hull;
+// it must agree exactly with "the hull contains index 0", and every
+// non-Corner view must still carry the full hull.
+struct CertificateTally {
+  int corners = 0;
+  int others = 0;
+};
+
+void check_certificate(const std::vector<Vec2>& visible, CertificateTally& tally) {
+  model::Snapshot snap;
+  snap.reset(Light::kOff);
+  for (const Vec2 p : visible) snap.push_visible(p, Light::kOff);
+  const LocalView view = build_view(snap);
+  if (view.role == Role::kAlone || view.role == Role::kLine ||
+      view.role == Role::kLineEnd) {
+    return;  // Decided before the certificate runs.
+  }
+  const auto hull = geom::convex_hull_indices(view.pts);
+  const bool hull_has_self =
+      std::find(hull.begin(), hull.end(), std::size_t{0}) != hull.end();
+  EXPECT_EQ(view.role == Role::kCorner, hull_has_self) << "n=" << visible.size();
+  if (view.role == Role::kCorner) {
+    EXPECT_TRUE(view.hull.empty());
+    ++tally.corners;
+  } else {
+    EXPECT_EQ(view.hull, hull);
+    ++tally.others;
+  }
+}
+
+/// Adds copies of the observer's own position (both zero signs).
+void add_coincident(std::vector<Vec2>& pts, util::Prng& rng) {
+  const std::uint64_t copies = rng.next_below(3);
+  for (std::uint64_t c = 0; c < copies; ++c) {
+    const Vec2 origin = rng.bernoulli(0.5) ? Vec2{0.0, 0.0} : Vec2{-0.0, -0.0};
+    pts.insert(pts.begin() + static_cast<std::ptrdiff_t>(rng.next_below(pts.size() + 1)),
+               origin);
+  }
+}
+
+constexpr double kCertificateScales[] = {1e-3, 1.0, 1e6};
+
+TEST(CornerCertificate, RandomViews) {
+  util::Prng rng{11};
+  CertificateTally tally;
+  for (const double scale : kCertificateScales) {
+    for (int trial = 0; trial < 600; ++trial) {
+      // A shifted box: the origin ranges from deep inside to well outside.
+      const double sx = rng.uniform(-1.5, 1.5), sy = rng.uniform(-1.5, 1.5);
+      std::vector<Vec2> pts;
+      const std::uint64_t n = 2 + rng.next_below(60);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        pts.push_back(Vec2{rng.uniform(-1, 1) + sx, rng.uniform(-1, 1) + sy} * scale);
+      }
+      add_coincident(pts, rng);
+      check_certificate(pts, tally);
+    }
+  }
+  EXPECT_GT(tally.corners, 100);
+  EXPECT_GT(tally.others, 100);
+}
+
+TEST(CornerCertificate, LatticeHalfPlanes) {
+  // Lattice points in a closed half-plane a*i + b*j >= 0 through the origin:
+  // exact collinearities everywhere, and the origin is a Corner exactly when
+  // the boundary line holds points on at most one of its two rays.
+  util::Prng rng{12};
+  CertificateTally tally;
+  for (const double scale : kCertificateScales) {
+    for (int trial = 0; trial < 600; ++trial) {
+      const auto a = rng.uniform_int(-3, 3);
+      const auto b = rng.uniform_int(-3, 3);
+      const double keep = rng.uniform(0.1, 1.0);
+      std::vector<Vec2> pts;
+      for (int i = -4; i <= 4; ++i) {
+        for (int j = -4; j <= 4; ++j) {
+          if ((i == 0 && j == 0) || a * i + b * j < 0 || !rng.bernoulli(keep)) continue;
+          pts.push_back(Vec2{static_cast<double>(i), static_cast<double>(j)} * scale);
+        }
+      }
+      if (pts.empty()) continue;
+      add_coincident(pts, rng);
+      check_certificate(pts, tally);
+    }
+  }
+  EXPECT_GT(tally.corners, 100);
+  EXPECT_GT(tally.others, 100);
+}
+
+TEST(CornerCertificate, CollinearButOne) {
+  // Every point but one on a line — through the origin (one ray or both)
+  // or beside it — with the odd point on either side.
+  util::Prng rng{13};
+  CertificateTally tally;
+  for (const double scale : kCertificateScales) {
+    for (int trial = 0; trial < 600; ++trial) {
+      const Vec2 dir{static_cast<double>(rng.uniform_int(-3, 3)),
+                     static_cast<double>(rng.uniform_int(1, 3))};
+      const Vec2 offset = rng.bernoulli(0.5) ? Vec2{}
+                                             : Vec2{static_cast<double>(rng.uniform_int(-2, 2)),
+                                                    static_cast<double>(rng.uniform_int(-2, 2))};
+      const bool both_rays = rng.bernoulli(0.5);
+      std::vector<Vec2> pts;
+      const std::uint64_t n = 1 + rng.next_below(12);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        auto t = static_cast<double>(1 + rng.next_below(6));
+        if (both_rays && rng.bernoulli(0.5)) t = -t;
+        const Vec2 p = offset + dir * t;
+        if (p != Vec2{}) pts.push_back(p * scale);
+      }
+      pts.push_back(Vec2{static_cast<double>(rng.uniform_int(-5, 5)),
+                         static_cast<double>(rng.uniform_int(-5, 5))} *
+                    scale);
+      add_coincident(pts, rng);
+      check_certificate(pts, tally);
+    }
+  }
+  EXPECT_GT(tally.corners, 50);
+  EXPECT_GT(tally.others, 50);
+}
+
+TEST(CornerCertificate, CircleThroughOrigin) {
+  // Points on a circle through the origin: the rounded points are only
+  // nearly concyclic, so the origin's neighbours make near-degenerate
+  // orientations; optionally add the centre to make the origin lose or keep
+  // its corner status by a hair.
+  util::Prng rng{14};
+  CertificateTally tally;
+  for (const double scale : kCertificateScales) {
+    for (int trial = 0; trial < 600; ++trial) {
+      const double phi = rng.uniform(0.0, 6.283185307179586);
+      const Vec2 centre = Vec2{std::cos(phi), std::sin(phi)} * scale;
+      const double r = geom::norm(centre);
+      std::vector<Vec2> pts;
+      const std::uint64_t n = 2 + rng.next_below(40);
+      const double spread = rng.bernoulli(0.5) ? 1e-6 : 3.0;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const double theta = phi + 3.141592653589793 + rng.uniform(-spread, spread);
+        pts.push_back(centre + Vec2{std::cos(theta), std::sin(theta)} * r);
+      }
+      if (rng.bernoulli(0.3)) pts.push_back(centre);
+      if (rng.bernoulli(0.3)) pts.push_back(centre * 2.0);
+      add_coincident(pts, rng);
+      check_certificate(pts, tally);
+    }
+  }
+  EXPECT_GT(tally.corners, 100);
+  EXPECT_GT(tally.others, 10);
 }
 
 }  // namespace
