@@ -5,7 +5,8 @@
 // angular sweep (warmed scratch, allocation-counted), whole-graph
 // obstructed visibility serial vs pooled (vs the O(n^3) oracle), smallest
 // enclosing circle, snapshot construction (scratch-reusing, with a
-// heap-allocation counter), Compute's classification (corner and interior
+// heap-allocation counter) and its frame transform alone, an interior
+// view's local hull, Compute's classification (corner and interior
 // views) and async-log's arbitration, one full SSYNC round serial vs
 // pooled, and one full ASYNC engine run per size.
 //
@@ -213,6 +214,8 @@ void BM_HullCull(benchmark::State& state) {
     if (pts[j].y < pts[is].y) is = j;
     if (pts[j].y > pts[in].y) in = j;
   }
+  // A 4-vertex quad, not the hull's 8-vertex polygon: the gated baseline
+  // was recorded with it.
   const Vec2 quad[4] = {pts[iw], pts[is], pts[ie], pts[in]};
   std::vector<std::uint8_t> inside(n);
   for (auto _ : state) {
@@ -381,6 +384,43 @@ void BM_BuildSnapshotScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildSnapshotScratch)->Range(32, 1024);
 
+void BM_FillSnapshot(benchmark::State& state) {
+  // The Look's frame transform alone: an interior observer's visible ids
+  // (uniform disk) mapped into a random local frame, as a cache replay
+  // does. The counter column pins the zero-allocation claim.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto [xs, ys] = split(
+      lumen::gen::generate(lumen::gen::ConfigFamily::kUniformDisk, n, 8));
+  const std::vector<lumen::model::Light> lights(n, lumen::model::Light::kOff);
+  std::size_t observer = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (xs[i] * xs[i] + ys[i] * ys[i] <
+        xs[observer] * xs[observer] + ys[observer] * ys[observer]) {
+      observer = i;
+    }
+  }
+  lumen::geom::VisibilityScratch scratch;
+  std::vector<std::size_t> ids;
+  lumen::geom::visible_from(xs, ys, observer, scratch, ids);
+  lumen::util::Prng rng{6};
+  const auto frame =
+      lumen::model::LocalFrame::random({xs[observer], ys[observer]}, rng);
+  lumen::model::Snapshot snap;
+  lumen::model::fill_snapshot(xs, ys, lights, observer, ids, frame, snap);
+  const std::size_t allocs_before = alloc_count();
+  for (auto _ : state) {
+    lumen::model::fill_snapshot(xs, ys, lights, observer, ids, frame, snap);
+    benchmark::DoNotOptimize(snap.positions.data());
+    benchmark::DoNotOptimize(snap.lights.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["heap_allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(alloc_count() - allocs_before) /
+      static_cast<double>(state.iterations()));
+  state.counters["visible"] = static_cast<double>(ids.size());
+}
+BENCHMARK(BM_FillSnapshot)->Arg(512)->Arg(4096);
+
 /// An observer's Look snapshot of a uniform-disk world (visible robots in
 /// the Look's angular order): hull vertices Corner-lit, a `transit_share` of
 /// the rest Transit-lit. The observer is a hull vertex (`corner`) or the
@@ -419,6 +459,19 @@ lumen::model::Snapshot disk_snapshot(std::size_t n, bool corner,
                                scratch, snap);
   return snap;
 }
+
+void BM_ConvexHullView(benchmark::State& state) {
+  // The local hull of an interior observer's snapshot — what a non-Corner
+  // Compute builds, and ssync-wide's largest stage.
+  const auto snap = disk_snapshot(static_cast<std::size_t>(state.range(0)),
+                                  false, 0.0, lumen::model::Light::kOff);
+  for (auto _ : state) {
+    auto hull = lumen::geom::convex_hull_indices(snap.positions);
+    benchmark::DoNotOptimize(hull);
+  }
+  state.counters["visible"] = static_cast<double>(snap.visible_count());
+}
+BENCHMARK(BM_ConvexHullView)->Arg(512)->Arg(4096);
 
 void BM_BuildView(benchmark::State& state, bool corner) {
   // Compute's classification step. A Corner view is decided by the O(n)

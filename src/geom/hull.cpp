@@ -5,6 +5,7 @@
 #include "util/radix.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -24,9 +25,12 @@ inline std::uint64_t coord_key64(double v) noexcept {
   return (u & 0x8000000000000000ull) != 0 ? ~u : (u | 0x8000000000000000ull);
 }
 
-/// Below this size the extreme-quad cull costs more than the chain work it
+/// Below this size the extreme-polygon cull costs more than the chain work it
 /// saves. Output-neutral: the cull never changes the hull, only its cost.
-inline constexpr std::size_t kCullMin = 32;
+/// Measured with BM_ConvexHull and BM_ConvexHullView at 8-128 points (AVX2
+/// Xeon): the cull loses up to ~12 points, is a wash at 14-18, and from 20
+/// points up takes 0.45-0.75x the time of the uncull hull.
+inline constexpr std::size_t kCullMin = 20;
 
 /// Exact lexicographic (x, y, index) sort of the fringe records, where
 /// record.key is coord_key64(x) and the y/index tie-breaks read the points.
@@ -50,14 +54,19 @@ inline void sort_fringe_records(std::vector<util::Key64Record>& records,
     if (pa.y != pb.y) return pa.y < pb.y;
     return a.slot < b.slot;
   };
-  if (m < util::kRadixMinRecords || !(max_x > min_x)) {
-    // Tiny fringe, or every x equal (degenerate quad): compare-sort.
+  const auto compare_sort = [&] {
     std::sort(records.begin(), records.end(), exact_less);
-    return;
-  }
+  };
+  const double range = max_x - min_x;
+  // Tiny fringe, or every x equal (degenerate polygon): compare-sort.
+  if (m < util::kRadixMinRecords || !(range > 0.0)) return compare_sort();
   const std::size_t nb =
       std::min<std::size_t>(std::bit_floor(m), std::size_t{1} << 13);
-  const double scale = static_cast<double>(nb) / (max_x - min_x);
+  const double scale = static_cast<double>(nb) / range;
+  // A subnormal range overflows the scale to inf and an overflowed range
+  // drops it to 0; either way (x - min_x) * scale can be NaN, whose cast to
+  // a bucket index is undefined, so compare-sort those too.
+  if (!(scale > 0.0) || !std::isfinite(scale)) return compare_sort();
   const auto bucket_of = [&](const util::Key64Record& r) {
     const auto b = static_cast<std::size_t>(
         (points[r.slot].x - min_x) * scale);
@@ -96,32 +105,34 @@ std::vector<std::size_t> convex_hull_indices(std::span<const Vec2> points) {
   double min_x = 0.0;
   double max_x = 0.0;
   if (n >= kCullMin) {
-    // Akl–Toussaint interior cull: a point certifiably STRICTLY inside the
-    // quadrilateral of the four coordinate-extreme points is strictly
-    // inside the hull, so the monotone chain below could never emit it.
-    // Dropping such points first shrinks both the sort and the chain to the
-    // candidate fringe while leaving the output bit-identical — the
-    // certify-only test (geom/simd.hpp: the batched stage-A filter) keeps
-    // every point it cannot decide, and on fully collinear input
-    // (degenerate quad) it certifies nothing, so the degenerate branch
-    // still sees the complete sorted order.
-    std::size_t iw = 0, ie = 0, is = 0, in = 0;
-    for (std::size_t j = 1; j < n; ++j) {
-      if (points[j].x < points[iw].x) iw = j;
-      if (points[j].x > points[ie].x) ie = j;
-      if (points[j].y < points[is].y) is = j;
-      if (points[j].y > points[in].y) in = j;
+    // Akl–Toussaint interior cull against the polygon of the extreme
+    // points in 8 directions (geom/simd.hpp: HullExtremes, CCW). A point
+    // the certify-only stage-A filter puts strictly left of every edge of
+    // a closed polyline through input points has winding number >= 1, so
+    // it is strictly inside the hull and the monotone chain below could
+    // never emit it (DESIGN §15.6) — this holds for any such polyline, so
+    // the rounded x+y / y-x extremes and their tie-breaks need not be
+    // exact. Dropping those points shrinks both the sort and the chain to
+    // the candidate fringe while leaving the output bit-identical. Repeated
+    // consecutive vertices are dropped because a zero-length edge certifies
+    // nothing; on fully collinear input the polygon is degenerate, nothing
+    // is certified, and the degenerate branch still sees the complete
+    // sorted order.
+    const simd::HullExtremes ext = simd::hull_extremes(points.data(), n);
+    std::array<Vec2, 8> polygon;
+    std::size_t k = 0;
+    for (const std::uint32_t e : ext) {
+      if (k == 0 || points[e] != polygon[k - 1]) polygon[k++] = points[e];
     }
-    // CCW corner order: west, south, east, north.
-    const Vec2 quad[4] = {points[iw], points[is], points[ie], points[in]};
+    while (k > 1 && polygon[k - 1] == polygon[0]) --k;
     std::vector<std::uint8_t> inside(n);
-    simd::hull_cull_mask(points.data(), n, quad, inside.data());
+    simd::hull_cull_mask(points.data(), n, {polygon.data(), k}, inside.data());
     for (std::uint32_t j = 0; j < n; ++j) {
       if (inside[j] != 0) continue;
       records.push_back(util::Key64Record{coord_key64(points[j].x), j});
     }
-    min_x = points[iw].x;
-    max_x = points[ie].x;
+    min_x = points[ext[0]].x;
+    max_x = points[ext[4]].x;
   } else {
     for (std::uint32_t j = 0; j < n; ++j) {
       records.push_back(util::Key64Record{coord_key64(points[j].x), j});

@@ -11,8 +11,9 @@ namespace lumen::geom::simd {
 namespace scalar {
 void build_keys_soa(const double* xs, const double* ys, std::size_t n,
                     std::size_t i, Vec2 o, VisibilityScratch& scratch);
-void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
-                    std::uint8_t* inside);
+HullExtremes hull_extremes(const Vec2* pts, std::size_t n);
+void hull_cull_mask(const Vec2* pts, std::size_t n,
+                    std::span<const Vec2> polygon, std::uint8_t* inside);
 void sort_f32key_records(std::vector<std::uint64_t>& records,
                          std::vector<std::uint64_t>& tmp, float max_key);
 }  // namespace scalar
@@ -21,8 +22,9 @@ void sort_f32key_records(std::vector<std::uint64_t>& records,
 namespace wide128 {
 void build_keys_soa(const double* xs, const double* ys, std::size_t n,
                     std::size_t i, Vec2 o, VisibilityScratch& scratch);
-void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
-                    std::uint8_t* inside);
+HullExtremes hull_extremes(const Vec2* pts, std::size_t n);
+void hull_cull_mask(const Vec2* pts, std::size_t n,
+                    std::span<const Vec2> polygon, std::uint8_t* inside);
 void sort_f32key_records(std::vector<std::uint64_t>& records,
                          std::vector<std::uint64_t>& tmp, float max_key);
 }  // namespace wide128
@@ -32,8 +34,9 @@ void sort_f32key_records(std::vector<std::uint64_t>& records,
 namespace avx2 {
 void build_keys_soa(const double* xs, const double* ys, std::size_t n,
                     std::size_t i, Vec2 o, VisibilityScratch& scratch);
-void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
-                    std::uint8_t* inside);
+HullExtremes hull_extremes(const Vec2* pts, std::size_t n);
+void hull_cull_mask(const Vec2* pts, std::size_t n,
+                    std::span<const Vec2> polygon, std::uint8_t* inside);
 void sort_f32key_records(std::vector<std::uint64_t>& records,
                          std::vector<std::uint64_t>& tmp, float max_key);
 }  // namespace avx2
@@ -50,7 +53,8 @@ struct Table {
 Table make_table() noexcept {
   Table t;
   t.rows[t.size++] = {Level::kScalar, scalar::build_keys_soa,
-                      scalar::sort_f32key_records, scalar::hull_cull_mask};
+                      scalar::sort_f32key_records, scalar::hull_extremes,
+                      scalar::hull_cull_mask};
 #ifdef LUMEN_SIMD_HAVE_WIDE128
   // The 128-bit level's public name depends on the architecture the
   // wide128 TU was compiled for.
@@ -60,12 +64,14 @@ Table make_table() noexcept {
   constexpr Level kWide128Level = Level::kSse2;
 #endif
   t.rows[t.size++] = {kWide128Level, wide128::build_keys_soa,
-                      wide128::sort_f32key_records, wide128::hull_cull_mask};
+                      wide128::sort_f32key_records, wide128::hull_extremes,
+                      wide128::hull_cull_mask};
 #endif
 #ifdef LUMEN_SIMD_HAVE_AVX2
   if (__builtin_cpu_supports("avx2") != 0) {
     t.rows[t.size++] = {Level::kAvx2, avx2::build_keys_soa,
-                        avx2::sort_f32key_records, avx2::hull_cull_mask};
+                        avx2::sort_f32key_records, avx2::hull_extremes,
+                        avx2::hull_cull_mask};
   }
 #endif
   return t;
@@ -110,9 +116,13 @@ void sort_angular_records(std::vector<std::uint64_t>& records,
   active().sort_angular_records(records, tmp, max_key);
 }
 
-void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
-                    std::uint8_t* inside) {
-  active().hull_cull_mask(pts, n, quad, inside);
+HullExtremes hull_extremes(const Vec2* pts, std::size_t n) {
+  return active().hull_extremes(pts, n);
+}
+
+void hull_cull_mask(const Vec2* pts, std::size_t n,
+                    std::span<const Vec2> polygon, std::uint8_t* inside) {
+  active().hull_cull_mask(pts, n, polygon, inside);
 }
 
 }  // namespace lumen::geom::simd

@@ -1,17 +1,18 @@
 // lumen_geom: runtime-dispatched SIMD batch kernels over split arrays.
 //
-// The two hottest inner loops of the geometry substrate — the per-observer
+// The hottest inner loops of the geometry substrate — the per-observer
 // angular-key build that feeds the visibility sort, and the Akl–Toussaint
-// interior cull that shrinks the convex-hull candidate set — are data
-// parallel over the SoA coordinate arrays. This layer provides batched
-// versions of both, compiled per instruction set (SSE2/AVX2 on x86-64, NEON
-// on aarch64, plus an always-present scalar reference). The CPU alone picks
-// the level: the dispatched entry points run the widest level this binary
-// carries and this host can execute, resolved once on first use.
+// extremes scan and interior cull that shrink the convex-hull candidate
+// set — are data parallel over the coordinate arrays. This layer provides
+// batched versions of them, compiled per instruction set (SSE2/AVX2 on
+// x86-64, NEON on aarch64, plus an always-present scalar reference). The
+// CPU alone picks the level: the dispatched entry points run the widest
+// level this binary carries and this host can execute, resolved once on
+// first use.
 //
 // The hard contract is BIT-IDENTITY: every level produces byte-for-byte the
-// same AngularKey sequences, presort records and cull mask as the scalar
-// reference. The vector kernels evaluate exactly the scalar formulas —
+// same AngularKey sequences, presort records, extremes and cull mask as the
+// scalar reference. The vector kernels evaluate exactly the scalar formulas —
 // same IEEE operations in the same order, compiled with FP contraction off
 // so no fused multiply-add can change a rounding — and SIMD is only ever
 // allowed to CERTIFY a stage-A decision the scalar filter would also
@@ -24,6 +25,7 @@
 #include "geom/vec2.hpp"
 #include "geom/visibility.hpp"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -43,6 +45,13 @@ enum class Level : int {
 
 [[nodiscard]] std::string_view to_string(Level level) noexcept;
 
+/// Indices of the extreme points in the 8 directions the hull cull polygon
+/// is built from, in CCW order of the outward normals (west, south-west,
+/// south, ... north-west): min of x, x+y, y, y-x, then max of the same
+/// four. The sums and differences are the rounded doubles; ties keep the
+/// smallest index.
+using HullExtremes = std::array<std::uint32_t, 8>;
+
 /// One dispatch level's batch kernels; each entry has the signature and
 /// contract of the dispatched function of the same name below.
 struct Kernels {
@@ -51,8 +60,9 @@ struct Kernels {
                          std::size_t i, Vec2 o, VisibilityScratch& scratch);
   void (*sort_angular_records)(std::vector<std::uint64_t>& records,
                                std::vector<std::uint64_t>& tmp, float max_key);
-  void (*hull_cull_mask)(const Vec2* pts, std::size_t n, const Vec2 quad[4],
-                         std::uint8_t* inside);
+  HullExtremes (*hull_extremes)(const Vec2* pts, std::size_t n);
+  void (*hull_cull_mask)(const Vec2* pts, std::size_t n,
+                         std::span<const Vec2> polygon, std::uint8_t* inside);
 };
 
 /// The levels compiled into this binary AND runnable on this CPU, in
@@ -84,12 +94,19 @@ void build_keys_soa(const double* xs, const double* ys, std::size_t n,
 void sort_angular_records(std::vector<std::uint64_t>& records,
                           std::vector<std::uint64_t>& tmp, float max_key);
 
+/// Batched scan for the 8 directional extremes of pts[0..n) (n >= 1).
+[[nodiscard]] HullExtremes hull_extremes(const Vec2* pts, std::size_t n);
+
 /// Batched Akl–Toussaint stage-A cull: inside[j] = 1 iff point j is
-/// CERTIFIED strictly inside the CCW quad (quad[0]..quad[3]) by the scalar
-/// certify-only filter (geom/simd_common.hpp: certainly_left on all four
-/// edges). Uncertified lanes report 0 ("keep"), so a hull built from the
-/// surviving points is bit-identical to one built from all points.
-void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
-                    std::uint8_t* inside);
+/// CERTIFIED strictly left of every edge of the closed polyline `polygon`
+/// (polygon[i] -> polygon[i+1], last -> first) by the scalar certify-only
+/// filter (geom/simd_common.hpp: certainly_left). When the vertices are
+/// input points, such a point has winding number >= 1 and so lies strictly
+/// inside the hull whether or not the polyline is convex (DESIGN §15.6);
+/// uncertified lanes report 0 ("keep"), so a hull built from the surviving
+/// points is bit-identical to one built from all points. Any vertex count
+/// is accepted; a zero-length edge certifies nothing.
+void hull_cull_mask(const Vec2* pts, std::size_t n,
+                    std::span<const Vec2> polygon, std::uint8_t* inside);
 
 }  // namespace lumen::geom::simd

@@ -8,11 +8,13 @@
 #pragma once
 
 #include "geom/predicates.hpp"
+#include "geom/simd.hpp"
 #include "geom/visibility.hpp"
 #include "geom/visibility_detail.hpp"
 
 #include <bit>
 #include <cstdint>
+#include <span>
 
 namespace lumen::geom::simd::detail {
 
@@ -61,13 +63,44 @@ inline bool certainly_left(Vec2 a, Vec2 b, Vec2 c) noexcept {
   return det >= geom::detail::kCcwErrBoundA * detsum;
 }
 
-/// Scalar cull test for one point against the CCW quad, matching the
-/// vector lanes decision for decision.
-inline bool inside_quad(const Vec2 quad[4], Vec2 p) noexcept {
-  return certainly_left(quad[0], quad[1], p) &&
-         certainly_left(quad[1], quad[2], p) &&
-         certainly_left(quad[2], quad[3], p) &&
-         certainly_left(quad[3], quad[0], p);
+/// The four keys whose minima and maxima are the hull extremes, in the
+/// HullExtremes order: x, x+y, y, y-x.
+struct ExtremeKeys {
+  double q[4];
+};
+
+inline ExtremeKeys extreme_keys(Vec2 p) noexcept {
+  return {{p.x, p.x + p.y, p.y, p.y - p.x}};
+}
+
+/// Folds point j into the running extremes `ext` (whose current minima and
+/// maxima are `lo` / `hi`). Strict comparisons: of equal keys, the point
+/// folded first wins.
+inline void fold_extremes(Vec2 p, std::uint32_t j, ExtremeKeys& lo,
+                          ExtremeKeys& hi, HullExtremes& ext) noexcept {
+  const ExtremeKeys k = extreme_keys(p);
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (k.q[i] < lo.q[i]) {
+      lo.q[i] = k.q[i];
+      ext[i] = j;
+    }
+    if (k.q[i] > hi.q[i]) {
+      hi.q[i] = k.q[i];
+      ext[i + 4] = j;
+    }
+  }
+}
+
+/// Scalar cull test for one point against the closed polyline `polygon`,
+/// matching the vector lanes decision for decision. An empty polyline
+/// certifies nothing.
+inline bool inside_polygon(std::span<const Vec2> polygon, Vec2 p) noexcept {
+  const std::size_t k = polygon.size();
+  if (k == 0 || !certainly_left(polygon[k - 1], polygon[0], p)) return false;
+  for (std::size_t i = 0; i + 1 < k; ++i) {
+    if (!certainly_left(polygon[i], polygon[i + 1], p)) return false;
+  }
+  return true;
 }
 
 }  // namespace lumen::geom::simd::detail

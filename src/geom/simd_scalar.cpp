@@ -41,10 +41,20 @@ void build_keys_soa(const double* xs, const double* ys, std::size_t n,
   }
 }
 
-void hull_cull_mask(const Vec2* pts, std::size_t n, const Vec2 quad[4],
-                    std::uint8_t* inside) {
+HullExtremes hull_extremes(const Vec2* pts, std::size_t n) {
+  HullExtremes ext{};
+  detail::ExtremeKeys lo = detail::extreme_keys(pts[0]);
+  detail::ExtremeKeys hi = lo;
+  for (std::size_t j = 1; j < n; ++j) {
+    detail::fold_extremes(pts[j], static_cast<std::uint32_t>(j), lo, hi, ext);
+  }
+  return ext;
+}
+
+void hull_cull_mask(const Vec2* pts, std::size_t n,
+                    std::span<const Vec2> polygon, std::uint8_t* inside) {
   for (std::size_t j = 0; j < n; ++j) {
-    inside[j] = detail::inside_quad(quad, pts[j]) ? 1 : 0;
+    inside[j] = detail::inside_polygon(polygon, pts[j]) ? 1 : 0;
   }
 }
 

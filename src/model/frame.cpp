@@ -23,19 +23,8 @@ LocalFrame LocalFrame::random(geom::Vec2 origin_world, util::Prng& rng) {
   return LocalFrame{origin_world, rotation, scale, reflected};
 }
 
-geom::Vec2 LocalFrame::to_local(geom::Vec2 world) const noexcept {
-  return direction_to_local(world - origin_);
-}
-
 geom::Vec2 LocalFrame::to_world(geom::Vec2 local) const noexcept {
   return origin_ + direction_to_world(local);
-}
-
-geom::Vec2 LocalFrame::direction_to_local(geom::Vec2 d) const noexcept {
-  geom::Vec2 r{(cos_ * d.x + sin_ * d.y) * scale_,
-               (-sin_ * d.x + cos_ * d.y) * scale_};
-  if (reflected_) r.y = -r.y;
-  return r;
 }
 
 geom::Vec2 LocalFrame::direction_to_world(geom::Vec2 d) const noexcept {

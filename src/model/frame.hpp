@@ -34,11 +34,19 @@ class LocalFrame {
   /// scale log-uniform in [0.25, 4], reflection with probability 1/2.
   static LocalFrame random(geom::Vec2 origin_world, util::Prng& rng);
 
-  [[nodiscard]] geom::Vec2 to_local(geom::Vec2 world) const noexcept;
+  /// Inline: fill_snapshot maps every visible robot through it.
+  [[nodiscard]] geom::Vec2 to_local(geom::Vec2 world) const noexcept {
+    return direction_to_local(world - origin_);
+  }
   [[nodiscard]] geom::Vec2 to_world(geom::Vec2 local) const noexcept;
 
   /// Maps a world-space displacement (no translation applied).
-  [[nodiscard]] geom::Vec2 direction_to_local(geom::Vec2 world_dir) const noexcept;
+  [[nodiscard]] geom::Vec2 direction_to_local(geom::Vec2 d) const noexcept {
+    geom::Vec2 r{(cos_ * d.x + sin_ * d.y) * scale_,
+                 (-sin_ * d.x + cos_ * d.y) * scale_};
+    if (reflected_) r.y = -r.y;
+    return r;
+  }
   [[nodiscard]] geom::Vec2 direction_to_world(geom::Vec2 local_dir) const noexcept;
 
   [[nodiscard]] geom::Vec2 origin() const noexcept { return origin_; }

@@ -2,13 +2,14 @@
 //
 // The contract in geom/simd.hpp is that every vector level reproduces the
 // scalar reference BYTE FOR BYTE: same AngularKey images, same presort
-// records, same cull mask, same sorted record order. These tests walk
-// geom::simd::kernel_table() — every level compiled in and runnable on this
-// CPU, scalar first — and memcmp each row's output against the scalar row
+// records, same hull extremes and cull mask, same sorted record order.
+// These tests walk geom::simd::kernel_table() — every level compiled in and
+// runnable on this CPU, scalar first — and memcmp each row's output against the scalar row
 // across adversarial input families — uniform random, collinear-heavy (exercises
 // the dy == 0 half-plane tie-break), coincident-heavy (skipped lanes), and
 // a small integer lattice (exactly representable coordinates, maximal key
 // ties) — at sizes chosen to hit every vector-width remainder path.
+#include "geom/predicates.hpp"
 #include "geom/simd.hpp"
 #include "geom/visibility.hpp"
 #include "split_points.hpp"
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -156,30 +158,172 @@ TEST(GeomSimd, EveryLevelBuildsBitIdenticalKeys) {
   }
 }
 
+/// Brute force: the first index attaining each directional extreme.
+geom::simd::HullExtremes brute_extremes(const std::vector<Vec2>& pts) {
+  geom::simd::HullExtremes expected{};
+  for (std::size_t d = 0; d < 8; ++d) {
+    const auto key = [&](std::size_t j) {
+      const Vec2 p = pts[j];
+      const double q[4] = {p.x, p.x + p.y, p.y, p.y - p.x};
+      return d < 4 ? q[d] : -q[d - 4];
+    };
+    std::size_t best = 0;
+    for (std::size_t j = 1; j < pts.size(); ++j) {
+      if (key(j) < key(best)) best = j;
+    }
+    expected[d] = static_cast<std::uint32_t>(best);
+  }
+  return expected;
+}
+
+TEST(GeomSimd, EveryLevelFindsTheSameExtremes) {
+  const auto table = geom::simd::kernel_table();
+  for (const InputFamily& family : kFamilies) {
+    for (std::size_t n : kSizes) {
+      if (n == 0) continue;
+      const auto pts = family.make(n, 17u * n + 3u);
+      const auto expected = brute_extremes(pts);
+      for (const Kernels& row : table) {
+        EXPECT_EQ(expected, row.hull_extremes(pts.data(), n))
+            << family.name << " n=" << n
+            << " level=" << geom::simd::to_string(row.level);
+      }
+    }
+  }
+}
+
+TEST(GeomSimd, ExtremesKeepTheFirstOfTiesAcrossChunks) {
+  // Every extreme is planted twice, far apart, so equal keys land in
+  // different lanes and chunks of the vector scan; ±0 keys compare equal.
+  auto pts = make_random(1000, 5);
+  const Vec2 planted[] = {{-500, 1},   {-300, -300}, {2, -500}, {300, -300},
+                          {500, 3},    {300, 300},   {4, 500},  {-300, 300},
+                          {-0.0, 0.0}, {0.0, -0.0}};
+  std::size_t at = 137;
+  for (const Vec2 p : planted) {
+    pts[at % 1000] = p;
+    pts[(at * 7 + 411) % 1000] = p;
+    at += 89;
+  }
+  const auto expected = brute_extremes(pts);
+  for (const Kernels& row : geom::simd::kernel_table()) {
+    EXPECT_EQ(expected, row.hull_extremes(pts.data(), pts.size()))
+        << "level=" << geom::simd::to_string(row.level);
+  }
+}
+
+/// Cull polygons of k = 3..8 vertices over `pts`: the extreme polygon
+/// hull.cpp builds (before its repeat removal, so it may carry repeated
+/// vertices), random input points in random (mostly non-convex) order, the
+/// same with consecutive and non-consecutive repeats, and a clockwise one.
+std::vector<std::vector<Vec2>> cull_polygons(const std::vector<Vec2>& pts,
+                                             std::uint64_t seed) {
+  std::vector<std::vector<Vec2>> polys;
+  const auto ext = geom::simd::hull_extremes(pts.data(), pts.size());
+  std::vector<Vec2> extreme;
+  for (const std::uint32_t e : ext) extreme.push_back(pts[e]);
+  polys.push_back(extreme);
+  util::Prng rng(seed);
+  const auto pick = [&] { return pts[rng.next_below(pts.size())]; };
+  for (std::size_t k = 3; k <= 8; ++k) {
+    std::vector<Vec2> poly;
+    for (std::size_t v = 0; v < k; ++v) poly.push_back(pick());
+    polys.push_back(poly);
+    std::vector<Vec2> repeated = poly;
+    repeated[1] = repeated[0];          // Consecutive repeat.
+    repeated[k - 1] = repeated[k / 2];  // Non-consecutive repeat.
+    polys.push_back(repeated);
+    polys.push_back({extreme.begin(), extreme.begin() + static_cast<std::ptrdiff_t>(k)});
+    polys.push_back({extreme.rbegin(), extreme.rbegin() + static_cast<std::ptrdiff_t>(k)});
+  }
+  return polys;
+}
+
 TEST(GeomSimd, EveryLevelCullsBitIdentically) {
   const auto table = geom::simd::kernel_table();
   for (const InputFamily& family : kFamilies) {
     for (std::size_t n : kSizes) {
-      if (n < 4) continue;
+      if (n == 0) continue;
       const auto pts = family.make(n, 31u * n + 5u);
-      // The Akl–Toussaint extreme quad, exactly as hull.cpp assembles it.
-      std::size_t iw = 0, is = 0, ie = 0, in = 0;
-      for (std::size_t j = 1; j < n; ++j) {
-        if (pts[j].x < pts[iw].x) iw = j;
-        if (pts[j].y < pts[is].y) is = j;
-        if (pts[j].x > pts[ie].x) ie = j;
-        if (pts[j].y > pts[in].y) in = j;
+      for (const auto& poly : cull_polygons(pts, 7u * n + 1u)) {
+        std::vector<std::uint8_t> ref(n, 0xcd);
+        table.front().hull_cull_mask(pts.data(), n, poly, ref.data());
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_LE(ref[j], 1) << family.name << " n=" << n;
+          if (ref[j] == 0) continue;
+          // Certify-only: a culled point is strictly left of every edge.
+          for (std::size_t e = 0; e < poly.size(); ++e) {
+            ASSERT_GT(geom::orient2d(poly[e], poly[(e + 1) % poly.size()],
+                                     pts[j]),
+                      0)
+                << family.name << " n=" << n << " j=" << j;
+          }
+        }
+        for (const Kernels& row : table.subspan(1)) {
+          std::vector<std::uint8_t> got(n, 0xab);
+          row.hull_cull_mask(pts.data(), n, poly, got.data());
+          EXPECT_EQ(0, std::memcmp(ref.data(), got.data(), n))
+              << family.name << " n=" << n << " k=" << poly.size()
+              << " level=" << geom::simd::to_string(row.level);
+        }
       }
-      const Vec2 quad[4] = {pts[iw], pts[is], pts[ie], pts[in]};
-      std::vector<std::uint8_t> ref(n, 0xcd);
-      table.front().hull_cull_mask(pts.data(), n, quad, ref.data());
-      for (const Kernels& row : table.subspan(1)) {
-        std::vector<std::uint8_t> got(n, 0xab);
-        row.hull_cull_mask(pts.data(), n, quad, got.data());
-        EXPECT_EQ(ref, got)
-            << family.name << " n=" << n
-            << " level=" << geom::simd::to_string(row.level);
+    }
+  }
+}
+
+TEST(GeomSimd, CullStaysSoundNextToAnEdge) {
+  // Points stepped one ulp at a time around a point of edge a->b of a
+  // triangle whose third vertex lies far to the left. The vertex offsets
+  // are rounded, so a plain sign test of the orientation would certify
+  // some points on or outside the edge; every certified point must be
+  // strictly inside by the exact predicate, at every level.
+  util::Prng rng(77);
+  const auto table = geom::simd::kernel_table();
+  std::size_t certified = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const Vec2 a{rng.uniform(-20, 20), rng.uniform(-20, 20)};
+    const Vec2 b{rng.uniform(-20, 20), rng.uniform(-20, 20)};
+    const double t = rng.uniform(0.05, 0.95);
+    const Vec2 on{a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)};
+    const std::vector<Vec2> triangle = {
+        a, b, {on.x - 3 * (b.y - a.y), on.y + 3 * (b.x - a.x)}};
+    std::vector<Vec2> pts;
+    for (int i = -8; i <= 8; ++i) {
+      for (int j = -8; j <= 8; ++j) {
+        Vec2 p = on;
+        for (int k = 0; k < std::abs(i); ++k) p.x = std::nextafter(p.x, i * 1e9);
+        for (int k = 0; k < std::abs(j); ++k) p.y = std::nextafter(p.y, j * 1e9);
+        pts.push_back(p);
       }
+    }
+    std::vector<std::uint8_t> ref(pts.size());
+    table.front().hull_cull_mask(pts.data(), pts.size(), triangle, ref.data());
+    for (std::size_t j = 0; j < pts.size(); ++j) {
+      if (ref[j] == 0) continue;
+      ++certified;
+      ASSERT_GT(geom::orient2d(a, b, pts[j]), 0) << "trial=" << trial;
+    }
+    for (const Kernels& row : table.subspan(1)) {
+      std::vector<std::uint8_t> got(pts.size());
+      row.hull_cull_mask(pts.data(), pts.size(), triangle, got.data());
+      ASSERT_EQ(ref, got) << "trial=" << trial
+                          << " level=" << geom::simd::to_string(row.level);
+    }
+  }
+  EXPECT_GT(certified, 0u);  // The grids are not all uncertain.
+}
+
+TEST(GeomSimd, EmptyOrDegeneratePolygonCertifiesNothing) {
+  const auto pts = make_random(37, 99);
+  const std::vector<Vec2> degenerate[] = {
+      {}, {pts[0]}, {pts[0], pts[1]}, {pts[0], pts[0], pts[0]}};
+  for (const Kernels& row : geom::simd::kernel_table()) {
+    for (const auto& poly : degenerate) {
+      std::vector<std::uint8_t> got(pts.size(), 0xab);
+      row.hull_cull_mask(pts.data(), pts.size(), poly, got.data());
+      EXPECT_EQ(got, std::vector<std::uint8_t>(pts.size(), 0))
+          << "k=" << poly.size()
+          << " level=" << geom::simd::to_string(row.level);
     }
   }
 }

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+
 #include "geom/hull.hpp"
 #include "split_points.hpp"
 #include "util/prng.hpp"
@@ -152,6 +155,55 @@ TEST(Snapshot, VisibleSetInvariantUnderFrames) {
     ASSERT_EQ(snap.visible_count(), reference.visible_count());
     for (std::size_t k = 0; k < snap.visible_count(); ++k) {
       EXPECT_EQ(snap.other_lights()[k], reference.other_lights()[k]);
+    }
+  }
+}
+
+TEST(Snapshot, FillMatchesPerPointTransformBitForBit) {
+  // fill_snapshot's pre-sized loop must produce exactly the doubles of a
+  // per-point LocalFrame::to_local, including the signs of zeros.
+  util::Prng rng{23};
+  std::vector<double> xs;
+  std::vector<double> ys;
+  std::vector<Light> lights;
+  for (int i = 0; i < 64; ++i) {
+    xs.push_back(i % 7 == 0 ? -0.0 : rng.uniform(-10, 10));
+    ys.push_back(i % 5 == 0 ? -0.0 : rng.uniform(-10, 10));
+    lights.push_back(kAllLights[rng.next_below(kLightCount)]);
+  }
+  xs[1] = 0.0;
+  ys[1] = -0.0;
+  std::vector<std::size_t> ids;
+  for (std::size_t j = 63; j > 1; j -= 2) ids.push_back(j);
+  ids.push_back(1);
+  Snapshot out;
+  out.positions.assign(100, Vec2{9, 9});  // Stale, longer content.
+  for (const bool reflected : {false, true}) {
+    for (const double scale : {0.25, 0.5, 1.0, 2.0, 4.0}) {
+      for (const double rotation : {0.0, 1.0, 2.5, 4.0}) {
+        for (const std::size_t observer : {std::size_t{0}, std::size_t{2}}) {
+          const LocalFrame frame{{xs[observer], ys[observer]}, rotation, scale,
+                                 reflected};
+          const auto visible = std::span{ids}.first(
+              observer == 0 ? ids.size() : ids.size() / 2);
+          fill_snapshot(xs, ys, lights, observer, visible, frame, out);
+          ASSERT_EQ(out.positions.size(), visible.size() + 1);
+          ASSERT_EQ(out.lights.size(), visible.size() + 1);
+          EXPECT_EQ(out.self_light, lights[observer]);
+          EXPECT_EQ(out.lights[0], lights[observer]);
+          const Vec2 origin{};
+          EXPECT_EQ(0, std::memcmp(&out.positions[0], &origin, sizeof(Vec2)));
+          for (std::size_t k = 0; k < visible.size(); ++k) {
+            const std::size_t j = visible[k];
+            const Vec2 expected = frame.to_local(Vec2{xs[j], ys[j]});
+            EXPECT_EQ(0, std::memcmp(&out.positions[k + 1], &expected,
+                                     sizeof(Vec2)))
+                << "j=" << j << " scale=" << scale
+                << " reflected=" << reflected;
+            EXPECT_EQ(out.lights[k + 1], lights[j]);
+          }
+        }
+      }
     }
   }
 }
