@@ -8,7 +8,8 @@
 // heap-allocation counter) and its frame transform alone, an interior
 // view's local hull, Compute's classification (corner and interior
 // views) and async-log's arbitration, one full SSYNC round serial vs
-// pooled, and one full ASYNC engine run per size.
+// pooled, a campaign cell's success verdict, and one full ASYNC engine
+// run per size.
 //
 // bench/baselines/seed_bench_micro.json holds the pre-kernel-rewrite
 // numbers; bench/compare_bench.py gates CI on regressions against the
@@ -29,11 +30,13 @@
 #include "geom/simd.hpp"
 #include "geom/visibility.hpp"
 #include "model/snapshot.hpp"
+#include "sim/monitors.hpp"
 #include "sim/run.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -498,6 +501,30 @@ void BM_AsyncArbitration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AsyncArbitration)->Arg(512);
+
+void BM_VerifySuccess(benchmark::State& state, bool converged) {
+  // A campaign cell's success verdict under "complete-visibility": a
+  // converged (strictly convex) final configuration, or an unconverged
+  // uniform disk. Both are decided by the convex-position certificate.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<Vec2> world;
+  if (converged) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double a = 6.283185307179586 * static_cast<double>(i) /
+                       static_cast<double>(n);
+      world.push_back({100 * std::cos(a), 100 * std::sin(a)});
+    }
+  } else {
+    world = lumen::gen::generate(lumen::gen::ConfigFamily::kUniformDisk, n, 8);
+  }
+  for (auto _ : state) {
+    const bool ok =
+        lumen::sim::verify_success("complete-visibility", world).satisfied;
+    benchmark::DoNotOptimize(ok);
+  }
+}
+BENCHMARK_CAPTURE(BM_VerifySuccess, converged, true)->Arg(512)->Arg(4096);
+BENCHMARK_CAPTURE(BM_VerifySuccess, unconverged, false)->Arg(512)->Arg(4096);
 
 void BM_FullAsyncRun(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

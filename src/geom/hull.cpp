@@ -213,7 +213,11 @@ HullPosition classify_against_hull(std::span<const Vec2> hull, Vec2 query) {
 }
 
 bool points_in_strictly_convex_position(std::span<const Vec2> points) {
-  if (points.size() <= 2) return true;
+  // Two coincident points form a one-vertex hull, not two strict vertices;
+  // for n >= 3 the hull drops duplicates, so a true verdict always means
+  // the points are distinct.
+  if (points.size() == 2) return points[0] != points[1];
+  if (points.size() < 2) return true;
   if (all_collinear(points)) return false;
   const auto hull = convex_hull_indices(points);
   return hull.size() == points.size();

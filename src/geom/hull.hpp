@@ -41,8 +41,10 @@ enum class HullPosition {
                                                  Vec2 query);
 
 /// True iff EVERY point of the set is a strict vertex of the set's convex
-/// hull — the paper's target configuration (Complete Visibility holds iff
-/// this does, for distinct points).
+/// hull — the paper's target configuration. A true verdict implies the
+/// points are distinct (duplicates share one hull vertex; two coincident
+/// points are not in convex position) and that every pair sees each other
+/// (a strict vertex never lies on the segment between two other points).
 [[nodiscard]] bool points_in_strictly_convex_position(std::span<const Vec2> points);
 
 /// True iff all points lie on one straight line (trivially true for n <= 2).

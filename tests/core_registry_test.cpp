@@ -110,7 +110,7 @@ TEST(SuccessPredicates, ConcaveButUnobstructedSplitsThePredicates) {
   const auto mutual = sim::verify_success("mutual-visibility", concave);
   EXPECT_FALSE(complete.satisfied);
   EXPECT_TRUE(mutual.satisfied);
-  EXPECT_TRUE(mutual.visibility.mutually_visible);
+  EXPECT_TRUE(sim::verify_complete_visibility(concave).mutually_visible);
 }
 
 TEST(SuccessPredicates, ObstructedLineFailsBoth) {

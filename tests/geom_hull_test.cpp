@@ -133,6 +133,51 @@ TEST(StrictConvexPosition, Recognizers) {
       std::vector<Vec2>{{0, 0}, {0, 0}, {1, 0}, {0, 1}}));
 }
 
+TEST(StrictConvexPosition, CoincidentPointsAreNeverConvexAtAnySize) {
+  // "Strictly convex => distinct" must hold for every n, including the
+  // two-point case that has no third point to form a hull with.
+  EXPECT_TRUE(points_in_strictly_convex_position(std::vector<Vec2>{}));
+  EXPECT_TRUE(points_in_strictly_convex_position(std::vector<Vec2>{{3, 3}}));
+  EXPECT_FALSE(points_in_strictly_convex_position(std::vector<Vec2>{{3, 3}, {3, 3}}));
+  EXPECT_FALSE(points_in_strictly_convex_position(std::vector<Vec2>{{0, 0}, {-0.0, 0}}));
+  EXPECT_TRUE(points_in_strictly_convex_position(std::vector<Vec2>{{3, 3}, {3, 4}}));
+  EXPECT_FALSE(points_in_strictly_convex_position(
+      std::vector<Vec2>{{1, 1}, {1, 1}, {1, 1}}));
+  EXPECT_FALSE(points_in_strictly_convex_position(
+      std::vector<Vec2>{{0, 0}, {0, 0}, {5, 1}}));
+  EXPECT_FALSE(points_in_strictly_convex_position(
+      std::vector<Vec2>{{0, 0}, {5, 1}, {5, 1}}));
+  EXPECT_TRUE(points_in_strictly_convex_position(
+      std::vector<Vec2>{{0, 0}, {5, 1}, {2, 4}}));
+}
+
+TEST(StrictConvexPosition, DuplicatesOnTheHullOrInsideAreRejected) {
+  // A convex octagon: strictly convex as given, and no longer once any
+  // vertex is repeated or an interior point appears twice — below and
+  // above the hull's cull threshold.
+  for (const std::size_t k : {8u, 40u}) {
+    std::vector<Vec2> ring;
+    for (std::size_t i = 0; i < k; ++i) {
+      const double a = 6.283185307179586 * static_cast<double>(i) /
+                       static_cast<double>(k);
+      ring.push_back({std::round(1000 * std::cos(a)), std::round(1000 * std::sin(a))});
+    }
+    ASSERT_TRUE(points_in_strictly_convex_position(ring)) << k;
+    for (const std::size_t dup : {std::size_t{0}, k / 2, k - 1}) {
+      auto on_hull = ring;
+      on_hull.push_back(ring[dup]);
+      EXPECT_FALSE(points_in_strictly_convex_position(on_hull)) << k << " " << dup;
+      auto front = ring;
+      front.insert(front.begin(), ring[dup]);
+      EXPECT_FALSE(points_in_strictly_convex_position(front)) << k << " " << dup;
+    }
+    auto inside = ring;
+    inside.push_back({1, 2});
+    inside.push_back({1, 2});
+    EXPECT_FALSE(points_in_strictly_convex_position(inside)) << k;
+  }
+}
+
 TEST(AllCollinear, Cases) {
   EXPECT_TRUE(all_collinear(std::vector<Vec2>{}));
   EXPECT_TRUE(all_collinear(std::vector<Vec2>{{1, 1}}));
