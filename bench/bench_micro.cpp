@@ -3,9 +3,9 @@
 // Throughput of the kernels everything else is built on: robust orientation
 // predicate (filtered vs forced-exact), convex hull, the single-observer
 // angular sweep (warmed scratch, allocation-counted), whole-graph
-// obstructed visibility serial vs pooled (vs the O(n^3) oracle), smallest
-// enclosing circle, snapshot construction (scratch-reusing, with a
-// heap-allocation counter) and its frame transform alone, an interior
+// obstructed visibility serial vs pooled (vs the O(n^3) oracle), snapshot
+// construction (scratch-reusing, with a heap-allocation counter) and its
+// frame transform alone, an interior
 // view's local hull, Compute's classification (corner and interior
 // views) and async-log's arbitration, one full SSYNC round serial vs
 // pooled, a campaign cell's success verdict, and one full ASYNC engine
@@ -24,7 +24,6 @@
 #include "core/registry.hpp"
 #include "core/view.hpp"
 #include "gen/generators.hpp"
-#include "geom/circle.hpp"
 #include "geom/hull.hpp"
 #include "geom/predicates.hpp"
 #include "geom/simd.hpp"
@@ -354,15 +353,6 @@ void BM_VisibilityNaiveOracle(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_VisibilityNaiveOracle)->Range(32, 256)->Complexity();
-
-void BM_SmallestEnclosingCircle(benchmark::State& state) {
-  const auto pts = random_points(static_cast<std::size_t>(state.range(0)), 4);
-  for (auto _ : state) {
-    auto c = lumen::geom::smallest_enclosing_circle(pts);
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_SmallestEnclosingCircle)->Range(64, 4096);
 
 void BM_BuildSnapshotScratch(benchmark::State& state) {
   // The engine's steady-state Look path: warmed scratch buffers, zero heap

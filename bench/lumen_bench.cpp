@@ -44,9 +44,10 @@ namespace {
 
 using namespace lumen;
 
-// Graceful shutdown: the handlers only set this flag; cmd_run threads it
-// into every campaign as the cooperative stop (cells in flight drain, the
-// journal and a partial report are still written) and exits with code 3.
+// Graceful shutdown: the handlers only set this flag; open_plumbing threads
+// it into every campaign as the cooperative stop (cells in flight drain, the
+// journal and a partial report are still written) and the command exits
+// with code 3.
 std::atomic<bool> g_stop{false};
 
 void request_stop(int /*signal*/) { g_stop.store(true); }
@@ -60,6 +61,66 @@ std::string self_executable(const char* argv0) {
   const auto exe = std::filesystem::read_symlink("/proc/self/exe", ec);
   if (!ec && !exe.empty()) return exe.string();
   return argv0 != nullptr ? argv0 : "lumen-bench";
+}
+
+// The resilience plumbing `run` and `hunt` share: the --out report stream,
+// the --resume snapshot, the checkpoint journal (--resume appends to the
+// file it resumes from unless --journal overrides) and the signal-driven
+// cooperative stop. Pinned in place: `control` points into it.
+struct Plumbing {
+  std::ofstream out_file;
+  std::ostream* out = &std::cout;
+  analysis::JournalSnapshot resume_snapshot;
+  std::unique_ptr<analysis::CampaignJournal> journal;
+  analysis::CampaignControl control;
+
+  Plumbing() = default;
+  Plumbing(const Plumbing&) = delete;
+  Plumbing& operator=(const Plumbing&) = delete;
+};
+
+/// Opens `p` from the parsed --out/--journal/--resume flags and installs
+/// the SIGINT/SIGTERM handlers. On a usage error prints it and returns
+/// false (exit code 2).
+bool open_plumbing(const util::Cli& cli, Plumbing& p) {
+  if (cli.is_set("out")) {
+    p.out_file.open(cli.get("out"));
+    if (!p.out_file) {
+      std::cerr << "error: cannot open --out file " << cli.get("out") << "\n";
+      return false;
+    }
+    p.out = &p.out_file;
+  }
+  if (cli.is_set("resume")) {
+    auto loaded = analysis::load_journal(cli.get("resume"));
+    if (!loaded.snapshot) {
+      std::cerr << "error: --resume: " << loaded.error << "\n";
+      return false;
+    }
+    p.resume_snapshot = std::move(*loaded.snapshot);
+    p.control.resume = &p.resume_snapshot;
+    std::cerr << "resume: " << p.resume_snapshot.cell_count()
+              << " journaled cell(s) loaded from " << cli.get("resume");
+    if (loaded.dropped_partial_lines > 0) {
+      std::cerr << " (dropped a torn final record)";
+    }
+    std::cerr << "\n";
+  }
+  const std::string journal_path = cli.is_set("journal") ? cli.get("journal")
+                                   : cli.is_set("resume") ? cli.get("resume")
+                                                          : std::string();
+  if (!journal_path.empty()) {
+    p.journal = std::make_unique<analysis::CampaignJournal>(journal_path);
+    if (!p.journal->ok()) {
+      std::cerr << "error: cannot open --journal file " << journal_path << "\n";
+      return false;
+    }
+    p.control.journal = p.journal.get();
+  }
+  p.control.stop = &g_stop;
+  std::signal(SIGINT, request_stop);
+  std::signal(SIGTERM, request_stop);
+  return true;
 }
 
 int usage(std::ostream& os, int code) {
@@ -352,53 +413,11 @@ int cmd_run(const std::vector<std::string>& raw_args) {
     return 2;
   }
 
-  std::ofstream out_file;
-  if (cli.is_set("out")) {
-    out_file.open(cli.get("out"));
-    if (!out_file) {
-      std::cerr << "error: cannot open --out file " << cli.get("out") << "\n";
-      return 2;
-    }
-  }
-  std::ostream& out = cli.is_set("out") ? out_file : std::cout;
-
-  // Resilience plumbing: resume snapshot, checkpoint journal (--resume
-  // appends to the same file it resumes from unless --journal overrides),
-  // and the signal-driven cooperative stop.
-  analysis::JournalSnapshot resume_snapshot;
-  bool resuming = false;
-  if (cli.is_set("resume")) {
-    auto loaded = analysis::load_journal(cli.get("resume"));
-    if (!loaded.snapshot) {
-      std::cerr << "error: --resume: " << loaded.error << "\n";
-      return 2;
-    }
-    resume_snapshot = std::move(*loaded.snapshot);
-    resuming = true;
-    std::cerr << "resume: " << resume_snapshot.cell_count()
-              << " journaled cell(s) loaded from " << cli.get("resume");
-    if (loaded.dropped_partial_lines > 0) {
-      std::cerr << " (dropped a torn final record)";
-    }
-    std::cerr << "\n";
-  }
-  std::unique_ptr<analysis::CampaignJournal> journal;
-  const std::string journal_path = cli.is_set("journal") ? cli.get("journal")
-                                   : cli.is_set("resume") ? cli.get("resume")
-                                                          : std::string();
-  if (!journal_path.empty()) {
-    journal = std::make_unique<analysis::CampaignJournal>(journal_path);
-    if (!journal->ok()) {
-      std::cerr << "error: cannot open --journal file " << journal_path << "\n";
-      return 2;
-    }
-  }
+  Plumbing io;
+  if (!open_plumbing(cli, io)) return 2;
+  std::ostream& out = *io.out;
   analysis::ExperimentContext ctx;
-  ctx.control.journal = journal.get();
-  ctx.control.resume = resuming ? &resume_snapshot : nullptr;
-  ctx.control.stop = &g_stop;
-  std::signal(SIGINT, request_stop);
-  std::signal(SIGTERM, request_stop);
+  ctx.control = io.control;
 
   // --workers: reroute every campaign through the multi-process fabric.
   // The coordinator honors the same journal/resume/stop control, and its
@@ -427,8 +446,8 @@ int cmd_run(const std::vector<std::string>& raw_args) {
     fabric_config.chaos_kill_rate = cli.get_double("chaos-kill");
     fabric_config.chaos_seed =
         static_cast<std::uint64_t>(cli.get_int("chaos-seed"));
-    if (!journal_path.empty()) {
-      fabric_config.resume_paths.push_back(journal_path);
+    if (io.journal != nullptr) {
+      fabric_config.resume_paths.push_back(io.journal->path());
     }
     fabric_config.log = [](std::string_view line) {
       std::cerr << line << "\n";
@@ -485,9 +504,9 @@ int cmd_run(const std::vector<std::string>& raw_args) {
   }
   if (interrupted) {
     std::cerr << "interrupted: in-flight cells drained"
-              << (journal != nullptr ? ", journal flushed" : "")
+              << (io.journal != nullptr ? ", journal flushed" : "")
               << "; partial report written. Re-run with --resume="
-              << (journal != nullptr ? journal->path() : "<journal>")
+              << (io.journal != nullptr ? io.journal->path() : "<journal>")
               << " to continue.\n";
     return 3;
   }
@@ -665,50 +684,11 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
         std::min<std::size_t>(base.max_cycles_per_robot, 128);
   }
 
-  std::ofstream out_file;
-  if (cli.is_set("out")) {
-    out_file.open(cli.get("out"));
-    if (!out_file) {
-      std::cerr << "error: cannot open --out file " << cli.get("out") << "\n";
-      return 2;
-    }
-  }
-  std::ostream& out = cli.is_set("out") ? out_file : std::cout;
-
-  // Same resilience plumbing as cmd_run: every hunt evaluation is a
-  // journalable campaign cell, so --journal/--resume work unchanged.
-  analysis::JournalSnapshot resume_snapshot;
-  bool resuming = false;
-  if (cli.is_set("resume")) {
-    auto loaded = analysis::load_journal(cli.get("resume"));
-    if (!loaded.snapshot) {
-      std::cerr << "error: --resume: " << loaded.error << "\n";
-      return 2;
-    }
-    resume_snapshot = std::move(*loaded.snapshot);
-    resuming = true;
-    std::cerr << "resume: " << resume_snapshot.cell_count()
-              << " journaled cell(s) loaded from " << cli.get("resume")
-              << "\n";
-  }
-  std::unique_ptr<analysis::CampaignJournal> journal;
-  const std::string journal_path = cli.is_set("journal") ? cli.get("journal")
-                                   : cli.is_set("resume") ? cli.get("resume")
-                                                          : std::string();
-  if (!journal_path.empty()) {
-    journal = std::make_unique<analysis::CampaignJournal>(journal_path);
-    if (!journal->ok()) {
-      std::cerr << "error: cannot open --journal file " << journal_path
-                << "\n";
-      return 2;
-    }
-  }
-  analysis::CampaignControl control;
-  control.journal = journal.get();
-  control.resume = resuming ? &resume_snapshot : nullptr;
-  control.stop = &g_stop;
-  std::signal(SIGINT, request_stop);
-  std::signal(SIGTERM, request_stop);
+  // Every hunt evaluation is a journalable campaign cell, so
+  // --journal/--resume work exactly as for `run`.
+  Plumbing io;
+  if (!open_plumbing(cli, io)) return 2;
+  std::ostream& out = *io.out;
 
   if (cli.is_set("emit-dir")) {
     std::error_code ec;
@@ -730,7 +710,7 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
       std::cerr << "error: invalid hunt spec: " << invalid << "\n";
       return 2;
     }
-    const search::HuntResult result = search::run_hunt(spec, nullptr, control);
+    const search::HuntResult result = search::run_hunt(spec, nullptr, io.control);
     if (!result.error.empty()) {
       std::cerr << "error: " << result.error << "\n";
       return 2;
@@ -795,9 +775,9 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
   }
   if (interrupted) {
     std::cerr << "interrupted: in-flight evaluations drained"
-              << (journal != nullptr ? ", journal flushed" : "")
+              << (io.journal != nullptr ? ", journal flushed" : "")
               << "; re-run with --resume="
-              << (journal != nullptr ? journal->path() : "<journal>")
+              << (io.journal != nullptr ? io.journal->path() : "<journal>")
               << " to continue.\n";
     return 3;
   }

@@ -419,15 +419,4 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
   return result;
 }
 
-std::vector<SweepPoint> sweep_n(CampaignSpec spec, const std::vector<std::size_t>& ns,
-                                util::ThreadPool* pool) {
-  std::vector<SweepPoint> points;
-  points.reserve(ns.size());
-  for (const std::size_t n : ns) {
-    spec.n = n;
-    points.push_back(SweepPoint{n, run_campaign(spec, pool)});
-  }
-  return points;
-}
-
 }  // namespace lumen::analysis

@@ -233,15 +233,4 @@ struct CampaignResult {
                                           util::ThreadPool* pool = nullptr,
                                           const CampaignControl& control = {});
 
-/// Convenience: per-N sweep of the same campaign spec, returning the epoch
-/// means aligned with `ns` (for scaling fits).
-struct SweepPoint {
-  std::size_t n = 0;
-  CampaignResult result;
-};
-
-[[nodiscard]] std::vector<SweepPoint> sweep_n(CampaignSpec spec,
-                                              const std::vector<std::size_t>& ns,
-                                              util::ThreadPool* pool = nullptr);
-
 }  // namespace lumen::analysis

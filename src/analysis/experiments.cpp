@@ -100,8 +100,6 @@ Series run_series(const std::string& algorithm, const std::vector<std::size_t>& 
     }
     CampaignSpec spec = scenario.campaign(n);
     spec.algorithm = algorithm;
-    // Fewer seeds at the largest sizes to keep the single-core budget sane.
-    if (n >= 512) spec.runs = std::min<std::size_t>(spec.runs, 3);
     const auto campaign = run_checked(spec, ctx, result);
     const auto mix = campaign.cache_totals();
     series.cache.replays += mix.replays;

@@ -66,6 +66,19 @@ bool counters_from_json(const util::JsonValue& v, fault::FaultCounters& out,
   return true;
 }
 
+/// Cuts a record torn by a kill mid-append (the bytes after the last newline)
+/// off the journal open at `fd`; `size` is the file size in, the kept size out.
+bool drop_torn_tail(int fd, off_t& size) {
+  off_t keep = size;
+  for (char c = 0; keep > 0; --keep) {
+    if (::pread(fd, &c, 1, keep - 1) != 1) return false;
+    if (c == '\n') break;
+  }
+  if (keep == size) return true;
+  size = keep;
+  return ::ftruncate(fd, keep) == 0;
+}
+
 }  // namespace
 
 util::JsonValue run_metrics_to_json(const RunMetrics& m) {
@@ -321,9 +334,11 @@ std::string campaign_result_to_json(const CampaignResult& result) {
 }
 
 CampaignJournal::CampaignJournal(std::string path) : path_(std::move(path)) {
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (fd_ < 0) return;
-  if (::lseek(fd_, 0, SEEK_END) == 0) {
+  off_t size = ::lseek(fd_, 0, SEEK_END);
+  failed_ = size < 0 || !drop_torn_tail(fd_, size);
+  if (size == 0) {
     util::JsonValue header = util::JsonValue::object();
     header.set("type", util::JsonValue::string(std::string(kJournalType)));
     header.set("version", util::JsonValue::integer(kJournalVersion));

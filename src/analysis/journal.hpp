@@ -69,8 +69,9 @@ namespace lumen::analysis {
 /// the campaign (a failing disk should cost the checkpoint, not the run).
 class CampaignJournal {
  public:
-  /// Opens (creating or appending) the journal at `path`; writes the header
-  /// line when the file is empty. Check ok() afterwards.
+  /// Opens (creating or appending) the journal at `path`; cuts a torn final
+  /// record (one without its newline) and writes the header line when the
+  /// file is then empty. Check ok() afterwards.
   explicit CampaignJournal(std::string path);
   ~CampaignJournal();
 

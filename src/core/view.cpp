@@ -2,10 +2,8 @@
 
 #include "geom/hull.hpp"
 #include "geom/predicates.hpp"
-#include "geom/segment.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 namespace lumen::core {
@@ -125,33 +123,6 @@ bool observer_is_strict_vertex(std::span<const Vec2> pts) noexcept {
   return true;
 }
 
-/// Result of minimizing point-to-edge distance over the hull boundary.
-struct NearestEdge {
-  std::size_t k = 0;
-  std::size_t i1 = 0;
-  std::size_t i2 = 0;
-  geom::Segment edge{};
-  double dist = std::numeric_limits<double>::infinity();
-};
-
-/// The hull edge nearest to `p` (ties keep the first edge in hull order).
-/// Shared by the gate search and the exit-path estimate so both agree on
-/// which edge a robot is heading for.
-std::optional<NearestEdge> scan_nearest_hull_edge(const LocalView& view, Vec2 p) {
-  const std::size_t h = view.hull.size();
-  if (h < 3) return std::nullopt;
-  NearestEdge best;
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t i1 = view.hull[k];
-    const std::size_t i2 = view.hull[(k + 1) % h];
-    const geom::Segment e{view.pts[i1], view.pts[i2]};
-    const double d = geom::point_segment_distance(e, p);
-    if (d < best.dist) best = NearestEdge{k, i1, i2, e, d};
-  }
-  if (!std::isfinite(best.dist)) return std::nullopt;
-  return best;
-}
-
 }  // namespace
 
 LocalView build_view(const model::Snapshot& snap) {
@@ -181,12 +152,6 @@ LocalView build_view(const model::Snapshot& snap) {
   const auto pos = geom::classify_against_hull(hull_pts, view.self());
   view.role = pos == geom::HullPosition::kEdge ? Role::kSide : Role::kInterior;
   return view;
-}
-
-std::optional<GateEdge> nearest_hull_edge(const LocalView& view) {
-  const auto best = scan_nearest_hull_edge(view, view.self());
-  if (!best) return std::nullopt;
-  return GateEdge{best->i1, best->i2, best->edge.a, best->edge.b, best->dist, best->k};
 }
 
 std::optional<GateEdge> containing_hull_edge(const LocalView& view) {
@@ -221,59 +186,6 @@ bool gate_blocked_by_closer_robot(const LocalView& view, const GateEdge& gate) {
     if (o2 != o1) continue;
     const int o3 = geom::orient2d_inline(gate.c2, a, p);
     if (o3 == o1) return true;
-  }
-  return false;
-}
-
-bool gate_is_nearest_edge_for(const LocalView& view, const GateEdge& gate,
-                              geom::Vec2 p) {
-  const geom::Segment edge{gate.c1, gate.c2};
-  const double d_here = geom::point_segment_distance(edge, p);
-  const std::size_t h = view.hull.size();
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t i1 = view.hull[k];
-    const std::size_t i2 = view.hull[(k + 1) % h];
-    if ((i1 == gate.i1 && i2 == gate.i2) || (i1 == gate.i2 && i2 == gate.i1)) continue;
-    const geom::Segment other{view.pts[i1], view.pts[i2]};
-    if (geom::point_segment_distance(other, p) < d_here) return false;
-  }
-  return true;
-}
-
-bool gate_has_transit_traffic(const LocalView& view, const GateEdge& gate) {
-  for (std::size_t i = 1; i < view.pts.size(); ++i) {
-    if (view.lights[i] != model::Light::kTransit) continue;
-    // A Transit robot is relevant when this gate edge is the hull edge
-    // nearest to it (it is inserting here), measured in the observer's view.
-    if (gate_is_nearest_edge_for(view, gate, view.pts[i])) return true;
-  }
-  return false;
-}
-
-std::optional<geom::Segment> estimated_exit_path(const LocalView& view,
-                                                 geom::Vec2 p) {
-  const auto best = scan_nearest_hull_edge(view, p);
-  if (!best) return std::nullopt;
-  const geom::Segment best_edge = best->edge;
-  const geom::Vec2 foot = geom::closest_point_on_segment(best_edge, p);
-  const geom::Vec2 out = foot - p;
-  const double out_len = geom::norm(out);
-  const double overshoot = 0.15 * best_edge.length();
-  if (out_len <= 0.0) {
-    // p sits on the edge; a popper exits perpendicular by the overshoot.
-    const geom::Vec2 u = geom::normalized(best_edge.b - best_edge.a);
-    return geom::Segment{p, p + geom::perp(u) * overshoot};
-  }
-  return geom::Segment{p, foot + (out / out_len) * overshoot};
-}
-
-bool transit_within(const LocalView& view, double radius) {
-  const double r_sq = radius * radius;
-  for (std::size_t i = 1; i < view.pts.size(); ++i) {
-    if (view.lights[i] == model::Light::kTransit &&
-        geom::distance_sq(view.self(), view.pts[i]) <= r_sq) {
-      return true;
-    }
   }
   return false;
 }

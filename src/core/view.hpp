@@ -15,7 +15,6 @@
 // that ray is visible — so r's visible set surrounds it.)
 #pragma once
 
-#include "geom/segment.hpp"
 #include "geom/vec2.hpp"
 #include "model/light.hpp"
 #include "model/snapshot.hpp"
@@ -76,10 +75,6 @@ struct GateEdge {
   std::size_t k = kNoHullPosition;
 };
 
-/// The hull edge nearest to the observer (its gate candidate).
-/// Empty when the view has no 2-D hull (fewer than 3 hull vertices).
-[[nodiscard]] std::optional<GateEdge> nearest_hull_edge(const LocalView& view);
-
 /// The hull edge whose open relative interior contains the observer — the
 /// Side robot's own edge. Empty when the observer is not a Side robot.
 [[nodiscard]] std::optional<GateEdge> containing_hull_edge(const LocalView& view);
@@ -89,27 +84,5 @@ struct GateEdge {
 /// must defer.
 [[nodiscard]] bool gate_blocked_by_closer_robot(const LocalView& view,
                                                 const GateEdge& gate);
-
-/// True iff `gate` is the hull edge of `view` nearest to point `p` — the
-/// "p is working this gate" relation used by the beacon handshake.
-[[nodiscard]] bool gate_is_nearest_edge_for(const LocalView& view,
-                                            const GateEdge& gate, geom::Vec2 p);
-
-/// True iff a visible Transit-lit robot is "at" this gate: its nearest hull
-/// edge is the same edge, or it already lies strictly outside the hull
-/// beyond it. The mover's mutual-exclusion test.
-[[nodiscard]] bool gate_has_transit_traffic(const LocalView& view,
-                                            const GateEdge& gate);
-
-/// True iff any visible Transit-lit robot is within `radius` of the
-/// observer (the proximity guard against adjacent-gate path overlap).
-[[nodiscard]] bool transit_within(const LocalView& view, double radius);
-
-/// Best-effort estimate of the exit path a robot at `p` is about to take:
-/// the segment from p to just outside its nearest hull edge (perpendicular
-/// approach). Used by movers to test their own path against Transit rivals'
-/// presumed paths. Empty when the view has no 2-D hull.
-[[nodiscard]] std::optional<geom::Segment> estimated_exit_path(
-    const LocalView& view, geom::Vec2 p);
 
 }  // namespace lumen::core

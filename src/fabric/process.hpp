@@ -37,7 +37,6 @@ class ChildProcess {
       const std::vector<std::string>& argv, std::string* error);
 
   [[nodiscard]] pid_t pid() const noexcept { return pid_; }
-  [[nodiscard]] int out_fd() const noexcept { return out_fd_; }
   [[nodiscard]] bool running() const noexcept { return pid_ > 0 && !exit_; }
   [[nodiscard]] const std::optional<ExitStatus>& exit_status() const noexcept {
     return exit_;

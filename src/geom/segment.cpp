@@ -93,16 +93,6 @@ bool segments_cross(const Segment& s, const Segment& t) noexcept {
   return false;
 }
 
-std::optional<Vec2> crossing_point(const Segment& s, const Segment& t) noexcept {
-  if (classify_intersection(s, t) != SegmentRelation::kProperCrossing) return std::nullopt;
-  const Vec2 r = s.b - s.a;
-  const Vec2 q = t.b - t.a;
-  const double denom = cross(r, q);
-  if (denom == 0.0) return std::nullopt;  // Unreachable after classification.
-  const double u = cross(t.a - s.a, q) / denom;
-  return s.a + r * u;
-}
-
 double project_onto_segment(const Segment& s, Vec2 p) noexcept {
   const Vec2 d = s.b - s.a;
   const double len_sq = norm_sq(d);

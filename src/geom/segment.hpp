@@ -10,16 +10,12 @@
 #include "geom/predicates.hpp"
 #include "geom/vec2.hpp"
 
-#include <optional>
-
 namespace lumen::geom {
 
 struct Segment {
   Vec2 a;
   Vec2 b;
 
-  [[nodiscard]] double length() const noexcept { return distance(a, b); }
-  [[nodiscard]] Vec2 midpoint() const noexcept { return geom::midpoint(a, b); }
   [[nodiscard]] bool degenerate() const noexcept { return a == b; }
 };
 
@@ -44,11 +40,6 @@ enum class SegmentRelation {
 /// share an endpoint only if it is a common rendezvous, which the collision
 /// monitor flags separately).
 [[nodiscard]] bool segments_cross(const Segment& s, const Segment& t) noexcept;
-
-/// Intersection point of properly crossing segments (floating); nullopt for
-/// any other relation.
-[[nodiscard]] std::optional<Vec2> crossing_point(const Segment& s,
-                                                 const Segment& t) noexcept;
 
 /// Closest point on the CLOSED segment to p.
 [[nodiscard]] Vec2 closest_point_on_segment(const Segment& s, Vec2 p) noexcept;

@@ -63,11 +63,6 @@ struct Vec2 {
   return {a.x * c - a.y * s, a.x * s + a.y * c};
 }
 
-/// Midpoint of a and b.
-[[nodiscard]] constexpr Vec2 midpoint(Vec2 a, Vec2 b) noexcept {
-  return {(a.x + b.x) * 0.5, (a.y + b.y) * 0.5};
-}
-
 /// Componentwise approximate equality with absolute tolerance.
 [[nodiscard]] inline bool almost_equal(Vec2 a, Vec2 b, double tol = 1e-12) noexcept {
   return std::fabs(a.x - b.x) <= tol && std::fabs(a.y - b.y) <= tol;

@@ -27,15 +27,6 @@ std::size_t VisibilityGraph::edge_count() const noexcept {
   return c;
 }
 
-std::size_t VisibilityGraph::degree(std::size_t i) const noexcept {
-  std::size_t c = 0;
-  const std::uint64_t* row = bits_.data() + i * words_;
-  for (std::size_t w = 0; w < words_; ++w) {
-    c += static_cast<std::size_t>(std::popcount(row[w]));
-  }
-  return c;
-}
-
 bool VisibilityGraph::complete() const noexcept {
   if (n_ <= 1) return true;
   // Row i must be all-ones over the first n_ bits except bit i itself;

@@ -37,8 +37,8 @@ class ThreadPool;
 namespace lumen::geom {
 
 /// Symmetric visibility relation over a fixed point set. Rows are stored as
-/// 64-bit blocks so edge_count/degree/complete popcount whole words instead
-/// of scanning bits one at a time.
+/// 64-bit blocks so edge_count/complete work on whole words instead of
+/// scanning bits one at a time.
 class VisibilityGraph {
  public:
   VisibilityGraph() = default;
@@ -62,8 +62,6 @@ class VisibilityGraph {
 
   /// Number of (unordered) visible pairs. O(n^2 / 64).
   [[nodiscard]] std::size_t edge_count() const noexcept;
-  /// Degree of vertex i. O(n / 64).
-  [[nodiscard]] std::size_t degree(std::size_t i) const noexcept;
   /// True iff every pair of distinct robots is mutually visible.
   /// Early-exits on the first block with a missing pair.
   [[nodiscard]] bool complete() const noexcept;

@@ -55,12 +55,6 @@ struct Snapshot {
                              : std::span<const geom::Vec2>{positions}.subspan(1);
   }
 
-  /// Lights of visible robots (parallel to other_positions()).
-  [[nodiscard]] std::span<const Light> other_lights() const noexcept {
-    return lights.empty() ? std::span<const Light>{}
-                          : std::span<const Light>{lights}.subspan(1);
-  }
-
   /// Resets to an observer-only snapshot with the given self light.
   void reset(Light self) {
     self_light = self;

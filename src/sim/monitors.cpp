@@ -222,10 +222,6 @@ const CollisionReport& SafetyMonitor::report() const noexcept {
   return inner_->report();
 }
 
-std::size_t SafetyMonitor::attributed(fault::FaultChannel channel) const noexcept {
-  return attributed_[static_cast<std::size_t>(channel)];
-}
-
 fault::FaultChannel SafetyMonitor::dominant_channel() const noexcept {
   std::size_t best = 0;
   for (std::size_t i = 1; i < attributed_.size(); ++i) {

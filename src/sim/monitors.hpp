@@ -158,15 +158,6 @@ class SafetyMonitor final : public RunObserver {
   /// The wrapped audit verdict; complete once on_run_end has fired.
   [[nodiscard]] const CollisionReport& report() const noexcept;
 
-  /// Incidents (position collisions + path crossings) attributed to
-  /// `channel`; the kNone bucket holds incidents seen before any fault.
-  [[nodiscard]] std::size_t attributed(fault::FaultChannel channel) const noexcept;
-
-  /// The channel the NEXT incident would be blamed on.
-  [[nodiscard]] fault::FaultChannel last_active_channel() const noexcept {
-    return last_channel_;
-  }
-
   /// The channel with the most attributed incidents (ties broken toward the
   /// earlier enum value); kNone when the run is incident-free.
   [[nodiscard]] fault::FaultChannel dominant_channel() const noexcept;

@@ -134,8 +134,8 @@ class RunObserver {
 // ---------------------------------------------------------------------------
 
 /// Retains the full move log — the opt-in replacement for the historical
-/// always-on RunResult::moves field. trace_io and the SVG renderer feed on
-/// this; big campaigns simply do not attach it.
+/// always-on RunResult::moves field. The SVG renderer feeds on this; big
+/// campaigns simply do not attach it.
 class MoveLogRecorder final : public RunObserver {
  public:
   void on_move_complete(const MoveSegment& move, const WorldView&) override {

@@ -28,16 +28,6 @@ geom::Vec2 Trajectory::at(double t) const noexcept {
   return pos;
 }
 
-geom::Vec2 Trajectory::final() const noexcept {
-  return moves_.empty() ? initial_ : moves_.back().to;
-}
-
-double Trajectory::total_distance() const noexcept {
-  double d = 0.0;
-  for (const auto& m : moves_) d += m.length();
-  return d;
-}
-
 std::vector<Trajectory> build_trajectories(std::span<const geom::Vec2> initial_positions,
                                            std::span<const MoveSegment> moves) {
   std::vector<std::vector<MoveSegment>> per_robot(initial_positions.size());

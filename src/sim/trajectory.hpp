@@ -44,9 +44,7 @@ class Trajectory {
   [[nodiscard]] geom::Vec2 at(double t) const noexcept;
 
   [[nodiscard]] geom::Vec2 initial() const noexcept { return initial_; }
-  [[nodiscard]] geom::Vec2 final() const noexcept;
   [[nodiscard]] std::span<const MoveSegment> moves() const noexcept { return moves_; }
-  [[nodiscard]] double total_distance() const noexcept;
 
  private:
   geom::Vec2 initial_{};

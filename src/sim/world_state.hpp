@@ -98,9 +98,6 @@ class WorldState {
 
   // -- Alive bits (cleared on crash-stop; the body keeps obstructing) --------
 
-  [[nodiscard]] bool is_alive(std::size_t i) const noexcept {
-    return alive_.test(i);
-  }
   [[nodiscard]] const util::DynamicBitset& alive() const noexcept {
     return alive_;
   }

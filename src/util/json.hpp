@@ -33,7 +33,6 @@ class JsonValue {
   static JsonValue object();
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
-  [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
   [[nodiscard]] bool is_bool() const noexcept { return kind_ == Kind::kBool; }
   [[nodiscard]] bool is_number() const noexcept { return kind_ == Kind::kNumber; }
   /// True for numbers written without fraction/exponent that fit int64.

@@ -42,11 +42,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double RunningStats::sem() const noexcept {
-  if (n_ == 0) return 0.0;
-  return stddev() / std::sqrt(static_cast<double>(n_));
-}
-
 double percentile(std::span<const double> xs, double q) {
   if (xs.empty()) return 0.0;
   std::vector<double> sorted(xs.begin(), xs.end());
@@ -59,8 +54,6 @@ double percentile(std::span<const double> xs, double q) {
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
-
-double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
 LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
   LinearFit fit;

@@ -24,11 +24,8 @@ class RunningStats {
   /// Sample variance (n-1 denominator); 0 when fewer than two samples.
   [[nodiscard]] double variance() const noexcept;
   [[nodiscard]] double stddev() const noexcept;
-  /// Standard error of the mean.
-  [[nodiscard]] double sem() const noexcept;
   [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const noexcept { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
 
  private:
   std::size_t n_ = 0;
@@ -42,9 +39,6 @@ class RunningStats {
 /// (the "exclusive" convention, matching numpy's default). q in [0, 100].
 /// The input need not be sorted; a copy is sorted internally.
 [[nodiscard]] double percentile(std::span<const double> xs, double q);
-
-/// Median shorthand.
-[[nodiscard]] double median(std::span<const double> xs);
 
 /// Ordinary least squares fit of y = intercept + slope * x.
 struct LinearFit {

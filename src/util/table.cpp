@@ -54,10 +54,6 @@ Table& Table::cell(std::size_t value) {
   return cell(std::to_string(value));
 }
 
-Table& Table::cell(long long value) {
-  return cell(std::to_string(value));
-}
-
 void Table::print(std::ostream& os, std::string_view title) const {
   std::vector<std::size_t> widths(headers_.size(), 0);
   for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();

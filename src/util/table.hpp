@@ -28,9 +28,6 @@ class Table {
   Table& cell(std::string_view text);
   Table& cell(double value, int precision = 3);
   Table& cell(std::size_t value);
-  Table& cell(long long value);
-
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
 
   /// Renders with padded columns, a header rule, and a title line.
   void print(std::ostream& os, std::string_view title = {}) const;

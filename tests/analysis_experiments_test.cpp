@@ -110,9 +110,7 @@ TEST(Experiments, EveryExperimentProducesWellFormedResult) {
 
 // ---------------------------------------------------------------------------
 // Legacy parity: E1's table rows must carry exactly the campaign metrics the
-// old bench_time_vs_n printed — same seeds, same aggregation, same
-// formatting (including the >= 512 seed cap, exercised at small scale here
-// by construction of the same CampaignSpec).
+// old bench_time_vs_n printed — same seeds, aggregation and formatting.
 
 TEST(Experiments, TimeVsNMatchesDirectCampaignMetrics) {
   const auto* e = ExperimentRegistry::instance().find("E1");
@@ -148,6 +146,21 @@ TEST(Experiments, TimeVsNMatchesDirectCampaignMetrics) {
     EXPECT_EQ(row[6].value, epochs.min);
     EXPECT_EQ(row[7].value, epochs.max);
   }
+}
+
+// E1 runs every requested seed at N >= 512 too; one cycle keeps it cheap.
+TEST(Experiments, TimeVsNRunsEveryRequestedSeedAtLargeN) {
+  const auto* e = ExperimentRegistry::instance().find("E1");
+  ASSERT_NE(e, nullptr);
+  ScenarioSpec spec;
+  spec.ns = {512};
+  spec.baseline_ns = {8};
+  spec.runs = 4;
+  spec.run.max_cycles_per_robot = 1;
+  const ExperimentResult result = e->run(spec, ExperimentContext{});
+  ASSERT_EQ(result.rows.size(), 2u);
+  EXPECT_EQ(result.rows[0][1].value, 512.0);
+  EXPECT_EQ(result.rows[0][3].value, 4.0);
 }
 
 // E4 parity: the first table row aggregates position collisions, closest
@@ -244,6 +257,12 @@ TEST(Reporter, JsonKeepsNumbersAsNumbersAndTextAsStrings) {
   const auto reparsed = util::json_parse(util::json_write(doc), nullptr);
   ASSERT_TRUE(reparsed.has_value());
   EXPECT_EQ(util::json_write(*reparsed), util::json_write(doc));
+}
+
+TEST(Reporter, FormatListNamesEveryAcceptedFormat) {
+  for (const char* format : {"pretty", "csv", "json"}) {
+    EXPECT_NE(reporter_formats().find(format), std::string_view::npos) << format;
+  }
 }
 
 TEST(Reporter, UnknownFormatReturnsNull) {

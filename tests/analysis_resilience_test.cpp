@@ -287,6 +287,25 @@ TEST(Journal, TornFinalLineIsDropped) {
   EXPECT_EQ(loaded.snapshot->cell_count(), 6u);
 }
 
+TEST(Journal, AppendingAfterATornFinalLineStartsAFreshLine) {
+  const std::string path = temp_path("torn_then_appended.jsonl");
+  std::remove(path.c_str());
+  CampaignSpec spec = small_spec();
+  for (const std::uint64_t seed_base : {100u, 200u}) {
+    spec.seed_base = seed_base;
+    CampaignJournal journal(path);
+    ASSERT_TRUE(journal.ok());
+    CampaignControl control;
+    control.journal = &journal;
+    (void)run_campaign(spec, nullptr, control);
+    std::ofstream(path, std::ios::app) << R"({"type":"cell","key":"dead)";
+  }
+  const auto loaded = load_journal(path);
+  ASSERT_TRUE(loaded.snapshot.has_value()) << loaded.error;
+  EXPECT_EQ(loaded.dropped_partial_lines, 1u);
+  EXPECT_EQ(loaded.snapshot->cell_count(), 12u);
+}
+
 TEST(Journal, MalformedMiddleLineIsAnError) {
   const std::string path = temp_path("malformed_middle.jsonl");
   write_file(path,

@@ -125,15 +125,17 @@ TEST(Campaign, SweepProducesOnePointPerN) {
   const std::vector<std::size_t> ns = {8, 16, 32};
   CampaignSpec spec = small_spec();
   spec.runs = 3;
-  const auto points = sweep_n(spec, ns);
-  ASSERT_EQ(points.size(), 3u);
+  std::vector<CampaignResult> points;
+  for (const std::size_t n : ns) {
+    spec.n = n;
+    points.push_back(run_campaign(spec));
+  }
   for (std::size_t i = 0; i < ns.size(); ++i) {
-    EXPECT_EQ(points[i].n, ns[i]);
-    EXPECT_EQ(points[i].result.spec.n, ns[i]);
-    EXPECT_EQ(points[i].result.converged_count(), 3u);
+    EXPECT_EQ(points[i].spec.n, ns[i]);
+    EXPECT_EQ(points[i].converged_count(), 3u);
   }
   // Epochs grow with N in expectation.
-  EXPECT_LE(points[0].result.epochs().mean, points[2].result.epochs().mean * 1.5);
+  EXPECT_LE(points[0].epochs().mean, points[2].epochs().mean * 1.5);
 }
 
 TEST(Campaign, BaselineTakesMoreEpochsThanAsyncLog) {

@@ -10,6 +10,7 @@
 #include "geom/hull.hpp"
 #include "geom/predicates.hpp"
 #include "model/snapshot.hpp"
+#include "nearest_gate.hpp"
 #include "split_points.hpp"
 #include "util/prng.hpp"
 
@@ -40,7 +41,7 @@ TEST(InteriorInsertion, TargetOutsideGateKeepsHullStrict) {
   const std::vector<Vec2> world = {{5, 2}, {0, 0}, {10, 0}, {10, 10}, {0, 10}};
   const auto view = view_of(world, 0);
   ASSERT_EQ(view.role, Role::kInterior);
-  const auto gate = nearest_hull_edge(view);
+  const auto gate = testutil::nearest_gate(view);
   ASSERT_TRUE(gate.has_value());
   const auto target = interior_insertion_target(view, *gate);
   ASSERT_TRUE(target.has_value());
@@ -73,7 +74,7 @@ TEST(InteriorInsertion, RandomizedConvexityPreservation) {
     if (interior == world.size()) continue;
     const auto view = view_of(world, interior);
     if (view.role != Role::kInterior) continue;
-    const auto gate = nearest_hull_edge(view);
+    const auto gate = testutil::nearest_gate(view);
     if (!gate) continue;
     const auto target = interior_insertion_target(view, *gate);
     ASSERT_TRUE(target.has_value());
@@ -106,8 +107,8 @@ TEST(InteriorInsertion, DistinctMoversGetDistinctTargets) {
     world_b.insert(world_b.begin(), pb);
     const auto va = view_of(world_a, 0);
     const auto vb = view_of(world_b, 0);
-    const auto ga = nearest_hull_edge(va);
-    const auto gb = nearest_hull_edge(vb);
+    const auto ga = testutil::nearest_gate(va);
+    const auto gb = testutil::nearest_gate(vb);
     if (!ga || !gb) continue;
     const auto ta = interior_insertion_target(va, *ga);
     const auto tb = interior_insertion_target(vb, *gb);
@@ -132,8 +133,8 @@ TEST(InteriorInsertion, ProjectionsBeyondEdgeEndsStillDistinct) {
   world_b.insert(world_b.begin(), Vec2{0.2, 0.35});
   const auto va = view_of(world_a, 0);
   const auto vb = view_of(world_b, 0);
-  const auto ga = nearest_hull_edge(va);
-  const auto gb = nearest_hull_edge(vb);
+  const auto ga = testutil::nearest_gate(va);
+  const auto gb = testutil::nearest_gate(vb);
   ASSERT_TRUE(ga && gb);
   const auto ta = interior_insertion_target(va, *ga);
   const auto tb = interior_insertion_target(vb, *gb);

@@ -1,6 +1,5 @@
 // LocalView tests: the classification soundness lemma (local role == global
-// role under obstructed visibility), gate selection, and handshake
-// predicates.
+// role under obstructed visibility), gate selection and gate blocking.
 #include "core/view.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +10,7 @@
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
 #include "model/snapshot.hpp"
+#include "nearest_gate.hpp"
 #include "split_points.hpp"
 #include "util/prng.hpp"
 
@@ -28,18 +28,14 @@ struct OwnedView : LocalView {
 };
 
 /// Builds the observer's view of a world configuration with an identity
-/// robot-centered frame and given lights.
-OwnedView view_of(const std::vector<Vec2>& world, const std::vector<Light>& lights,
-                  std::size_t observer) {
+/// robot-centered frame and every light off.
+OwnedView view_of(const std::vector<Vec2>& world, std::size_t observer) {
   const model::LocalFrame frame{world[observer], 0.0, 1.0, false};
   OwnedView v;
-  v.snap = testutil::snapshot_of(world, lights, observer, frame);
+  v.snap = testutil::snapshot_of(
+      world, std::vector<Light>(world.size(), Light::kOff), observer, frame);
   static_cast<LocalView&>(v) = build_view(v.snap);
   return v;
-}
-
-OwnedView view_of(const std::vector<Vec2>& world, std::size_t observer) {
-  return view_of(world, std::vector<Light>(world.size(), Light::kOff), observer);
 }
 
 TEST(BuildView, AloneAndPair) {
@@ -150,7 +146,7 @@ TEST(GateSelection, NearestHullEdge) {
   const std::vector<Vec2> world = {{5, 1}, {0, 0}, {10, 0}, {10, 10}, {0, 10}};
   const auto view = view_of(world, 0);
   ASSERT_EQ(view.role, Role::kInterior);
-  const auto gate = nearest_hull_edge(view);
+  const auto gate = testutil::nearest_gate(view);
   ASSERT_TRUE(gate.has_value());
   EXPECT_NEAR(gate->distance, 1.0, 1e-9);
   // The gate must be the bottom edge (both endpoints have y == -1 in the
@@ -175,7 +171,7 @@ TEST(GateBlocking, CloserRobotInTriangleBlocks) {
   // triangle between the observer and that edge.
   const std::vector<Vec2> world = {{5, 3}, {0, 0}, {10, 0}, {5, 10}, {5, 1.5}};
   const auto view = view_of(world, 0);
-  const auto gate = nearest_hull_edge(view);
+  const auto gate = testutil::nearest_gate(view);
   ASSERT_TRUE(gate.has_value());
   EXPECT_TRUE(gate_blocked_by_closer_robot(view, *gate));
 }
@@ -183,43 +179,9 @@ TEST(GateBlocking, CloserRobotInTriangleBlocks) {
 TEST(GateBlocking, EmptyTriangleDoesNotBlock) {
   const std::vector<Vec2> world = {{5, 1.5}, {0, 0}, {10, 0}, {5, 10}, {5, 3}};
   const auto view = view_of(world, 0);
-  const auto gate = nearest_hull_edge(view);
+  const auto gate = testutil::nearest_gate(view);
   ASSERT_TRUE(gate.has_value());
   EXPECT_FALSE(gate_blocked_by_closer_robot(view, *gate));
-}
-
-TEST(TransitPredicates, TrafficAndProximity) {
-  const std::vector<Vec2> world = {{5, 3}, {0, 0}, {10, 0}, {5, 10}, {5, 1.5}};
-  std::vector<Light> lights(world.size(), Light::kCorner);
-  lights[0] = Light::kInterior;
-  lights[4] = Light::kTransit;
-  const auto view = view_of(world, lights, 0);
-  const auto gate = nearest_hull_edge(view);
-  ASSERT_TRUE(gate.has_value());
-  // The Transit robot at (5,1.5) is nearest to the bottom edge (the
-  // observer's gate): traffic.
-  EXPECT_TRUE(gate_has_transit_traffic(view, *gate));
-  EXPECT_TRUE(transit_within(view, 3.0));
-  EXPECT_FALSE(transit_within(view, 1.0));
-}
-
-TEST(TransitPredicates, NoTrafficWithoutTransitLights) {
-  const std::vector<Vec2> world = {{5, 3}, {0, 0}, {10, 0}, {5, 10}, {5, 1.5}};
-  const auto view = view_of(world, 0);
-  const auto gate = nearest_hull_edge(view);
-  ASSERT_TRUE(gate.has_value());
-  EXPECT_FALSE(gate_has_transit_traffic(view, *gate));
-  EXPECT_FALSE(transit_within(view, 100.0));
-}
-
-TEST(EstimatedExitPath, PointsOutward) {
-  const std::vector<Vec2> world = {{5, 3}, {0, 0}, {10, 0}, {5, 10}, {5, 1.5}};
-  const auto view = view_of(world, 0);
-  // Robot 4 at local (0, -1.5): its nearest edge is the bottom (local
-  // y = -3); the estimated exit path must end strictly below it.
-  const auto path = estimated_exit_path(view, Vec2{0, -1.5});
-  ASSERT_TRUE(path.has_value());
-  EXPECT_LT(path->b.y, -3.0 + 1e-9);
 }
 
 TEST(LocalViewAccessors, HullPointsMatchIndices) {

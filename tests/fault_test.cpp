@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -254,7 +255,8 @@ TEST(FaultState, CorruptLightsAlwaysMisreadsUnderCertainty) {
     state.corrupt_lights(rng, snap, stats);
     EXPECT_EQ(stats.corrupted, 3u) << to_string(mode);
     EXPECT_EQ(snap.self_light, model::Light::kCorner);  // Never the self light.
-    const auto others = snap.other_lights();
+    // The visible robots' lights: lights[0] repeats the self light.
+    const auto others = std::span<const model::Light>{snap.lights}.subspan(1);
     // A corrupted read is an actual MISREAD, never the original color...
     EXPECT_NE(others[0], model::Light::kCorner) << to_string(mode);
     EXPECT_NE(others[1], model::Light::kSide) << to_string(mode);

@@ -60,12 +60,11 @@ TEST(Vec2, PerpIsCcwQuarterTurn) {
   }
 }
 
-TEST(Vec2, LerpAndMidpoint) {
+TEST(Vec2, Lerp) {
   const Vec2 a{0, 0}, b{10, 20};
   EXPECT_EQ(lerp(a, b, 0.0), a);
   EXPECT_EQ(lerp(a, b, 1.0), b);
   EXPECT_EQ(lerp(a, b, 0.5), (Vec2{5, 10}));
-  EXPECT_EQ(midpoint(a, b), (Vec2{5, 10}));
 }
 
 TEST(Vec2, RotationPreservesNormAndComposes) {

@@ -119,7 +119,7 @@ TEST(Snapshot, EntriesAreInLocalFrame) {
   ASSERT_EQ(snap.visible_count(), 1u);
   EXPECT_NEAR(snap.other_positions()[0].x, 3.0, 1e-12);
   EXPECT_NEAR(snap.other_positions()[0].y, 4.0, 1e-12);
-  EXPECT_EQ(snap.other_lights()[0], Light::kCorner);
+  EXPECT_EQ(snap.lights[1], Light::kCorner);
   EXPECT_EQ(snap.self_light, Light::kOff);
 }
 
@@ -154,7 +154,7 @@ TEST(Snapshot, VisibleSetInvariantUnderFrames) {
     const Snapshot snap = testutil::snapshot_of(pts, lights, 0, f);
     ASSERT_EQ(snap.visible_count(), reference.visible_count());
     for (std::size_t k = 0; k < snap.visible_count(); ++k) {
-      EXPECT_EQ(snap.other_lights()[k], reference.other_lights()[k]);
+      EXPECT_EQ(snap.lights[1 + k], reference.lights[1 + k]);
     }
   }
 }

@@ -283,6 +283,14 @@ TEST(ScenarioIO, RejectsUnknownKeysAndWrongType) {
   EXPECT_NE(parsed.error.find("extra"), std::string::npos) << parsed.error;
 }
 
+TEST(Fitness, NamesRoundTripAndUnknownNamesAreRejected) {
+  for (const FitnessKind kind : all_fitness_kinds()) {
+    EXPECT_EQ(fitness_from_string(to_string(kind)), kind) << to_string(kind);
+  }
+  EXPECT_EQ(fitness_from_string("Epochs"), std::nullopt);
+  EXPECT_EQ(fitness_from_string(""), std::nullopt);
+}
+
 // ---------------------------------------------------------------------------
 // E13 registration.
 

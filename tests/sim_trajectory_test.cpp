@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace lumen::sim {
 namespace {
 
 using geom::Vec2;
+
+/// After every move: a trajectory's final resting position.
+constexpr double kForever = std::numeric_limits<double>::infinity();
 
 TEST(MoveSegment, InterpolatesLinearly) {
   const MoveSegment m{0, 2.0, 6.0, {0, 0}, {8, 4}};
@@ -29,8 +34,7 @@ TEST(Trajectory, IdleRobotStaysPut) {
   const Trajectory traj({3, 4}, {});
   EXPECT_EQ(traj.at(0.0), (Vec2{3, 4}));
   EXPECT_EQ(traj.at(100.0), (Vec2{3, 4}));
-  EXPECT_EQ(traj.final(), (Vec2{3, 4}));
-  EXPECT_DOUBLE_EQ(traj.total_distance(), 0.0);
+  EXPECT_EQ(traj.at(kForever), (Vec2{3, 4}));
 }
 
 TEST(Trajectory, ChainsMovesWithIdleGaps) {
@@ -44,8 +48,7 @@ TEST(Trajectory, ChainsMovesWithIdleGaps) {
   EXPECT_EQ(traj.at(3.0), (Vec2{10, 0}));  // Idle between moves.
   EXPECT_EQ(traj.at(6.0), (Vec2{10, 10}));
   EXPECT_EQ(traj.at(9.0), (Vec2{10, 20}));
-  EXPECT_EQ(traj.final(), (Vec2{10, 20}));
-  EXPECT_DOUBLE_EQ(traj.total_distance(), 30.0);
+  EXPECT_EQ(traj.at(kForever), (Vec2{10, 20}));
 }
 
 TEST(Trajectory, SortsOutOfOrderInput) {
@@ -78,8 +81,8 @@ TEST(BuildTrajectories, SplitsByRobot) {
   EXPECT_EQ(trajs[0].moves().size(), 1u);
   EXPECT_EQ(trajs[1].moves().size(), 2u);
   EXPECT_EQ(trajs[2].moves().size(), 0u);
-  EXPECT_EQ(trajs[1].final(), (Vec2{12, 12}));
-  EXPECT_EQ(trajs[2].final(), (Vec2{20, 20}));
+  EXPECT_EQ(trajs[1].at(kForever), (Vec2{12, 12}));
+  EXPECT_EQ(trajs[2].at(kForever), (Vec2{20, 20}));
 }
 
 TEST(BuildTrajectories, RejectsUnknownRobot) {

@@ -7,7 +7,7 @@ namespace lumen::util {
 namespace {
 
 TEST(Json, ScalarConstruction) {
-  EXPECT_TRUE(JsonValue::null().is_null());
+  EXPECT_EQ(JsonValue::null().kind(), JsonValue::Kind::kNull);
   EXPECT_TRUE(JsonValue::boolean(true).as_bool());
   EXPECT_DOUBLE_EQ(JsonValue::number(2.5).as_double(), 2.5);
   EXPECT_EQ(JsonValue::integer(42).as_int(), 42);
@@ -41,7 +41,7 @@ TEST(Json, ParseBasicDocument) {
   EXPECT_DOUBLE_EQ(v->find("x")->as_double(), -1.5);
   ASSERT_EQ(v->find("ns")->items().size(), 2u);
   EXPECT_EQ(v->find("ns")->items()[1].as_int(), 16);
-  EXPECT_TRUE(v->find("nested")->find("a")->is_null());
+  EXPECT_EQ(v->find("nested")->find("a")->kind(), JsonValue::Kind::kNull);
 }
 
 TEST(Json, ParseWhitespaceTolerant) {

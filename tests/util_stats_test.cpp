@@ -18,7 +18,6 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.sem(), 0.0);
 }
 
 TEST(RunningStats, MatchesDirectFormulas) {
@@ -29,7 +28,6 @@ TEST(RunningStats, MatchesDirectFormulas) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
   // Sample variance with n-1: sum sq dev = 32, / 7.
   EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
   EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
@@ -70,12 +68,11 @@ TEST(Percentile, LinearInterpolation) {
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 4.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 2.5);
   EXPECT_DOUBLE_EQ(percentile(xs, 25.0), 1.75);
-  EXPECT_DOUBLE_EQ(median(xs), 2.5);
 }
 
 TEST(Percentile, UnsortedInputAndEdgeCases) {
   const std::vector<double> xs = {9.0, 1.0, 5.0};
-  EXPECT_DOUBLE_EQ(median(xs), 5.0);
+  EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 5.0);
   EXPECT_DOUBLE_EQ(percentile(std::vector<double>{}, 50.0), 0.0);
   EXPECT_DOUBLE_EQ(percentile(std::vector<double>{7.0}, 99.0), 7.0);
   // Out-of-range q is clamped.

@@ -48,7 +48,6 @@ TEST(Table, PrintAlignsColumns) {
   EXPECT_NE(out.find("123.46"), std::string::npos);
   // Header separator present.
   EXPECT_NE(out.find("---"), std::string::npos);
-  EXPECT_EQ(t.row_count(), 2u);
 }
 
 TEST(Table, CsvEscaping) {
@@ -66,7 +65,9 @@ TEST(Table, CsvEscaping) {
 TEST(Table, CellBeforeRowStartsARow) {
   Table t({"x"});
   t.cell("implicit");
-  EXPECT_EQ(t.row_count(), 1u);
+  std::ostringstream os;
+  t.write_csv(os);
+  EXPECT_EQ(os.str(), "x\nimplicit\n");
 }
 
 TEST(Table, SaveCsvRoundTrip) {
