@@ -171,7 +171,6 @@ int usage(std::ostream& os, int code) {
         "\n"
         "hunt flags:\n"
         "  --fitness=KIND     epochs|min-separation|outcome|all (default all)\n"
-        "  --strategy=NAME    mu-lambda|bandit (default mu-lambda)\n"
         "  --algorithm=NAME   algorithm under attack (default async-log)\n"
         "  --family=NAME      initial-configuration family\n"
         "  --scheduler=K      seed plan scheduler (fsync|ssync|async)\n"
@@ -179,7 +178,6 @@ int usage(std::ostream& os, int code) {
         "  --seed=S           hunt seed (drives the whole trajectory)\n"
         "  --budget=K         search-loop evaluation budget\n"
         "  --minimize-budget=K  shrinking-minimizer evaluation budget\n"
-        "  --keep-fraction=F  minimizer score-retention threshold (0,1]\n"
         "  --emit-dir=DIR     write each minimized winner as a regression\n"
         "                     scenario JSON (the scenarios/adversarial/ form)\n"
         "  --journal/--resume checkpointing, exactly as for run\n"
@@ -523,7 +521,6 @@ int cmd_run(const std::vector<std::string>& raw_args) {
 int cmd_hunt(const std::vector<std::string>& raw_args) {
   util::Cli cli;
   cli.flag("fitness", "epochs|min-separation|outcome|all", "all");
-  cli.flag("strategy", "mu-lambda|bandit", "mu-lambda");
   cli.flag("algorithm", "algorithm under attack", "async-log");
   cli.flag("family", "initial-configuration family");
   cli.flag("scheduler", "seed plan scheduler (fsync|ssync|async)");
@@ -536,12 +533,8 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
   cli.flag("budget", "search-loop evaluation budget", "256");
   cli.flag("population", "mu: survivors per generation", "8");
   cli.flag("offspring", "lambda: children per generation", "16");
-  cli.flag("crossover-rate", "P(child gets two parents)", "0.5");
-  cli.flag("epsilon", "bandit exploration probability", "0.25");
-  cli.flag("batch", "bandit arm pulls per round", "16");
   cli.flag("max-cycles", "per-robot cycle budget per evaluation", "256");
   cli.flag("minimize-budget", "shrinking-minimizer evaluation budget", "96");
-  cli.flag("keep-fraction", "minimizer score-retention threshold (0,1]", "1");
   cli.flag("emit-dir", "write each minimized winner as a scenario JSON here");
   cli.flag("journal", "append a durable record per finished evaluation");
   cli.flag("resume", "skip evaluations journaled here; implies --journal");
@@ -571,13 +564,6 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
   }
 
   search::HuntSpec base;
-  const auto strategy = search::strategy_from_string(cli.get("strategy"));
-  if (!strategy) {
-    std::cerr << "error: unknown --strategy \"" << cli.get("strategy")
-              << "\" (mu-lambda|bandit)\n";
-    return 2;
-  }
-  base.strategy = *strategy;
   {
     const auto names = core::algorithm_names();
     if (std::find(names.begin(), names.end(), cli.get("algorithm")) ==
@@ -649,7 +635,6 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
       !size_flag("budget", base.budget, error) ||
       !size_flag("population", base.population, error) ||
       !size_flag("offspring", base.offspring, error) ||
-      !size_flag("batch", base.batch, error) ||
       !size_flag("max-cycles", base.max_cycles_per_robot, error) ||
       !size_flag("minimize-budget", base.minimize_budget, error)) {
     std::cerr << "error: " << error << "\n";
@@ -663,9 +648,6 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
   base.seed_plan.seed = base.hunt_seed;
   base.seed_plan.n = std::clamp(base.seed_plan.n, base.bounds.n_min,
                                 base.bounds.n_max);
-  base.crossover_rate = cli.get_double("crossover-rate");
-  base.epsilon = cli.get_double("epsilon");
-  base.keep_fraction = cli.get_double("keep-fraction");
 
   if (cli.get_bool("smoke")) {
     // The same philosophy as run --smoke: seconds, not minutes. Budgets
@@ -675,7 +657,6 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
     base.minimize_budget = std::min<std::size_t>(base.minimize_budget, 4);
     base.population = std::min<std::size_t>(base.population, 3);
     base.offspring = std::min<std::size_t>(base.offspring, 4);
-    base.batch = std::min<std::size_t>(base.batch, 4);
     base.bounds.n_max = std::min<std::size_t>(base.bounds.n_max, 12);
     base.bounds.n_min = std::min(base.bounds.n_min, base.bounds.n_max);
     base.seed_plan.n = std::clamp(base.seed_plan.n, base.bounds.n_min,

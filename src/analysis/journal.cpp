@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace lumen::analysis {
@@ -181,7 +182,10 @@ std::optional<RunMetrics> run_metrics_from_json(const util::JsonValue& v,
     } else if (key == "collision_free") {
       want_bool(key, m.collision_free, value);
     } else if (key == "min_observed_separation") {
-      if (!value.is_number()) {
+      // null is +inf: an audited run with no robot pair (N = 1).
+      if (value.kind() == util::JsonValue::Kind::kNull) {
+        m.min_observed_separation = std::numeric_limits<double>::infinity();
+      } else if (!value.is_number()) {
         set_error(error, "metrics.min_observed_separation must be a number");
         ok = false;
       } else {

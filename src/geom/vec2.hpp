@@ -57,17 +57,6 @@ struct Vec2 {
   return {a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)};
 }
 
-/// Rotation by `radians` about the origin.
-[[nodiscard]] inline Vec2 rotated(Vec2 a, double radians) noexcept {
-  const double c = std::cos(radians), s = std::sin(radians);
-  return {a.x * c - a.y * s, a.x * s + a.y * c};
-}
-
-/// Componentwise approximate equality with absolute tolerance.
-[[nodiscard]] inline bool almost_equal(Vec2 a, Vec2 b, double tol = 1e-12) noexcept {
-  return std::fabs(a.x - b.x) <= tol && std::fabs(a.y - b.y) <= tol;
-}
-
 std::ostream& operator<<(std::ostream& os, Vec2 v);
 
 }  // namespace lumen::geom

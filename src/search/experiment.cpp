@@ -15,12 +15,11 @@ std::string fmt(const char* format, double value) {
 }  // namespace
 
 HuntSpec hunt_spec_for_scenario(const analysis::ScenarioSpec& spec,
-                                FitnessKind fitness, StrategyKind strategy) {
+                                FitnessKind fitness) {
   HuntSpec hunt;
   hunt.algorithm = spec.algorithm;
   hunt.family = spec.family;
   hunt.fitness = fitness;
-  hunt.strategy = strategy;
   hunt.seed_plan.scheduler = spec.run.scheduler;
   hunt.seed_plan.adversary = spec.run.adversary;
   hunt.seed_plan.activation = spec.run.activation;
@@ -63,8 +62,7 @@ analysis::ExperimentResult run_adversarial_hunt(
       result.partial = true;
       break;
     }
-    HuntSpec hunt = hunt_spec_for_scenario(spec, fitness,
-                                           StrategyKind::kMuPlusLambda);
+    HuntSpec hunt = hunt_spec_for_scenario(spec, fitness);
     const std::string invalid = validate_hunt_spec(hunt);
     if (!invalid.empty()) {
       result.notes.push_back("hunt spec invalid for fitness " +

@@ -23,8 +23,7 @@ namespace lumen::search {
 /// scenario: seed plan from the spec's run template, N pinned to
 /// ns.front(), budgets scaled from spec.runs so --smoke stays tiny.
 [[nodiscard]] HuntSpec hunt_spec_for_scenario(const analysis::ScenarioSpec& spec,
-                                              FitnessKind fitness,
-                                              StrategyKind strategy);
+                                              FitnessKind fitness);
 
 /// The E13 body (exposed for direct testing).
 [[nodiscard]] analysis::ExperimentResult run_adversarial_hunt(

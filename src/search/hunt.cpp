@@ -118,7 +118,7 @@ void run_mu_plus_lambda(HuntResult& result, const HuntSpec& spec,
       };
       const Scored& parent = tournament();
       AdversaryPlan child = parent.evaluation.plan;
-      if (child_rng.bernoulli(spec.crossover_rate)) {
+      if (child_rng.bernoulli(0.5)) {  // Half the children get two parents.
         const Scored& other = tournament();
         child = crossover(child, other.evaluation.plan, child_rng);
       }
@@ -135,201 +135,16 @@ void run_mu_plus_lambda(HuntResult& result, const HuntSpec& spec,
   }
 }
 
-/// One bandit arm: a (scheduler-appropriate kind, fault emphasis) family.
-struct Arm {
-  sched::AdversaryKind adversary = sched::AdversaryKind::kUniform;
-  sched::ActivationKind activation = sched::ActivationKind::kRandomHalf;
-  /// 0 = schedule-only, 1 = crash, 2 = light, 3 = noise, 4 = mixed.
-  int emphasis = 0;
-  double total = 0.0;
-  std::size_t pulls = 0;
-  std::optional<Scored> best;
-
-  [[nodiscard]] double mean() const noexcept {
-    return pulls == 0 ? 0.0 : total / static_cast<double>(pulls);
-  }
-};
-
-void apply_arm_family(AdversaryPlan& plan, const Arm& arm, const HuntSpec& spec,
-                      util::Prng& rng) {
-  plan.adversary = arm.adversary;
-  plan.activation = arm.activation;
-  switch (arm.emphasis) {
-    case 0:
-      plan.fault = fault::FaultPlan{};
-      break;
-    case 1:
-      plan.fault.light = fault::LightCorruptionPlan{};
-      plan.fault.noise = fault::SensorNoisePlan{};
-      if (!plan.fault.crash.active()) {
-        randomize_crash_channel(plan.fault, spec.bounds, rng);
-      }
-      break;
-    case 2:
-      plan.fault.crash = fault::CrashPlan{};
-      plan.fault.noise = fault::SensorNoisePlan{};
-      if (!plan.fault.light.active()) {
-        randomize_light_channel(plan.fault, spec.bounds, rng);
-      }
-      break;
-    case 3:
-      plan.fault.crash = fault::CrashPlan{};
-      plan.fault.light = fault::LightCorruptionPlan{};
-      if (!plan.fault.noise.active()) {
-        randomize_noise_channel(plan.fault, spec.bounds, rng);
-      }
-      break;
-    default:
-      if (!plan.fault.any()) {
-        randomize_crash_channel(plan.fault, spec.bounds, rng);
-        randomize_light_channel(plan.fault, spec.bounds, rng);
-      }
-      break;
-  }
-  clamp_plan(plan, spec.bounds);
-}
-
-void run_bandit(HuntResult& result, const HuntSpec& spec,
-                util::ThreadPool& pool,
-                const analysis::CampaignControl& control) {
-  util::Prng rng(spec.hunt_seed);
-
-  // Arms: every scheduler-appropriate kind x fault emphasis. The kind
-  // dimension collapses to one entry for FSYNC (no timing/activation choice
-  // survives the engine there).
-  std::vector<Arm> arms;
-  const auto add_arms = [&](sched::AdversaryKind adversary,
-                            sched::ActivationKind activation) {
-    for (int emphasis = 0; emphasis < 5; ++emphasis) {
-      Arm arm;
-      arm.adversary = adversary;
-      arm.activation = activation;
-      arm.emphasis = emphasis;
-      arms.push_back(arm);
-    }
-  };
-  AdversaryPlan base = spec.seed_plan;
-  clamp_plan(base, spec.bounds);
-  switch (base.scheduler) {
-    case sim::SchedulerKind::kAsync:
-      for (const auto kind :
-           {sched::AdversaryKind::kUniform, sched::AdversaryKind::kBursty,
-            sched::AdversaryKind::kStallOne, sched::AdversaryKind::kLockstep}) {
-        add_arms(kind, base.activation);
-      }
-      break;
-    case sim::SchedulerKind::kSsync:
-      for (const auto kind :
-           {sched::ActivationKind::kRandomHalf, sched::ActivationKind::kSingleton,
-            sched::ActivationKind::kRandomSingle}) {
-        add_arms(base.adversary, kind);
-      }
-      break;
-    case sim::SchedulerKind::kFsync:
-      add_arms(base.adversary, sched::ActivationKind::kAll);
-      break;
-  }
-
-  std::vector<Scored> all_scored;  // Unused beyond best tracking; absorb needs it.
-  for (std::uint64_t round = 0; result.evaluations < spec.budget; ++round) {
-    util::Prng round_rng = rng.split("hunt-round").split(round);
-    const std::size_t remaining = spec.budget - result.evaluations;
-    const std::size_t pulls = std::min(spec.batch, remaining);
-
-    // Pick arms first (deterministic in the means observed so far), then
-    // build all candidate plans, then evaluate the whole batch.
-    std::vector<std::size_t> picked;
-    picked.reserve(pulls);
-    std::vector<char> pending(arms.size(), 0);
-    for (std::size_t k = 0; k < pulls; ++k) {
-      // Cold start: sweep every arm once before exploiting.
-      std::size_t choice = arms.size();
-      for (std::size_t i = 0; i < arms.size(); ++i) {
-        if (arms[i].pulls == 0 && pending[i] == 0) {
-          choice = i;
-          break;
-        }
-      }
-      if (choice == arms.size()) {
-        if (round_rng.bernoulli(spec.epsilon)) {
-          choice = round_rng.next_below(arms.size());
-        } else {
-          choice = 0;
-          for (std::size_t i = 1; i < arms.size(); ++i) {
-            if (arms[i].mean() > arms[choice].mean()) choice = i;
-          }
-        }
-      }
-      pending[choice] = 1;
-      picked.push_back(choice);
-    }
-
-    std::vector<AdversaryPlan> candidates;
-    candidates.reserve(picked.size());
-    for (std::size_t k = 0; k < picked.size(); ++k) {
-      util::Prng pick_rng = round_rng.split(static_cast<std::uint64_t>(k));
-      const Arm& arm = arms[picked[k]];
-      AdversaryPlan plan = arm.best.has_value()
-                               ? mutate(arm.best->evaluation.plan, spec.bounds,
-                                        pick_rng)
-                               : random_plan(base, spec.bounds, pick_rng);
-      apply_arm_family(plan, arm, spec, pick_rng);
-      candidates.push_back(plan);
-    }
-
-    const std::size_t first_order = result.history.size();
-    if (!absorb_batch(result, all_scored,
-                      evaluate_batch(spec, candidates, pool, control),
-                      control)) {
-      return;
-    }
-    for (std::size_t k = 0; k < candidates.size(); ++k) {
-      Arm& arm = arms[picked[k]];
-      const Evaluation& evaluation = result.history[first_order + k];
-      ++arm.pulls;
-      if (evaluation.failed) continue;
-      arm.total += evaluation.score;
-      Scored entry{evaluation, first_order + k};
-      if (!arm.best.has_value() || better(entry, *arm.best)) {
-        arm.best = std::move(entry);
-      }
-    }
-  }
-}
-
 }  // namespace
 
-std::string_view to_string(StrategyKind k) noexcept {
-  switch (k) {
-    case StrategyKind::kMuPlusLambda:
-      return "mu-lambda";
-    case StrategyKind::kBandit:
-      return "bandit";
-  }
-  return "mu-lambda";
-}
-
-std::optional<StrategyKind> strategy_from_string(std::string_view name) noexcept {
-  if (name == "mu-lambda") return StrategyKind::kMuPlusLambda;
-  if (name == "bandit") return StrategyKind::kBandit;
-  return std::nullopt;
-}
+std::string_view to_string(StrategyKind) noexcept { return "mu-lambda"; }
 
 std::string validate_hunt_spec(const HuntSpec& spec) {
   if (spec.budget < 1) return "budget must be >= 1";
   if (spec.population < 1) return "population must be >= 1";
   if (spec.offspring < 1) return "offspring must be >= 1";
-  if (spec.batch < 1) return "batch must be >= 1";
-  if (!(spec.epsilon >= 0.0 && spec.epsilon <= 1.0)) {
-    return "epsilon must be in [0, 1]";
-  }
-  if (!(spec.crossover_rate >= 0.0 && spec.crossover_rate <= 1.0)) {
-    return "crossover_rate must be in [0, 1]";
-  }
-  if (!(spec.keep_fraction > 0.0 && spec.keep_fraction <= 1.0)) {
-    return "keep_fraction must be in (0, 1]";
-  }
-  if (spec.bounds.n_min < 1) return "bounds.n_min must be >= 1";
+  // A swarm of one has no robot pair: its min-separation score is -inf.
+  if (spec.bounds.n_min < 2) return "bounds.n_min must be >= 2";
   if (spec.bounds.n_min > spec.bounds.n_max) {
     return "bounds.n_min must be <= bounds.n_max";
   }
@@ -398,14 +213,7 @@ HuntResult run_hunt(const HuntSpec& spec, util::ThreadPool* pool,
   if (!result.error.empty()) return result;
 
   util::ThreadPool& workers = pool != nullptr ? *pool : util::global_pool();
-  switch (spec.strategy) {
-    case StrategyKind::kMuPlusLambda:
-      run_mu_plus_lambda(result, spec, workers, control);
-      break;
-    case StrategyKind::kBandit:
-      run_bandit(result, spec, workers, control);
-      break;
-  }
+  run_mu_plus_lambda(result, spec, workers, control);
 
   if (result.best.has_value() && !result.stopped) {
     MinimizeOutcome minimized =

@@ -1,15 +1,15 @@
 // lumen_search: the hunt driver.
 //
-// A hunt is an optimization loop over AdversaryPlan space: a strategy
-// proposes batches of plans, the campaign layer evaluates each plan as one
-// deterministic single-cell campaign (the fitness oracle), and the best
-// plan found is handed to the shrinking minimizer (minimize.hpp). Plans are
-// proposed on the driver thread only; evaluations fan out over the shared
-// ThreadPool. Because every evaluation is a pure function of its plan and
-// batches are assembled before any evaluation starts, the whole trajectory
-// — every plan proposed, every score observed, the best and the minimized
-// plan — is bit-identical for any pool size, pinned by a golden digest in
-// tests/search_test.cpp.
+// A hunt is an optimization loop over AdversaryPlan space: a (μ+λ)
+// evolutionary loop proposes batches of plans, the campaign layer
+// evaluates each plan as one deterministic single-cell campaign (the
+// fitness oracle), and the best plan found is handed to the shrinking
+// minimizer (minimize.hpp). Plans are proposed on the driver thread only;
+// evaluations fan out over the shared ThreadPool. Because every evaluation
+// is a pure function of its plan and batches are assembled before any
+// evaluation starts, the whole trajectory — every plan proposed, every
+// score observed, the best and the minimized plan — is bit-identical for
+// any pool size, pinned by a golden digest in tests/search_test.cpp.
 //
 // Evaluations reuse the campaign resilience hooks verbatim: pass a
 // CampaignControl with a journal and resume snapshot and a killed hunt
@@ -29,16 +29,13 @@
 
 namespace lumen::search {
 
+/// The search strategy. (μ+λ) is the only one; the enum stays so the hunt
+/// summary and emitted scenario names keep their "mu-lambda" tag.
 enum class StrategyKind {
   kMuPlusLambda,  ///< (μ+λ) evolutionary loop: mutate/cross the elite.
-  kBandit,        ///< Epsilon-greedy bandit over plan families.
 };
 
 [[nodiscard]] std::string_view to_string(StrategyKind k) noexcept;
-
-/// Exact-name inverse ("mu-lambda" / "bandit"); nullopt for unknown names.
-[[nodiscard]] std::optional<StrategyKind> strategy_from_string(
-    std::string_view name) noexcept;
 
 struct HuntSpec {
   std::string algorithm = "async-log";
@@ -54,16 +51,12 @@ struct HuntSpec {
   std::size_t budget = 256;
   std::size_t population = 8;   ///< μ — survivors per generation.
   std::size_t offspring = 16;   ///< λ — children per generation.
-  double crossover_rate = 0.5;  ///< P(child gets two parents).
-  double epsilon = 0.25;        ///< Bandit exploration probability.
-  std::size_t batch = 16;       ///< Bandit arm pulls per round.
   /// Evaluation-cell knobs (mirrors CampaignSpec).
   double min_separation = 1e-3;
   double collision_tolerance = 0.0;
   std::size_t max_cycles_per_robot = 256;
-  /// Minimizer knobs (see minimize.hpp).
+  /// Minimizer evaluation budget (see minimize.hpp).
   std::size_t minimize_budget = 96;
-  double keep_fraction = 1.0;
 };
 
 /// Everything the hunt validator checks beyond what the campaign validator
@@ -115,13 +108,13 @@ struct HuntResult {
 
 /// Evaluates a pre-assembled batch over the pool, index-addressed — the
 /// result is identical for any pool size (E13's uniform-sampling baseline
-/// and the strategies both ride this). nullptr pool -> util::global_pool().
+/// and the hunt loop both ride this). nullptr pool -> util::global_pool().
 [[nodiscard]] std::vector<Evaluation> evaluate_plans(
     const HuntSpec& spec, const std::vector<AdversaryPlan>& plans,
     util::ThreadPool* pool = nullptr,
     const analysis::CampaignControl& control = {});
 
-/// Runs the full hunt: strategy loop, then minimization of the winner.
+/// Runs the full hunt: the (μ+λ) loop, then minimization of the winner.
 /// nullptr pool -> util::global_pool(). Control hooks work exactly as in
 /// run_campaign (journal / resume / cooperative stop).
 [[nodiscard]] HuntResult run_hunt(const HuntSpec& spec,

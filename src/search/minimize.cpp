@@ -1,7 +1,6 @@
 #include "search/minimize.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 namespace lumen::search {
@@ -10,13 +9,6 @@ namespace {
 bool stop_requested(const analysis::CampaignControl& control) {
   return control.stop != nullptr &&
          control.stop->load(std::memory_order_relaxed);
-}
-
-/// Acceptance threshold: keep_fraction == 1 demands the exact score; lower
-/// fractions concede that much of the winner's magnitude (works for
-/// negative scores too — min-separation fitness lives below zero).
-double threshold_for(double score, double keep_fraction) {
-  return score - (1.0 - keep_fraction) * std::fabs(score);
 }
 
 /// The reduction operators, in the order tried within one sweep. Each
@@ -171,8 +163,6 @@ MinimizeOutcome minimize_plan(const HuntSpec& spec, const Evaluation& winner,
   MinimizeOutcome outcome;
   outcome.evaluation = winner;
   if (winner.failed) return outcome;
-  const double threshold =
-      threshold_for(winner.score, spec.keep_fraction);
   const int target_rank = outcome_rank(winner.metrics.outcome);
 
   bool improved = true;
@@ -196,7 +186,7 @@ MinimizeOutcome minimize_plan(const HuntSpec& spec, const Evaluation& winner,
         const bool keeps_class =
             !trial.failed &&
             outcome_rank(trial.metrics.outcome) == target_rank;
-        if (keeps_class && trial.score >= threshold) {
+        if (keeps_class && trial.score >= winner.score) {
           outcome.evaluation = std::move(trial);
           ++outcome.accepted;
           improved = true;

@@ -7,12 +7,12 @@
 // drop individual crash instants, disable whole fault channels, halve
 // rates, canonicalize the adversary kinds — re-evaluating each candidate
 // and keeping it only when the badness survives: the outcome class must be
-// preserved exactly and the score must stay within the spec's
-// keep_fraction of the winner's. Passes repeat until a full sweep accepts
-// nothing (a 1-minimal plan w.r.t. the operator set) or the evaluation
-// budget runs out. Everything is driver-thread sequential and seeded by
-// nothing: the trajectory is a pure function of (spec, winner), so
-// minimization is as deterministic as the runs underneath.
+// preserved exactly and the score must not fall below the winner's.
+// Passes repeat until a full sweep accepts nothing (a 1-minimal plan
+// w.r.t. the operator set) or the evaluation budget runs out. Everything
+// is driver-thread sequential and seeded by nothing: the trajectory is a
+// pure function of (spec, winner), so minimization is as deterministic as
+// the runs underneath.
 #pragma once
 
 #include "search/hunt.hpp"
@@ -29,9 +29,9 @@ struct MinimizeOutcome {
   std::size_t accepted = 0;     ///< Candidates that preserved the badness.
 };
 
-/// Shrinks `winner` under spec.keep_fraction within spec.minimize_budget
-/// evaluations. The control hooks work as in run_hunt (journal / resume /
-/// cooperative stop; a stopped minimization returns the best-so-far).
+/// Shrinks `winner` within spec.minimize_budget evaluations. The control
+/// hooks work as in run_hunt (journal / resume / cooperative stop; a
+/// stopped minimization returns the best-so-far).
 [[nodiscard]] MinimizeOutcome minimize_plan(
     const HuntSpec& spec, const Evaluation& winner, util::ThreadPool* pool,
     const analysis::CampaignControl& control = {});

@@ -107,12 +107,6 @@ AdversaryPlan random_plan(const AdversaryPlan& base, const PlanBounds& bounds,
                           util::Prng& rng) {
   AdversaryPlan plan;
   plan.scheduler = base.scheduler;
-  if (bounds.mutate_scheduler) {
-    constexpr std::array<sim::SchedulerKind, 3> kSchedulers = {
-        sim::SchedulerKind::kFsync, sim::SchedulerKind::kSsync,
-        sim::SchedulerKind::kAsync};
-    plan.scheduler = kSchedulers[rng.next_below(kSchedulers.size())];
-  }
   plan.adversary = kAdversaries[rng.next_below(kAdversaries.size())];
   plan.activation = kActivations[rng.next_below(kActivations.size())];
   plan.n = bounds.n_min +
@@ -229,21 +223,6 @@ AdversaryPlan mutate(const AdversaryPlan& plan, const PlanBounds& bounds,
   }
   clamp_plan(out, bounds);
   return out;
-}
-
-void randomize_crash_channel(fault::FaultPlan& fault, const PlanBounds& bounds,
-                             util::Prng& rng) {
-  random_crash(fault.crash, bounds, rng);
-}
-
-void randomize_light_channel(fault::FaultPlan& fault, const PlanBounds& bounds,
-                             util::Prng& rng) {
-  random_light(fault.light, bounds, rng);
-}
-
-void randomize_noise_channel(fault::FaultPlan& fault, const PlanBounds& bounds,
-                             util::Prng& rng) {
-  random_noise(fault.noise, bounds, rng);
 }
 
 AdversaryPlan crossover(const AdversaryPlan& a, const AdversaryPlan& b,

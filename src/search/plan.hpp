@@ -43,7 +43,9 @@ struct AdversaryPlan {
 
 /// The mutation domain: every operator clamps back into these ranges, so a
 /// hunt can never wander into sizes or fault rates the budget (or the spec
-/// validator) would reject.
+/// validator) would reject. No operator changes plan.scheduler — a hunt
+/// compares like with like (epoch counts mean different things under
+/// different schedulers); the adversary/activation KINDS do mutate.
 struct PlanBounds {
   std::size_t n_min = 8;
   std::size_t n_max = 48;
@@ -54,19 +56,15 @@ struct PlanBounds {
   double light_probability_max = 0.3;
   double noise_sigma_max = 0.05;
   double noise_dropout_max = 0.2;
-  /// When false (the default) mutation never changes plan.scheduler — a
-  /// hunt compares like with like (epoch counts mean different things under
-  /// different schedulers). The adversary/activation KINDS always mutate.
-  bool mutate_scheduler = false;
 };
 
 /// Clamps every searched field into `bounds` (and the [0, 1] probability
 /// domains). Idempotent; mutation/crossover call it on their results.
 void clamp_plan(AdversaryPlan& plan, const PlanBounds& bounds);
 
-/// A fresh random plan around `base` (scheduler kept from base unless
-/// bounds.mutate_scheduler): random kinds, size, seed, and each fault
-/// channel enabled with probability 1/2. Deterministic in rng state.
+/// A fresh random plan around `base` (scheduler kept from base): random
+/// kinds, size, seed, and each fault channel enabled with probability 1/2.
+/// Deterministic in rng state.
 [[nodiscard]] AdversaryPlan random_plan(const AdversaryPlan& base,
                                         const PlanBounds& bounds,
                                         util::Prng& rng);
@@ -80,16 +78,6 @@ void clamp_plan(AdversaryPlan& plan, const PlanBounds& bounds);
 /// inherited from one parent each. Deterministic in (parents, rng).
 [[nodiscard]] AdversaryPlan crossover(const AdversaryPlan& a,
                                       const AdversaryPlan& b, util::Prng& rng);
-
-/// Per-channel randomizers (the bandit strategy uses them to force a plan
-/// into an arm's fault emphasis). Each draws fresh in-bounds parameters
-/// that leave the channel active. Deterministic in rng state.
-void randomize_crash_channel(fault::FaultPlan& fault, const PlanBounds& bounds,
-                             util::Prng& rng);
-void randomize_light_channel(fault::FaultPlan& fault, const PlanBounds& bounds,
-                             util::Prng& rng);
-void randomize_noise_channel(fault::FaultPlan& fault, const PlanBounds& bounds,
-                             util::Prng& rng);
 
 /// Deterministic JSON form (fixed key order; the fault object always
 /// present). Round-trips byte-identically through adversary_plan_from_json,

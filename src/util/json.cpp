@@ -102,6 +102,7 @@ std::string json_escape(std::string_view s) {
 namespace {
 
 std::string number_text(const JsonValue& v) {
+  if (!std::isfinite(v.as_double())) return "null";
   char buf[64];
   if (v.is_integer()) {
     std::snprintf(buf, sizeof buf, "%" PRId64, v.as_int());

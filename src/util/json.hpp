@@ -82,7 +82,9 @@ class JsonValue {
                                                   std::string* error = nullptr);
 
 /// Serializes deterministically. indent > 0 pretty-prints with that many
-/// spaces per level; indent == 0 emits the compact one-line form.
+/// spaces per level; indent == 0 emits the compact one-line form. A
+/// non-finite number has no JSON literal and is written as null, as
+/// JSON.stringify does; readers that allow it map null back themselves.
 [[nodiscard]] std::string json_write(const JsonValue& v, int indent = 2);
 
 /// Escapes a string for embedding inside JSON quotes (no surrounding quotes).

@@ -17,7 +17,6 @@ namespace lumen::util {
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }

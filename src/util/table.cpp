@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
 namespace lumen::util {
@@ -104,13 +103,6 @@ void Table::write_csv(std::ostream& os) const {
     }
     os << '\n';
   }
-}
-
-bool Table::save_csv(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  write_csv(f);
-  return static_cast<bool>(f);
 }
 
 }  // namespace lumen::util

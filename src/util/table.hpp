@@ -35,9 +35,6 @@ class Table {
   /// Renders as RFC-4180-ish CSV (quotes cells containing commas/quotes).
   void write_csv(std::ostream& os) const;
 
-  /// Convenience: writes CSV to a file path; returns false on I/O failure.
-  bool save_csv(const std::string& path) const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -264,6 +265,39 @@ TEST(Journal, ShardsResumeFromUnshardedJournal) {
     SCOPED_TRACE(merged[i].seed);
     EXPECT_EQ(merged[i], whole.runs[i]);
   }
+}
+
+// An audited swarm of one has no robot pair, so its min_observed_separation
+// is +inf. JSON has no literal for it: the journal writes null and reads it
+// back as +inf, so the cell reloads and resumes byte-identically.
+TEST(Journal, AuditedSingleRobotCellResumesByteIdentically) {
+  const std::string path = temp_path("single_robot.jsonl");
+  std::remove(path.c_str());
+  CampaignSpec spec = small_spec();
+  spec.n = 1;
+  spec.runs = 1;
+  spec.audit_collisions = true;
+  const CampaignResult uninterrupted = run_campaign(spec);
+  ASSERT_EQ(uninterrupted.runs.size(), 1u);
+  ASSERT_EQ(uninterrupted.runs.front().min_observed_separation,
+            std::numeric_limits<double>::infinity());
+  {
+    CampaignJournal journal(path);
+    ASSERT_TRUE(journal.ok());
+    CampaignControl control;
+    control.journal = &journal;
+    (void)run_campaign(spec, nullptr, control);
+  }
+  const auto loaded = load_journal(path);
+  ASSERT_TRUE(loaded.snapshot.has_value()) << loaded.error;
+  ASSERT_EQ(loaded.snapshot->cell_count(), 1u);
+  CampaignControl control;
+  control.resume = &*loaded.snapshot;
+  const CampaignResult resumed = run_campaign(spec, nullptr, control);
+  EXPECT_EQ(resumed.cells_resumed, 1u);
+  EXPECT_EQ(resumed.runs, uninterrupted.runs);
+  EXPECT_EQ(campaign_result_to_json(resumed),
+            campaign_result_to_json(uninterrupted));
 }
 
 // ---------------------------------------------------------------------------

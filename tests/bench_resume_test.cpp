@@ -1,18 +1,21 @@
 // End-to-end resume tests over the REAL lumen-bench binary (path injected
 // as LUMEN_BENCH_BIN): a journal torn by a kill mid-append resumes (twice),
 // lumen-bench names the dropped record, every resumed report is byte-identical
-// to the uninterrupted one, and `run` and `hunt`, which share the
-// --out/--resume/--journal plumbing, reject the same unusable paths.
+// to the uninterrupted one, `run` and `hunt`, which share the
+// --out/--resume/--journal plumbing, reject the same unusable paths, and
+// `hunt` rejects a swarm of one and the flags of its deleted bandit strategy.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -126,5 +129,32 @@ INSTANTIATE_TEST_SUITE_P(Verbs, BenchPlumbing, testing::Values("run", "hunt"),
                          [](const testing::TestParamInfo<std::string>& param) {
                            return param.param;
                          });
+
+// Each (flag, message) pair must exit 2 naming the problem: a swarm of one
+// has no robot pair to hunt, and the deleted bandit strategy's flags are
+// unknown.
+struct HuntUsageError
+    : testing::TestWithParam<std::pair<std::string, std::string>> {};
+
+TEST_P(HuntUsageError, ExitsTwoNamingTheFlag) {
+  expect_usage_error(" hunt --smoke --seed=5", GetParam().first,
+                     GetParam().second);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Hunt, HuntUsageError,
+    testing::Values(
+        std::pair{"--n=1", "bounds.n_min must be >= 2"},
+        std::pair{"--strategy=bandit", "unknown flag --strategy"},
+        std::pair{"--epsilon=0.1", "unknown flag --epsilon"},
+        std::pair{"--batch=4", "unknown flag --batch"},
+        std::pair{"--crossover-rate=0.5", "unknown flag --crossover-rate"},
+        std::pair{"--keep-fraction=1", "unknown flag --keep-fraction"}),
+    [](const auto& param) {
+      const std::string& flag = param.param.first;
+      std::string name = flag.substr(2, flag.find('=') - 2);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace

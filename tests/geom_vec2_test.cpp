@@ -1,10 +1,9 @@
-// Vec2 value-type tests: arithmetic identities, norms, rotations,
+// Vec2 value-type tests: arithmetic identities, norms, interpolation,
 // comparisons.
 #include "geom/vec2.hpp"
 
 #include <gtest/gtest.h>
 
-#include <numbers>
 #include <sstream>
 
 #include "util/prng.hpp"
@@ -67,31 +66,11 @@ TEST(Vec2, Lerp) {
   EXPECT_EQ(lerp(a, b, 0.5), (Vec2{5, 10}));
 }
 
-TEST(Vec2, RotationPreservesNormAndComposes) {
-  util::Prng rng{5};
-  for (int i = 0; i < 100; ++i) {
-    const Vec2 v{rng.uniform(-5, 5), rng.uniform(-5, 5)};
-    const double angle = rng.uniform(0, 2 * std::numbers::pi);
-    const Vec2 r = rotated(v, angle);
-    EXPECT_NEAR(norm(r), norm(v), 1e-12);
-    // Rotating back recovers the original.
-    const Vec2 back = rotated(r, -angle);
-    EXPECT_TRUE(almost_equal(back, v, 1e-9));
-  }
-  EXPECT_TRUE(almost_equal(rotated({1, 0}, std::numbers::pi / 2), {0, 1}, 1e-15));
-}
-
 TEST(Vec2, LexicographicOrdering) {
   EXPECT_LT((Vec2{1, 5}), (Vec2{2, 0}));
   EXPECT_LT((Vec2{1, 1}), (Vec2{1, 2}));
   EXPECT_EQ((Vec2{1, 1}), (Vec2{1, 1}));
   EXPECT_NE((Vec2{1, 1}), (Vec2{1, 1.0000001}));
-}
-
-TEST(Vec2, AlmostEqualTolerance) {
-  EXPECT_TRUE(almost_equal({1, 1}, {1 + 1e-13, 1 - 1e-13}));
-  EXPECT_FALSE(almost_equal({1, 1}, {1.1, 1}));
-  EXPECT_TRUE(almost_equal({1, 1}, {1.05, 1}, 0.1));
 }
 
 TEST(Vec2, StreamOutput) {

@@ -1,8 +1,8 @@
 // The adversarial search subsystem (src/search): genome serialization and
 // operator determinism, hunt-trajectory bit-identity across repeats and
-// pool sizes (pinned by a golden digest), the bandit strategy, the
-// shrinking minimizer's contract, regression-scenario round-trip/replay,
-// and the E13 external registration hook.
+// pool sizes (pinned by a golden digest), the shrinking minimizer's
+// contract, regression-scenario round-trip/replay, and the E13 external
+// registration hook.
 #include "search/experiment.hpp"
 #include "search/hunt.hpp"
 #include "search/minimize.hpp"
@@ -20,11 +20,9 @@ namespace {
 
 // A hunt small enough for a unit test but big enough to exercise every
 // stage: several (mu+lambda) generations plus a minimization pass.
-HuntSpec tiny_spec(FitnessKind fitness = FitnessKind::kEpochs,
-                   StrategyKind strategy = StrategyKind::kMuPlusLambda) {
+HuntSpec tiny_spec(FitnessKind fitness = FitnessKind::kEpochs) {
   HuntSpec spec;
   spec.fitness = fitness;
-  spec.strategy = strategy;
   spec.hunt_seed = 7;
   spec.seed_plan.n = 8;
   spec.bounds.n_min = 6;
@@ -32,7 +30,6 @@ HuntSpec tiny_spec(FitnessKind fitness = FitnessKind::kEpochs,
   spec.budget = 10;
   spec.population = 2;
   spec.offspring = 4;
-  spec.batch = 4;
   spec.minimize_budget = 8;
   spec.max_cycles_per_robot = 96;
   return spec;
@@ -133,7 +130,7 @@ TEST(AdversaryPlan, MutationStaysInsideBounds) {
     ASSERT_LE(plan.fault.light.probability, bounds.light_probability_max);
     ASSERT_LE(plan.fault.noise.sigma, bounds.noise_sigma_max);
     ASSERT_LE(plan.fault.noise.dropout, bounds.noise_dropout_max);
-    // The scheduler never mutates unless the bounds opt in.
+    // The scheduler never mutates.
     ASSERT_EQ(plan.scheduler, sim::SchedulerKind::kAsync);
   }
 }
@@ -188,25 +185,15 @@ TEST(Hunt, GoldenDigestPinned) {
       << std::hex << hunt_digest(result);
 }
 
-TEST(Hunt, BanditStrategyIsDeterministicAndFindsABest) {
-  const HuntSpec spec =
-      tiny_spec(FitnessKind::kOutcome, StrategyKind::kBandit);
-  const HuntResult a = run_hunt(spec);
-  const HuntResult b = run_hunt(spec);
-  EXPECT_EQ(hunt_digest(a), hunt_digest(b));
-  ASSERT_TRUE(a.best.has_value());
-  EXPECT_GE(a.evaluations, spec.budget / 2);
-}
-
 TEST(Hunt, ValidatorRejectsBadSpecs) {
   HuntSpec spec = tiny_spec();
   spec.budget = 0;
   EXPECT_FALSE(validate_hunt_spec(spec).empty());
   spec = tiny_spec();
-  spec.epsilon = 1.5;
+  spec.offspring = 0;
   EXPECT_FALSE(validate_hunt_spec(spec).empty());
   spec = tiny_spec();
-  spec.keep_fraction = 0.0;
+  spec.bounds.n_min = 1;  // A swarm of one has no pair to hunt.
   EXPECT_FALSE(validate_hunt_spec(spec).empty());
   spec = tiny_spec();
   spec.bounds.n_min = 12;
@@ -228,8 +215,7 @@ TEST(Minimize, PreservesTheOutcomeClassAndTheScoreFloor) {
   ASSERT_TRUE(result.minimized.has_value());
   EXPECT_EQ(outcome_rank(result.minimized->metrics.outcome),
             outcome_rank(result.best->metrics.outcome));
-  // keep_fraction defaults to 1: a shrink step is only accepted when it
-  // keeps the full score.
+  // A shrink step is only accepted when it keeps the full score.
   EXPECT_GE(result.minimized->score, result.best->score);
   // The minimized plan is never larger than the winner.
   EXPECT_LE(result.minimized->plan.n, result.best->plan.n);

@@ -33,35 +33,6 @@ TEST(RunningStats, MatchesDirectFormulas) {
   EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  Prng rng{3};
-  RunningStats all, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal() * 3.0 + 1.0;
-    all.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  const double mean_before = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean_before);
-  RunningStats b;
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), mean_before);
-  EXPECT_EQ(b.count(), 2u);
-}
-
 TEST(Percentile, LinearInterpolation) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 
 namespace lumen::util {
@@ -68,24 +67,6 @@ TEST(Table, CellBeforeRowStartsARow) {
   std::ostringstream os;
   t.write_csv(os);
   EXPECT_EQ(os.str(), "x\nimplicit\n");
-}
-
-TEST(Table, SaveCsvRoundTrip) {
-  Table t({"n", "epochs"});
-  t.row().cell(std::size_t{8}).cell(3.5, 1);
-  const std::string path = ::testing::TempDir() + "/lumen_table_test.csv";
-  ASSERT_TRUE(t.save_csv(path));
-  std::ifstream f(path);
-  std::string line;
-  std::getline(f, line);
-  EXPECT_EQ(line, "n,epochs");
-  std::getline(f, line);
-  EXPECT_EQ(line, "8,3.5");
-}
-
-TEST(Table, SaveCsvFailsOnBadPath) {
-  Table t({"x"});
-  EXPECT_FALSE(t.save_csv("/nonexistent-dir-xyz/file.csv"));
 }
 
 }  // namespace
