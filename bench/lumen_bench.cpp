@@ -278,29 +278,22 @@ bool apply_overrides(const util::Cli& cli, analysis::ScenarioSpec& spec,
   };
   if (!int_list("ns", spec.ns)) return false;
   if (!int_list("baseline-ns", spec.baseline_ns)) return false;
+  // Integer flags are only sign-checked before their unsigned casts; the
+  // range rules are validate_scenario's, applied to the resolved spec.
+  const auto non_negative = [&](std::string_view flag) {
+    if (cli.get_int(flag) >= 0) return true;
+    error = std::string("--") + std::string(flag) + " must be non-negative";
+    return false;
+  };
   if (cli.is_set("runs")) {
-    if (cli.get_int("runs") <= 0) {
-      error = "--runs must be positive";
-      return false;
-    }
+    if (!non_negative("runs")) return false;
     spec.runs = static_cast<std::size_t>(cli.get_int("runs"));
   }
   if (cli.is_set("seed-base")) {
+    if (!non_negative("seed-base")) return false;
     spec.seed_base = static_cast<std::uint64_t>(cli.get_int("seed-base"));
   }
-  if (cli.is_set("algorithm")) {
-    // Same up-front rejection as the ScenarioSpec JSON parser: a typo must
-    // fail here with the valid-name list, not surface later as an empty
-    // campaign full of kSpecInvalid cells.
-    const auto names = core::algorithm_names();
-    if (std::find(names.begin(), names.end(), cli.get("algorithm")) ==
-        names.end()) {
-      error = "--algorithm: unknown algorithm \"" + cli.get("algorithm") +
-              "\"; valid: " + core::algorithm_names_joined();
-      return false;
-    }
-    spec.algorithm = cli.get("algorithm");
-  }
+  if (cli.is_set("algorithm")) spec.algorithm = cli.get("algorithm");
   if (cli.is_set("family")) {
     const auto family = gen::family_from_string(cli.get("family"));
     if (!family) {
@@ -317,32 +310,23 @@ bool apply_overrides(const util::Cli& cli, analysis::ScenarioSpec& spec,
                            ? std::nullopt
                            : util::parse_int_list(shard.substr(slash + 1));
     if (!index || !count || index->size() != 1 || count->size() != 1 ||
-        (*index)[0] < 0 || (*count)[0] <= 0 || (*index)[0] >= (*count)[0]) {
-      error = "--shard must be I/K with 0 <= I < K";
+        (*index)[0] < 0 || (*count)[0] < 0) {
+      error = "--shard must be I/K with non-negative integers I and K";
       return false;
     }
     spec.shard_index = static_cast<std::size_t>((*index)[0]);
     spec.shard_count = static_cast<std::size_t>((*count)[0]);
   }
   if (cli.is_set("deadline-ms")) {
-    if (cli.get_int("deadline-ms") < 0) {
-      error = "--deadline-ms must be non-negative";
-      return false;
-    }
+    if (!non_negative("deadline-ms")) return false;
     spec.run.deadline_ms = static_cast<std::uint64_t>(cli.get_int("deadline-ms"));
   }
   if (cli.is_set("max-attempts")) {
-    if (cli.get_int("max-attempts") <= 0) {
-      error = "--max-attempts must be positive";
-      return false;
-    }
+    if (!non_negative("max-attempts")) return false;
     spec.max_attempts = static_cast<std::size_t>(cli.get_int("max-attempts"));
   }
   if (cli.is_set("retry-backoff-ms")) {
-    if (cli.get_int("retry-backoff-ms") < 0) {
-      error = "--retry-backoff-ms must be non-negative";
-      return false;
-    }
+    if (!non_negative("retry-backoff-ms")) return false;
     spec.retry_backoff_ms =
         static_cast<std::uint64_t>(cli.get_int("retry-backoff-ms"));
   }
@@ -482,6 +466,11 @@ int cmd_run(const std::vector<std::string>& raw_args) {
       return 2;
     }
     if (smoke) spec = smoke_spec(spec);
+    if (const std::string problem = analysis::validate_scenario(spec);
+        !problem.empty()) {
+      std::cerr << "error: " << problem << "\n";
+      return 2;
+    }
     if (cli.is_set("save-spec") &&
         !analysis::save_scenario(spec, cli.get("save-spec"))) {
       std::cerr << "error: cannot write --save-spec file "
@@ -564,17 +553,7 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
   }
 
   search::HuntSpec base;
-  {
-    const auto names = core::algorithm_names();
-    if (std::find(names.begin(), names.end(), cli.get("algorithm")) ==
-        names.end()) {
-      std::cerr << "error: --algorithm: unknown algorithm \""
-                << cli.get("algorithm")
-                << "\"; valid: " << core::algorithm_names_joined() << "\n";
-      return 2;
-    }
-    base.algorithm = cli.get("algorithm");
-  }
+  base.algorithm = cli.get("algorithm");
   if (cli.is_set("family")) {
     const auto family = gen::family_from_string(cli.get("family"));
     if (!family) {

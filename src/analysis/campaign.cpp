@@ -2,6 +2,7 @@
 
 #include "analysis/journal.hpp"
 #include "core/registry.hpp"
+#include "fault/plan.hpp"
 #include "util/prng.hpp"
 #include "sim/look_arena.hpp"
 #include "sim/monitors.hpp"
@@ -66,23 +67,9 @@ std::string validate_campaign_spec(const CampaignSpec& spec) {
       !std::isfinite(spec.run.nonrigid_min_progress)) {
     return "run.nonrigid_min_progress must be a finite number >= 0";
   }
-  const fault::FaultPlan& fault = spec.run.fault;
-  if (!(fault.crash.rate >= 0.0 && fault.crash.rate <= 1.0)) {
-    return "run.fault.crash.rate must be in [0, 1]";
-  }
-  for (const double t : fault.crash.times) {
-    if (!(t >= 0.0) || !std::isfinite(t)) {
-      return "run.fault.crash.times must be finite and non-negative";
-    }
-  }
-  if (!(fault.light.probability >= 0.0 && fault.light.probability <= 1.0)) {
-    return "run.fault.light.probability must be in [0, 1]";
-  }
-  if (!(fault.noise.sigma >= 0.0) || !std::isfinite(fault.noise.sigma)) {
-    return "run.fault.noise.sigma must be a finite number >= 0";
-  }
-  if (!(fault.noise.dropout >= 0.0 && fault.noise.dropout <= 1.0)) {
-    return "run.fault.noise.dropout must be in [0, 1]";
+  if (const std::string problem = fault::validate_fault_plan(spec.run.fault);
+      !problem.empty()) {
+    return "run.fault." + problem;
   }
   return "";
 }
@@ -277,14 +264,8 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
     // the next instead of being reallocated at every engine reset. Results
     // are bit-identical with or without the shared arena (see run.hpp).
     config.arena = arena;
-    // Fault-injected audited runs swap the bare collision monitor for the
-    // attributing SafetyMonitor; on fault-free runs both produce identical
-    // reports, so the plain monitor keeps the historical hot path.
-    const bool attribute_faults = spec.audit_collisions && spec.run.fault.any();
     sim::StreamingCollisionMonitor monitor(spec.collision_tolerance);
-    sim::SafetyMonitor safety(spec.collision_tolerance);
-    sim::RunObserver* observers[] = {
-        attribute_faults ? static_cast<sim::RunObserver*>(&safety) : &monitor};
+    sim::RunObserver* observers[] = {&monitor};
     const auto run =
         spec.audit_collisions
             ? sim::run_simulation(*algorithm, initial, config, observers)
@@ -317,15 +298,14 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
                             &workers)
             .satisfied;
     if (spec.audit_collisions) {
-      const sim::CollisionReport& report =
-          attribute_faults ? safety.report() : monitor.report();
+      const sim::CollisionReport& report = monitor.report();
       m.collision_free = report.hazard_free(1e-9);
       m.min_observed_separation = report.min_separation;
       m.path_crossings = report.path_crossings;
       m.position_collisions = report.position_collisions;
       if (report.position_collisions > 0) {
         m.outcome = sim::RunOutcome::kCollision;
-        if (attribute_faults) m.collision_channel = safety.dominant_channel();
+        m.collision_channel = monitor.dominant_channel();
       }
       if (spec.abort_on_collision && report.position_collisions > 0) {
         return {std::nullopt,

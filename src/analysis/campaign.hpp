@@ -98,12 +98,14 @@ struct CampaignError {
   friend bool operator==(const CampaignError&, const CampaignError&) = default;
 };
 
-/// Checks every field domain the JSON loaders check, plus the constraints
-/// only the campaign layer knows (n >= 1, max_attempts >= 1, fault rates in
-/// [0, 1], known algorithm name). Returns the first problem as a
-/// field-naming message, or an empty string when the spec is valid.
-/// run_campaign records the message as a kSpecInvalid CampaignError instead
-/// of running anything.
+/// The one home of the campaign's range rules: known algorithm name, n,
+/// runs, shard_count and max_attempts >= 1, shard_index < shard_count,
+/// min_separation > 0, collision_tolerance >= 0, the run's cycle cap and
+/// non-rigid progress, and fault::validate_fault_plan. The JSON loaders
+/// check only types, enum names and signs, then call this. Returns the
+/// first problem as a field-naming message, or an empty string when the
+/// spec is valid. run_campaign records the message as a kSpecInvalid
+/// CampaignError instead of running anything.
 [[nodiscard]] std::string validate_campaign_spec(const CampaignSpec& spec);
 
 /// The delay before retry attempt `failed_attempts + 1` of a cell: base
@@ -143,7 +145,7 @@ struct RunMetrics {
   sim::RunOutcome outcome = sim::RunOutcome::kBudgetExhausted;
   /// Per-channel injected-fault totals for this run.
   fault::FaultCounters faults;
-  /// The fault channel the safety monitor blames for the run's collision
+  /// The fault channel the collision monitor blames for the run's collision
   /// incidents (kNone when incident-free or unaudited).
   fault::FaultChannel collision_channel = fault::FaultChannel::kNone;
   /// Visibility-cache hit mix for this run (RunResult::cache_*): Looks

@@ -689,7 +689,8 @@ ExperimentResult run_crash_tolerance(const ScenarioSpec& spec,
 // the beacon handshake's mutual-exclusion argument — the experiment
 // measures how quickly position collisions appear as the per-read
 // corruption probability grows, with incidents attributed by the
-// SafetyMonitor.
+// streaming collision monitor. The report notes keep calling it the
+// SafetyMonitor, so their bytes stay unchanged.
 
 ExperimentResult run_light_corruption(const ScenarioSpec& spec,
                                       const ExperimentContext& ctx) {

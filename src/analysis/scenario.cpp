@@ -1,10 +1,8 @@
 #include "analysis/scenario.hpp"
 
-#include "core/registry.hpp"
 #include "sim/config_io.hpp"
 #include "util/json.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -42,23 +40,9 @@ bool read_size_array(const util::JsonValue& v, std::vector<std::size_t>& out,
 
 }  // namespace
 
-CampaignSpec ScenarioSpec::campaign(std::size_t n) const {
-  CampaignSpec spec;
-  spec.algorithm = algorithm;
-  spec.run = run;
-  spec.family = family;
-  spec.n = n;
-  spec.runs = runs;
-  spec.seed_base = seed_base;
-  spec.min_separation = min_separation;
-  spec.audit_collisions = audit_collisions;
-  spec.collision_tolerance = collision_tolerance;
-  spec.shard_index = shard_index;
-  spec.shard_count = shard_count;
-  spec.max_attempts = max_attempts;
-  spec.retry_backoff_ms = retry_backoff_ms;
-  spec.abort_on_collision = abort_on_collision;
-  return spec;
+std::string validate_scenario(const ScenarioSpec& spec) {
+  if (spec.ns.empty()) return "ns must not be empty";
+  return validate_campaign_spec(spec.campaign(spec.ns.front()));
 }
 
 std::string scenario_to_json(const ScenarioSpec& spec) {
@@ -117,18 +101,8 @@ ScenarioParse scenario_from_json(std::string_view text) {
         return out;
       }
     } else if (key == "algorithm") {
-      if (!value.is_string() || value.as_string().empty()) {
-        out.error = "algorithm must be a non-empty string";
-        return out;
-      }
-      // Registry check at the parse boundary: an unknown name must fail
-      // HERE with the valid list, not later as an exception from
-      // make_algorithm inside a campaign worker thread.
-      const auto names = core::algorithm_names();
-      if (std::find(names.begin(), names.end(), value.as_string()) ==
-          names.end()) {
-        out.error = "algorithm: unknown algorithm \"" + value.as_string() +
-                    "\"; valid: " + core::algorithm_names_joined();
+      if (!value.is_string()) {
+        out.error = "algorithm must be a string";
         return out;
       }
       spec.algorithm = value.as_string();
@@ -148,8 +122,8 @@ ScenarioParse scenario_from_json(std::string_view text) {
         return out;
       }
     } else if (key == "runs") {
-      if (!value.is_integer() || value.as_int() <= 0) {
-        out.error = "runs must be a positive integer";
+      if (!value.is_integer() || value.as_int() < 0) {
+        out.error = "runs must be a non-negative integer";
         return out;
       }
       spec.runs = static_cast<std::size_t>(value.as_int());
@@ -160,8 +134,8 @@ ScenarioParse scenario_from_json(std::string_view text) {
       }
       spec.seed_base = static_cast<std::uint64_t>(value.as_int());
     } else if (key == "min_separation") {
-      if (!value.is_number() || value.as_double() <= 0.0) {
-        out.error = "min_separation must be a positive number";
+      if (!value.is_number()) {
+        out.error = "min_separation must be a number";
         return out;
       }
       spec.min_separation = value.as_double();
@@ -172,8 +146,8 @@ ScenarioParse scenario_from_json(std::string_view text) {
       }
       spec.audit_collisions = value.as_bool();
     } else if (key == "collision_tolerance") {
-      if (!value.is_number() || value.as_double() < 0.0) {
-        out.error = "collision_tolerance must be a number >= 0";
+      if (!value.is_number()) {
+        out.error = "collision_tolerance must be a number";
         return out;
       }
       spec.collision_tolerance = value.as_double();
@@ -184,14 +158,14 @@ ScenarioParse scenario_from_json(std::string_view text) {
       }
       spec.shard_index = static_cast<std::size_t>(value.as_int());
     } else if (key == "shard_count") {
-      if (!value.is_integer() || value.as_int() <= 0) {
-        out.error = "shard_count must be a positive integer";
+      if (!value.is_integer() || value.as_int() < 0) {
+        out.error = "shard_count must be a non-negative integer";
         return out;
       }
       spec.shard_count = static_cast<std::size_t>(value.as_int());
     } else if (key == "max_attempts") {
-      if (!value.is_integer() || value.as_int() <= 0) {
-        out.error = "max_attempts must be a positive integer";
+      if (!value.is_integer() || value.as_int() < 0) {
+        out.error = "max_attempts must be a non-negative integer";
         return out;
       }
       spec.max_attempts = static_cast<std::size_t>(value.as_int());
@@ -220,14 +194,11 @@ ScenarioParse scenario_from_json(std::string_view text) {
       return out;
     }
   }
-  if (spec.ns.empty()) {
-    out.error = "ns must not be empty";
-    return out;
-  }
-  if (spec.shard_index >= spec.shard_count) {
-    out.error = "shard_index must be < shard_count";
-    return out;
-  }
+  // Range rules live in validate_campaign_spec: an out-of-range value must
+  // fail HERE with the field named, not later as a campaign full of
+  // kSpecInvalid cells.
+  out.error = validate_scenario(spec);
+  if (!out.error.empty()) return out;
   out.spec = std::move(spec);
   return out;
 }

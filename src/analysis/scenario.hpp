@@ -1,12 +1,11 @@
 // lumen_analysis: serializable scenario specifications.
 //
 // A ScenarioSpec is the declarative description of an experiment's
-// workload: everything a CampaignSpec carries, plus the sweep dimension
-// (ns), the comparator sweep some experiments run (baseline_ns), and the
-// embedded sim::RunConfig template. Specs serialize to JSON with a
-// ROUND-TRIP GUARANTEE: serialize -> parse -> serialize is byte-identical,
-// so a spec file is a faithful, diffable record of exactly what ran. The
-// schema is documented in DESIGN.md §9.
+// workload: a CampaignSpec template plus the sweep dimension (ns) and the
+// comparator sweep some experiments run (baseline_ns). Specs serialize to
+// JSON with a ROUND-TRIP GUARANTEE: serialize -> parse -> serialize is
+// byte-identical, so a spec file is a faithful, diffable record of exactly
+// what ran. The schema is documented in DESIGN.md §9.
 #pragma once
 
 #include "analysis/campaign.hpp"
@@ -19,42 +18,33 @@
 
 namespace lumen::analysis {
 
-struct ScenarioSpec {
-  std::string algorithm = "async-log";
-  gen::ConfigFamily family = gen::ConfigFamily::kUniformDisk;
+/// Every CampaignSpec field is the template for each cell of the sweep;
+/// the inherited `n` is a placeholder that is never serialized, because
+/// campaign(n) overwrites it with the sweep size.
+struct ScenarioSpec : CampaignSpec {
   /// Sweep sizes. Fixed-N experiments use the first entry; sweep
   /// experiments iterate over all of them.
   std::vector<std::size_t> ns = {32};
   /// Comparator sweep (used by experiments that also run a baseline
   /// series, e.g. E1's seq-baseline); empty means "same as ns".
   std::vector<std::size_t> baseline_ns;
-  std::size_t runs = 20;        ///< Seeds per point.
-  std::uint64_t seed_base = 1;  ///< Run i uses seed seed_base + i.
-  double min_separation = 1e-3;
-  bool audit_collisions = true;
-  double collision_tolerance = 0.0;
-  /// Seed-range sharding (see CampaignSpec): shard shard_index of
-  /// shard_count; merged shard results are bit-identical to a serial run.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  /// Cell retry policy and collision handling (see CampaignSpec): each
-  /// retriable cell failure is attempted up to max_attempts times with
-  /// exponential backoff from retry_backoff_ms; abort_on_collision records
-  /// audited collision cells as errors instead of metrics rows.
-  std::size_t max_attempts = 1;
-  std::uint64_t retry_backoff_ms = 0;
-  bool abort_on_collision = false;
-  /// Scheduler/adversary/motion template; the per-run seed is overridden
-  /// by the campaign.
-  sim::RunConfig run;
 
-  /// Projects onto the campaign layer at one sweep size.
-  [[nodiscard]] CampaignSpec campaign(std::size_t n) const;
+  /// The template at one sweep size.
+  [[nodiscard]] CampaignSpec campaign(std::size_t size) const {
+    CampaignSpec spec = *this;
+    spec.n = size;
+    return spec;
+  }
   /// baseline_ns, defaulting to ns when empty.
   [[nodiscard]] const std::vector<std::size_t>& baseline_sizes() const noexcept {
     return baseline_ns.empty() ? ns : baseline_ns;
   }
 };
+
+/// The scenario's domain rules: ns must be non-empty, and the template at
+/// the first sweep size must pass validate_campaign_spec. Returns the first
+/// problem as a field-naming message, or an empty string when valid.
+[[nodiscard]] std::string validate_scenario(const ScenarioSpec& spec);
 
 /// Deterministic JSON form (fixed key order, exact integers, trailing
 /// newline). The round-trip guarantee is over this function:
@@ -67,8 +57,8 @@ struct ScenarioParse {
 };
 
 /// Parses a spec document. Missing keys keep their defaults; unknown keys,
-/// type mismatches and out-of-domain values (unknown family name, runs == 0,
-/// shard_index >= shard_count, ...) are errors.
+/// type mismatches, unknown enum names, negative integers and specs
+/// validate_scenario rejects are errors.
 [[nodiscard]] ScenarioParse scenario_from_json(std::string_view text);
 
 /// File convenience wrappers.

@@ -27,30 +27,6 @@ std::uint64_t ms_since(Clock::time_point then, Clock::time_point now) {
   return ms > 0 ? static_cast<std::uint64_t>(ms) : 0;
 }
 
-/// Exact inverse of ScenarioSpec::campaign — every CampaignSpec field maps
-/// onto a scenario field, so the lease document can embed the workload via
-/// the scenario round-trip guarantee.
-analysis::ScenarioSpec scenario_from_campaign(
-    const analysis::CampaignSpec& spec) {
-  analysis::ScenarioSpec s;
-  s.algorithm = spec.algorithm;
-  s.family = spec.family;
-  s.ns = {spec.n};
-  s.baseline_ns.clear();
-  s.runs = spec.runs;
-  s.seed_base = spec.seed_base;
-  s.min_separation = spec.min_separation;
-  s.audit_collisions = spec.audit_collisions;
-  s.collision_tolerance = spec.collision_tolerance;
-  s.shard_index = spec.shard_index;
-  s.shard_count = spec.shard_count;
-  s.max_attempts = spec.max_attempts;
-  s.retry_backoff_ms = spec.retry_backoff_ms;
-  s.abort_on_collision = spec.abort_on_collision;
-  s.run = spec.run;
-  return s;
-}
-
 struct Shard {
   enum class State { kPending, kRunning, kDone, kFailed };
 
@@ -104,7 +80,9 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
   if (fs_error) return run_locally("cannot create fabric dir");
 
   const std::string key = analysis::campaign_key(spec);
-  const analysis::ScenarioSpec base_scenario = scenario_from_campaign(spec);
+  // The spec as a one-size scenario: the lease document embeds the workload
+  // via the scenario round-trip guarantee.
+  const analysis::ScenarioSpec base_scenario{spec, {spec.n}, {}};
 
   // Decompose the spec's cell set {i : i % c == s} into S sub-shards
   // {i : i % (cS) == s + c*j}; their union is exactly the original set, so

@@ -69,12 +69,9 @@ int run_worker(const WorkerOptions& options) {
     return 2;
   }
   const Lease& lease = *parsed.lease;
+  // Parsing the lease validated its one-size scenario, so this is a valid
+  // campaign.
   const analysis::CampaignSpec spec = lease_campaign(lease);
-  if (const std::string problem = analysis::validate_campaign_spec(spec);
-      !problem.empty()) {
-    std::cerr << "work: invalid lease scenario: " << problem << "\n";
-    return 2;
-  }
 
   // Resume coverage: the canonical journal plus every prior grant of these
   // cells. A prior journal that fails to load (still being appended by a

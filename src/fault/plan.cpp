@@ -2,6 +2,8 @@
 
 #include "util/strings.hpp"
 
+#include <cmath>
+
 namespace lumen::fault {
 
 std::string_view to_string(CrashScheduleKind k) noexcept {
@@ -44,18 +46,42 @@ void set_error(std::string* error, std::string message) {
   if (error != nullptr && error->empty()) *error = std::move(message);
 }
 
-/// A probability-like field: a number in [0, 1].
-bool read_unit(const util::JsonValue& v, double& out, std::string_view key,
-               std::string* error) {
-  if (!v.is_number() || v.as_double() < 0.0 || v.as_double() > 1.0) {
-    set_error(error, "fault." + std::string(key) + " must be a number in [0, 1]");
+bool read_number(const util::JsonValue& v, double& out, std::string_view key,
+                 std::string* error) {
+  if (!v.is_number()) {
+    set_error(error, "fault." + std::string(key) + " must be a number");
     return false;
   }
   out = v.as_double();
   return true;
 }
 
+bool in_unit_interval(double x) noexcept { return x >= 0.0 && x <= 1.0; }
+
+bool finite_non_negative(double x) noexcept {
+  return x >= 0.0 && std::isfinite(x);
+}
+
 }  // namespace
+
+std::string validate_fault_plan(const FaultPlan& plan) {
+  if (!in_unit_interval(plan.crash.rate)) return "crash.rate must be in [0, 1]";
+  for (const double t : plan.crash.times) {
+    if (!finite_non_negative(t)) {
+      return "crash.times must be finite and non-negative";
+    }
+  }
+  if (!in_unit_interval(plan.light.probability)) {
+    return "light.probability must be in [0, 1]";
+  }
+  if (!finite_non_negative(plan.noise.sigma)) {
+    return "noise.sigma must be a finite number >= 0";
+  }
+  if (!in_unit_interval(plan.noise.dropout)) {
+    return "noise.dropout must be in [0, 1]";
+  }
+  return "";
+}
 
 util::JsonValue fault_plan_to_json(const FaultPlan& plan) {
   util::JsonValue crash = util::JsonValue::object();
@@ -119,18 +145,17 @@ std::optional<FaultPlan> fault_plan_from_json(const util::JsonValue& json,
             ok = false;
           }
         } else if (ckey == "rate") {
-          ok = read_unit(cvalue, plan.crash.rate, "crash.rate", error) && ok;
+          ok = read_number(cvalue, plan.crash.rate, "crash.rate", error) && ok;
         } else if (ckey == "times") {
           if (!cvalue.is_array()) {
-            set_error(error, "fault.crash.times must be an array of numbers >= 0");
+            set_error(error, "fault.crash.times must be an array of numbers");
             ok = false;
             continue;
           }
           plan.crash.times.clear();
           for (const auto& item : cvalue.items()) {
-            if (!item.is_number() || item.as_double() < 0.0) {
-              set_error(error,
-                        "fault.crash.times must contain only numbers >= 0");
+            if (!item.is_number()) {
+              set_error(error, "fault.crash.times must contain only numbers");
               ok = false;
               break;
             }
@@ -149,8 +174,8 @@ std::optional<FaultPlan> fault_plan_from_json(const util::JsonValue& json,
       }
       for (const auto& [lkey, lvalue] : value.members()) {
         if (lkey == "probability") {
-          ok = read_unit(lvalue, plan.light.probability, "light.probability",
-                         error) &&
+          ok = read_number(lvalue, plan.light.probability, "light.probability",
+                           error) &&
                ok;
         } else if (lkey == "mode") {
           if (const auto m = lvalue.is_string()
@@ -174,14 +199,10 @@ std::optional<FaultPlan> fault_plan_from_json(const util::JsonValue& json,
       }
       for (const auto& [nkey, nvalue] : value.members()) {
         if (nkey == "sigma") {
-          if (!nvalue.is_number() || nvalue.as_double() < 0.0) {
-            set_error(error, "fault.noise.sigma must be a number >= 0");
-            ok = false;
-          } else {
-            plan.noise.sigma = nvalue.as_double();
-          }
+          ok = read_number(nvalue, plan.noise.sigma, "noise.sigma", error) && ok;
         } else if (nkey == "dropout") {
-          ok = read_unit(nvalue, plan.noise.dropout, "noise.dropout", error) && ok;
+          ok = read_number(nvalue, plan.noise.dropout, "noise.dropout", error) &&
+               ok;
         } else {
           set_error(error, "fault.noise: unknown key \"" + nkey + "\"");
           ok = false;
@@ -193,6 +214,10 @@ std::optional<FaultPlan> fault_plan_from_json(const util::JsonValue& json,
     }
   }
   if (!ok) return std::nullopt;
+  if (const std::string problem = validate_fault_plan(plan); !problem.empty()) {
+    set_error(error, "fault." + problem);
+    return std::nullopt;
+  }
   return plan;
 }
 

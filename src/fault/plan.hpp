@@ -102,9 +102,15 @@ struct FaultPlan {
 /// it emitted, matching the ScenarioSpec guarantee.
 [[nodiscard]] util::JsonValue fault_plan_to_json(const FaultPlan& plan);
 
+/// The plan's range rules: rate, probability and dropout in [0, 1], sigma
+/// and crash times finite and non-negative. Returns the first problem as a
+/// message naming the field relative to the plan ("crash.rate must be in
+/// [0, 1]"), or an empty string when the plan is in range.
+[[nodiscard]] std::string validate_fault_plan(const FaultPlan& plan);
+
 /// Parses a plan document. Missing keys keep their defaults; unknown keys,
-/// type mismatches and out-of-domain values (rate/probability/dropout
-/// outside [0, 1], negative sigma or times) are errors.
+/// type mismatches, a negative crash count and plans validate_fault_plan
+/// rejects are errors.
 [[nodiscard]] std::optional<FaultPlan> fault_plan_from_json(
     const util::JsonValue& json, std::string* error = nullptr);
 

@@ -98,8 +98,9 @@ std::optional<RunConfig> run_config_from_json(const util::JsonValue& json,
         config.seed = static_cast<std::uint64_t>(value.as_int());
       }
     } else if (key == "max_cycles_per_robot") {
-      if (!value.is_integer() || value.as_int() <= 0) {
-        set_error(error, "run.max_cycles_per_robot must be a positive integer");
+      if (!value.is_integer() || value.as_int() < 0) {
+        set_error(error,
+                  "run.max_cycles_per_robot must be a non-negative integer");
         ok = false;
       } else {
         config.max_cycles_per_robot = static_cast<std::size_t>(value.as_int());
@@ -113,8 +114,8 @@ std::optional<RunConfig> run_config_from_json(const util::JsonValue& json,
     } else if (key == "rigid_moves") {
       want_bool(key, config.rigid_moves, value);
     } else if (key == "nonrigid_min_progress") {
-      if (!value.is_number() || value.as_double() < 0.0) {
-        set_error(error, "run.nonrigid_min_progress must be a number >= 0");
+      if (!value.is_number()) {
+        set_error(error, "run.nonrigid_min_progress must be a number");
         ok = false;
       } else {
         config.nonrigid_min_progress = value.as_double();

@@ -20,9 +20,11 @@ namespace lumen::sim {
 [[nodiscard]] util::JsonValue run_config_to_json(const RunConfig& config);
 
 /// Parses an object written by run_config_to_json. Missing keys keep their
-/// defaults (terse hand-written specs stay legal); unknown keys and
-/// out-of-domain values are errors (a typoed knob must not silently run the
-/// default). On failure returns nullopt and fills `error` when non-null.
+/// defaults (terse hand-written specs stay legal); unknown keys, type
+/// mismatches, unknown enum names and negative integers are errors (a typoed
+/// knob must not silently run the default). Range rules are
+/// analysis::validate_campaign_spec's. On failure returns nullopt and fills
+/// `error` when non-null.
 [[nodiscard]] std::optional<RunConfig> run_config_from_json(
     const util::JsonValue& json, std::string* error = nullptr);
 

@@ -3,7 +3,6 @@
 #include "geom/hull.hpp"
 #include "geom/segment.hpp"
 #include "geom/visibility.hpp"
-#include "sim/streaming_collision.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -173,62 +172,6 @@ SuccessVerdict verify_success(std::string_view predicate,
     msg += n;
   }
   throw std::invalid_argument(msg);
-}
-
-// ---------------------------------------------------------------------------
-// SafetyMonitor
-// ---------------------------------------------------------------------------
-
-SafetyMonitor::SafetyMonitor(double collision_tolerance)
-    : inner_(std::make_unique<StreamingCollisionMonitor>(collision_tolerance)) {}
-
-SafetyMonitor::~SafetyMonitor() = default;
-
-void SafetyMonitor::absorb() {
-  const CollisionReport& r = inner_->report();
-  const std::size_t total = r.position_collisions + r.path_crossings;
-  if (total > seen_incidents_) {
-    attributed_[static_cast<std::size_t>(last_channel_)] +=
-        total - seen_incidents_;
-    seen_incidents_ = total;
-  }
-}
-
-void SafetyMonitor::on_run_begin(const WorldView& world) {
-  inner_->on_run_begin(world);
-}
-
-void SafetyMonitor::on_fault(const fault::FaultEvent& event, const WorldView&) {
-  last_channel_ = event.channel;
-}
-
-void SafetyMonitor::on_commit(const CommitEvent& event, const WorldView& world) {
-  inner_->on_commit(event, world);
-  absorb();
-}
-
-void SafetyMonitor::on_move_complete(const MoveSegment& move,
-                                     const WorldView& world) {
-  inner_->on_move_complete(move, world);
-  absorb();
-}
-
-void SafetyMonitor::on_run_end(const WorldView& world) {
-  inner_->on_run_end(world);
-  absorb();
-}
-
-const CollisionReport& SafetyMonitor::report() const noexcept {
-  return inner_->report();
-}
-
-fault::FaultChannel SafetyMonitor::dominant_channel() const noexcept {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < attributed_.size(); ++i) {
-    if (attributed_[i] > attributed_[best]) best = i;
-  }
-  if (attributed_[best] == 0) return fault::FaultChannel::kNone;
-  return static_cast<fault::FaultChannel>(best);
 }
 
 }  // namespace lumen::sim

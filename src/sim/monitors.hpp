@@ -10,13 +10,10 @@
 #pragma once
 
 #include "geom/vec2.hpp"
-#include "sim/observer.hpp"
 #include "sim/trajectory.hpp"
 
-#include <array>
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -134,42 +131,5 @@ struct SuccessVerdict {
 [[nodiscard]] SuccessVerdict verify_success(std::string_view predicate,
                                             std::span<const geom::Vec2> positions,
                                             util::ThreadPool* pool = nullptr);
-
-class StreamingCollisionMonitor;
-
-/// Collision auditing with fault attribution: wraps a
-/// StreamingCollisionMonitor and blames every new incident on the fault
-/// channel most recently seen active via on_fault (kNone before any fault
-/// fires). Attribution is a heuristic diagnosis — the injected fault that
-/// most plausibly destabilized the run — not a causal proof; on a fault-free
-/// run the wrapped report is identical to a bare StreamingCollisionMonitor's.
-class SafetyMonitor final : public RunObserver {
- public:
-  /// `collision_tolerance` forwards to the wrapped monitor.
-  explicit SafetyMonitor(double collision_tolerance = 0.0);
-  ~SafetyMonitor() override;
-
-  void on_run_begin(const WorldView& world) override;
-  void on_fault(const fault::FaultEvent& event, const WorldView& world) override;
-  void on_commit(const CommitEvent& event, const WorldView& world) override;
-  void on_move_complete(const MoveSegment& move, const WorldView& world) override;
-  void on_run_end(const WorldView& world) override;
-
-  /// The wrapped audit verdict; complete once on_run_end has fired.
-  [[nodiscard]] const CollisionReport& report() const noexcept;
-
-  /// The channel with the most attributed incidents (ties broken toward the
-  /// earlier enum value); kNone when the run is incident-free.
-  [[nodiscard]] fault::FaultChannel dominant_channel() const noexcept;
-
- private:
-  /// Attributes incidents the wrapped monitor found since the last call.
-  void absorb();
-
-  std::unique_ptr<StreamingCollisionMonitor> inner_;
-  fault::FaultChannel last_channel_ = fault::FaultChannel::kNone;
-  std::array<std::size_t, 4> attributed_{};  ///< Indexed by FaultChannel.
-  std::size_t seen_incidents_ = 0;
-};
 
 }  // namespace lumen::sim

@@ -14,6 +14,13 @@ void StreamingCollisionMonitor::on_run_begin(const WorldView& world) {
   }
   report_ = CollisionReport{};
   sealed_ = false;
+  last_channel_ = fault::FaultChannel::kNone;
+  attributed_ = {};
+}
+
+void StreamingCollisionMonitor::on_fault(const fault::FaultEvent& event,
+                                         const WorldView&) {
+  last_channel_ = event.channel;
 }
 
 void StreamingCollisionMonitor::on_commit(const CommitEvent& event,
@@ -69,6 +76,16 @@ void StreamingCollisionMonitor::on_run_end(const WorldView& world) {
     }
   }
   sealed_ = true;
+}
+
+fault::FaultChannel StreamingCollisionMonitor::dominant_channel()
+    const noexcept {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < attributed_.size(); ++i) {
+    if (attributed_[i] > attributed_[best]) best = i;
+  }
+  if (attributed_[best] == 0) return fault::FaultChannel::kNone;
+  return static_cast<fault::FaultChannel>(best);
 }
 
 std::size_t StreamingCollisionMonitor::retained_pieces() const noexcept {
@@ -134,6 +151,7 @@ void StreamingCollisionMonitor::note_incident(std::size_t a, std::size_t b,
                                               double time, double separation,
                                               const char* kind,
                                               bool is_position) {
+  ++attributed_[static_cast<std::size_t>(last_channel_)];
   if (is_position) {
     ++report_.position_collisions;
   } else {

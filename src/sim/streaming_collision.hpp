@@ -16,6 +16,13 @@
 // bit-identical Piece windows, a CONVERGED run yields a bit-identical
 // min_separation and identical collision/crossing counts.
 //
+// Fault attribution: every incident is blamed on the fault channel most
+// recently seen via on_fault (kNone before any fault fires). Incidents are
+// only noted while a piece closes, inside on_commit, on_move_complete and
+// on_run_end, so the blame is the channel active at that event. This is a
+// heuristic diagnosis — the injected fault that most plausibly destabilized
+// the run — not a causal proof; it never changes the report.
+//
 // Known divergences from the post-hoc audit, by design:
 //  * first_incident uses closure order (earliest evaluation wins), not the
 //    post-hoc robot-pair-major order; counts and min_separation agree.
@@ -29,6 +36,7 @@
 #include "sim/monitors.hpp"
 #include "sim/observer.hpp"
 
+#include <array>
 #include <cstddef>
 #include <deque>
 #include <vector>
@@ -43,6 +51,7 @@ class StreamingCollisionMonitor final : public RunObserver {
       : tolerance_(collision_tolerance) {}
 
   void on_run_begin(const WorldView& world) override;
+  void on_fault(const fault::FaultEvent& event, const WorldView& world) override;
   void on_commit(const CommitEvent& event, const WorldView& world) override;
   void on_move_complete(const MoveSegment& move, const WorldView& world) override;
   /// Closes every tail piece at the run horizon (`world.time`) and seals
@@ -51,6 +60,10 @@ class StreamingCollisionMonitor final : public RunObserver {
 
   /// The audit verdict; complete once on_run_end has fired.
   [[nodiscard]] const CollisionReport& report() const noexcept { return report_; }
+
+  /// The channel with the most attributed incidents (ties broken toward the
+  /// earlier enum value); kNone when the run is incident-free.
+  [[nodiscard]] fault::FaultChannel dominant_channel() const noexcept;
 
   /// Closed pieces currently buffered across all robots (test/introspection
   /// hook: stays bounded on long runs, unlike a move log).
@@ -84,6 +97,12 @@ class StreamingCollisionMonitor final : public RunObserver {
   bool sealed_ = false;
   std::vector<RobotState> robots_;
   CollisionReport report_;
+  fault::FaultChannel last_channel_ = fault::FaultChannel::kNone;
+  std::array<std::size_t, 4> attributed_{};  ///< Indexed by FaultChannel.
 };
+
+/// Kept only because perfbench/trace.cpp still spells this name; the
+/// streaming monitor attributes faults itself.
+using SafetyMonitor = StreamingCollisionMonitor;
 
 }  // namespace lumen::sim

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include <string>
 
 namespace lumen::analysis {
@@ -120,29 +122,53 @@ TEST(Scenario, UnknownAlgorithmIsRejectedAtParseTimeWithValidList) {
 }
 
 TEST(Scenario, RejectsMalformedDocuments) {
-  const char* bad[] = {
-      "not json at all",
-      R"({"type": "other-doc", "version": 1})",
-      R"({"type": "lumen-scenario", "version": 99})",
-      R"({"type": "lumen-scenario", "version": 1, "typo_key": 1})",
-      R"({"type": "lumen-scenario", "version": 1, "family": "bogus"})",
-      R"({"type": "lumen-scenario", "version": 1, "runs": 0})",
-      R"({"type": "lumen-scenario", "version": 1, "ns": []})",
-      R"({"type": "lumen-scenario", "version": 1, "ns": [8, -4]})",
-      R"({"type": "lumen-scenario", "version": 1, "ns": [8.5]})",
-      R"({"type": "lumen-scenario", "version": 1, "min_separation": 0})",
-      R"({"type": "lumen-scenario", "version": 1, "shard_index": 2, "shard_count": 2})",
-      R"({"type": "lumen-scenario", "version": 1, "max_attempts": 0})",
-      R"({"type": "lumen-scenario", "version": 1, "retry_backoff_ms": -5})",
-      R"({"type": "lumen-scenario", "version": 1, "abort_on_collision": 1})",
-      R"({"type": "lumen-scenario", "version": 1, "run": {"scheduler": "NOPE"}})",
-      R"({"type": "lumen-scenario", "version": 1, "run": {"adversary": "nope"}})",
-      R"([1, 2, 3])",
+  struct Row {
+    const char* text;
+    /// For a domain error: the same change applied to the default campaign.
+    /// validate_campaign_spec owns the range rules, so the parser must
+    /// report exactly its message.
+    std::function<void(CampaignSpec&)> domain;
   };
-  for (const char* text : bad) {
-    const auto parsed = scenario_from_json(text);
-    EXPECT_FALSE(parsed.spec.has_value()) << text;
-    EXPECT_FALSE(parsed.error.empty()) << text;
+  const Row rows[] = {
+      {"not json at all", {}},
+      {R"({"type": "other-doc", "version": 1})", {}},
+      {R"({"type": "lumen-scenario", "version": 99})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "typo_key": 1})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "family": "bogus"})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "runs": 0})",
+       [](CampaignSpec& s) { s.runs = 0; }},
+      {R"({"type": "lumen-scenario", "version": 1, "ns": []})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "ns": [8, -4]})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "ns": [8.5]})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "min_separation": 0})",
+       [](CampaignSpec& s) { s.min_separation = 0.0; }},
+      {R"({"type": "lumen-scenario", "version": 1, "shard_index": 2, "shard_count": 2})",
+       [](CampaignSpec& s) {
+         s.shard_index = 2;
+         s.shard_count = 2;
+       }},
+      {R"({"type": "lumen-scenario", "version": 1, "max_attempts": 0})",
+       [](CampaignSpec& s) { s.max_attempts = 0; }},
+      {R"({"type": "lumen-scenario", "version": 1, "retry_backoff_ms": -5})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "abort_on_collision": 1})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "run": {"scheduler": "NOPE"}})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "run": {"adversary": "nope"}})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "run": {"max_cycles_per_robot": 0}})",
+       [](CampaignSpec& s) { s.run.max_cycles_per_robot = 0; }},
+      {R"({"type": "lumen-scenario", "version": 1, "run": {"nonrigid_min_progress": -1}})",
+       [](CampaignSpec& s) { s.run.nonrigid_min_progress = -1.0; }},
+      {R"([1, 2, 3])", {}},
+  };
+  for (const Row& row : rows) {
+    const auto parsed = scenario_from_json(row.text);
+    EXPECT_FALSE(parsed.spec.has_value()) << row.text;
+    EXPECT_FALSE(parsed.error.empty()) << row.text;
+    if (row.domain) {
+      const ScenarioSpec defaults;
+      CampaignSpec spec = defaults.campaign(defaults.ns.front());
+      row.domain(spec);
+      EXPECT_EQ(parsed.error, validate_campaign_spec(spec)) << row.text;
+    }
   }
 }
 

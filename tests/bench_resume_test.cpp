@@ -2,8 +2,9 @@
 // as LUMEN_BENCH_BIN): a journal torn by a kill mid-append resumes (twice),
 // lumen-bench names the dropped record, every resumed report is byte-identical
 // to the uninterrupted one, `run` and `hunt`, which share the
-// --out/--resume/--journal plumbing, reject the same unusable paths, and
-// `hunt` rejects a swarm of one and the flags of its deleted bandit strategy.
+// --out/--resume/--journal plumbing, reject the same unusable paths, `run`
+// rejects negative integer flags and invalid resolved specs, and `hunt`
+// rejects a swarm of one and the flags of its deleted bandit strategy.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -130,6 +131,32 @@ INSTANTIATE_TEST_SUITE_P(Verbs, BenchPlumbing, testing::Values("run", "hunt"),
                            return param.param;
                          });
 
+// `run` sign-checks its integer flags before their unsigned casts and then
+// validates the resolved spec once: each (flag, message) pair must exit 2
+// naming the flag or the field.
+struct RunUsageError
+    : testing::TestWithParam<std::pair<std::string, std::string>> {};
+
+TEST_P(RunUsageError, ExitsTwoNamingTheFlag) {
+  expect_usage_error(" run colors --smoke", GetParam().first, GetParam().second);
+}
+
+/// Test name from a `--flag=value` parameter: "flag" with '-' as '_'.
+std::string flag_test_name(const std::string& flag) {
+  std::string name = flag.substr(2, flag.find('=') - 2);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Run, RunUsageError,
+    testing::Values(
+        std::pair{"--seed-base=-1", "--seed-base must be non-negative"},
+        std::pair{"--runs=0", "runs must be >= 1"},
+        std::pair{"--algorithm=bogus", "algorithm: unknown algorithm \"bogus\""},
+        std::pair{"--shard=2/2", "shard_index must be < shard_count"}),
+    [](const auto& param) { return flag_test_name(param.param.first); });
+
 // Each (flag, message) pair must exit 2 naming the problem: a swarm of one
 // has no robot pair to hunt, and the deleted bandit strategy's flags are
 // unknown.
@@ -150,11 +177,6 @@ INSTANTIATE_TEST_SUITE_P(
         std::pair{"--batch=4", "unknown flag --batch"},
         std::pair{"--crossover-rate=0.5", "unknown flag --crossover-rate"},
         std::pair{"--keep-fraction=1", "unknown flag --keep-fraction"}),
-    [](const auto& param) {
-      const std::string& flag = param.param.first;
-      std::string name = flag.substr(2, flag.find('=') - 2);
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
+    [](const auto& param) { return flag_test_name(param.param.first); });
 
 }  // namespace

@@ -2,8 +2,8 @@
 // INACTIVE plan is bit-identical to a fault-free run; active plans are
 // bit-identical across pool sizes and repetitions), crash-stop semantics
 // (dead bodies keep obstructing, survivors quiesce around them), outcome
-// classification, fault event recording, and SafetyMonitor parity with the
-// bare collision monitor on fault-free runs.
+// classification, fault event recording, and the collision monitor's fault
+// attribution.
 #include "core/registry.hpp"
 #include "fault/plan.hpp"
 #include "gen/generators.hpp"
@@ -253,29 +253,63 @@ TEST(SimFault, OutcomeStringsRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// SafetyMonitor.
+// Fault attribution by the collision monitor.
 
-TEST(SimFault, SafetyMonitorMatchesBareMonitorOnFaultFreeRun) {
-  const Case& c = kCases[1];
-  const auto initial = gen::generate(gen::ConfigFamily::kUniformDisk, c.n, c.seed);
-  const auto algo = core::make_algorithm(c.algorithm);
+TEST(SimFault, CollisionIsBlamedOnTheLightChannelActiveBeforeIt) {
+  // Two robots swap places in one FSYNC round, so they meet halfway (see
+  // StreamingCollision.FlagsAnEngineeredHeadOnCollision). Every observed
+  // light is misread, so a kLight fault fires at each Look, before the
+  // commit that starts the colliding moves. The probe ignores observed
+  // lights, so the corruption leaves the trajectories unchanged.
+  class SwapProbe final : public model::Algorithm {
+   public:
+    model::Action compute(const model::Snapshot& snap) const override {
+      if (snap.self_light != model::Light::kOff || snap.visible_count() == 0) {
+        return model::Action::stay(snap.self_light == model::Light::kOff
+                                       ? model::Light::kCorner
+                                       : snap.self_light);
+      }
+      return model::Action::move_to(snap.other_positions().front(),
+                                    model::Light::kCorner);
+    }
+    std::string_view name() const noexcept override { return "probe-swap"; }
+    std::span<const model::Light> palette() const noexcept override {
+      return model::kAllLights;
+    }
+  };
+  const SwapProbe probe;
+  const std::vector<geom::Vec2> initial{{0.0, 0.0}, {1.0, 0.0}};
   RunConfig config;
-  config.scheduler = c.scheduler;
-  config.seed = c.seed;
+  config.scheduler = SchedulerKind::kFsync;
+  config.seed = 1;
+  config.fault.light.probability = 1.0;
+  config.fault.light.mode = fault::CorruptionMode::kFlip;
 
-  StreamingCollisionMonitor bare;
-  SafetyMonitor safety;
+  const double tolerance = 1e-9;
+  StreamingCollisionMonitor bare(tolerance);
+  SafetyMonitor safety(tolerance);
   RunObserver* observers[] = {&bare, &safety};
-  (void)run_simulation(*algo, initial, config, observers);
+  const RunResult run = run_simulation(probe, initial, config, observers);
+  ASSERT_GT(run.faults.corrupted_reads, 0u);
 
-  EXPECT_EQ(safety.report().position_collisions, bare.report().position_collisions);
-  EXPECT_EQ(safety.report().path_crossings, bare.report().path_crossings);
-  EXPECT_EQ(bits(safety.report().min_separation),
-            bits(bare.report().min_separation));
-  // The run is incident-free, so no channel (not even the pre-fault kNone
-  // bucket) has anything to be blamed for.
-  EXPECT_EQ(safety.report().position_collisions + safety.report().path_crossings, 0u);
-  EXPECT_EQ(safety.dominant_channel(), fault::FaultChannel::kNone);
+  const CollisionReport& blamed = safety.report();
+  ASSERT_GT(blamed.position_collisions, 0u);
+  EXPECT_EQ(safety.dominant_channel(), fault::FaultChannel::kLight);
+  // Attribution only reads the report; it never changes it.
+  EXPECT_EQ(blamed.position_collisions, bare.report().position_collisions);
+  EXPECT_EQ(blamed.path_crossings, bare.report().path_crossings);
+  EXPECT_EQ(bits(blamed.min_separation), bits(bare.report().min_separation));
+  const CollisionReport post = check_collisions(
+      run.initial_positions, run.moves, run.final_time, tolerance);
+  EXPECT_EQ(blamed.position_collisions, post.position_collisions);
+  EXPECT_EQ(bits(blamed.min_separation), bits(post.min_separation));
+  ASSERT_TRUE(blamed.first_incident.has_value());
+  ASSERT_TRUE(bare.report().first_incident.has_value());
+  EXPECT_EQ(blamed.first_incident->robot_a, bare.report().first_incident->robot_a);
+  EXPECT_EQ(blamed.first_incident->robot_b, bare.report().first_incident->robot_b);
+  EXPECT_EQ(bits(blamed.first_incident->time),
+            bits(bare.report().first_incident->time));
+  EXPECT_EQ(blamed.first_incident->kind, bare.report().first_incident->kind);
 }
 
 }  // namespace

@@ -228,6 +228,8 @@ TEST(StreamingCollision, MatchesPostHocAuditOnConvergedRuns) {
       EXPECT_EQ(live.clean(), post.clean());
       EXPECT_EQ(live.hazard_free(1e-9), post.hazard_free(1e-9));
       EXPECT_EQ(live.first_incident.has_value(), post.first_incident.has_value());
+      // No fault ever fires, so no channel is blamed.
+      EXPECT_EQ(monitor.dominant_channel(), fault::FaultChannel::kNone);
     }
   }
 }
@@ -269,6 +271,8 @@ TEST(StreamingCollision, FlagsAnEngineeredHeadOnCollision) {
   EXPECT_EQ(monitor.report().position_collisions, post.position_collisions);
   EXPECT_EQ(monitor.report().path_crossings, post.path_crossings);
   EXPECT_FALSE(monitor.report().clean());
+  // A fault-free collision is blamed on no channel.
+  EXPECT_EQ(monitor.dominant_channel(), fault::FaultChannel::kNone);
 }
 
 TEST(StreamingCollision, RetainsBoundedPieceHistoryOnLongRuns) {
