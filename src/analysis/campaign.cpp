@@ -48,6 +48,13 @@ std::string validate_campaign_spec(const CampaignSpec& spec) {
   }
   if (spec.n < 1) return "n must be >= 1";
   if (spec.runs < 1) return "runs must be >= 1";
+  // Cell i runs seed seed_base + i, which documents store as a signed
+  // 64-bit JSON integer.
+  constexpr auto kMaxSeed =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  if (spec.seed_base > kMaxSeed || spec.runs - 1 > kMaxSeed - spec.seed_base) {
+    return "seed_base + runs - 1 (the last cell's seed) must be <= 2^63 - 1";
+  }
   if (!(spec.min_separation > 0.0) || !std::isfinite(spec.min_separation)) {
     return "min_separation must be a finite number > 0";
   }

@@ -99,7 +99,8 @@ struct CampaignError {
 };
 
 /// The one home of the campaign's range rules: known algorithm name, n,
-/// runs, shard_count and max_attempts >= 1, shard_index < shard_count,
+/// runs, shard_count and max_attempts >= 1, a last cell seed
+/// (seed_base + runs - 1) of at most 2^63 - 1, shard_index < shard_count,
 /// min_separation > 0, collision_tolerance >= 0, the run's cycle cap and
 /// non-rigid progress, and fault::validate_fault_plan. The JSON loaders
 /// check only types, enum names and signs, then call this. Returns the

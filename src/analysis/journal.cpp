@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 namespace lumen::analysis {
@@ -20,52 +19,6 @@ constexpr std::string_view kJournalType = "lumen-journal";
 constexpr std::int64_t kJournalVersion = 1;
 constexpr std::string_view kResultType = "lumen-campaign-result";
 constexpr std::int64_t kResultVersion = 1;
-
-void set_error(std::string* error, std::string message) {
-  if (error != nullptr && error->empty()) *error = std::move(message);
-}
-
-util::JsonValue counters_to_json(const fault::FaultCounters& c) {
-  util::JsonValue obj = util::JsonValue::object();
-  obj.set("crashes", util::JsonValue::integer(static_cast<std::int64_t>(c.crashes)));
-  obj.set("corrupted_reads",
-          util::JsonValue::integer(static_cast<std::int64_t>(c.corrupted_reads)));
-  obj.set("dropped_observations",
-          util::JsonValue::integer(
-              static_cast<std::int64_t>(c.dropped_observations)));
-  obj.set("perturbed_observations",
-          util::JsonValue::integer(
-              static_cast<std::int64_t>(c.perturbed_observations)));
-  return obj;
-}
-
-bool counters_from_json(const util::JsonValue& v, fault::FaultCounters& out,
-                        std::string* error) {
-  if (!v.is_object()) {
-    set_error(error, "faults must be an object");
-    return false;
-  }
-  for (const auto& [key, value] : v.members()) {
-    if (!value.is_integer() || value.as_int() < 0) {
-      set_error(error, "faults." + key + " must be a non-negative integer");
-      return false;
-    }
-    const auto n = static_cast<std::uint64_t>(value.as_int());
-    if (key == "crashes") {
-      out.crashes = n;
-    } else if (key == "corrupted_reads") {
-      out.corrupted_reads = n;
-    } else if (key == "dropped_observations") {
-      out.dropped_observations = n;
-    } else if (key == "perturbed_observations") {
-      out.perturbed_observations = n;
-    } else {
-      set_error(error, "faults: unknown key \"" + key + "\"");
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Cuts a record torn by a kill mid-append (the bytes after the last newline)
 /// off the journal open at `fd`; `size` is the file size in, the kept size out.
@@ -82,217 +35,69 @@ bool drop_torn_tail(int fd, off_t& size) {
 
 }  // namespace
 
+template <typename Io, util::FieldsOf<RunMetrics> C>
+void fields(Io& io, C& m) {
+  io("seed", m.seed);
+  io("converged", m.converged);
+  io("epochs", m.epochs);
+  io("cycles", m.cycles);
+  io("moves", m.moves);
+  io("distance", m.distance);
+  io("colors", m.colors);
+  io("visibility_ok", m.visibility_ok);
+  io("collision_free", m.collision_free);
+  // null is +inf: an audited run with no robot pair (N = 1).
+  io("min_observed_separation", m.min_observed_separation,
+     util::null_is_infinity);
+  io("path_crossings", m.path_crossings);
+  io("position_collisions", m.position_collisions);
+  io("outcome", m.outcome, sim::outcome_from_string);
+  io("faults", m.faults);
+  io("collision_channel", m.collision_channel, fault::channel_from_string);
+  io("cache_replays", m.cache_replays);
+  io("cache_repairs", m.cache_repairs);
+  io("cache_rebuilds", m.cache_rebuilds);
+}
+
+template <typename Io, util::FieldsOf<CampaignError> C>
+void fields(Io& io, C& e) {
+  io("kind", e.kind, campaign_error_kind_from_string);
+  io("seed", e.seed);
+  io("attempts", e.attempts);
+  io("detail", e.detail);
+}
+
+namespace {
+
+/// Reads `v` as a `Doc` named `path`; nullopt and *error on a problem.
+template <typename Doc>
+std::optional<Doc> read_record(const util::JsonValue& v,
+                               const std::string& path, std::string* error) {
+  Doc doc;
+  std::string problem = util::read_fields(v, doc, path);
+  if (problem.empty()) return doc;
+  if (error != nullptr) *error = std::move(problem);
+  return std::nullopt;
+}
+
+}  // namespace
+
 util::JsonValue run_metrics_to_json(const RunMetrics& m) {
-  util::JsonValue obj = util::JsonValue::object();
-  obj.set("seed", util::JsonValue::integer(static_cast<std::int64_t>(m.seed)));
-  obj.set("converged", util::JsonValue::boolean(m.converged));
-  obj.set("epochs", util::JsonValue::integer(static_cast<std::int64_t>(m.epochs)));
-  obj.set("cycles", util::JsonValue::integer(static_cast<std::int64_t>(m.cycles)));
-  obj.set("moves", util::JsonValue::integer(static_cast<std::int64_t>(m.moves)));
-  obj.set("distance", util::JsonValue::number(m.distance));
-  obj.set("colors", util::JsonValue::integer(static_cast<std::int64_t>(m.colors)));
-  obj.set("visibility_ok", util::JsonValue::boolean(m.visibility_ok));
-  obj.set("collision_free", util::JsonValue::boolean(m.collision_free));
-  obj.set("min_observed_separation",
-          util::JsonValue::number(m.min_observed_separation));
-  obj.set("path_crossings",
-          util::JsonValue::integer(static_cast<std::int64_t>(m.path_crossings)));
-  obj.set("position_collisions",
-          util::JsonValue::integer(
-              static_cast<std::int64_t>(m.position_collisions)));
-  obj.set("outcome",
-          util::JsonValue::string(std::string(sim::to_string(m.outcome))));
-  obj.set("faults", counters_to_json(m.faults));
-  obj.set("collision_channel",
-          util::JsonValue::string(
-              std::string(fault::to_string(m.collision_channel))));
-  obj.set("cache_replays",
-          util::JsonValue::integer(static_cast<std::int64_t>(m.cache_replays)));
-  obj.set("cache_repairs",
-          util::JsonValue::integer(static_cast<std::int64_t>(m.cache_repairs)));
-  obj.set("cache_rebuilds",
-          util::JsonValue::integer(static_cast<std::int64_t>(m.cache_rebuilds)));
-  return obj;
+  return util::write_fields(m);
 }
 
 std::optional<RunMetrics> run_metrics_from_json(const util::JsonValue& v,
                                                 std::string* error) {
-  if (!v.is_object()) {
-    set_error(error, "metrics must be an object");
-    return std::nullopt;
-  }
-  RunMetrics m;
-  bool ok = true;
-  const auto want_count = [&](std::string_view key, std::size_t& out,
-                              const util::JsonValue& value) {
-    if (!value.is_integer() || value.as_int() < 0) {
-      set_error(error,
-                "metrics." + std::string(key) + " must be a non-negative integer");
-      ok = false;
-      return;
-    }
-    out = static_cast<std::size_t>(value.as_int());
-  };
-  const auto want_count64 = [&](std::string_view key, std::uint64_t& out,
-                                const util::JsonValue& value) {
-    if (!value.is_integer() || value.as_int() < 0) {
-      set_error(error,
-                "metrics." + std::string(key) + " must be a non-negative integer");
-      ok = false;
-      return;
-    }
-    out = static_cast<std::uint64_t>(value.as_int());
-  };
-  const auto want_bool = [&](std::string_view key, bool& out,
-                             const util::JsonValue& value) {
-    if (!value.is_bool()) {
-      set_error(error, "metrics." + std::string(key) + " must be a boolean");
-      ok = false;
-      return;
-    }
-    out = value.as_bool();
-  };
-  for (const auto& [key, value] : v.members()) {
-    if (key == "seed") {
-      if (!value.is_integer() || value.as_int() < 0) {
-        set_error(error, "metrics.seed must be a non-negative integer");
-        ok = false;
-      } else {
-        m.seed = static_cast<std::uint64_t>(value.as_int());
-      }
-    } else if (key == "converged") {
-      want_bool(key, m.converged, value);
-    } else if (key == "epochs") {
-      want_count(key, m.epochs, value);
-    } else if (key == "cycles") {
-      want_count(key, m.cycles, value);
-    } else if (key == "moves") {
-      want_count(key, m.moves, value);
-    } else if (key == "distance") {
-      if (!value.is_number()) {
-        set_error(error, "metrics.distance must be a number");
-        ok = false;
-      } else {
-        m.distance = value.as_double();
-      }
-    } else if (key == "colors") {
-      want_count(key, m.colors, value);
-    } else if (key == "visibility_ok") {
-      want_bool(key, m.visibility_ok, value);
-    } else if (key == "collision_free") {
-      want_bool(key, m.collision_free, value);
-    } else if (key == "min_observed_separation") {
-      // null is +inf: an audited run with no robot pair (N = 1).
-      if (value.kind() == util::JsonValue::Kind::kNull) {
-        m.min_observed_separation = std::numeric_limits<double>::infinity();
-      } else if (!value.is_number()) {
-        set_error(error, "metrics.min_observed_separation must be a number");
-        ok = false;
-      } else {
-        m.min_observed_separation = value.as_double();
-      }
-    } else if (key == "path_crossings") {
-      want_count(key, m.path_crossings, value);
-    } else if (key == "position_collisions") {
-      want_count(key, m.position_collisions, value);
-    } else if (key == "outcome") {
-      const auto outcome = value.is_string()
-                               ? sim::outcome_from_string(value.as_string())
-                               : std::nullopt;
-      if (!outcome) {
-        set_error(error, "metrics.outcome: unknown outcome");
-        ok = false;
-      } else {
-        m.outcome = *outcome;
-      }
-    } else if (key == "faults") {
-      std::string fault_error;
-      if (!counters_from_json(value, m.faults, &fault_error)) {
-        set_error(error, "metrics." + fault_error);
-        ok = false;
-      }
-    } else if (key == "collision_channel") {
-      const auto channel = value.is_string()
-                               ? fault::channel_from_string(value.as_string())
-                               : std::nullopt;
-      if (!channel) {
-        set_error(error, "metrics.collision_channel: unknown channel");
-        ok = false;
-      } else {
-        m.collision_channel = *channel;
-      }
-    } else if (key == "cache_replays") {
-      want_count64(key, m.cache_replays, value);
-    } else if (key == "cache_repairs") {
-      want_count64(key, m.cache_repairs, value);
-    } else if (key == "cache_rebuilds") {
-      want_count64(key, m.cache_rebuilds, value);
-    } else {
-      set_error(error, "metrics: unknown key \"" + key + "\"");
-      ok = false;
-    }
-  }
-  if (!ok) return std::nullopt;
-  return m;
+  return read_record<RunMetrics>(v, "metrics", error);
 }
 
 util::JsonValue campaign_error_to_json(const CampaignError& e) {
-  util::JsonValue obj = util::JsonValue::object();
-  obj.set("kind", util::JsonValue::string(std::string(to_string(e.kind))));
-  obj.set("seed", util::JsonValue::integer(static_cast<std::int64_t>(e.seed)));
-  obj.set("attempts",
-          util::JsonValue::integer(static_cast<std::int64_t>(e.attempts)));
-  obj.set("detail", util::JsonValue::string(e.detail));
-  return obj;
+  return util::write_fields(e);
 }
 
 std::optional<CampaignError> campaign_error_from_json(const util::JsonValue& v,
                                                       std::string* error) {
-  if (!v.is_object()) {
-    set_error(error, "error record must be an object");
-    return std::nullopt;
-  }
-  CampaignError e;
-  bool ok = true;
-  for (const auto& [key, value] : v.members()) {
-    if (key == "kind") {
-      const auto kind = value.is_string()
-                            ? campaign_error_kind_from_string(value.as_string())
-                            : std::nullopt;
-      if (!kind) {
-        set_error(error, "error.kind: unknown kind");
-        ok = false;
-      } else {
-        e.kind = *kind;
-      }
-    } else if (key == "seed") {
-      if (!value.is_integer() || value.as_int() < 0) {
-        set_error(error, "error.seed must be a non-negative integer");
-        ok = false;
-      } else {
-        e.seed = static_cast<std::uint64_t>(value.as_int());
-      }
-    } else if (key == "attempts") {
-      if (!value.is_integer() || value.as_int() < 0) {
-        set_error(error, "error.attempts must be a non-negative integer");
-        ok = false;
-      } else {
-        e.attempts = static_cast<std::size_t>(value.as_int());
-      }
-    } else if (key == "detail") {
-      if (!value.is_string()) {
-        set_error(error, "error.detail must be a string");
-        ok = false;
-      } else {
-        e.detail = value.as_string();
-      }
-    } else {
-      set_error(error, "error record: unknown key \"" + key + "\"");
-      ok = false;
-    }
-  }
-  if (!ok) return std::nullopt;
-  return e;
+  return read_record<CampaignError>(v, "error", error);
 }
 
 util::JsonValue campaign_signature(const CampaignSpec& spec) {
@@ -309,7 +114,7 @@ util::JsonValue campaign_signature(const CampaignSpec& spec) {
   // The per-run seed is the cell coordinate, not campaign identity.
   sim::RunConfig run = spec.run;
   run.seed = 0;
-  obj.set("run", sim::run_config_to_json(run));
+  obj.set("run", util::write_fields(run));
   return obj;
 }
 
@@ -546,8 +351,10 @@ std::size_t merge_snapshots(JournalSnapshot& dst, const JournalSnapshot& src,
   for (const auto& [key, signature] : src.signatures) {
     const auto [it, inserted] = dst.signatures.emplace(key, signature);
     if (!inserted && it->second != signature) {
-      set_error(error, "campaign key \"" + key +
-                           "\" declared with different signatures");
+      if (error != nullptr && error->empty()) {
+        *error = "campaign key \"" + key +
+                 "\" declared with different signatures";
+      }
       continue;
     }
     const auto cells = src.cells.find(key);

@@ -9,6 +9,8 @@
 #pragma once
 
 #include "analysis/campaign.hpp"
+#include "sim/config_io.hpp"
+#include "util/fields.hpp"
 
 #include <cstdint>
 #include <optional>
@@ -41,10 +43,34 @@ struct ScenarioSpec : CampaignSpec {
   }
 };
 
-/// The scenario's domain rules: ns must be non-empty, and the template at
-/// the first sweep size must pass validate_campaign_spec. Returns the first
-/// problem as a field-naming message, or an empty string when valid.
+/// The scenario's domain rules: ns must be non-empty, every entry of ns and
+/// baseline_ns positive, and the template at the first sweep size must pass
+/// validate_campaign_spec. Returns the first problem as a field-naming
+/// message, or an empty string when valid.
 [[nodiscard]] std::string validate_scenario(const ScenarioSpec& spec);
+
+/// The document's field list (util/fields.hpp); leases and adversarial
+/// scenarios embed it as a nested object.
+template <typename Io, util::FieldsOf<ScenarioSpec> C>
+void fields(Io& io, C& spec) {
+  io.constant("type", "lumen-scenario");
+  io.constant("version", 1);
+  io("algorithm", spec.algorithm);
+  io("family", spec.family, gen::family_from_string);
+  io("ns", spec.ns);
+  io("baseline_ns", spec.baseline_ns);
+  io("runs", spec.runs);
+  io("seed_base", spec.seed_base);
+  io("min_separation", spec.min_separation);
+  io("audit_collisions", spec.audit_collisions);
+  io("collision_tolerance", spec.collision_tolerance);
+  io("shard_index", spec.shard_index);
+  io("shard_count", spec.shard_count);
+  io("max_attempts", spec.max_attempts);
+  io("retry_backoff_ms", spec.retry_backoff_ms);
+  io("abort_on_collision", spec.abort_on_collision);
+  io("run", spec.run);
+}
 
 /// Deterministic JSON form (fixed key order, exact integers, trailing
 /// newline). The round-trip guarantee is over this function:
@@ -56,9 +82,8 @@ struct ScenarioParse {
   std::string error;  ///< Human-readable reason when spec is nullopt.
 };
 
-/// Parses a spec document. Missing keys keep their defaults; unknown keys,
-/// type mismatches, unknown enum names, negative integers and specs
-/// validate_scenario rejects are errors.
+/// Parses a spec document. Missing keys keep their defaults; the reader's
+/// errors (util/fields.hpp) and specs validate_scenario rejects are errors.
 [[nodiscard]] ScenarioParse scenario_from_json(std::string_view text);
 
 /// File convenience wrappers.

@@ -1,19 +1,23 @@
 #include "fabric/lease.hpp"
 
 #include "analysis/journal.hpp"
-#include "util/json.hpp"
 
 #include <fstream>
 #include <sstream>
 
 namespace lumen::fabric {
 
-namespace {
-
-constexpr std::string_view kDocType = "lumen-lease";
-constexpr std::int64_t kDocVersion = 1;
-
-}  // namespace
+template <typename Io, util::FieldsOf<Lease> C>
+void fields(Io& io, C& lease) {
+  io.constant("type", "lumen-lease");
+  io.constant("version", 1);
+  io("campaign_key", lease.campaign_key);
+  io("token", lease.token);
+  io("journal_path", lease.journal_path);
+  io("resume_paths", lease.resume_paths);
+  io("heartbeat_ms", lease.heartbeat_ms);
+  io.required("scenario", lease.scenario);
+}
 
 analysis::CampaignSpec lease_campaign(const Lease& lease) {
   return lease.scenario.campaign(lease.scenario.ns.empty()
@@ -22,111 +26,25 @@ analysis::CampaignSpec lease_campaign(const Lease& lease) {
 }
 
 std::string lease_to_json(const Lease& lease) {
-  util::JsonValue obj = util::JsonValue::object();
-  obj.set("type", util::JsonValue::string(std::string(kDocType)));
-  obj.set("version", util::JsonValue::integer(kDocVersion));
-  obj.set("campaign_key", util::JsonValue::string(lease.campaign_key));
-  obj.set("token",
-          util::JsonValue::integer(static_cast<std::int64_t>(lease.token)));
-  obj.set("journal_path", util::JsonValue::string(lease.journal_path));
-  util::JsonValue resume = util::JsonValue::array();
-  for (const auto& path : lease.resume_paths) {
-    resume.push_back(util::JsonValue::string(path));
-  }
-  obj.set("resume_paths", std::move(resume));
-  obj.set("heartbeat_ms", util::JsonValue::integer(
-                              static_cast<std::int64_t>(lease.heartbeat_ms)));
-  // The scenario document embeds as an object — it round-trips byte-
-  // identically, so the lease inherits the spec's fidelity guarantee.
-  const auto scenario =
-      util::json_parse(analysis::scenario_to_json(lease.scenario));
-  obj.set("scenario", scenario ? *scenario : util::JsonValue::object());
-  return util::json_write(obj) + "\n";
+  return util::json_write(util::write_fields(lease)) + "\n";
 }
 
 LeaseParse lease_from_json(std::string_view text) {
   LeaseParse out;
-  std::string parse_error;
-  const auto doc = util::json_parse(text, &parse_error);
-  if (!doc || !doc->is_object()) {
-    out.error = parse_error.empty() ? "lease must be a JSON object"
-                                    : parse_error;
-    return out;
-  }
   Lease lease;
-  bool saw_type = false;
-  bool saw_scenario = false;
-  for (const auto& [key, value] : doc->members()) {
-    if (key == "type") {
-      if (!value.is_string() || value.as_string() != kDocType) {
-        out.error = "type must be \"" + std::string(kDocType) + "\"";
-        return out;
-      }
-      saw_type = true;
-    } else if (key == "version") {
-      if (!value.is_integer() || value.as_int() != kDocVersion) {
-        out.error = "unsupported lease version";
-        return out;
-      }
-    } else if (key == "campaign_key") {
-      if (!value.is_string()) {
-        out.error = "campaign_key must be a string";
-        return out;
-      }
-      lease.campaign_key = value.as_string();
-    } else if (key == "token") {
-      if (!value.is_integer() || value.as_int() < 0) {
-        out.error = "token must be a non-negative integer";
-        return out;
-      }
-      lease.token = static_cast<std::uint64_t>(value.as_int());
-    } else if (key == "journal_path") {
-      if (!value.is_string()) {
-        out.error = "journal_path must be a string";
-        return out;
-      }
-      lease.journal_path = value.as_string();
-    } else if (key == "resume_paths") {
-      if (!value.is_array()) {
-        out.error = "resume_paths must be an array of strings";
-        return out;
-      }
-      for (const auto& item : value.items()) {
-        if (!item.is_string()) {
-          out.error = "resume_paths must contain only strings";
-          return out;
-        }
-        lease.resume_paths.push_back(item.as_string());
-      }
-    } else if (key == "heartbeat_ms") {
-      if (!value.is_integer() || value.as_int() < 1) {
-        out.error = "heartbeat_ms must be a positive integer";
-        return out;
-      }
-      lease.heartbeat_ms = static_cast<std::uint64_t>(value.as_int());
-    } else if (key == "scenario") {
-      auto parsed = analysis::scenario_from_json(util::json_write(value, 0));
-      if (!parsed.spec) {
-        out.error = "scenario: " + parsed.error;
-        return out;
-      }
-      lease.scenario = std::move(*parsed.spec);
-      saw_scenario = true;
-    } else {
-      out.error = "unknown key \"" + key + "\"";
-      return out;
-    }
-  }
-  if (!saw_type) {
-    out.error = "missing type";
-    return out;
-  }
-  if (!saw_scenario) {
-    out.error = "missing scenario";
+  out.error = util::read_document(text, lease);
+  if (!out.error.empty()) return out;
+  if (std::string problem = analysis::validate_scenario(lease.scenario);
+      !problem.empty()) {
+    out.error = "scenario." + problem;
     return out;
   }
   if (lease.scenario.ns.size() != 1) {
     out.error = "scenario.ns must contain exactly one sweep size";
+    return out;
+  }
+  if (lease.heartbeat_ms < 1) {
+    out.error = "heartbeat_ms must be >= 1";
     return out;
   }
   if (lease.journal_path.empty()) {

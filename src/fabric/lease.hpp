@@ -54,9 +54,10 @@ struct LeaseParse {
   std::string error;  ///< Reason when lease is nullopt.
 };
 
-/// Parses and validates a lease document: well-formed scenario with exactly
-/// one sweep size, campaign_key matching the scenario's FNV-1a key, a
-/// non-empty journal path.
+/// Parses and validates a lease document: a scenario that passes
+/// validate_scenario with exactly one sweep size, heartbeat_ms >= 1, a
+/// non-empty journal path, and campaign_key matching the scenario's FNV-1a
+/// key.
 [[nodiscard]] LeaseParse lease_from_json(std::string_view text);
 
 bool save_lease(const Lease& lease, const std::string& path);

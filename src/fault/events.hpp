@@ -7,6 +7,7 @@
 #pragma once
 
 #include "geom/vec2.hpp"
+#include "util/fields.hpp"
 
 #include <cstddef>
 #include <cstdint>
@@ -69,5 +70,14 @@ struct FaultCounters {
 
   friend bool operator==(const FaultCounters&, const FaultCounters&) = default;
 };
+
+/// JSON field list (util/fields.hpp); journaled inside RunMetrics.
+template <typename Io, util::FieldsOf<FaultCounters> C>
+void fields(Io& io, C& counters) {
+  io("crashes", counters.crashes);
+  io("corrupted_reads", counters.corrupted_reads);
+  io("dropped_observations", counters.dropped_observations);
+  io("perturbed_observations", counters.perturbed_observations);
+}
 
 }  // namespace lumen::fault

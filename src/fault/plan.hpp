@@ -5,13 +5,13 @@
 // own PRNG stream derived from the run seed, so enabling one channel never
 // perturbs another and the all-default plan is bit-identical to a fault-free
 // run (pinned by tests/sim_fault_test.cpp). Plans are plain data: they
-// embed in sim::RunConfig, serialize through util::JsonValue inside
+// embed in sim::RunConfig, serialize through their field lists inside
 // analysis::ScenarioSpec with the same byte-exact round-trip guarantee, and
 // compare with ==. Semantics of each channel are documented in DESIGN.md
 // §11.
 #pragma once
 
-#include "util/json.hpp"
+#include "util/fields.hpp"
 
 #include <cstddef>
 #include <optional>
@@ -97,21 +97,40 @@ struct FaultPlan {
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
 
-/// Deterministic JSON form (fixed key order; sub-objects always present).
-/// Round-trips byte-identically through fault_plan_from_json for any string
-/// it emitted, matching the ScenarioSpec guarantee.
-[[nodiscard]] util::JsonValue fault_plan_to_json(const FaultPlan& plan);
-
 /// The plan's range rules: rate, probability and dropout in [0, 1], sigma
 /// and crash times finite and non-negative. Returns the first problem as a
 /// message naming the field relative to the plan ("crash.rate must be in
 /// [0, 1]"), or an empty string when the plan is in range.
 [[nodiscard]] std::string validate_fault_plan(const FaultPlan& plan);
 
-/// Parses a plan document. Missing keys keep their defaults; unknown keys,
-/// type mismatches, a negative crash count and plans validate_fault_plan
-/// rejects are errors.
-[[nodiscard]] std::optional<FaultPlan> fault_plan_from_json(
-    const util::JsonValue& json, std::string* error = nullptr);
+// JSON field lists (util/fields.hpp); every sub-object is always written.
+// A plan read from JSON still has to pass validate_fault_plan.
+
+template <typename Io, util::FieldsOf<CrashPlan> C>
+void fields(Io& io, C& crash) {
+  io("count", crash.count);
+  io("schedule", crash.schedule, crash_schedule_from_string);
+  io("rate", crash.rate);
+  io("times", crash.times);
+}
+
+template <typename Io, util::FieldsOf<LightCorruptionPlan> C>
+void fields(Io& io, C& light) {
+  io("probability", light.probability);
+  io("mode", light.mode, corruption_mode_from_string);
+}
+
+template <typename Io, util::FieldsOf<SensorNoisePlan> C>
+void fields(Io& io, C& noise) {
+  io("sigma", noise.sigma);
+  io("dropout", noise.dropout);
+}
+
+template <typename Io, util::FieldsOf<FaultPlan> C>
+void fields(Io& io, C& plan) {
+  io("crash", plan.crash);
+  io("light", plan.light);
+  io("noise", plan.noise);
+}
 
 }  // namespace lumen::fault

@@ -1,6 +1,5 @@
 #include "search/plan.hpp"
 
-#include "util/json.hpp"
 
 #include <algorithm>
 #include <array>
@@ -238,77 +237,18 @@ AdversaryPlan crossover(const AdversaryPlan& a, const AdversaryPlan& b,
   return out;
 }
 
-util::JsonValue adversary_plan_to_json(const AdversaryPlan& plan) {
-  util::JsonValue obj = util::JsonValue::object();
-  obj.set("scheduler",
-          util::JsonValue::string(std::string(sim::to_string(plan.scheduler))));
-  obj.set("adversary", util::JsonValue::string(
-                           std::string(sched::to_string(plan.adversary))));
-  obj.set("activation", util::JsonValue::string(
-                            std::string(sched::to_string(plan.activation))));
-  obj.set("n", util::JsonValue::integer(static_cast<std::int64_t>(plan.n)));
-  obj.set("seed", util::JsonValue::integer(static_cast<std::int64_t>(plan.seed)));
-  obj.set("fault", fault::fault_plan_to_json(plan.fault));
-  return obj;
-}
-
-std::optional<AdversaryPlan> adversary_plan_from_json(
-    const util::JsonValue& json, std::string* error) {
-  const auto fail = [&](std::string message) -> std::optional<AdversaryPlan> {
-    if (error != nullptr) *error = std::move(message);
-    return std::nullopt;
-  };
-  if (!json.is_object()) return fail("plan must be an object");
-  AdversaryPlan plan;
-  for (const auto& [key, value] : json.members()) {
-    if (key == "scheduler") {
-      if (!value.is_string()) return fail("plan.scheduler must be a string");
-      const auto parsed = sim::scheduler_from_string(value.as_string());
-      if (!parsed) {
-        return fail("plan.scheduler: unknown scheduler '" + value.as_string() +
-                    "'");
-      }
-      plan.scheduler = *parsed;
-    } else if (key == "adversary") {
-      if (!value.is_string()) return fail("plan.adversary must be a string");
-      const auto parsed = sched::adversary_from_string(value.as_string());
-      if (!parsed) {
-        return fail("plan.adversary: unknown adversary '" + value.as_string() +
-                    "'");
-      }
-      plan.adversary = *parsed;
-    } else if (key == "activation") {
-      if (!value.is_string()) return fail("plan.activation must be a string");
-      const auto parsed = sched::activation_from_string(value.as_string());
-      if (!parsed) {
-        return fail("plan.activation: unknown activation '" +
-                    value.as_string() + "'");
-      }
-      plan.activation = *parsed;
-    } else if (key == "n") {
-      if (!value.is_integer() || value.as_int() < 1) {
-        return fail("plan.n must be a positive integer");
-      }
-      plan.n = static_cast<std::size_t>(value.as_int());
-    } else if (key == "seed") {
-      if (!value.is_integer() || value.as_int() < 0) {
-        return fail("plan.seed must be a non-negative integer");
-      }
-      plan.seed = static_cast<std::uint64_t>(value.as_int());
-    } else if (key == "fault") {
-      std::string fault_error;
-      const auto parsed = fault::fault_plan_from_json(value, &fault_error);
-      if (!parsed) return fail("plan." + fault_error);
-      plan.fault = *parsed;
-    } else {
-      return fail("plan: unknown key '" + key + "'");
-    }
-  }
-  return plan;
+template <typename Io, util::FieldsOf<AdversaryPlan> C>
+void fields(Io& io, C& plan) {
+  io("scheduler", plan.scheduler, sim::scheduler_from_string);
+  io("adversary", plan.adversary, sched::adversary_from_string);
+  io("activation", plan.activation, sched::activation_from_string);
+  io("n", plan.n);
+  io("seed", plan.seed);
+  io("fault", plan.fault);
 }
 
 std::string plan_fingerprint(const AdversaryPlan& plan) {
-  return util::json_write(adversary_plan_to_json(plan), 0);
+  return util::json_write(util::write_fields(plan), 0);
 }
 
 }  // namespace lumen::search

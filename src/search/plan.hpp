@@ -8,10 +8,10 @@
 // fitness evaluation is a deterministic, journalable unit of work — the
 // same contract campaigns already have.
 //
-// Plans serialize through util::JsonValue with the ScenarioSpec byte-exact
-// round-trip guarantee, and the seeded mutation / crossover operators are
-// pure functions of (input plans, bounds, rng state): a hunt's whole
-// trajectory replays bit-identically from its seed (tests/search_test.cpp).
+// A plan's compact JSON form (plan_fingerprint) is its dedup and digest key,
+// and the seeded mutation / crossover operators are pure functions of
+// (input plans, bounds, rng state): a hunt's whole trajectory replays
+// bit-identically from its seed (tests/search_test.cpp).
 #pragma once
 
 #include "fault/plan.hpp"
@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace lumen::search {
@@ -79,17 +78,8 @@ void clamp_plan(AdversaryPlan& plan, const PlanBounds& bounds);
 [[nodiscard]] AdversaryPlan crossover(const AdversaryPlan& a,
                                       const AdversaryPlan& b, util::Prng& rng);
 
-/// Deterministic JSON form (fixed key order; the fault object always
-/// present). Round-trips byte-identically through adversary_plan_from_json,
-/// matching the ScenarioSpec guarantee.
-[[nodiscard]] util::JsonValue adversary_plan_to_json(const AdversaryPlan& plan);
-
-/// Parses a plan object. Missing keys keep defaults; unknown keys, type
-/// mismatches and out-of-domain values are errors named after the field.
-[[nodiscard]] std::optional<AdversaryPlan> adversary_plan_from_json(
-    const util::JsonValue& json, std::string* error = nullptr);
-
-/// Compact single-line serialization — the dedup/digest key for a plan.
+/// Compact single-line JSON form (fixed key order; the fault object always
+/// present) — the dedup/digest key for a plan.
 [[nodiscard]] std::string plan_fingerprint(const AdversaryPlan& plan);
 
 }  // namespace lumen::search

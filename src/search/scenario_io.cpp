@@ -1,155 +1,43 @@
 #include "search/scenario_io.hpp"
 
-#include "util/json.hpp"
-
 #include <fstream>
 #include <sstream>
 
 namespace lumen::search {
-namespace {
 
-constexpr std::string_view kDocType = "lumen-adversarial-scenario";
-constexpr std::int64_t kDocVersion = 1;
+template <typename Io, util::FieldsOf<AdversarialScenario::Expectation> C>
+void fields(Io& io, C& expect) {
+  io("outcome", expect.outcome, sim::outcome_from_string);
+  io("epochs", expect.epochs);
+  io("min_separation", expect.min_separation);
+}
 
-}  // namespace
+template <typename Io, util::FieldsOf<AdversarialScenario> C>
+void fields(Io& io, C& scenario) {
+  io.constant("type", "lumen-adversarial-scenario");
+  io.constant("version", 1);
+  io("fitness", scenario.fitness, fitness_from_string);
+  io("score", scenario.score);
+  io("expect", scenario.expect);
+  io.omit_default("note", scenario.note);
+  io.required("scenario", scenario.scenario);
+}
 
 std::string adversarial_scenario_to_json(const AdversarialScenario& scenario) {
-  util::JsonValue doc = util::JsonValue::object();
-  doc.set("type", util::JsonValue::string(std::string(kDocType)));
-  doc.set("version", util::JsonValue::integer(kDocVersion));
-  doc.set("fitness", util::JsonValue::string(
-                         std::string(to_string(scenario.fitness))));
-  doc.set("score", util::JsonValue::number(scenario.score));
-  util::JsonValue expect = util::JsonValue::object();
-  expect.set("outcome",
-             util::JsonValue::string(
-                 std::string(sim::to_string(scenario.expected_outcome))));
-  expect.set("epochs", util::JsonValue::integer(
-                           static_cast<std::int64_t>(scenario.expected_epochs)));
-  expect.set("min_separation",
-             util::JsonValue::number(scenario.expected_min_separation));
-  doc.set("expect", std::move(expect));
-  if (!scenario.note.empty()) {
-    doc.set("note", util::JsonValue::string(scenario.note));
-  }
-  // scenario_to_json is the one deterministic writer for specs; parse its
-  // output back to a value so the embedded object and a standalone spec
-  // file are the same bytes modulo indentation.
-  const std::string spec_text = analysis::scenario_to_json(scenario.scenario);
-  std::optional<util::JsonValue> spec_value = util::json_parse(spec_text);
-  doc.set("scenario", spec_value.has_value() ? std::move(*spec_value)
-                                             : util::JsonValue::object());
-  return util::json_write(doc, 2) + "\n";
+  return util::json_write(util::write_fields(scenario)) + "\n";
 }
 
 AdversarialScenarioParse adversarial_scenario_from_json(std::string_view text) {
   AdversarialScenarioParse out;
-  std::string parse_error;
-  const std::optional<util::JsonValue> doc = util::json_parse(text, &parse_error);
-  if (!doc.has_value()) {
-    out.error = "invalid JSON: " + parse_error;
-    return out;
-  }
-  if (!doc->is_object()) {
-    out.error = "document must be a JSON object";
-    return out;
-  }
   AdversarialScenario scenario;
-  bool saw_type = false;
-  bool saw_scenario = false;
-  for (const auto& [key, value] : doc->members()) {
-    if (key == "type") {
-      if (!value.is_string() || value.as_string() != kDocType) {
-        out.error = "type must be \"" + std::string(kDocType) + "\"";
-        return out;
-      }
-      saw_type = true;
-    } else if (key == "version") {
-      if (!value.is_integer() || value.as_int() != kDocVersion) {
-        out.error = "version must be " + std::to_string(kDocVersion);
-        return out;
-      }
-    } else if (key == "fitness") {
-      if (!value.is_string()) {
-        out.error = "fitness must be a string";
-        return out;
-      }
-      const auto parsed = fitness_from_string(value.as_string());
-      if (!parsed.has_value()) {
-        out.error = "fitness: unknown kind '" + value.as_string() + "'";
-        return out;
-      }
-      scenario.fitness = *parsed;
-    } else if (key == "score") {
-      if (!value.is_number()) {
-        out.error = "score must be a number";
-        return out;
-      }
-      scenario.score = value.as_double();
-    } else if (key == "expect") {
-      if (!value.is_object()) {
-        out.error = "expect must be an object";
-        return out;
-      }
-      for (const auto& [ekey, evalue] : value.members()) {
-        if (ekey == "outcome") {
-          if (!evalue.is_string()) {
-            out.error = "expect.outcome must be a string";
-            return out;
-          }
-          const auto parsed = sim::outcome_from_string(evalue.as_string());
-          if (!parsed.has_value()) {
-            out.error =
-                "expect.outcome: unknown outcome '" + evalue.as_string() + "'";
-            return out;
-          }
-          scenario.expected_outcome = *parsed;
-        } else if (ekey == "epochs") {
-          if (!evalue.is_integer() || evalue.as_int() < 0) {
-            out.error = "expect.epochs must be a non-negative integer";
-            return out;
-          }
-          scenario.expected_epochs = static_cast<std::size_t>(evalue.as_int());
-        } else if (ekey == "min_separation") {
-          if (!evalue.is_number()) {
-            out.error = "expect.min_separation must be a number";
-            return out;
-          }
-          scenario.expected_min_separation = evalue.as_double();
-        } else {
-          out.error = "expect: unknown key '" + ekey + "'";
-          return out;
-        }
-      }
-    } else if (key == "note") {
-      if (!value.is_string()) {
-        out.error = "note must be a string";
-        return out;
-      }
-      scenario.note = value.as_string();
-    } else if (key == "scenario") {
-      const analysis::ScenarioParse parsed =
-          analysis::scenario_from_json(util::json_write(value, 2));
-      if (!parsed.spec.has_value()) {
-        out.error = "scenario: " + parsed.error;
-        return out;
-      }
-      scenario.scenario = *parsed.spec;
-      saw_scenario = true;
-    } else {
-      out.error = "unknown key '" + key + "'";
-      return out;
+  out.error = util::read_document(text, scenario);
+  if (out.error.empty()) {
+    if (std::string problem = analysis::validate_scenario(scenario.scenario);
+        !problem.empty()) {
+      out.error = "scenario." + problem;
     }
   }
-  if (!saw_type) {
-    out.error = "missing required key 'type'";
-    return out;
-  }
-  if (!saw_scenario) {
-    out.error = "missing required key 'scenario'";
-    return out;
-  }
-  out.scenario = std::move(scenario);
+  if (out.error.empty()) out.scenario = std::move(scenario);
   return out;
 }
 
@@ -180,9 +68,9 @@ AdversarialScenario make_regression_scenario(const HuntSpec& spec,
   scenario.fitness = spec.fitness;
   scenario.scenario = hunt_scenario(spec, minimized.plan);
   scenario.score = minimized.score;
-  scenario.expected_outcome = minimized.metrics.outcome;
-  scenario.expected_epochs = minimized.metrics.epochs;
-  scenario.expected_min_separation = minimized.metrics.min_observed_separation;
+  scenario.expect.outcome = minimized.metrics.outcome;
+  scenario.expect.epochs = minimized.metrics.epochs;
+  scenario.expect.min_separation = minimized.metrics.min_observed_separation;
   scenario.note = std::move(note);
   return scenario;
 }
@@ -204,15 +92,15 @@ ReplayVerdict replay_adversarial_scenario(const AdversarialScenario& scenario,
   verdict.metrics = result.runs.front();
   verdict.score = fitness_score(scenario.fitness, verdict.metrics);
   verdict.outcome_matches =
-      verdict.metrics.outcome == scenario.expected_outcome;
-  verdict.epochs_match = verdict.metrics.epochs == scenario.expected_epochs;
+      verdict.metrics.outcome == scenario.expect.outcome;
+  verdict.epochs_match = verdict.metrics.epochs == scenario.expect.epochs;
   verdict.min_separation_matches = verdict.metrics.min_observed_separation ==
-                                   scenario.expected_min_separation;
+                                   scenario.expect.min_separation;
   if (!verdict.passed()) {
     std::ostringstream detail;
-    detail << "expected outcome=" << sim::to_string(scenario.expected_outcome)
-           << " epochs=" << scenario.expected_epochs
-           << " min_separation=" << scenario.expected_min_separation
+    detail << "expected outcome=" << sim::to_string(scenario.expect.outcome)
+           << " epochs=" << scenario.expect.epochs
+           << " min_separation=" << scenario.expect.min_separation
            << "; replay got outcome="
            << sim::to_string(verdict.metrics.outcome)
            << " epochs=" << verdict.metrics.epochs

@@ -27,10 +27,13 @@ struct AdversarialScenario {
   /// The minimized plan's projection (runs=1, ns={n}, seed_base=seed).
   analysis::ScenarioSpec scenario;
   double score = 0.0;
-  sim::RunOutcome expected_outcome = sim::RunOutcome::kConverged;
-  std::size_t expected_epochs = 0;
-  /// Audited closest approach; 0 when the fitness runs unaudited.
-  double expected_min_separation = 0.0;
+  /// What a replay must reproduce exactly.
+  struct Expectation {
+    sim::RunOutcome outcome = sim::RunOutcome::kConverged;
+    std::size_t epochs = 0;
+    /// Audited closest approach; 0 when the fitness runs unaudited.
+    double min_separation = 0.0;
+  } expect;
   /// Free-text provenance (strategy, hunt seed, budget). Not asserted.
   std::string note;
 };

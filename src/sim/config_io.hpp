@@ -1,31 +1,39 @@
-// lumen_sim: RunConfig <-> JSON.
+// lumen_sim: RunConfig's JSON field list.
 //
 // The declarative experiment layer (analysis::ScenarioSpec) embeds a full
-// RunConfig; serializing it here, next to the type, keeps the field list in
-// one compilation unit so a new RunConfig knob cannot silently miss the
-// spec format. The encoding is deterministic (fixed key order, exact
-// integers) — the ScenarioSpec byte-identity round-trip rests on it.
+// RunConfig; keeping its field list here, next to the type, means a new
+// RunConfig knob cannot silently miss the spec format. One list drives
+// both the writer and the reader (util/fields.hpp). Range rules are
+// analysis::validate_campaign_spec's.
 #pragma once
 
+#include "fault/plan.hpp"
+#include "sched/activation.hpp"
+#include "sched/adversary.hpp"
 #include "sim/run.hpp"
-#include "util/json.hpp"
-
-#include <optional>
-#include <string>
+#include "util/fields.hpp"
 
 namespace lumen::sim {
 
-/// Serializes every RunConfig field under stable keys, enums as their
-/// to_string names.
-[[nodiscard]] util::JsonValue run_config_to_json(const RunConfig& config);
-
-/// Parses an object written by run_config_to_json. Missing keys keep their
-/// defaults (terse hand-written specs stay legal); unknown keys, type
-/// mismatches, unknown enum names and negative integers are errors (a typoed
-/// knob must not silently run the default). Range rules are
-/// analysis::validate_campaign_spec's. On failure returns nullopt and fills
-/// `error` when non-null.
-[[nodiscard]] std::optional<RunConfig> run_config_from_json(
-    const util::JsonValue& json, std::string* error = nullptr);
+/// Every serialized RunConfig field under stable keys, enums as their
+/// to_string names. `pool`, `arena` and `visibility_cache_budget` are
+/// process-local or pure performance knobs and are not serialized.
+/// deadline_ms and fault are written only when non-default, so documents
+/// predating each feature stay byte-identical.
+template <typename Io, util::FieldsOf<RunConfig> C>
+void fields(Io& io, C& config) {
+  io("scheduler", config.scheduler, scheduler_from_string);
+  io("adversary", config.adversary, sched::adversary_from_string);
+  io("activation", config.activation, sched::activation_from_string);
+  io("seed", config.seed);
+  io("max_cycles_per_robot", config.max_cycles_per_robot);
+  io("refresh_frames_each_look", config.refresh_frames_each_look);
+  io("record_hull_history", config.record_hull_history);
+  io("record_moves", config.record_moves);
+  io("rigid_moves", config.rigid_moves);
+  io("nonrigid_min_progress", config.nonrigid_min_progress);
+  io.omit_default("deadline_ms", config.deadline_ms);
+  io.omit_default("fault", config.fault);
+}
 
 }  // namespace lumen::sim

@@ -396,6 +396,10 @@ class Parser {
       skip_ws();
       auto key = parse_string();
       if (!key) return std::nullopt;
+      if (out.find(*key) != nullptr) {
+        fail("duplicate key \"" + json_escape(*key) + "\"");
+        return std::nullopt;
+      }
       if (!consume(':')) {
         fail("expected ':'");
         return std::nullopt;

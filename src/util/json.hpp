@@ -57,7 +57,9 @@ class JsonValue {
 
   /// Array append.
   JsonValue& push_back(JsonValue v);
-  /// Object append (insertion order preserved; duplicate keys not checked).
+  /// Object append (insertion order preserved). Does not check for a
+  /// duplicate key: the writers' field lists name each key once, and
+  /// json_parse rejects a document that repeats one.
   JsonValue& set(std::string key, JsonValue v);
 
   /// Object lookup; nullptr when absent or not an object.
@@ -74,10 +76,11 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
-/// Parses a complete JSON document (trailing garbage is an error). On
-/// failure returns nullopt and, when `error` is non-null, a message with a
-/// byte offset. Containers nested deeper than 128 levels are rejected (a
-/// maliciously nested document must not overflow the parser stack).
+/// Parses a complete JSON document (trailing garbage is an error; so is an
+/// object that repeats a key). On failure returns nullopt and, when `error`
+/// is non-null, a message with a byte offset. Containers nested deeper than
+/// 128 levels are rejected (a maliciously nested document must not overflow
+/// the parser stack).
 [[nodiscard]] std::optional<JsonValue> json_parse(std::string_view text,
                                                   std::string* error = nullptr);
 

@@ -92,6 +92,64 @@ TEST(Journal, CampaignErrorJsonRoundTrip) {
   EXPECT_EQ(*back, e);
 }
 
+TEST(Journal, RejectsMalformedRecords) {
+  struct Row {
+    const char* text;
+    const char* field;  ///< The error must name it.
+  };
+  const Row metrics_rows[] = {
+      {R"({"bogus": 1})", "bogus"},
+      {R"({"converged": 1})", "converged"},
+      {R"({"distance": "far"})", "distance"},
+      {R"({"epochs": -1})", "epochs"},
+      {R"({"seed": 1.5})", "seed"},
+      {R"({"cache_rebuilds": -3})", "cache_rebuilds"},
+      {R"({"outcome": "nope"})", "outcome"},
+      {R"({"collision_channel": "nope"})", "collision_channel"},
+      {R"({"faults": 3})", "faults"},
+      {R"({"faults": {"crashes": -1}})", "crashes"},
+      {R"({"faults": {"bogus": 1}})", "bogus"},
+  };
+  for (const Row& row : metrics_rows) {
+    const auto json = util::json_parse(row.text);
+    ASSERT_TRUE(json.has_value()) << row.text;
+    std::string error;
+    EXPECT_FALSE(run_metrics_from_json(*json, &error).has_value()) << row.text;
+    EXPECT_NE(error.find(row.field), std::string::npos)
+        << row.text << ": " << error;
+  }
+  const Row error_rows[] = {
+      {R"({"extra": 1})", "extra"},
+      {R"({"kind": "nope"})", "kind"},
+      {R"({"seed": -1})", "seed"},
+      {R"({"attempts": -2})", "attempts"},
+      {R"({"detail": 5})", "detail"},
+  };
+  for (const Row& row : error_rows) {
+    const auto json = util::json_parse(row.text);
+    ASSERT_TRUE(json.has_value()) << row.text;
+    std::string error;
+    EXPECT_FALSE(campaign_error_from_json(*json, &error).has_value())
+        << row.text;
+    EXPECT_NE(error.find(row.field), std::string::npos)
+        << row.text << ": " << error;
+  }
+  std::string error;
+  EXPECT_FALSE(run_metrics_from_json(util::JsonValue::integer(1), &error));
+  EXPECT_FALSE(error.empty());
+  error.clear();
+  EXPECT_FALSE(campaign_error_from_json(util::JsonValue::array(), &error));
+  EXPECT_FALSE(error.empty());
+
+  // null is the writer's form of +inf (an audited run with no robot pair).
+  const auto json = util::json_parse(R"({"min_observed_separation": null})");
+  ASSERT_TRUE(json.has_value());
+  const auto m = run_metrics_from_json(*json, &error);
+  ASSERT_TRUE(m.has_value()) << error;
+  EXPECT_EQ(m->min_observed_separation,
+            std::numeric_limits<double>::infinity());
+}
+
 TEST(Journal, ErrorKindStringsRoundTrip) {
   for (const auto k :
        {CampaignErrorKind::kSpecInvalid, CampaignErrorKind::kDeadline,

@@ -137,7 +137,15 @@ TEST(Scenario, RejectsMalformedDocuments) {
       {R"({"type": "lumen-scenario", "version": 1, "family": "bogus"})", {}},
       {R"({"type": "lumen-scenario", "version": 1, "runs": 0})",
        [](CampaignSpec& s) { s.runs = 0; }},
+      {R"({"type": "lumen-scenario", "version": 1, "seed_base": 9223372036854775807, "runs": 2})",
+       [](CampaignSpec& s) {
+         s.seed_base = 9223372036854775807ULL;
+         s.runs = 2;
+       }},
+      {R"({"type": "lumen-scenario", "version": 1, "runs": 0, "runs": 2})", {}},
       {R"({"type": "lumen-scenario", "version": 1, "ns": []})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "ns": [8, 0]})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "baseline_ns": [0]})", {}},
       {R"({"type": "lumen-scenario", "version": 1, "ns": [8, -4]})", {}},
       {R"({"type": "lumen-scenario", "version": 1, "ns": [8.5]})", {}},
       {R"({"type": "lumen-scenario", "version": 1, "min_separation": 0})",

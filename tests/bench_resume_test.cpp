@@ -141,9 +141,16 @@ TEST_P(RunUsageError, ExitsTwoNamingTheFlag) {
   expect_usage_error(" run colors --smoke", GetParam().first, GetParam().second);
 }
 
-/// Test name from a `--flag=value` parameter: "flag" with '-' as '_'.
-std::string flag_test_name(const std::string& flag) {
-  std::string name = flag.substr(2, flag.find('=') - 2);
+/// Test name from a `--flag=value [--flag=value ...]` parameter: the flag
+/// names joined by '_', with '-' as '_'.
+std::string flag_test_name(const std::string& flags) {
+  std::string name;
+  for (std::size_t at = flags.find("--"); at != std::string::npos;
+       at = flags.find(" --", at + 2)) {
+    const std::size_t start = flags.find("--", at) + 2;
+    if (!name.empty()) name += '_';
+    name += flags.substr(start, flags.find('=', start) - start);
+  }
   std::replace(name.begin(), name.end(), '-', '_');
   return name;
 }
@@ -152,6 +159,8 @@ INSTANTIATE_TEST_SUITE_P(
     Run, RunUsageError,
     testing::Values(
         std::pair{"--seed-base=-1", "--seed-base must be non-negative"},
+        std::pair{"--seed-base=9223372036854775807 --runs=2",
+                  "seed_base + runs - 1"},
         std::pair{"--runs=0", "runs must be >= 1"},
         std::pair{"--algorithm=bogus", "algorithm: unknown algorithm \"bogus\""},
         std::pair{"--shard=2/2", "shard_index must be < shard_count"}),

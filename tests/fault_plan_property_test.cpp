@@ -1,25 +1,42 @@
 // FaultPlan serialization under adversarial inputs (the hunt mutates and
 // journals plans by the thousand, so the parse boundary must be total):
 // randomly generated valid plans round-trip byte-identically; corrupted /
-// mutated documents either fail JSON parsing, fail fault_plan_from_json
-// with a field-naming error, or parse to a plan whose canonical form
-// round-trips byte-identically. Also covers the campaign validator's
+// mutated documents either fail JSON parsing, fail the plan's field-list
+// reader or validate_fault_plan with a field-naming error, or parse to a
+// plan whose canonical form round-trips byte-identically. Also covers the
+// campaign validator's
 // finiteness checks — infinities and NaNs must be rejected before they can
 // poison a journal or a regression scenario.
 #include "analysis/campaign.hpp"
 #include "fault/plan.hpp"
-#include "util/json.hpp"
+#include "util/fields.hpp"
 #include "util/prng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace lumen::fault {
 namespace {
+
+/// Reads a plan the way a spec's run.fault is read: its field list, then
+/// its range rules.
+std::optional<FaultPlan> read_plan(const util::JsonValue& json,
+                                   std::string* error) {
+  FaultPlan plan;
+  std::string problem = util::read_fields(json, plan, "fault");
+  if (problem.empty()) {
+    problem = validate_fault_plan(plan);
+    if (!problem.empty()) problem = "fault." + problem;
+  }
+  if (problem.empty()) return plan;
+  *error = problem;
+  return std::nullopt;
+}
 
 FaultPlan random_valid_plan(util::Prng& rng) {
   FaultPlan plan;
@@ -53,14 +70,14 @@ FaultPlan random_valid_plan(util::Prng& rng) {
 // The invariant every accepted document must satisfy: its canonical form is
 // a fixed point of serialize -> parse -> serialize.
 void expect_canonical_fixed_point(const FaultPlan& plan) {
-  const std::string canonical = util::json_write(fault_plan_to_json(plan));
+  const std::string canonical = util::json_write(util::write_fields(plan));
   const auto doc = util::json_parse(canonical);
   ASSERT_TRUE(doc.has_value()) << canonical;
   std::string error;
-  const auto parsed = fault_plan_from_json(*doc, &error);
+  const auto parsed = read_plan(*doc, &error);
   ASSERT_TRUE(parsed.has_value()) << error << "\n" << canonical;
   EXPECT_EQ(*parsed, plan);
-  EXPECT_EQ(util::json_write(fault_plan_to_json(*parsed)), canonical);
+  EXPECT_EQ(util::json_write(util::write_fields(*parsed)), canonical);
 }
 
 TEST(FaultPlanProperty, RandomValidPlansRoundTripByteIdentically) {
@@ -93,14 +110,14 @@ TEST(FaultPlanProperty, MutatedDocumentsAreRejectedOrRoundTrip) {
   for (int i = 0; i < 2000; ++i) {
     const FaultPlan base = random_valid_plan(rng);
     const std::string mutated =
-        mutate_text(util::json_write(fault_plan_to_json(base)), rng);
+        mutate_text(util::json_write(util::write_fields(base)), rng);
     const auto doc = util::json_parse(mutated);
     if (!doc.has_value()) {
       ++rejected;  // Rejected at the parse boundary: fine.
       continue;
     }
     std::string error;
-    const auto parsed = fault_plan_from_json(*doc, &error);
+    const auto parsed = read_plan(*doc, &error);
     if (!parsed.has_value()) {
       ++rejected;
       // The plan-level rejection must name a field, not be a blank error.
@@ -121,7 +138,7 @@ TEST(FaultPlanProperty, CraftedCorruptionsFailWithFieldNamingErrors) {
     const auto doc = util::json_parse(text);
     if (!doc.has_value()) return std::string("<json parse error>");
     std::string error;
-    const auto plan = fault_plan_from_json(*doc, &error);
+    const auto plan = read_plan(*doc, &error);
     EXPECT_FALSE(plan.has_value()) << text;
     return error;
   };

@@ -6,19 +6,35 @@
 #include "fault/state.hpp"
 
 #include "model/frame.hpp"
-#include "util/json.hpp"
+#include "util/fields.hpp"
 #include "util/prng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace lumen::fault {
 namespace {
+
+/// Reads a plan the way a spec's run.fault is read: its field list, then
+/// its range rules.
+std::optional<FaultPlan> read_plan(const util::JsonValue& json,
+                                   std::string* error) {
+  FaultPlan plan;
+  std::string problem = util::read_fields(json, plan, "fault");
+  if (problem.empty()) {
+    problem = validate_fault_plan(plan);
+    if (!problem.empty()) problem = "fault." + problem;
+  }
+  if (problem.empty()) return plan;
+  *error = problem;
+  return std::nullopt;
+}
 
 // ---------------------------------------------------------------------------
 // Enum round-trips (satellite: from_string/to_string follow the repo's
@@ -72,14 +88,14 @@ FaultPlan sample_plan() {
 
 TEST(FaultPlanJson, RoundTripsByteIdentically) {
   for (const FaultPlan& plan : {FaultPlan{}, sample_plan()}) {
-    const std::string text = util::json_write(fault_plan_to_json(plan));
+    const std::string text = util::json_write(util::write_fields(plan));
     const auto json = util::json_parse(text);
     ASSERT_TRUE(json.has_value());
     std::string error;
-    const auto parsed = fault_plan_from_json(*json, &error);
+    const auto parsed = read_plan(*json, &error);
     ASSERT_TRUE(parsed.has_value()) << error;
     EXPECT_EQ(*parsed, plan);
-    EXPECT_EQ(util::json_write(fault_plan_to_json(*parsed)), text);
+    EXPECT_EQ(util::json_write(util::write_fields(*parsed)), text);
   }
 }
 
@@ -87,7 +103,7 @@ TEST(FaultPlanJson, MissingKeysKeepDefaults) {
   const auto json = util::json_parse(R"({"light": {"probability": 0.5}})");
   ASSERT_TRUE(json.has_value());
   std::string error;
-  const auto parsed = fault_plan_from_json(*json, &error);
+  const auto parsed = read_plan(*json, &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(parsed->light.probability, 0.5);
   EXPECT_EQ(parsed->light.mode, CorruptionMode::kRandom);
@@ -112,7 +128,7 @@ TEST(FaultPlanJson, RejectsBadDocuments) {
     const auto json = util::json_parse(text);
     ASSERT_TRUE(json.has_value()) << text;
     std::string error;
-    EXPECT_EQ(fault_plan_from_json(*json, &error), std::nullopt) << text;
+    EXPECT_EQ(read_plan(*json, &error), std::nullopt) << text;
     EXPECT_FALSE(error.empty()) << text;
   }
 }
