@@ -5,7 +5,7 @@
 //   lumen-bench run <experiment|all> [flags]
 //   lumen-bench hunt [flags]
 //
-// Each experiment (E1-E6, E8) lives in the analysis::ExperimentRegistry;
+// Each experiment (E1–E6, E8–E13) lives in the analysis::ExperimentRegistry;
 // this binary only resolves the spec (defaults -> --spec file -> flag
 // overrides), runs it, and hands the structured result to a Reporter.
 // E7 (microbenchmarks) stays in the separate bench_micro binary because
@@ -163,8 +163,6 @@ int usage(std::ostream& os, int code) {
         "                     identical to an in-process run (0 = in-process)\n"
         "  --fabric-dir=DIR   lease + shard-journal directory for --workers\n"
         "  --lease-ttl-ms=T   reclaim a lease from a worker silent for T ms\n"
-        "  --straggler-factor=F  speculatively re-lease a shard with no\n"
-        "                     finished cell for F x the median cell time\n"
         "  --chaos-kill=P     fault injection: SIGKILL a worker with\n"
         "                     probability P after each finished cell\n"
         "  --chaos-seed=S     deterministic chaos stream seed\n"
@@ -355,8 +353,6 @@ int cmd_run(const std::vector<std::string>& raw_args) {
   cli.flag("workers", "fabric worker subprocesses (0 = in-process)", "0");
   cli.flag("fabric-dir", "lease/shard-journal directory", ".lumen-fabric");
   cli.flag("lease-ttl-ms", "reclaim a worker silent this long", "5000");
-  cli.flag("straggler-factor", "re-lease after F x median cell time, 0 = off",
-           "0");
   cli.flag("chaos-kill", "P(SIGKILL a worker after each cell), 0 = off", "0");
   cli.flag("chaos-seed", "deterministic chaos stream seed", "0");
 
@@ -412,10 +408,8 @@ int cmd_run(const std::vector<std::string>& raw_args) {
                  "non-negative\n";
     return 2;
   }
-  if (cli.get_double("chaos-kill") < 0.0 || cli.get_double("chaos-kill") > 1.0 ||
-      cli.get_double("straggler-factor") < 0.0) {
-    std::cerr << "error: --chaos-kill must be in [0, 1] and "
-                 "--straggler-factor non-negative\n";
+  if (const double p = cli.get_double("chaos-kill"); p < 0.0 || p > 1.0) {
+    std::cerr << "error: --chaos-kill must be in [0, 1]\n";
     return 2;
   }
   if (cli.get_int("workers") > 0) {
@@ -424,7 +418,6 @@ int cmd_run(const std::vector<std::string>& raw_args) {
     fabric_config.dir = cli.get("fabric-dir");
     fabric_config.lease_ttl_ms =
         static_cast<std::uint64_t>(cli.get_int("lease-ttl-ms"));
-    fabric_config.straggler_factor = cli.get_double("straggler-factor");
     fabric_config.chaos_kill_rate = cli.get_double("chaos-kill");
     fabric_config.chaos_seed =
         static_cast<std::uint64_t>(cli.get_int("chaos-seed"));

@@ -23,7 +23,6 @@ std::string_view to_string(CampaignErrorKind k) noexcept {
     case CampaignErrorKind::kSpecInvalid: return "spec-invalid";
     case CampaignErrorKind::kDeadline: return "deadline";
     case CampaignErrorKind::kException: return "exception";
-    case CampaignErrorKind::kCollisionAbort: return "collision-abort";
     case CampaignErrorKind::kJournalMismatch: return "journal-mismatch";
   }
   return "?";
@@ -33,8 +32,7 @@ std::optional<CampaignErrorKind> campaign_error_kind_from_string(
     std::string_view name) noexcept {
   for (const auto k :
        {CampaignErrorKind::kSpecInvalid, CampaignErrorKind::kDeadline,
-        CampaignErrorKind::kException, CampaignErrorKind::kCollisionAbort,
-        CampaignErrorKind::kJournalMismatch}) {
+        CampaignErrorKind::kException, CampaignErrorKind::kJournalMismatch}) {
     if (to_string(k) == name) return k;
   }
   return std::nullopt;
@@ -69,10 +67,6 @@ std::string validate_campaign_spec(const CampaignSpec& spec) {
   if (spec.max_attempts < 1) return "max_attempts must be >= 1";
   if (spec.run.max_cycles_per_robot < 1) {
     return "run.max_cycles_per_robot must be >= 1";
-  }
-  if (!(spec.run.nonrigid_min_progress >= 0.0) ||
-      !std::isfinite(spec.run.nonrigid_min_progress)) {
-    return "run.nonrigid_min_progress must be a finite number >= 0";
   }
   if (const std::string problem = fault::validate_fault_plan(spec.run.fault);
       !problem.empty()) {
@@ -314,13 +308,6 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
         m.outcome = sim::RunOutcome::kCollision;
         m.collision_channel = monitor.dominant_channel();
       }
-      if (spec.abort_on_collision && report.position_collisions > 0) {
-        return {std::nullopt,
-                CampaignError{
-                    CampaignErrorKind::kCollisionAbort, seed, 0,
-                    std::to_string(report.position_collisions) +
-                        " position collision(s) with abort_on_collision set"}};
-      }
     }
     return {std::move(m), CampaignError{}};
   };
@@ -337,7 +324,6 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
         cell.skipped = true;
         return;
       }
-      bool retriable = true;
       try {
         auto [metrics, error] = attempt_cell(seed, arena);
         if (metrics) {
@@ -349,9 +335,6 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
           return;
         }
         last_error = std::move(error);
-        // A collision verdict is deterministic in the seed; retrying would
-        // reproduce it exactly.
-        retriable = last_error.kind != CampaignErrorKind::kCollisionAbort;
       } catch (const std::exception& e) {
         last_error =
             CampaignError{CampaignErrorKind::kException, seed, 0, e.what()};
@@ -360,7 +343,6 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
                                    "unknown exception"};
       }
       last_error.attempts = attempt;
-      if (!retriable) break;
       if (attempt < spec.max_attempts) {
         const std::uint64_t delay =
             retry_backoff_delay_ms(spec.retry_backoff_ms, attempt, seed);

@@ -62,21 +62,16 @@ struct CampaignSpec {
   /// Base backoff between a cell's attempts; attempt k sleeps
   /// retry_backoff_ms * 2^(k-1), capped at 5000 ms. 0 = retry immediately.
   std::uint64_t retry_backoff_ms = 0;
-  /// When set, an audited cell whose run produced a position collision is
-  /// recorded as a kCollisionAbort error instead of a metrics row (the
-  /// verdict is deterministic in the seed, so it is never retried).
-  bool abort_on_collision = false;
 };
 
 /// Why a cell (or the whole campaign) failed. The taxonomy drives retry:
 /// only timing-dependent failures (kDeadline) and exceptions (kException,
 /// which may be environmental — allocation, file descriptors) are retried;
-/// kSpecInvalid and kCollisionAbort are deterministic verdicts.
+/// kSpecInvalid is a deterministic verdict.
 enum class CampaignErrorKind {
   kSpecInvalid,      ///< The spec failed validation; campaign-wide, no cells ran.
   kDeadline,         ///< Every attempt ended RunOutcome::kDeadlineExceeded.
   kException,        ///< Every attempt threw; detail carries the last what().
-  kCollisionAbort,   ///< abort_on_collision and the audit found a collision.
   kJournalMismatch,  ///< A journal declared a different campaign key than the
                      ///< spec (multi-writer guard); campaign-wide, no cells ran.
 };
@@ -101,12 +96,12 @@ struct CampaignError {
 /// The one home of the campaign's range rules: known algorithm name, n,
 /// runs, shard_count and max_attempts >= 1, a last cell seed
 /// (seed_base + runs - 1) of at most 2^63 - 1, shard_index < shard_count,
-/// min_separation > 0, collision_tolerance >= 0, the run's cycle cap and
-/// non-rigid progress, and fault::validate_fault_plan. The JSON loaders
-/// check only types, enum names and signs, then call this. Returns the
-/// first problem as a field-naming message, or an empty string when the
-/// spec is valid. run_campaign records the message as a kSpecInvalid
-/// CampaignError instead of running anything.
+/// min_separation > 0, collision_tolerance >= 0, the run's cycle cap, and
+/// fault::validate_fault_plan. The JSON loaders check only types, enum
+/// names and signs, then call this. Returns the first problem as a
+/// field-naming message, or an empty string when the spec is valid.
+/// run_campaign records the message as a kSpecInvalid CampaignError
+/// instead of running anything.
 [[nodiscard]] std::string validate_campaign_spec(const CampaignSpec& spec);
 
 /// The delay before retry attempt `failed_attempts + 1` of a cell: base

@@ -416,7 +416,9 @@ ExperimentResult run_doubling(const ScenarioSpec& spec,
       if (result.partial) break;
       for (std::size_t i = 0; i < spec.runs; ++i) {
         // E5 drives run_simulation directly (it needs the hull history, not
-        // campaign aggregates), so the cooperative stop is checked here.
+        // campaign aggregates), so the shard filter and the cooperative
+        // stop run_campaign applies are applied here.
+        if (i % spec.shard_count != spec.shard_index) continue;
         if (ctx.stop_requested()) {
           result.partial = true;
           break;

@@ -1,14 +1,15 @@
 // lumen_analysis: the experiment registry.
 //
-// Each of the paper-reproduction experiments (E1-E6, E8) is a library-level
-// Experiment: a name, a description, a default ScenarioSpec, and a run
-// function that reduces campaigns to a structured ExperimentResult (typed
-// rows + free-text notes + named pass/fail checks). The `lumen-bench`
-// driver is a thin shell over this registry — list/describe/run — and the
-// pluggable reporters render the same ExperimentResult as an aligned
-// table, CSV, or JSON. Experiment bodies were moved verbatim from the
-// former ad-hoc bench_*.cpp binaries so the printed metric values are
-// unchanged (tested in analysis_experiments_test.cpp).
+// Each of the paper-reproduction experiments (E1–E6, E8–E13) is a
+// library-level Experiment: a name, a description, a default ScenarioSpec,
+// and a run function that reduces campaigns to a structured
+// ExperimentResult (typed rows + free-text notes + named pass/fail checks).
+// The `lumen-bench` driver is a thin shell over this registry —
+// list/describe/run — and the pluggable reporters render the same
+// ExperimentResult as an aligned table, CSV, or JSON. Experiment bodies
+// were moved verbatim from the former ad-hoc bench_*.cpp binaries so the
+// printed metric values are unchanged (tested in
+// analysis_experiments_test.cpp).
 #pragma once
 
 #include "analysis/scenario.hpp"

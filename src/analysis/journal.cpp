@@ -110,11 +110,7 @@ util::JsonValue campaign_signature(const CampaignSpec& spec) {
   obj.set("audit_collisions", util::JsonValue::boolean(spec.audit_collisions));
   obj.set("collision_tolerance",
           util::JsonValue::number(spec.collision_tolerance));
-  obj.set("abort_on_collision", util::JsonValue::boolean(spec.abort_on_collision));
-  // The per-run seed is the cell coordinate, not campaign identity.
-  sim::RunConfig run = spec.run;
-  run.seed = 0;
-  obj.set("run", util::write_fields(run));
+  obj.set("run", util::write_fields(spec.run));
   return obj;
 }
 

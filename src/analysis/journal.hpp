@@ -47,8 +47,8 @@ namespace lumen::analysis {
 
 /// The campaign's identity for journaling: exactly the spec fields that
 /// affect a cell's result (algorithm, family, n, min_separation, audit
-/// settings, abort_on_collision, and the run template with its per-run seed
-/// zeroed). runs / seed_base / shard_* / max_attempts / retry_backoff_ms
+/// settings, and the run template's document fields, which exclude the
+/// per-run seed). runs / seed_base / shard_* / max_attempts / retry_backoff_ms
 /// are excluded on purpose — they select or schedule cells without changing
 /// any cell's bytes.
 [[nodiscard]] util::JsonValue campaign_signature(const CampaignSpec& spec);

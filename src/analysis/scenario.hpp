@@ -68,7 +68,6 @@ void fields(Io& io, C& spec) {
   io("shard_count", spec.shard_count);
   io("max_attempts", spec.max_attempts);
   io("retry_backoff_ms", spec.retry_backoff_ms);
-  io("abort_on_collision", spec.abort_on_collision);
   io("run", spec.run);
 }
 

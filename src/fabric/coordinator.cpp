@@ -21,6 +21,18 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Sub-shards per worker slot: finer-grained reclamation (a crash loses a
+/// smaller lease) at the cost of more journal files.
+constexpr std::size_t kLeasesPerWorker = 2;
+/// Worker liveness cadence (Lease::heartbeat_ms).
+constexpr std::uint64_t kHeartbeatMs = 100;
+/// Grants per shard (initial + re-grants) before the shard is declared
+/// failed and its cells fall back to local recomputation.
+constexpr std::size_t kMaxLeaseAttempts = 4;
+/// Base backoff before re-granting a failed shard; jittered per shard by
+/// analysis::retry_backoff_delay_ms.
+constexpr std::uint64_t kRelaunchBackoffMs = 50;
+
 std::uint64_t ms_since(Clock::time_point then, Clock::time_point now) {
   const auto ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(now - then).count();
@@ -35,21 +47,11 @@ struct Shard {
   std::vector<std::uint64_t> seeds;  ///< The cells this shard owns.
   State state = State::kPending;
   std::size_t attempts = 0;
-  std::size_t speculations = 0;
   std::uint64_t token = 0;  ///< Current grant's fencing token.
   std::vector<std::string> journals;  ///< Every grant's journal, oldest first.
   ChildProcess worker;
   Clock::time_point last_event;  ///< Any event under the current token.
-  Clock::time_point last_progress;  ///< Grant time, bumped per finished cell.
   Clock::time_point next_grant;  ///< Backoff gate for the next grant.
-};
-
-/// A worker whose lease was speculatively reassigned: no longer owns its
-/// shard, but kept (and its pipe drained) so it can finish the cell in
-/// flight — its journal still merges, just as duplicates.
-struct Orphan {
-  ChildProcess worker;
-  std::size_t shard_id = 0;
 };
 
 }  // namespace
@@ -87,10 +89,7 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
   // Decompose the spec's cell set {i : i % c == s} into S sub-shards
   // {i : i % (cS) == s + c*j}; their union is exactly the original set, so
   // the merged shard journals cover precisely the spec's grid.
-  const std::size_t sub_shards =
-      std::max<std::size_t>(1, config.workers *
-                                   std::max<std::size_t>(
-                                       1, config.leases_per_worker));
+  const std::size_t sub_shards = config.workers * kLeasesPerWorker;
   const std::size_t total_count = spec.shard_count * sub_shards;
   std::vector<Shard> shards(sub_shards);
   for (std::size_t j = 0; j < sub_shards; ++j) {
@@ -122,9 +121,7 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
     return static_cast<double>(chaos_state >> 11) * 0x1.0p-53 <
            config.chaos_kill_rate;
   };
-  std::vector<Orphan> orphans;
-  std::vector<std::uint64_t> cell_ms;  ///< Fleet-wide per-cell durations.
-  std::set<std::uint64_t> announced;   ///< Seeds already sent to on_cell.
+  std::set<std::uint64_t> announced;  ///< Seeds already sent to on_cell.
 
   const auto grant = [&](Shard& shard) {
     const std::uint64_t token = next_token++;
@@ -137,7 +134,7 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
     lease.resume_paths = config.resume_paths;
     lease.resume_paths.insert(lease.resume_paths.end(),
                               shard.journals.begin(), shard.journals.end());
-    lease.heartbeat_ms = std::max<std::uint64_t>(1, config.heartbeat_ms);
+    lease.heartbeat_ms = kHeartbeatMs;
     lease.scenario = base_scenario;
     lease.scenario.shard_index = shard.shard_index;
     lease.scenario.shard_count = total_count;
@@ -159,11 +156,8 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
     shard.journals.push_back(lease.journal_path);
     shard.state = Shard::State::kRunning;
     shard.attempts += 1;
-    const auto now = Clock::now();
-    shard.last_event = now;
-    shard.last_progress = now;
+    shard.last_event = Clock::now();
     out.stats.leases_granted += 1;
-    out.stats.workers_spawned += 1;
     say("fabric: granted shard " + std::to_string(shard.id) + " token " +
         std::to_string(token) + " (attempt " + std::to_string(shard.attempts) +
         ", pid " + std::to_string(shard.worker.pid()) + ")");
@@ -177,7 +171,7 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
   const auto reclaim = [&](Shard& shard, const std::string& why) {
     say("fabric: reclaiming shard " + std::to_string(shard.id) + " token " +
         std::to_string(shard.token) + " (" + why + ")");
-    if (shard.attempts >= config.max_lease_attempts) {
+    if (shard.attempts >= kMaxLeaseAttempts) {
       shard.state = Shard::State::kFailed;
       out.stats.shards_failed += 1;
       say("fabric: shard " + std::to_string(shard.id) +
@@ -187,7 +181,7 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
     }
     shard.state = Shard::State::kPending;
     const std::uint64_t delay = analysis::retry_backoff_delay_ms(
-        config.relaunch_backoff_ms, shard.attempts,
+        kRelaunchBackoffMs, shard.attempts,
         static_cast<std::uint64_t>(shard.id));
     shard.next_grant = Clock::now() + std::chrono::milliseconds(
                                           static_cast<std::int64_t>(delay));
@@ -201,8 +195,6 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
     }
     shard.last_event = now;
     if (event.kind != WorkerEventKind::kCell) return;
-    cell_ms.push_back(ms_since(shard.last_progress, now));
-    shard.last_progress = now;
     if (control.on_cell && announced.insert(event.seed).second) {
       control.on_cell(event.seed);
     }
@@ -212,38 +204,6 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
       shard.worker.kill(SIGKILL);
       out.stats.chaos_kills += 1;
     }
-  };
-
-  const auto drain_orphans = [&]() {
-    for (auto it = orphans.begin(); it != orphans.end();) {
-      std::string error;
-      for (const std::string& line : it->worker.read_lines()) {
-        const auto event = worker_event_from_line(line, &error);
-        // Everything a superseded grant says is fenced: its journal is the
-        // only channel that still counts, and only as duplicates.
-        if (event && event->kind == WorkerEventKind::kCell) {
-          out.stats.stale_events_fenced += 1;
-        }
-      }
-      it->worker.try_reap();
-      if (!it->worker.running()) {
-        say("fabric: superseded worker for shard " +
-            std::to_string(it->shard_id) + " finished");
-        it = orphans.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  const auto median_cell_ms = [&]() -> std::uint64_t {
-    if (cell_ms.size() < 3) return 0;
-    std::vector<std::uint64_t> copy = cell_ms;
-    const std::size_t mid = copy.size() / 2;
-    std::nth_element(copy.begin(),
-                     copy.begin() + static_cast<std::ptrdiff_t>(mid),
-                     copy.end());
-    return copy[mid];
   };
 
   const auto stop_requested = [&]() {
@@ -300,24 +260,6 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
           reclaim(shard, "lease expired");
           continue;
         }
-        // Straggler speculation: alive and heartbeating but not finishing
-        // cells at fleet pace — re-grant, keep the old worker as an orphan.
-        const std::uint64_t median = median_cell_ms();
-        if (config.straggler_factor > 0.0 && median > 0 &&
-            shard.speculations < 2 &&
-            static_cast<double>(ms_since(shard.last_progress, now)) >
-                std::max(config.straggler_factor * static_cast<double>(median),
-                         static_cast<double>(4 * config.heartbeat_ms))) {
-          say("fabric: shard " + std::to_string(shard.id) +
-              " straggling (no cell for " +
-              std::to_string(ms_since(shard.last_progress, now)) +
-              " ms, median " + std::to_string(median) + " ms); re-leasing");
-          orphans.push_back(Orphan{std::move(shard.worker), shard.id});
-          shard.speculations += 1;
-          out.stats.straggler_releases += 1;
-          shard.state = Shard::State::kPending;
-          shard.next_grant = now;
-        }
       }
     }
     std::size_t running = 0;
@@ -333,7 +275,7 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
       open_work = true;
       if (grant(shard)) {
         ++running;
-      } else if (shard.attempts + 1 >= config.max_lease_attempts) {
+      } else if (shard.attempts + 1 >= kMaxLeaseAttempts) {
         // Grant machinery itself failing (unwritable dir, unspawnable
         // binary) burns the same budget as a crash.
         shard.attempts += 1;
@@ -344,13 +286,10 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
         shard.next_grant =
             now + std::chrono::milliseconds(static_cast<std::int64_t>(
                       analysis::retry_backoff_delay_ms(
-                          std::max<std::uint64_t>(1,
-                                                  config.relaunch_backoff_ms),
-                          shard.attempts,
+                          kRelaunchBackoffMs, shard.attempts,
                           static_cast<std::uint64_t>(shard.id))));
       }
     }
-    drain_orphans();
     if (!open_work) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -362,7 +301,6 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
     for (Shard& shard : shards) {
       if (shard.state == Shard::State::kRunning) shard.worker.kill(SIGTERM);
     }
-    for (Orphan& orphan : orphans) orphan.worker.kill(SIGTERM);
     for (Shard& shard : shards) {
       if (shard.state == Shard::State::kRunning) {
         shard.worker.reap_with_timeout(5000);
@@ -370,12 +308,6 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
       }
     }
   }
-  // Superseded workers must not be appending while we merge.
-  for (Orphan& orphan : orphans) {
-    orphan.worker.kill(SIGKILL);
-    orphan.worker.reap_with_timeout(1000);
-  }
-  orphans.clear();
 
   // ---- Merge and finish ----------------------------------------------------
   // First-write-wins merge of every journal any grant ever produced; late

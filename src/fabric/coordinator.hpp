@@ -9,13 +9,9 @@
 //     dead/frozen; its lease is reclaimed (SIGKILL + re-grant under a fresh
 //     fencing token and a fresh journal file);
 //   - crash tolerance: a worker that exits nonzero or dies by signal is
-//     re-granted up to max_lease_attempts times with deterministic jittered
+//     re-granted (up to four grants per shard) with deterministic jittered
 //     backoff; its journaled cells are never redone (the new lease resumes
 //     from every prior grant's journal);
-//   - straggler speculation: a live worker whose per-cell progress stalls
-//     past straggler_factor x the fleet's median cell time is abandoned (not
-//     killed — it may still finish and its cells still merge) and its shard
-//     speculatively re-granted;
 //   - fencing: every event and journal is tied to one token; anything from
 //     a reclaimed grant is counted and dropped, and duplicate cell records
 //     merge first-write-wins, so stale workers are harmless by construction.
@@ -42,27 +38,14 @@
 namespace lumen::fabric {
 
 struct FabricConfig {
-  /// Worker processes to keep running concurrently (>= 1).
+  /// Worker processes to keep running concurrently (>= 1). The grid splits
+  /// into workers x 2 sub-shards, so a crash loses a smaller lease.
   std::size_t workers = 2;
-  /// Sub-shards granted per worker slot; more shards = finer-grained
-  /// reclamation (a crash loses a smaller lease) at more journal files.
-  std::size_t leases_per_worker = 2;
-  /// Worker liveness cadence (Lease::heartbeat_ms).
-  std::uint64_t heartbeat_ms = 100;
   /// A worker silent (no event of any kind) this long is presumed dead and
   /// its lease reclaimed. 0 disables expiry. Keep this several heartbeats
-  /// wide — expiry of a merely-slow worker is safe (fencing) but wasteful.
+  /// (100 ms each) wide — expiry of a merely-slow worker is safe (fencing)
+  /// but wasteful.
   std::uint64_t lease_ttl_ms = 5000;
-  /// Speculative re-lease: a shard with no finished cell for longer than
-  /// straggler_factor x the fleet's median cell time (min 3 samples) is
-  /// re-granted while the old worker keeps running. 0 disables.
-  double straggler_factor = 0.0;
-  /// Grant attempts per shard (initial + re-grants) before the shard is
-  /// declared failed and its cells fall back to local recomputation.
-  std::size_t max_lease_attempts = 4;
-  /// Base backoff before re-granting a failed shard; jittered per shard by
-  /// analysis::retry_backoff_delay_ms. 0 = re-grant immediately.
-  std::uint64_t relaunch_backoff_ms = 50;
   /// Worker command prefix, e.g. {"/path/to/lumen-bench", "work"}; the
   /// coordinator appends the lease file path.
   std::vector<std::string> worker_argv;
@@ -83,11 +66,9 @@ struct FabricConfig {
 /// What the fleet went through; reported, never part of the result bytes.
 struct FabricStats {
   std::size_t shards = 0;             ///< Seed-range shards the grid split into.
-  std::size_t leases_granted = 0;     ///< Grants incl. re-grants and speculation.
-  std::size_t workers_spawned = 0;
+  std::size_t leases_granted = 0;     ///< Grants incl. re-grants.
   std::size_t workers_crashed = 0;    ///< Signal deaths + nonzero retriable exits.
   std::size_t leases_expired = 0;     ///< TTL reclaims of silent workers.
-  std::size_t straggler_releases = 0; ///< Speculative re-grants.
   std::size_t chaos_kills = 0;        ///< SIGKILLs injected by the chaos knob.
   std::size_t stale_events_fenced = 0;   ///< Events carrying a superseded token.
   std::size_t duplicate_cells_dropped = 0;  ///< First-write-wins merge drops.

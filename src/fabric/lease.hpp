@@ -8,7 +8,7 @@
 // needs nothing but the lease to do its work — argv, stdin, or a file).
 //
 // Fencing: tokens are allocated strictly increasing per coordinator run.
-// A reclaimed lease (crash, expiry, straggler speculation) is re-granted
+// A reclaimed lease (crash or expiry) is re-granted
 // under a NEW token with a NEW journal path, so a resurrected stale worker
 // can only ever append to its own token's file; the coordinator's merge is
 // first-write-wins per (campaign key, seed), so those late appends are

@@ -10,8 +10,8 @@
 // `heartbeat` is pure liveness (a background thread, so a worker grinding
 // one long cell still beats); `cell` marks a CELL BOUNDARY — the cell's
 // journal record is already durable when it is emitted, which is what makes
-// it the chaos harness's SIGKILL point and the coordinator's progress /
-// straggler clock. Every event carries the fencing token of the lease it
+// it the chaos harness's SIGKILL point and the coordinator's progress
+// signal. Every event carries the fencing token of the lease it
 // was emitted under; the coordinator discards events whose token does not
 // match the shard's current grant (a resurrected stale worker can talk, but
 // it cannot advance anything).

@@ -74,8 +74,8 @@ int run_worker(const WorkerOptions& options) {
   const analysis::CampaignSpec spec = lease_campaign(lease);
 
   // Resume coverage: the canonical journal plus every prior grant of these
-  // cells. A prior journal that fails to load (still being appended by a
-  // straggler is fine — torn final lines drop; truly corrupt is not) only
+  // cells. A prior journal that fails to load (torn by a killed worker is
+  // fine — torn final lines drop; truly corrupt is not) only
   // costs resume coverage, never correctness: its cells re-run to the same
   // bytes.
   analysis::JournalSnapshot resume;

@@ -63,7 +63,7 @@ class StreamingEpochDetector {
 
   /// Feeds one completed cycle. Cycles of one robot must arrive in
   /// chronological order (as the engines emit them). Returns the number of
-  /// epochs that CLOSED as a consequence (usually 0 or 1; a straggler
+  /// epochs that CLOSED as a consequence (usually 0 or 1; a lagging
   /// robot's cycle can close several at once).
   std::size_t add_cycle(const CycleRecord& rec);
 
@@ -72,7 +72,7 @@ class StreamingEpochDetector {
   /// qualifying cycle, so survivor progress stays measurable around dead
   /// bodies. The retired robot's buffered cycles are discarded. Returns the
   /// number of epochs that closed as a consequence (the dead robot may have
-  /// been the only straggler). Once every robot is retired no further
+  /// been the only laggard). Once every robot is retired no further
   /// epochs close.
   std::size_t retire(std::size_t robot);
 

@@ -24,44 +24,38 @@ constexpr std::array<fault::CorruptionMode, 3> kModes = {
 
 constexpr std::uint64_t kSeedMask = 0x7fffffffffffffffULL;
 
-double clamp01(double v, double hi) {
+/// `v` clamped into [0, hi].
+double clamp_to(double v, double hi) {
   return std::min(std::max(v, 0.0), hi);
 }
 
-void random_crash(fault::CrashPlan& crash, const PlanBounds& bounds,
-                  util::Prng& rng) {
-  crash.count = 1 + static_cast<std::size_t>(rng.next_below(
-                        static_cast<std::uint64_t>(
-                            std::max<std::size_t>(bounds.crash_count_max, 1))));
+void random_crash(fault::CrashPlan& crash, util::Prng& rng) {
+  crash.count = 1 + static_cast<std::size_t>(rng.next_below(kMaxCrashCount));
   if (rng.bernoulli(0.5)) {
     crash.schedule = fault::CrashScheduleKind::kRate;
     // Floor at 5% of the range so the channel is always active.
-    crash.rate = bounds.crash_rate_max * (0.05 + 0.95 * rng.next_double());
+    crash.rate = kMaxCrashRate * (0.05 + 0.95 * rng.next_double());
     crash.times.clear();
   } else {
     crash.schedule = fault::CrashScheduleKind::kTimes;
     crash.rate = 0.0;
     const std::size_t k =
-        1 + static_cast<std::size_t>(rng.next_below(static_cast<std::uint64_t>(
-                std::max<std::size_t>(bounds.crash_times_max, 1))));
+        1 + static_cast<std::size_t>(rng.next_below(kMaxCrashTimes));
     crash.times.clear();
     for (std::size_t i = 0; i < k; ++i) {
-      crash.times.push_back(rng.uniform(0.0, bounds.crash_time_max));
+      crash.times.push_back(rng.uniform(0.0, kMaxCrashTime));
     }
   }
 }
 
-void random_light(fault::LightCorruptionPlan& light, const PlanBounds& bounds,
-                  util::Prng& rng) {
-  light.probability =
-      bounds.light_probability_max * (0.05 + 0.95 * rng.next_double());
+void random_light(fault::LightCorruptionPlan& light, util::Prng& rng) {
+  light.probability = kMaxLightProbability * (0.05 + 0.95 * rng.next_double());
   light.mode = kModes[rng.next_below(kModes.size())];
 }
 
-void random_noise(fault::SensorNoisePlan& noise, const PlanBounds& bounds,
-                  util::Prng& rng) {
-  noise.sigma = bounds.noise_sigma_max * (0.05 + 0.95 * rng.next_double());
-  noise.dropout = rng.uniform(0.0, bounds.noise_dropout_max);
+void random_noise(fault::SensorNoisePlan& noise, util::Prng& rng) {
+  noise.sigma = kMaxNoiseSigma * (0.05 + 0.95 * rng.next_double());
+  noise.dropout = rng.uniform(0.0, kMaxNoiseDropout);
 }
 
 template <typename T, std::size_t N>
@@ -87,19 +81,15 @@ void clamp_plan(AdversaryPlan& plan, const PlanBounds& bounds) {
     plan.activation = sched::ActivationKind::kRandomHalf;
   }
   auto& crash = plan.fault.crash;
-  crash.count = std::min(crash.count, bounds.crash_count_max);
-  crash.rate = clamp01(crash.rate, std::min(bounds.crash_rate_max, 1.0));
-  if (crash.times.size() > bounds.crash_times_max) {
-    crash.times.resize(bounds.crash_times_max);
-  }
-  for (double& t : crash.times) {
-    t = std::min(std::max(t, 0.0), bounds.crash_time_max);
-  }
-  plan.fault.light.probability = clamp01(
-      plan.fault.light.probability, std::min(bounds.light_probability_max, 1.0));
-  plan.fault.noise.sigma = clamp01(plan.fault.noise.sigma, bounds.noise_sigma_max);
+  crash.count = std::min(crash.count, kMaxCrashCount);
+  crash.rate = clamp_to(crash.rate, kMaxCrashRate);
+  if (crash.times.size() > kMaxCrashTimes) crash.times.resize(kMaxCrashTimes);
+  for (double& t : crash.times) t = clamp_to(t, kMaxCrashTime);
+  plan.fault.light.probability =
+      clamp_to(plan.fault.light.probability, kMaxLightProbability);
+  plan.fault.noise.sigma = clamp_to(plan.fault.noise.sigma, kMaxNoiseSigma);
   plan.fault.noise.dropout =
-      clamp01(plan.fault.noise.dropout, std::min(bounds.noise_dropout_max, 1.0));
+      clamp_to(plan.fault.noise.dropout, kMaxNoiseDropout);
 }
 
 AdversaryPlan random_plan(const AdversaryPlan& base, const PlanBounds& bounds,
@@ -112,9 +102,9 @@ AdversaryPlan random_plan(const AdversaryPlan& base, const PlanBounds& bounds,
            static_cast<std::size_t>(rng.next_below(static_cast<std::uint64_t>(
                bounds.n_max - std::min(bounds.n_min, bounds.n_max) + 1)));
   plan.seed = rng() & kSeedMask;
-  if (rng.bernoulli(0.5)) random_crash(plan.fault.crash, bounds, rng);
-  if (rng.bernoulli(0.5)) random_light(plan.fault.light, bounds, rng);
-  if (rng.bernoulli(0.5)) random_noise(plan.fault.noise, bounds, rng);
+  if (rng.bernoulli(0.5)) random_crash(plan.fault.crash, rng);
+  if (rng.bernoulli(0.5)) random_light(plan.fault.light, rng);
+  if (rng.bernoulli(0.5)) random_noise(plan.fault.noise, rng);
   clamp_plan(plan, bounds);
   return plan;
 }
@@ -150,7 +140,7 @@ AdversaryPlan mutate(const AdversaryPlan& plan, const PlanBounds& bounds,
       case 5: {  // Crash channel.
         auto& crash = out.fault.crash;
         if (!crash.active()) {
-          random_crash(crash, bounds, rng);
+          random_crash(crash, rng);
           break;
         }
         switch (rng.next_below(5)) {
@@ -163,11 +153,11 @@ AdversaryPlan mutate(const AdversaryPlan& plan, const PlanBounds& bounds,
             if (crash.schedule == fault::CrashScheduleKind::kRate) {
               crash.schedule = fault::CrashScheduleKind::kTimes;
               crash.rate = 0.0;
-              crash.times = {rng.uniform(0.0, bounds.crash_time_max)};
+              crash.times = {rng.uniform(0.0, kMaxCrashTime)};
             } else {
               crash.schedule = fault::CrashScheduleKind::kRate;
               crash.times.clear();
-              crash.rate = rng.uniform(0.0, bounds.crash_rate_max);
+              crash.rate = rng.uniform(0.0, kMaxCrashRate);
             }
             break;
           case 2:
@@ -175,7 +165,7 @@ AdversaryPlan mutate(const AdversaryPlan& plan, const PlanBounds& bounds,
             break;
           case 3:  // Add / drop an explicit crash instant.
             if (crash.times.empty() || rng.bernoulli(0.5)) {
-              crash.times.push_back(rng.uniform(0.0, bounds.crash_time_max));
+              crash.times.push_back(rng.uniform(0.0, kMaxCrashTime));
             } else {
               crash.times.erase(crash.times.begin() +
                                 static_cast<std::ptrdiff_t>(
@@ -194,7 +184,7 @@ AdversaryPlan mutate(const AdversaryPlan& plan, const PlanBounds& bounds,
       case 6: {  // Light channel.
         auto& light = out.fault.light;
         if (!light.active()) {
-          random_light(light, bounds, rng);
+          random_light(light, rng);
         } else if (rng.bernoulli(0.25)) {
           light.probability = 0.0;
         } else if (rng.bernoulli(0.5)) {
@@ -207,7 +197,7 @@ AdversaryPlan mutate(const AdversaryPlan& plan, const PlanBounds& bounds,
       default: {  // Noise channel.
         auto& noise = out.fault.noise;
         if (!noise.active()) {
-          random_noise(noise, bounds, rng);
+          random_noise(noise, rng);
         } else if (rng.bernoulli(0.25)) {
           noise.sigma = 0.0;
           noise.dropout = 0.0;

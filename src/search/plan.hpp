@@ -44,21 +44,24 @@ struct AdversaryPlan {
 /// hunt can never wander into sizes or fault rates the budget (or the spec
 /// validator) would reject. No operator changes plan.scheduler — a hunt
 /// compares like with like (epoch counts mean different things under
-/// different schedulers); the adversary/activation KINDS do mutate.
+/// different schedulers); the adversary/activation KINDS do mutate. The
+/// swarm size range is per hunt; the fault caps below are fixed.
 struct PlanBounds {
   std::size_t n_min = 8;
   std::size_t n_max = 48;
-  std::size_t crash_count_max = 6;
-  double crash_rate_max = 0.2;
-  double crash_time_max = 64.0;
-  std::size_t crash_times_max = 8;  ///< Length cap for explicit schedules.
-  double light_probability_max = 0.3;
-  double noise_sigma_max = 0.05;
-  double noise_dropout_max = 0.2;
 };
 
-/// Clamps every searched field into `bounds` (and the [0, 1] probability
-/// domains). Idempotent; mutation/crossover call it on their results.
+/// The fault channels' search caps (all probabilities are <= 1).
+inline constexpr std::size_t kMaxCrashCount = 6;
+inline constexpr double kMaxCrashRate = 0.2;
+inline constexpr double kMaxCrashTime = 64.0;
+inline constexpr std::size_t kMaxCrashTimes = 8;  ///< Explicit schedule length.
+inline constexpr double kMaxLightProbability = 0.3;
+inline constexpr double kMaxNoiseSigma = 0.05;
+inline constexpr double kMaxNoiseDropout = 0.2;
+
+/// Clamps every searched field into `bounds` and the fault caps.
+/// Idempotent; mutation/crossover call it on their results.
 void clamp_plan(AdversaryPlan& plan, const PlanBounds& bounds);
 
 /// A fresh random plan around `base` (scheduler kept from base): random

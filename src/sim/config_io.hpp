@@ -17,21 +17,20 @@ namespace lumen::sim {
 
 /// Every serialized RunConfig field under stable keys, enums as their
 /// to_string names. `pool`, `arena` and `visibility_cache_budget` are
-/// process-local or pure performance knobs and are not serialized.
-/// deadline_ms and fault are written only when non-default, so documents
-/// predating each feature stay byte-identical.
+/// process-local or pure performance knobs and are not serialized; nor are
+/// the per-run `seed` (a campaign sets it for every cell) and the
+/// `record_moves` / `record_hull_history` outputs (a campaign reduces each
+/// run to metrics and reads neither). deadline_ms and fault are written
+/// only when non-default, so documents predating each feature stay
+/// byte-identical.
 template <typename Io, util::FieldsOf<RunConfig> C>
 void fields(Io& io, C& config) {
   io("scheduler", config.scheduler, scheduler_from_string);
   io("adversary", config.adversary, sched::adversary_from_string);
   io("activation", config.activation, sched::activation_from_string);
-  io("seed", config.seed);
   io("max_cycles_per_robot", config.max_cycles_per_robot);
   io("refresh_frames_each_look", config.refresh_frames_each_look);
-  io("record_hull_history", config.record_hull_history);
-  io("record_moves", config.record_moves);
   io("rigid_moves", config.rigid_moves);
-  io("nonrigid_min_progress", config.nonrigid_min_progress);
   io.omit_default("deadline_ms", config.deadline_ms);
   io.omit_default("fault", config.fault);
 }

@@ -10,6 +10,10 @@ namespace lumen::sim {
 
 namespace {
 
+/// The non-rigid adversary's delta: a moving robot always travels at least
+/// min(kNonrigidMinProgress, the full distance).
+constexpr double kNonrigidMinProgress = 0.5;
+
 std::size_t light_index(model::Light l) noexcept {
   return static_cast<std::size_t>(l);
 }
@@ -107,7 +111,7 @@ bool ExecutionCore::crash_check(std::size_t robot, double time) {
   event.position = world_.position(robot);
   for (RunObserver* o : observers_) o->on_fault(event, world(time));
   // The dead robot drops out of the epoch requirement: later epochs measure
-  // survivor progress. Retiring the straggler can close pent-up epochs.
+  // survivor progress. Retiring the laggard can close pent-up epochs.
   const std::size_t closed = epochs_.retire(robot);
   for (std::size_t k = 0; k < closed; ++k) {
     const std::size_t index = epochs_emitted_++;
@@ -312,10 +316,9 @@ geom::Vec2 ExecutionCore::apply_motion_adversary(geom::Vec2 from, geom::Vec2 to,
                                                  util::Prng& rng) const {
   if (config_.rigid_moves) return to;
   const double dist = geom::distance(from, to);
-  if (dist <= config_.nonrigid_min_progress) return to;
+  if (dist <= kNonrigidMinProgress) return to;
   const double fraction = rng.uniform(0.0, 1.0);
-  const double travelled =
-      std::max(config_.nonrigid_min_progress, fraction * dist);
+  const double travelled = std::max(kNonrigidMinProgress, fraction * dist);
   return geom::lerp(from, to, travelled / dist);
 }
 

@@ -166,7 +166,7 @@ class ExecutionCore {
   fill_look_world(double t);
 
   /// Non-rigid stopping: the robot always progresses by at least
-  /// min(nonrigid_min_progress, the full distance); rigid moves pass through.
+  /// min(delta, the full distance); rigid moves pass through.
   [[nodiscard]] geom::Vec2 apply_motion_adversary(geom::Vec2 from, geom::Vec2 to,
                                                   util::Prng& rng) const;
 

@@ -103,10 +103,9 @@ struct RunConfig {
   /// Rigid movement: a moving robot always reaches its target. When false
   /// (the NON-RIGID model variant), the adversary may stop the robot
   /// anywhere along its path as long as it travels at least
-  /// min(nonrigid_min_progress, the full distance) — the classic delta
+  /// min(delta, the full distance) for a fixed delta of 0.5 — the classic
   /// guarantee that keeps Zeno behaviours out.
   bool rigid_moves = true;
-  double nonrigid_min_progress = 0.5;
   /// Optional in-run worker pool (non-owning; nullptr = serial). The SYNC
   /// drivers fan each round's Look+Compute over it — every activated robot
   /// snapshots the same pre-round configuration and Compute is a pure

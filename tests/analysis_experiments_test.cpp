@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
+#include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace lumen::analysis {
 namespace {
@@ -197,6 +201,41 @@ TEST(Experiments, CollisionsMatchesDirectCampaignMetrics) {
   EXPECT_EQ(row[4].value, static_cast<double>(collisions));
   EXPECT_EQ(row[5].text, util::format_number(min_sep, 4));
   EXPECT_EQ(row[6].value, static_cast<double>(crossings));
+}
+
+// E5 drives its runs itself, so it must honour --shard exactly as
+// run_campaign does: the two halves are disjoint and together are the
+// unsharded table.
+TEST(Experiments, DoublingShardsPartitionTheUnshardedRows) {
+  const auto* e = ExperimentRegistry::instance().find("E5");
+  ASSERT_NE(e, nullptr);
+  ScenarioSpec spec = e->defaults;
+  spec.ns = {8};
+  spec.runs = 4;
+  const auto row_texts = [&](std::size_t index, std::size_t count) {
+    ScenarioSpec shard = spec;
+    shard.shard_index = index;
+    shard.shard_count = count;
+    std::multiset<std::string> texts;
+    for (const auto& row : e->run(shard, ExperimentContext{}).rows) {
+      std::string text;
+      for (const MetricCell& c : row) text += c.text + "|";
+      texts.insert(text);
+    }
+    return texts;
+  };
+  const auto whole = row_texts(0, 1);
+  const auto first = row_texts(0, 2);
+  const auto second = row_texts(1, 2);
+  ASSERT_FALSE(first.empty());
+  ASSERT_FALSE(second.empty());
+  std::vector<std::string> shared;
+  std::set_intersection(first.begin(), first.end(), second.begin(),
+                        second.end(), std::back_inserter(shared));
+  EXPECT_TRUE(shared.empty());
+  std::multiset<std::string> both = first;
+  both.insert(second.begin(), second.end());
+  EXPECT_EQ(both, whole);
 }
 
 // ---------------------------------------------------------------------------

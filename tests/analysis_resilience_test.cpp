@@ -153,8 +153,7 @@ TEST(Journal, RejectsMalformedRecords) {
 TEST(Journal, ErrorKindStringsRoundTrip) {
   for (const auto k :
        {CampaignErrorKind::kSpecInvalid, CampaignErrorKind::kDeadline,
-        CampaignErrorKind::kException, CampaignErrorKind::kCollisionAbort,
-        CampaignErrorKind::kJournalMismatch}) {
+        CampaignErrorKind::kException, CampaignErrorKind::kJournalMismatch}) {
     EXPECT_EQ(campaign_error_kind_from_string(to_string(k)), k);
   }
   EXPECT_FALSE(campaign_error_kind_from_string("bogus").has_value());
@@ -174,8 +173,12 @@ TEST(Journal, CampaignKeyIgnoresSchedulingFieldsButNotPhysics) {
   sharded.seed_base = 999;
   sharded.max_attempts = 5;
   sharded.retry_backoff_ms = 10;
+  sharded.run.seed = 77;
+  sharded.run.record_moves = false;
+  sharded.run.record_hull_history = true;
   EXPECT_EQ(campaign_key(sharded), key)
-      << "sharding / seed range / retry policy must not change the key";
+      << "sharding / seed range / retry policy / recording must not change "
+         "the key";
 
   CampaignSpec other_n = base;
   other_n.n = base.n + 1;

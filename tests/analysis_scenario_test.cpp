@@ -27,13 +27,11 @@ ScenarioSpec full_spec() {
   spec.shard_count = 3;
   spec.max_attempts = 3;
   spec.retry_backoff_ms = 25;
-  spec.abort_on_collision = true;
   spec.run.scheduler = sim::SchedulerKind::kSsync;
   spec.run.adversary = sched::AdversaryKind::kBursty;
   spec.run.max_cycles_per_robot = 512;
   spec.run.refresh_frames_each_look = false;
   spec.run.rigid_moves = false;
-  spec.run.nonrigid_min_progress = 0.25;
   return spec;
 }
 
@@ -68,13 +66,11 @@ TEST(Scenario, ParsePreservesEveryField) {
   EXPECT_EQ(spec.shard_count, 3u);
   EXPECT_EQ(spec.max_attempts, 3u);
   EXPECT_EQ(spec.retry_backoff_ms, 25u);
-  EXPECT_TRUE(spec.abort_on_collision);
   EXPECT_EQ(spec.run.scheduler, sim::SchedulerKind::kSsync);
   EXPECT_EQ(spec.run.adversary, sched::AdversaryKind::kBursty);
   EXPECT_EQ(spec.run.max_cycles_per_robot, 512u);
   EXPECT_FALSE(spec.run.refresh_frames_each_look);
   EXPECT_FALSE(spec.run.rigid_moves);
-  EXPECT_DOUBLE_EQ(spec.run.nonrigid_min_progress, 0.25);
 }
 
 TEST(Scenario, MissingKeysKeepDefaults) {
@@ -128,12 +124,15 @@ TEST(Scenario, RejectsMalformedDocuments) {
     /// validate_campaign_spec owns the range rules, so the parser must
     /// report exactly its message.
     std::function<void(CampaignSpec&)> domain;
+    /// For an unknown key: its dotted path, which the error must name.
+    const char* unknown = nullptr;
   };
   const Row rows[] = {
       {"not json at all", {}},
       {R"({"type": "other-doc", "version": 1})", {}},
       {R"({"type": "lumen-scenario", "version": 99})", {}},
-      {R"({"type": "lumen-scenario", "version": 1, "typo_key": 1})", {}},
+      {R"({"type": "lumen-scenario", "version": 1, "typo_key": 1})", {},
+       "typo_key"},
       {R"({"type": "lumen-scenario", "version": 1, "family": "bogus"})", {}},
       {R"({"type": "lumen-scenario", "version": 1, "runs": 0})",
        [](CampaignSpec& s) { s.runs = 0; }},
@@ -158,13 +157,22 @@ TEST(Scenario, RejectsMalformedDocuments) {
       {R"({"type": "lumen-scenario", "version": 1, "max_attempts": 0})",
        [](CampaignSpec& s) { s.max_attempts = 0; }},
       {R"({"type": "lumen-scenario", "version": 1, "retry_backoff_ms": -5})", {}},
-      {R"({"type": "lumen-scenario", "version": 1, "abort_on_collision": 1})", {}},
+      // Deleted keys: a campaign ignores or fixes each of these settings.
+      {R"({"type": "lumen-scenario", "version": 1, "abort_on_collision": false})",
+       {}, "abort_on_collision"},
+      {R"({"type": "lumen-scenario", "version": 1, "run": {"seed": 1}})", {},
+       "run.seed"},
+      {R"({"type": "lumen-scenario", "version": 1, "run": {"record_moves": true}})",
+       {}, "run.record_moves"},
+      {R"({"type": "lumen-scenario", "version": 1, "run": {"record_hull_history": false}})",
+       {}, "run.record_hull_history"},
+      {R"({"type": "lumen-scenario", "version": 1, "run": {"nonrigid_min_progress": -1}})",
+       {}, "run.nonrigid_min_progress"},
+      {R"({"type": "lumen-scenario", "version": 1, "audit_collisions": 1})", {}},
       {R"({"type": "lumen-scenario", "version": 1, "run": {"scheduler": "NOPE"}})", {}},
       {R"({"type": "lumen-scenario", "version": 1, "run": {"adversary": "nope"}})", {}},
       {R"({"type": "lumen-scenario", "version": 1, "run": {"max_cycles_per_robot": 0}})",
        [](CampaignSpec& s) { s.run.max_cycles_per_robot = 0; }},
-      {R"({"type": "lumen-scenario", "version": 1, "run": {"nonrigid_min_progress": -1}})",
-       [](CampaignSpec& s) { s.run.nonrigid_min_progress = -1.0; }},
       {R"([1, 2, 3])", {}},
   };
   for (const Row& row : rows) {
@@ -176,6 +184,11 @@ TEST(Scenario, RejectsMalformedDocuments) {
       CampaignSpec spec = defaults.campaign(defaults.ns.front());
       row.domain(spec);
       EXPECT_EQ(parsed.error, validate_campaign_spec(spec)) << row.text;
+    }
+    if (row.unknown != nullptr) {
+      EXPECT_EQ(parsed.error,
+                std::string("unknown key \"") + row.unknown + "\"")
+          << row.text;
     }
   }
 }
@@ -195,7 +208,6 @@ TEST(Scenario, CampaignProjectionCopiesEveryKnob) {
   EXPECT_EQ(campaign.shard_count, spec.shard_count);
   EXPECT_EQ(campaign.max_attempts, spec.max_attempts);
   EXPECT_EQ(campaign.retry_backoff_ms, spec.retry_backoff_ms);
-  EXPECT_EQ(campaign.abort_on_collision, spec.abort_on_collision);
   EXPECT_EQ(campaign.run.scheduler, spec.run.scheduler);
   EXPECT_EQ(campaign.run.adversary, spec.run.adversary);
 }

@@ -133,7 +133,7 @@ INSTANTIATE_TEST_SUITE_P(Verbs, BenchPlumbing, testing::Values("run", "hunt"),
 
 // `run` sign-checks its integer flags before their unsigned casts and then
 // validates the resolved spec once: each (flag, message) pair must exit 2
-// naming the flag or the field.
+// naming the flag or the field. The deleted straggler flag is unknown.
 struct RunUsageError
     : testing::TestWithParam<std::pair<std::string, std::string>> {};
 
@@ -163,7 +163,8 @@ INSTANTIATE_TEST_SUITE_P(
                   "seed_base + runs - 1"},
         std::pair{"--runs=0", "runs must be >= 1"},
         std::pair{"--algorithm=bogus", "algorithm: unknown algorithm \"bogus\""},
-        std::pair{"--shard=2/2", "shard_index must be < shard_count"}),
+        std::pair{"--shard=2/2", "shard_index must be < shard_count"},
+        std::pair{"--straggler-factor=2", "unknown flag --straggler-factor"}),
     [](const auto& param) { return flag_test_name(param.param.first); });
 
 // Each (flag, message) pair must exit 2 naming the problem: a swarm of one

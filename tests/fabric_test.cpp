@@ -213,10 +213,7 @@ TEST(Coordinator, UnspawnableWorkersDegradeToLocalRecompute) {
 
   FabricConfig config;
   config.workers = 2;
-  config.leases_per_worker = 1;
   config.worker_argv = {"/nonexistent/definitely-not-a-binary", "work"};
-  config.max_lease_attempts = 2;
-  config.relaunch_backoff_ms = 1;
   config.lease_ttl_ms = 1000;
   config.dir = testing::TempDir() + "lumen_fabric_unspawnable";
   const FabricResult result = run_fabric_campaign(spec, config);
@@ -224,6 +221,32 @@ TEST(Coordinator, UnspawnableWorkersDegradeToLocalRecompute) {
   EXPECT_EQ(analysis::campaign_result_to_json(result.result), direct);
   EXPECT_EQ(result.stats.shards_failed, result.stats.shards);
   EXPECT_EQ(result.stats.cells_recomputed_locally, 4u);
+}
+
+// A worker that never speaks (frozen, not dead) is caught by the lease TTL
+// alone: every grant expires, is SIGKILLed and re-granted until the shard's
+// budget runs out, and then its cells are recomputed locally. `exec` makes
+// the sleeper the worker process itself, so the SIGKILL leaves nothing
+// behind.
+TEST(Coordinator, SilentWorkerLeaseExpiresAndFallsBackLocally) {
+  analysis::CampaignSpec spec;
+  spec.n = 12;
+  spec.runs = 4;
+  spec.seed_base = 50;
+  const std::string direct =
+      analysis::campaign_result_to_json(analysis::run_campaign(spec));
+
+  FabricConfig config;
+  config.workers = 2;
+  config.worker_argv = {"/bin/sh", "-c", "exec sleep 30", "sh"};
+  config.lease_ttl_ms = 200;
+  config.dir = testing::TempDir() + "lumen_fabric_silent";
+  const FabricResult result = run_fabric_campaign(spec, config);
+  EXPECT_FALSE(result.stopped);
+  EXPECT_GE(result.stats.leases_expired, result.stats.shards);
+  EXPECT_EQ(result.stats.shards_failed, result.stats.shards);
+  EXPECT_EQ(result.stats.cells_recomputed_locally, 4u);
+  EXPECT_EQ(analysis::campaign_result_to_json(result.result), direct);
 }
 
 }  // namespace

@@ -58,23 +58,22 @@ TEST(AdversaryPlan, MutationStaysInsideBounds) {
   PlanBounds bounds;
   bounds.n_min = 6;
   bounds.n_max = 12;
-  bounds.crash_count_max = 2;
-  bounds.crash_rate_max = 0.1;
-  bounds.light_probability_max = 0.2;
-  bounds.noise_sigma_max = 0.01;
-  bounds.noise_dropout_max = 0.1;
   util::Prng rng(5);
   AdversaryPlan plan;
   for (int i = 0; i < 500; ++i) {
     plan = mutate(plan, bounds, rng);
     ASSERT_GE(plan.n, bounds.n_min);
     ASSERT_LE(plan.n, bounds.n_max);
-    ASSERT_LE(plan.fault.crash.count, bounds.crash_count_max);
-    ASSERT_LE(plan.fault.crash.rate, bounds.crash_rate_max);
-    ASSERT_LE(plan.fault.crash.times.size(), bounds.crash_times_max);
-    ASSERT_LE(plan.fault.light.probability, bounds.light_probability_max);
-    ASSERT_LE(plan.fault.noise.sigma, bounds.noise_sigma_max);
-    ASSERT_LE(plan.fault.noise.dropout, bounds.noise_dropout_max);
+    ASSERT_LE(plan.fault.crash.count, kMaxCrashCount);
+    ASSERT_LE(plan.fault.crash.rate, kMaxCrashRate);
+    ASSERT_LE(plan.fault.crash.times.size(), kMaxCrashTimes);
+    for (const double t : plan.fault.crash.times) {
+      ASSERT_GE(t, 0.0);
+      ASSERT_LE(t, kMaxCrashTime);
+    }
+    ASSERT_LE(plan.fault.light.probability, kMaxLightProbability);
+    ASSERT_LE(plan.fault.noise.sigma, kMaxNoiseSigma);
+    ASSERT_LE(plan.fault.noise.dropout, kMaxNoiseDropout);
     // The scheduler never mutates.
     ASSERT_EQ(plan.scheduler, sim::SchedulerKind::kAsync);
   }
@@ -90,6 +89,26 @@ TEST(AdversaryPlan, ClampForcesTheFsyncActivationInvariant) {
   plan.scheduler = sim::SchedulerKind::kAsync;
   clamp_plan(plan, bounds);
   EXPECT_NE(plan.activation, sched::ActivationKind::kAll);
+}
+
+TEST(AdversaryPlan, ClampPullsEveryFaultChannelIntoItsCap) {
+  AdversaryPlan plan;
+  plan.fault.crash.count = 100;
+  plan.fault.crash.rate = 5.0;
+  plan.fault.crash.times.assign(2 * kMaxCrashTimes, 1000.0);
+  plan.fault.crash.times.front() = -1.0;
+  plan.fault.light.probability = 2.0;
+  plan.fault.noise.sigma = 1.0;
+  plan.fault.noise.dropout = 3.0;
+  clamp_plan(plan, PlanBounds{});
+  EXPECT_EQ(plan.fault.crash.count, kMaxCrashCount);
+  EXPECT_EQ(plan.fault.crash.rate, kMaxCrashRate);
+  ASSERT_EQ(plan.fault.crash.times.size(), kMaxCrashTimes);
+  EXPECT_EQ(plan.fault.crash.times.front(), 0.0);
+  EXPECT_EQ(plan.fault.crash.times.back(), kMaxCrashTime);
+  EXPECT_EQ(plan.fault.light.probability, kMaxLightProbability);
+  EXPECT_EQ(plan.fault.noise.sigma, kMaxNoiseSigma);
+  EXPECT_EQ(plan.fault.noise.dropout, kMaxNoiseDropout);
 }
 
 // ---------------------------------------------------------------------------

@@ -185,12 +185,11 @@ TEST(Engine, FixedFramesAlsoConverge) {
 
 TEST(Engine, NonRigidMovesStopShortButProgress) {
   // Under the non-rigid adversary every recorded move is a PREFIX of the
-  // intended one, at least nonrigid_min_progress long (or the full hop).
+  // intended one, at least the non-rigid delta (0.5) long (or the full hop).
   const auto algo = core::make_algorithm("async-log");
   const auto initial = gen::generate(gen::ConfigFamily::kUniformDisk, 24, 9);
   RunConfig config = async_config(9);
   config.rigid_moves = false;
-  config.nonrigid_min_progress = 0.5;
   const auto run = run_simulation(*algo, initial, config);
   EXPECT_TRUE(run.converged);
   std::size_t stopped_short = 0;

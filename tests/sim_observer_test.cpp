@@ -386,7 +386,6 @@ TEST(Quiescence, NonRigidStopShortStillConverges) {
        {SchedulerKind::kAsync, SchedulerKind::kSsync, SchedulerKind::kFsync}) {
     RunConfig config = scheduler_config(scheduler, 11);
     config.rigid_moves = false;
-    config.nonrigid_min_progress = 0.25;
     const auto name =
         scheduler == SchedulerKind::kAsync ? "async-log" : "ssync-parallel";
     const RunResult run =
