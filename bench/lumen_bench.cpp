@@ -14,9 +14,9 @@
 // fitness, delta-debugs the winner, and can emit the minimized plan as a
 // committable regression scenario (scenarios/adversarial/).
 //
-// Exit codes: 0 all checks passed (or --smoke), 1 a claim check failed,
-// 2 usage/spec error, 3 interrupted (SIGINT/SIGTERM drained gracefully —
-// in-flight cells finished, journal and partial report flushed).
+// Exit codes: 0 no claim check failed, 1 a claim check failed, 2 usage/spec
+// error, 3 interrupted (SIGINT/SIGTERM drained gracefully — in-flight cells
+// finished, journal and partial report flushed).
 
 #include "analysis/experiments.hpp"
 #include "analysis/journal.hpp"
@@ -147,8 +147,7 @@ int usage(std::ostream& os, int code) {
         "  --format=pretty|csv|json   reporter (default pretty)\n"
         "  --out=FILE         write the report to FILE instead of stdout\n"
         "  --save-spec=FILE   write the resolved spec JSON and continue\n"
-        "  --smoke            shrink the spec to a seconds-long sanity run;\n"
-        "                     claim checks are reported but not enforced\n"
+        "  --smoke            shrink the spec to a seconds-long sanity run\n"
         "  --journal=FILE     append one durable JSONL record per finished\n"
         "                     campaign cell (checkpoint for --resume)\n"
         "  --resume=FILE      skip cells already recorded in FILE and merge\n"
@@ -344,7 +343,7 @@ int cmd_run(const std::vector<std::string>& raw_args) {
   cli.flag("format", "pretty|csv|json", "pretty");
   cli.flag("out", "write the report to this file instead of stdout");
   cli.flag("save-spec", "write the resolved spec JSON to this file");
-  cli.flag("smoke", "tiny sanity run; checks reported, not enforced");
+  cli.flag("smoke", "tiny sanity run; too-short sweeps read UNDECIDED");
   cli.flag("journal", "append a durable record per finished campaign cell");
   cli.flag("resume", "skip cells journaled in this file; implies --journal");
   cli.flag("deadline-ms", "per-run wall-clock watchdog, 0 = off");
@@ -439,7 +438,6 @@ int cmd_run(const std::vector<std::string>& raw_args) {
     };
   }
 
-  const bool smoke = cli.get_bool("smoke");
   bool all_passed = true;
   bool interrupted = false;
   bool first = true;
@@ -458,7 +456,7 @@ int cmd_run(const std::vector<std::string>& raw_args) {
       std::cerr << "error: " << error << "\n";
       return 2;
     }
-    if (smoke) spec = smoke_spec(spec);
+    if (cli.get_bool("smoke")) spec = smoke_spec(spec);
     if (const std::string problem = analysis::validate_scenario(spec);
         !problem.empty()) {
       std::cerr << "error: " << problem << "\n";
@@ -490,9 +488,6 @@ int cmd_run(const std::vector<std::string>& raw_args) {
               << " to continue.\n";
     return 3;
   }
-  // Smoke specs are far below the sizes the claim thresholds were
-  // calibrated for (E1 needs >= 4 sweep points), so only report verdicts.
-  if (smoke) return 0;
   return all_passed ? 0 : 1;
 }
 

@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
   const auto algorithm = core::make_algorithm("async-log");
   sim::RunConfig config;
   config.seed = seed;
-  config.record_hull_history = true;
   const auto run = sim::run_simulation(*algorithm, initial, config);
 
   // Snapshot the world right after the first wave of moves (the line

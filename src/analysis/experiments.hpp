@@ -3,7 +3,7 @@
 // Each of the paper-reproduction experiments (E1–E6, E8–E13) is a
 // library-level Experiment: a name, a description, a default ScenarioSpec,
 // and a run function that reduces campaigns to a structured
-// ExperimentResult (typed rows + free-text notes + named pass/fail checks).
+// ExperimentResult (typed rows + free-text notes + named claim checks).
 // The `lumen-bench` driver is a thin shell over this registry —
 // list/describe/run — and the pluggable reporters render the same
 // ExperimentResult as an aligned table, CSV, or JSON. Experiment bodies
@@ -33,6 +33,15 @@ struct MetricCell {
 [[nodiscard]] MetricCell cell(double value, int precision = 3);
 [[nodiscard]] MetricCell cell(std::size_t value);
 
+/// A claim check's outcome; only kFail fails a run. kUndecided: the data
+/// cannot tell, e.g. E1's growth verdict over a too-short sweep.
+enum class Verdict { kPass, kFail, kUndecided };
+
+/// The verdict of a yes/no claim.
+[[nodiscard]] constexpr Verdict pass_if(bool ok) noexcept {
+  return ok ? Verdict::kPass : Verdict::kFail;
+}
+
 struct ExperimentResult {
   std::string experiment;  ///< Registry name.
   std::string title;       ///< Table caption.
@@ -40,10 +49,10 @@ struct ExperimentResult {
   std::vector<std::vector<MetricCell>> rows;
   /// Free-text findings printed after the table (fits, ratios, caveats).
   std::vector<std::string> notes;
-  /// Named claim verdicts; the driver's exit code is all-of.
+  /// Named claim verdicts; `lumen-bench run` exits 1 when any is kFail.
   struct Check {
     std::string label;
-    bool passed = false;
+    Verdict verdict = Verdict::kFail;
   };
   std::vector<Check> checks;
   /// Set when any campaign was cut short (stop requested, cells skipped) or
@@ -52,6 +61,7 @@ struct ExperimentResult {
   /// result are not trustworthy either way.
   bool partial = false;
 
+  /// True when no check failed (undecided checks do not fail a result).
   [[nodiscard]] bool passed() const noexcept;
 
   /// Row-building shorthand used by the experiment bodies.

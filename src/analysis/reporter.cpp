@@ -2,11 +2,22 @@
 
 #include "util/table.hpp"
 
+#include <cctype>
 #include <ostream>
+#include <string>
 
 namespace lumen::analysis {
 
 namespace {
+
+std::string verdict_name(Verdict v) {
+  switch (v) {
+    case Verdict::kPass: return "pass";
+    case Verdict::kFail: return "fail";
+    case Verdict::kUndecided: return "undecided";
+  }
+  return "?";
+}
 
 util::Table to_table(const ExperimentResult& result) {
   util::Table table(result.columns);
@@ -28,7 +39,9 @@ class PrettyReporter final : public Reporter {
             "claim checks are not meaningful\n";
     }
     for (const auto& check : result.checks) {
-      os << (check.passed ? "  [PASS] " : "  [FAIL] ") << check.label << "\n";
+      std::string tag = verdict_name(check.verdict);
+      for (char& c : tag) c = static_cast<char>(std::toupper(c));
+      os << "  [" << tag << "] " << check.label << "\n";
     }
   }
 };
@@ -79,7 +92,7 @@ util::JsonValue result_to_json(const ExperimentResult& result) {
   for (const auto& check : result.checks) {
     util::JsonValue entry = util::JsonValue::object();
     entry.set("label", util::JsonValue::string(check.label));
-    entry.set("passed", util::JsonValue::boolean(check.passed));
+    entry.set("verdict", util::JsonValue::string(verdict_name(check.verdict)));
     checks.push_back(std::move(entry));
   }
   obj.set("checks", std::move(checks));

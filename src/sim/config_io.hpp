@@ -19,8 +19,8 @@ namespace lumen::sim {
 /// to_string names. `pool`, `arena` and `visibility_cache_budget` are
 /// process-local or pure performance knobs and are not serialized; nor are
 /// the per-run `seed` (a campaign sets it for every cell) and the
-/// `record_moves` / `record_hull_history` outputs (a campaign reduces each
-/// run to metrics and reads neither). deadline_ms and fault are written
+/// `record_moves` output (a campaign reduces each run to metrics and does
+/// not read the move log). deadline_ms and fault are written
 /// only when non-default, so documents predating each feature stay
 /// byte-identical.
 template <typename Io, util::FieldsOf<RunConfig> C>

@@ -307,12 +307,10 @@ RunResult run_simulation(const model::Algorithm& algorithm,
                          std::span<const Vec2> initial, const RunConfig& config,
                          std::span<RunObserver* const> observers) {
   MoveLogRecorder move_recorder;
-  HullHistoryRecorder hull_recorder(config.scheduler != SchedulerKind::kAsync);
   FaultLogRecorder fault_recorder;
   const bool record_faults = config.record_moves && config.fault.any();
   std::vector<RunObserver*> attached(observers.begin(), observers.end());
   if (config.record_moves) attached.push_back(&move_recorder);
-  if (config.record_hull_history) attached.push_back(&hull_recorder);
   if (record_faults) attached.push_back(&fault_recorder);
 
   RunResult result;
@@ -324,9 +322,6 @@ RunResult run_simulation(const model::Algorithm& algorithm,
     result = driver.run();
   }
   if (config.record_moves) result.moves = std::move(move_recorder.moves());
-  if (config.record_hull_history) {
-    result.hull_history = std::move(hull_recorder.samples());
-  }
   if (record_faults) result.fault_events = std::move(fault_recorder.events());
   return result;
 }

@@ -167,8 +167,7 @@ class FaultLogRecorder final : public RunObserver {
 
 /// Corner census over time (claim C6's doubling experiment): samples the
 /// strict-hull corner count at t=0, then after every move completion (ASYNC)
-/// or at every round boundary (SYNC), matching the historical
-/// record_hull_history cadence exactly.
+/// or at every round boundary (SYNC). Costs O(N log N) per sample.
 class HullHistoryRecorder final : public RunObserver {
  public:
   /// `per_round`: sample at round boundaries (SYNC schedulers) instead of at

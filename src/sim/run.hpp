@@ -93,8 +93,6 @@ struct RunConfig {
   /// Draw a fresh random local frame at every Look (full disorientation).
   /// When false, each robot keeps one fixed random frame.
   bool refresh_frames_each_look = true;
-  /// Record hull corner counts over time (costs O(N log N) per move).
-  bool record_hull_history = false;
   /// Retain the full move log in RunResult::moves. On by default for
   /// single-run workflows (traces, SVG, post-hoc audits); campaigns switch
   /// it off and audit with the streaming collision monitor instead, so a
@@ -149,7 +147,6 @@ struct RunResult {
   /// Full move log — populated only when RunConfig::record_moves is set
   /// (the default). total_moves / total_distance are always maintained.
   std::vector<MoveSegment> moves;
-  std::vector<HullSample> hull_history;
   /// lights_seen[i] is true iff color kAllLights[i] was ever displayed.
   std::array<bool, model::kLightCount> lights_seen{};
   /// Outcome classification (converged / stalled / budget-exhausted from

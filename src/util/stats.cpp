@@ -1,7 +1,11 @@
 #include "util/stats.hpp"
 
+#include "util/prng.hpp"
+
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 namespace lumen::util {
 
@@ -38,66 +42,57 @@ double percentile(std::span<const double> xs, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
-  LinearFit fit;
-  const std::size_t n = std::min(xs.size(), ys.size());
-  if (n < 2) return fit;
-  double sx = 0.0, sy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sx += xs[i];
-    sy += ys[i];
+GrowthVerdict growth_verdict(std::span<const double> ns,
+                             std::span<const std::vector<double>> samples) {
+  constexpr std::size_t kDoublings = 3;
+  constexpr std::size_t kBootstrapResamples = 2000;
+  constexpr std::uint64_t kBootstrapSeed = 0x6c756d656eULL;
+  GrowthVerdict v;
+  if (ns.size() != samples.size() || ns.size() < kDoublings + 1) return v;
+  const std::size_t first = ns.size() - (kDoublings + 1);
+  const auto tail = samples.subspan(first);
+  std::array<double, kDoublings + 1> means{};
+  const auto doubling_ratio = [&means] {
+    double sum = 0.0;
+    for (std::size_t k = 1; k < means.size(); ++k) sum += means[k] / means[k - 1];
+    return sum / static_cast<double>(kDoublings);
+  };
+  for (std::size_t k = 0; k < tail.size(); ++k) {
+    const bool doubled = k == 0 || ns[first + k] == 2.0 * ns[first + k - 1];
+    if (!doubled || tail[k].size() < 2 || std::ranges::min(tail[k]) <= 0.0) {
+      return v;
+    }
+    means[k] = summarize(tail[k]).mean;
   }
-  const double mx = sx / static_cast<double>(n);
-  const double my = sy / static_cast<double>(n);
-  double sxx = 0.0, sxy = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxx += dx * dx;
-    sxy += dx * dy;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0) return fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  double ss_res = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = ys[i] - (fit.intercept + fit.slope * xs[i]);
-    ss_res += r * r;
-  }
-  fit.rmse = std::sqrt(ss_res / static_cast<double>(n));
-  fit.r_squared = (syy > 0.0) ? std::max(0.0, 1.0 - ss_res / syy) : 1.0;
-  return fit;
-}
+  v.ratio = doubling_ratio();
 
-ScalingVerdict classify_growth(std::span<const double> ns,
-                               std::span<const double> times,
-                               double tie_margin) {
-  ScalingVerdict v;
-  std::vector<double> logs;
-  logs.reserve(ns.size());
-  for (const double n : ns) logs.push_back(std::log2(std::max(n, 1.0)));
-  v.log_fit = fit_linear(logs, times);
-  v.lin_fit = fit_linear(ns, times);
-  v.margin = v.log_fit.r_squared - v.lin_fit.r_squared;
-  if (v.margin > tie_margin) {
-    v.winner = GrowthModel::kLogarithmic;
-  } else if (v.margin < -tie_margin) {
-    v.winner = GrowthModel::kLinear;
-  } else {
-    v.winner = GrowthModel::kTie;
+  Prng rng(kBootstrapSeed);
+  std::vector<double> ratios(kBootstrapResamples);
+  for (double& ratio : ratios) {
+    for (std::size_t k = 0; k < tail.size(); ++k) {
+      double sum = 0.0;
+      for (std::size_t j = 0; j < tail[k].size(); ++j) {
+        sum += tail[k][rng.next_below(tail[k].size())];
+      }
+      means[k] = sum / static_cast<double>(tail[k].size());
+    }
+    ratio = doubling_ratio();
+  }
+  v.lo = percentile(ratios, 2.5);
+  v.hi = percentile(ratios, 97.5);
+  if (v.hi < kGrowthRatioThreshold) {
+    v.growth = Growth::kLogarithmic;
+  } else if (v.lo > kGrowthRatioThreshold) {
+    v.growth = Growth::kLinear;
   }
   return v;
 }
 
-std::string to_string(GrowthModel m) {
-  switch (m) {
-    case GrowthModel::kLogarithmic:
-      return "O(log N)";
-    case GrowthModel::kLinear:
-      return "O(N)";
-    case GrowthModel::kTie:
-      return "tie";
+std::string_view to_string(Growth g) noexcept {
+  switch (g) {
+    case Growth::kLogarithmic: return "logarithmic";
+    case Growth::kLinear: return "linear";
+    case Growth::kUndecided: return "undecided";
   }
   return "?";
 }

@@ -1,14 +1,15 @@
-// lumen_util: descriptive statistics and scaling-law fits.
+// lumen_util: descriptive statistics and the growth verdict.
 //
 // The benchmark harness reduces each campaign (many runs of a simulation) to
 // summary rows: central tendency, spread, percentiles, and — for the headline
-// claim — a model-selection fit that decides whether epochs-to-convergence
-// grow like a + b*log2(N) or like a + b*N.
+// claim — a bootstrapped per-doubling ratio that decides whether
+// epochs-to-convergence grow logarithmically or linearly in N, or whether
+// the data cannot tell.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace lumen::util {
@@ -39,39 +40,35 @@ class RunningStats {
 /// The input need not be sorted; a copy is sorted internally.
 [[nodiscard]] double percentile(std::span<const double> xs, double q);
 
-/// Ordinary least squares fit of y = intercept + slope * x.
-struct LinearFit {
-  double slope = 0.0;
-  double intercept = 0.0;
-  double r_squared = 0.0;  ///< Coefficient of determination in [0, 1].
-  double rmse = 0.0;       ///< Root-mean-square residual.
+/// How a series of per-N samples grows as N doubles.
+enum class Growth { kLogarithmic, kLinear, kUndecided };
+
+/// The one growth verdict behind E1's scaling claims.
+struct GrowthVerdict {
+  /// Mean per-doubling ratio of per-N means over the last three doublings:
+  /// logarithmic growth adds a constant per doubling (ratio -> 1), linear
+  /// growth doubles (ratio -> 2). 0 when the series cannot support it.
+  double ratio = 0.0;
+  double lo = 0.0;  ///< 95% percentile-bootstrap interval for `ratio`,
+  double hi = 0.0;  ///< resampling each N's samples independently.
+  Growth growth = Growth::kUndecided;
 };
 
-/// Fits y ~ a + b*x by least squares. Requires xs.size() == ys.size() >= 2
-/// and non-constant xs; otherwise returns a zero fit with r_squared = 0.
-[[nodiscard]] LinearFit fit_linear(std::span<const double> xs,
-                                   std::span<const double> ys);
+/// Ratios below this read logarithmic, above it linear.
+inline constexpr double kGrowthRatioThreshold = 1.5;
 
-/// Which growth model explains a (N, time) series better.
-enum class GrowthModel { kLogarithmic, kLinear, kTie };
+/// Decides how `samples[i]` (the samples at size `ns[i]`, e.g. each seed's
+/// converged epoch count) grow over the last three doublings of `ns`. Reads
+/// kLogarithmic when the whole interval lies below kGrowthRatioThreshold,
+/// kLinear when it lies above, kUndecided otherwise — and also when the
+/// last four sizes do not double, or any of them has fewer than two samples
+/// or a non-positive one. Deterministic: the bootstrap draws from a
+/// fixed-seed Prng.
+[[nodiscard]] GrowthVerdict growth_verdict(
+    std::span<const double> ns, std::span<const std::vector<double>> samples);
 
-/// Result of comparing time ~ a + b*log2(N) against time ~ a + b*N.
-struct ScalingVerdict {
-  LinearFit log_fit;    ///< Fit against log2(N).
-  LinearFit lin_fit;    ///< Fit against N.
-  GrowthModel winner = GrowthModel::kTie;
-  /// log_fit.r_squared - lin_fit.r_squared; positive favors logarithmic.
-  double margin = 0.0;
-};
-
-/// Fits both growth models to (n, time) pairs and picks the winner by R²
-/// (ties within `tie_margin` are reported as kTie).
-[[nodiscard]] ScalingVerdict classify_growth(std::span<const double> ns,
-                                             std::span<const double> times,
-                                             double tie_margin = 0.01);
-
-/// Human-readable name for a growth model ("O(log N)", "O(N)", "tie").
-[[nodiscard]] std::string to_string(GrowthModel m);
+/// "logarithmic", "linear" or "undecided".
+[[nodiscard]] std::string_view to_string(Growth g) noexcept;
 
 /// Summary of a vector of samples, convenient for table rows.
 struct Summary {

@@ -152,6 +152,24 @@ TEST(Experiments, TimeVsNMatchesDirectCampaignMetrics) {
   }
 }
 
+// A smoke-sized sweep has one doubling per series, too few to read either
+// growth claim: both are undecided and the result still passes.
+TEST(Experiments, TimeVsNSmokeSweepLeavesBothClaimsUndecided) {
+  const auto* e = ExperimentRegistry::instance().find("E1");
+  ASSERT_NE(e, nullptr);
+  ScenarioSpec spec = e->defaults;
+  spec.ns = {8, 16};
+  spec.baseline_ns = {8, 16};
+  spec.runs = 2;
+  const ExperimentResult result = e->run(spec, ExperimentContext{});
+  ASSERT_EQ(result.checks.size(), 2u);
+  for (const auto& check : result.checks) {
+    EXPECT_EQ(check.verdict, Verdict::kUndecided) << check.label;
+  }
+  EXPECT_TRUE(result.passed());
+  EXPECT_NE(result.checks[0].label.find("async-log"), std::string::npos);
+}
+
 // E1 runs every requested seed at N >= 512 too; one cycle keeps it cheap.
 TEST(Experiments, TimeVsNRunsEveryRequestedSeedAtLargeN) {
   const auto* e = ExperimentRegistry::instance().find("E1");
@@ -249,15 +267,18 @@ ExperimentResult sample_result() {
   result.row() = {cell("alpha"), cell(std::size_t{42})};
   result.row() = {cell("beta"), cell(2.5, 1)};
   result.notes.push_back("a note");
-  result.checks.push_back({"always true", true});
-  result.checks.push_back({"always false", false});
+  result.checks.push_back({"always true", Verdict::kPass});
+  result.checks.push_back({"too few sizes", Verdict::kUndecided});
+  result.checks.push_back({"always false", Verdict::kFail});
   return result;
 }
 
-TEST(Reporter, PassedIsAllOfChecks) {
+TEST(Reporter, PassedMeansNoCheckFailed) {
   ExperimentResult result = sample_result();
   EXPECT_FALSE(result.passed());
   result.checks.pop_back();
+  EXPECT_TRUE(result.passed());  // An undecided check does not fail.
+  result.checks.erase(result.checks.begin());
   EXPECT_TRUE(result.passed());
   result.checks.clear();
   EXPECT_TRUE(result.passed());  // Vacuously true.
@@ -271,6 +292,7 @@ TEST(Reporter, PrettyShowsTableNotesAndVerdicts) {
   EXPECT_NE(text.find("alpha"), std::string::npos);
   EXPECT_NE(text.find("a note"), std::string::npos);
   EXPECT_NE(text.find("[PASS] always true"), std::string::npos);
+  EXPECT_NE(text.find("[UNDECIDED] too few sizes"), std::string::npos);
   EXPECT_NE(text.find("[FAIL] always false"), std::string::npos);
 }
 
@@ -289,6 +311,16 @@ TEST(Reporter, JsonKeepsNumbersAsNumbersAndTextAsStrings) {
   EXPECT_TRUE(rows->items()[0].items()[0].is_string());
   EXPECT_TRUE(rows->items()[0].items()[1].is_number());
   EXPECT_EQ(rows->items()[0].items()[1].as_double(), 42.0);
+  const auto* checks = doc.find("checks");
+  ASSERT_NE(checks, nullptr);
+  ASSERT_EQ(checks->items().size(), 3u);
+  const char* verdicts[] = {"pass", "undecided", "fail"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto* verdict = checks->items()[i].find("verdict");
+    ASSERT_NE(verdict, nullptr) << i;
+    EXPECT_EQ(verdict->as_string(), verdicts[i]);
+    EXPECT_EQ(checks->items()[i].find("passed"), nullptr) << i;
+  }
   const auto* passed = doc.find("passed");
   ASSERT_NE(passed, nullptr);
   EXPECT_FALSE(passed->as_bool());

@@ -159,7 +159,7 @@ TEST(FaultExperiments, TinyCrashToleranceRuns) {
   // f in {0, 1, 2, 4, 8} at N=10: the f >= n guard keeps all five rows.
   EXPECT_EQ(result.rows.size(), 5u);
   ASSERT_FALSE(result.checks.empty());
-  EXPECT_TRUE(result.checks.front().passed);
+  EXPECT_EQ(result.checks.front().verdict, Verdict::kPass);
 }
 
 }  // namespace

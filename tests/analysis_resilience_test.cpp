@@ -175,7 +175,6 @@ TEST(Journal, CampaignKeyIgnoresSchedulingFieldsButNotPhysics) {
   sharded.retry_backoff_ms = 10;
   sharded.run.seed = 77;
   sharded.run.record_moves = false;
-  sharded.run.record_hull_history = true;
   EXPECT_EQ(campaign_key(sharded), key)
       << "sharding / seed range / retry policy / recording must not change "
          "the key";

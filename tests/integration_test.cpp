@@ -26,12 +26,13 @@ struct Outcome {
 };
 
 Outcome execute(std::string_view algorithm, gen::ConfigFamily family,
-                std::size_t n, std::uint64_t seed, const RunConfig& base) {
+                std::size_t n, std::uint64_t seed, const RunConfig& base,
+                std::span<sim::RunObserver* const> observers = {}) {
   const auto algo = core::make_algorithm(algorithm);
   const auto initial = gen::generate(family, n, seed);
   RunConfig config = base;
   config.seed = seed;
-  Outcome out{sim::run_simulation(*algo, initial, config), {}, {}};
+  Outcome out{sim::run_simulation(*algo, initial, config, observers), {}, {}};
   out.visibility = sim::verify_complete_visibility(out.run.final_positions);
   out.collisions = sim::check_collisions(out.run.initial_positions, out.run.moves,
                                          out.run.final_time);
@@ -222,18 +223,18 @@ TEST(Claims, HandshakeSerializesSameGate) {
 
 TEST(Claims, CornerCountIsMonotoneNonDecreasing) {
   // Supporting invariant for C6: corners never lose corner status.
-  RunConfig config;
-  config.record_hull_history = true;
-  const Outcome out =
-      execute("async-log", gen::ConfigFamily::kRingWithCore, 48, 2, config);
+  sim::HullHistoryRecorder recorder(/*per_round=*/false);
+  sim::RunObserver* observers[] = {&recorder};
+  const Outcome out = execute("async-log", gen::ConfigFamily::kRingWithCore,
+                              48, 2, RunConfig{}, observers);
   ASSERT_TRUE(out.run.converged);
-  ASSERT_GE(out.run.hull_history.size(), 2u);
-  for (std::size_t i = 1; i < out.run.hull_history.size(); ++i) {
-    EXPECT_GE(out.run.hull_history[i].corners + 1,
-              out.run.hull_history[i - 1].corners)
+  const auto& history = recorder.samples();
+  ASSERT_GE(history.size(), 2u);
+  for (std::size_t i = 1; i < history.size(); ++i) {
+    EXPECT_GE(history[i].corners + 1, history[i - 1].corners)
         << "at sample " << i;
   }
-  EXPECT_EQ(out.run.hull_history.back().non_corners, 0u);
+  EXPECT_EQ(history.back().non_corners, 0u);
 }
 
 TEST(Claims, FinalLightsAreAllCornerLike) {

@@ -275,7 +275,7 @@ TEST(Experiment, TinySpecProducesOneRowPerFitness) {
   // committed E13 tables), not of this smoke-scale shape test.
   for (const auto& check : result.checks) {
     if (check.label.find("found and minimized") != std::string::npos) {
-      EXPECT_TRUE(check.passed) << check.label;
+      EXPECT_EQ(check.verdict, analysis::Verdict::kPass) << check.label;
     }
   }
 }

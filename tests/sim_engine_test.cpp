@@ -149,17 +149,18 @@ TEST(Engine, SsyncSingletonActivatesOneRobotPerRound) {
 TEST(Engine, HullHistoryRecordedWhenRequested) {
   const auto algo = core::make_algorithm("async-log");
   const auto initial = gen::generate(gen::ConfigFamily::kRingWithCore, 32, 6);
-  RunConfig config = async_config(6);
-  config.record_hull_history = true;
-  const auto run = run_simulation(*algo, initial, config);
+  HullHistoryRecorder recorder(/*per_round=*/false);
+  RunObserver* observers[] = {&recorder};
+  const auto run = run_simulation(*algo, initial, async_config(6), observers);
   ASSERT_TRUE(run.converged);
-  ASSERT_GE(run.hull_history.size(), 2u);
+  const auto& history = recorder.samples();
+  ASSERT_GE(history.size(), 2u);
   // Corner census ends with everyone a corner.
-  EXPECT_EQ(run.hull_history.back().corners, initial.size());
-  EXPECT_EQ(run.hull_history.back().non_corners, 0u);
+  EXPECT_EQ(history.back().corners, initial.size());
+  EXPECT_EQ(history.back().non_corners, 0u);
   // Times are non-decreasing.
-  for (std::size_t i = 1; i < run.hull_history.size(); ++i) {
-    EXPECT_LE(run.hull_history[i - 1].time, run.hull_history[i].time);
+  for (std::size_t i = 1; i < history.size(); ++i) {
+    EXPECT_LE(history[i - 1].time, history[i].time);
   }
 }
 

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -84,7 +85,10 @@ std::uint64_t bits(double d) noexcept {
   return u;
 }
 
-std::uint64_t run_digest(const RunResult& r) noexcept {
+/// `hull` is the HullHistoryRecorder's samples when the scenario records
+/// them, mixed in where the digest has always placed the hull history.
+std::uint64_t run_digest(const RunResult& r,
+                         std::span<const HullSample> hull = {}) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   h = mix(h, r.converged ? 1 : 0);
   h = mix(h, bits(r.final_time));
@@ -113,7 +117,7 @@ std::uint64_t run_digest(const RunResult& r) noexcept {
     h = mix(h, bits(m.to.x));
     h = mix(h, bits(m.to.y));
   }
-  for (const auto& s : r.hull_history) {
+  for (const auto& s : hull) {
     h = mix(h, bits(s.time));
     h = mix(h, s.corners);
     h = mix(h, s.non_corners);
@@ -204,7 +208,12 @@ const Scenario kScenarios[] = {
      16, 7, true, true, false, true, 0xddc94f86894033cfULL},
 };
 
-RunResult run_scenario(const Scenario& s) {
+struct ScenarioRun {
+  RunResult run;
+  std::vector<HullSample> hull;  ///< Empty unless the scenario records it.
+};
+
+ScenarioRun run_scenario(const Scenario& s) {
   RunConfig config;
   config.scheduler = s.scheduler;
   config.activation = s.activation;
@@ -212,35 +221,35 @@ RunResult run_scenario(const Scenario& s) {
   config.seed = s.seed;
   config.rigid_moves = s.rigid;
   config.refresh_frames_each_look = s.refresh_frames;
-  config.record_hull_history = s.hull_history;
   const auto initial = gen::generate(s.family, s.n, s.seed);
+  HullHistoryRecorder recorder(s.scheduler != SchedulerKind::kAsync);
+  std::vector<RunObserver*> observers;
+  if (s.hull_history) observers.push_back(&recorder);
+  const auto run = [&](const model::Algorithm& algo) {
+    ScenarioRun out{run_simulation(algo, initial, config, observers), {}};
+    out.hull = std::move(recorder.samples());
+    return out;
+  };
   const std::string_view name{s.algorithm};
-  if (name == "probe-stay") {
-    const StayProbe probe;
-    return run_simulation(probe, initial, config);
-  }
-  if (name == "probe-move-recolor") {
-    const MoveThenRecolorProbe probe;
-    return run_simulation(probe, initial, config);
-  }
-  const auto algo = core::make_algorithm(name);
-  return run_simulation(*algo, initial, config);
+  if (name == "probe-stay") return run(StayProbe{});
+  if (name == "probe-move-recolor") return run(MoveThenRecolorProbe{});
+  return run(*core::make_algorithm(name));
 }
 
 #ifndef GOLDEN_DUMP
 
 TEST(GoldenSeeds, RunResultsAreBitIdenticalAcrossSchedulers) {
   for (const Scenario& s : kScenarios) {
-    const RunResult run = run_scenario(s);
-    EXPECT_EQ(run.converged, s.expect_converged) << s.label;
-    EXPECT_EQ(run_digest(run), s.expected_digest) << s.label;
+    const ScenarioRun out = run_scenario(s);
+    EXPECT_EQ(out.run.converged, s.expect_converged) << s.label;
+    EXPECT_EQ(run_digest(out.run, out.hull), s.expected_digest) << s.label;
   }
 }
 
 TEST(GoldenSeeds, DigestIsSensitiveToTheMoveLog) {
   // Guard against a digest that silently ignores fields: perturbing one move
   // endpoint must change it.
-  RunResult run = run_scenario(kScenarios[0]);
+  RunResult run = run_scenario(kScenarios[0]).run;
   ASSERT_FALSE(run.moves.empty());
   const std::uint64_t before = run_digest(run);
   run.moves.back().to.x += 1e-9;
@@ -258,10 +267,10 @@ TEST(GoldenSeeds, DigestIsSensitiveToTheMoveLog) {
 int main() {
   using namespace lumen::sim;
   for (const Scenario& s : kScenarios) {
-    const RunResult run = run_scenario(s);
+    const ScenarioRun out = run_scenario(s);
     std::printf("%-32s converged=%d digest=0x%016llxULL\n", s.label,
-                run.converged ? 1 : 0,
-                static_cast<unsigned long long>(run_digest(run)));
+                out.run.converged ? 1 : 0,
+                static_cast<unsigned long long>(run_digest(out.run, out.hull)));
   }
   return 0;
 }

@@ -1,7 +1,7 @@
 // RunObserver contract tests: hook ordering, recorder parity with the
-// RunResult fields they replace, streaming-vs-post-hoc collision audit
-// equivalence, streaming epoch detection, and quiescence verdicts across
-// schedulers.
+// RunResult fields they replace, the hull recorder's cadence,
+// streaming-vs-post-hoc collision audit equivalence, streaming epoch
+// detection, and quiescence verdicts across schedulers.
 #include "core/registry.hpp"
 #include "gen/generators.hpp"
 #include "sched/epoch.hpp"
@@ -145,23 +145,27 @@ TEST(ObserverRecorders, ExternalMoveLogMatchesRunResultMoves) {
   }
 }
 
-TEST(ObserverRecorders, ExternalHullRecorderMatchesRunResultHistory) {
+TEST(ObserverRecorders, HullRecorderSamplesAtItsSchedulersCadence) {
   for (const SchedulerKind scheduler :
        {SchedulerKind::kAsync, SchedulerKind::kSsync, SchedulerKind::kFsync}) {
-    const auto algo = core::make_algorithm(
-        scheduler == SchedulerKind::kAsync ? "async-log" : "ssync-parallel");
+    const bool per_round = scheduler != SchedulerKind::kAsync;
+    const auto algo =
+        core::make_algorithm(per_round ? "ssync-parallel" : "async-log");
     const auto initial = disk(18, 9);
-    RunConfig config = scheduler_config(scheduler, 9);
-    config.record_hull_history = true;
-    HullHistoryRecorder recorder(scheduler != SchedulerKind::kAsync);
+    HullHistoryRecorder recorder(per_round);
     RunObserver* obs[] = {&recorder};
-    const RunResult run = run_simulation(*algo, initial, config, obs);
-    const auto& mine = recorder.samples();
-    ASSERT_EQ(mine.size(), run.hull_history.size()) << to_string(scheduler);
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      EXPECT_EQ(mine[i].time, run.hull_history[i].time);
-      EXPECT_EQ(mine[i].corners, run.hull_history[i].corners);
-      EXPECT_EQ(mine[i].non_corners, run.hull_history[i].non_corners);
+    const RunResult run = run_simulation(
+        *algo, initial, scheduler_config(scheduler, 9), obs);
+    ASSERT_TRUE(run.converged) << to_string(scheduler);
+    const auto& samples = recorder.samples();
+    // One census at t = 0, then one per round (SYNC) or per move (ASYNC).
+    EXPECT_EQ(samples.size(), 1 + (per_round ? run.rounds : run.total_moves))
+        << to_string(scheduler);
+    ASSERT_FALSE(samples.empty());
+    EXPECT_EQ(samples.front().time, 0.0);
+    EXPECT_EQ(samples.back().corners, initial.size()) << to_string(scheduler);
+    for (std::size_t i = 1; i < samples.size(); ++i) {
+      EXPECT_LE(samples[i - 1].time, samples[i].time) << to_string(scheduler);
     }
   }
 }

@@ -1,11 +1,13 @@
 // Statistics tests: Welford accumulator vs direct formulas, percentile
-// conventions, least-squares fits, and the growth-model classifier that
-// decides the headline O(log N)-vs-O(N) verdict.
+// conventions, and the growth verdict that decides the headline
+// O(log N)-vs-O(N) claims.
 #include "util/stats.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/prng.hpp"
@@ -51,71 +53,95 @@ TEST(Percentile, UnsortedInputAndEdgeCases) {
   EXPECT_DOUBLE_EQ(percentile(xs, 150.0), 9.0);
 }
 
-TEST(LinearFit, ExactLine) {
-  const std::vector<double> xs = {1, 2, 3, 4, 5};
-  std::vector<double> ys;
-  for (const double x : xs) ys.push_back(3.0 * x - 2.0);
-  const auto fit = fit_linear(xs, ys);
-  EXPECT_NEAR(fit.slope, 3.0, 1e-12);
-  EXPECT_NEAR(fit.intercept, -2.0, 1e-12);
-  EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
-  EXPECT_NEAR(fit.rmse, 0.0, 1e-9);
-}
-
-TEST(LinearFit, DegenerateInputs) {
-  EXPECT_EQ(fit_linear(std::vector<double>{1.0}, std::vector<double>{2.0}).r_squared, 0.0);
-  // Constant x cannot be fit.
-  const std::vector<double> xs = {2, 2, 2};
-  const std::vector<double> ys = {1, 2, 3};
-  const auto fit = fit_linear(xs, ys);
-  EXPECT_EQ(fit.slope, 0.0);
-  EXPECT_EQ(fit.r_squared, 0.0);
-}
-
-TEST(LinearFit, NoisyLineHighR2) {
-  Prng rng{8};
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 200; ++i) {
-    const double x = static_cast<double>(i);
-    xs.push_back(x);
-    ys.push_back(0.5 * x + 10.0 + rng.normal());
-  }
-  const auto fit = fit_linear(xs, ys);
-  EXPECT_NEAR(fit.slope, 0.5, 0.01);
-  EXPECT_GT(fit.r_squared, 0.99);
-}
-
-TEST(ClassifyGrowth, DetectsLogarithmic) {
-  std::vector<double> ns, ts;
+/// `per_n` samples at each N in `ns`, drawn as f(N) + sigma * normal.
+template <typename F>
+std::vector<std::vector<double>> sample_series(const std::vector<double>& ns,
+                                               F f, double sigma,
+                                               std::size_t per_n = 10) {
   Prng rng{4};
-  for (double n = 8; n <= 4096; n *= 2) {
-    ns.push_back(n);
-    ts.push_back(5.0 * std::log2(n) + 2.0 + 0.2 * rng.normal());
+  std::vector<std::vector<double>> samples;
+  for (const double n : ns) {
+    auto& at_n = samples.emplace_back();
+    for (std::size_t i = 0; i < per_n; ++i) {
+      at_n.push_back(f(n) + sigma * rng.normal());
+    }
   }
-  const auto v = classify_growth(ns, ts);
-  EXPECT_EQ(v.winner, GrowthModel::kLogarithmic);
-  EXPECT_GT(v.log_fit.r_squared, 0.99);
-  EXPECT_EQ(to_string(v.winner), "O(log N)");
+  return samples;
 }
 
-TEST(ClassifyGrowth, DetectsLinear) {
-  std::vector<double> ns, ts;
-  Prng rng{4};
-  for (double n = 8; n <= 4096; n *= 2) {
-    ns.push_back(n);
-    ts.push_back(0.9 * n + 3.0 + 0.5 * rng.normal());
-  }
-  const auto v = classify_growth(ns, ts);
-  EXPECT_EQ(v.winner, GrowthModel::kLinear);
-  EXPECT_GT(v.lin_fit.r_squared, 0.999);
-  EXPECT_EQ(to_string(v.winner), "O(N)");
+const std::vector<double> kDoublingNs = {8, 16, 32, 64, 128, 256, 512};
+
+TEST(GrowthVerdict, NoisyLogSeriesReadsLogarithmic) {
+  const auto samples = sample_series(
+      kDoublingNs, [](double n) { return 5.0 * std::log2(n) + 2.0; }, 1.0);
+  const auto v = growth_verdict(kDoublingNs, samples);
+  EXPECT_EQ(v.growth, Growth::kLogarithmic);
+  EXPECT_NEAR(v.ratio, 1.12, 0.05);
+  EXPECT_LE(v.lo, v.ratio);
+  EXPECT_GE(v.hi, v.ratio);
+  EXPECT_LT(v.hi, kGrowthRatioThreshold);
+  EXPECT_EQ(to_string(v.growth), "logarithmic");
 }
 
-TEST(ClassifyGrowth, ConstantSeriesIsTie) {
-  const std::vector<double> ns = {8, 16, 32, 64};
-  const std::vector<double> ts = {5, 5, 5, 5};
-  const auto v = classify_growth(ns, ts);
-  EXPECT_EQ(v.winner, GrowthModel::kTie);
+TEST(GrowthVerdict, LinearSeriesReadsLinear) {
+  const auto samples =
+      sample_series(kDoublingNs, [](double n) { return 0.9 * n; }, 0.5);
+  const auto v = growth_verdict(kDoublingNs, samples);
+  EXPECT_EQ(v.growth, Growth::kLinear);
+  EXPECT_NEAR(v.ratio, 2.0, 0.05);
+  EXPECT_GT(v.lo, kGrowthRatioThreshold);
+  EXPECT_EQ(to_string(v.growth), "linear");
+}
+
+TEST(GrowthVerdict, IntervalAcrossTheThresholdReadsUndecided) {
+  // Means grow by exactly the threshold per doubling; seed noise puts the
+  // interval on both sides of it.
+  const auto samples = sample_series(
+      kDoublingNs, [](double n) { return 10.0 * std::pow(1.5, std::log2(n)); },
+      20.0);
+  const auto v = growth_verdict(kDoublingNs, samples);
+  EXPECT_EQ(v.growth, Growth::kUndecided);
+  EXPECT_LT(v.lo, kGrowthRatioThreshold);
+  EXPECT_GT(v.hi, kGrowthRatioThreshold);
+  EXPECT_EQ(to_string(v.growth), "undecided");
+}
+
+TEST(GrowthVerdict, FewerThanThreeDoublingsReadUndecided) {
+  // Three sizes are two doublings: even an exactly linear series is
+  // undecided, as are the smoke sweeps' single doubling.
+  for (const std::vector<double>& ns :
+       {std::vector<double>{8, 16, 32}, std::vector<double>{8, 16}}) {
+    const auto samples = sample_series(ns, [](double n) { return n; }, 0.0);
+    const auto v = growth_verdict(ns, samples);
+    EXPECT_EQ(v.growth, Growth::kUndecided) << ns.size();
+    EXPECT_EQ(v.ratio, 0.0) << ns.size();
+  }
+}
+
+TEST(GrowthVerdict, SizesThatDoNotDoubleReadUndecided) {
+  const std::vector<double> ns = {10, 20, 30, 40, 50};
+  const auto samples = sample_series(ns, [](double n) { return n; }, 0.1);
+  EXPECT_EQ(growth_verdict(ns, samples).growth, Growth::kUndecided);
+}
+
+TEST(GrowthVerdict, SizeWithOneSampleReadsUndecided) {
+  auto samples =
+      sample_series(kDoublingNs, [](double n) { return 0.9 * n; }, 0.5);
+  ASSERT_EQ(growth_verdict(kDoublingNs, samples).growth, Growth::kLinear);
+  samples[5].resize(1);
+  EXPECT_EQ(growth_verdict(kDoublingNs, samples).growth, Growth::kUndecided);
+}
+
+TEST(GrowthVerdict, BootstrapIntervalIsDeterministic) {
+  const auto samples = sample_series(
+      kDoublingNs, [](double n) { return 3.0 * std::log2(n); }, 2.0);
+  const auto a = growth_verdict(kDoublingNs, samples);
+  const auto b = growth_verdict(kDoublingNs, samples);
+  EXPECT_LT(a.lo, a.hi);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.lo), std::bit_cast<std::uint64_t>(b.lo));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.hi), std::bit_cast<std::uint64_t>(b.hi));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.ratio),
+            std::bit_cast<std::uint64_t>(b.ratio));
 }
 
 TEST(Summarize, FullSummary) {
