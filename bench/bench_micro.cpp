@@ -6,8 +6,9 @@
 // obstructed visibility serial vs pooled (vs the O(n^3) oracle), snapshot
 // construction (scratch-reusing, with a heap-allocation counter) and its
 // frame transform alone, an interior
-// view's local hull, Compute's classification (corner and interior
-// views) and async-log's arbitration, one full SSYNC round serial vs
+// view's local hull, Compute's classification (disk corner, near-flat ring
+// corner and interior views), async-log's exit planning and arbitration
+// (a disk view and a late-stage ring view), one full SSYNC round serial vs
 // pooled, a campaign cell's success verdict, and one full ASYNC engine
 // run per size.
 //
@@ -20,6 +21,7 @@
 // stays human-readable); CI archives the JSON artifact.
 #include <benchmark/benchmark.h>
 
+#include "core/beacon.hpp"
 #include "core/cv_async.hpp"
 #include "core/registry.hpp"
 #include "core/view.hpp"
@@ -414,6 +416,20 @@ void BM_FillSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_FillSnapshot)->Arg(512)->Arg(4096);
 
+/// The observer's Look snapshot of a `world` with `lights` (visible robots
+/// in the Look's angular order, identity frame).
+lumen::model::Snapshot look_snapshot(const std::vector<Vec2>& world,
+                                     const std::vector<lumen::model::Light>& lights,
+                                     std::size_t observer) {
+  const auto [xs, ys] = split(world);
+  lumen::model::SnapshotScratch scratch;
+  lumen::model::Snapshot snap;
+  lumen::model::build_snapshot(xs, ys, lights, observer,
+                               lumen::model::LocalFrame{world[observer], 0.0, 1.0, false},
+                               scratch, snap);
+  return snap;
+}
+
 /// An observer's Look snapshot of a uniform-disk world (visible robots in
 /// the Look's angular order): hull vertices Corner-lit, a `transit_share` of
 /// the rest Transit-lit. The observer is a hull vertex (`corner`) or the
@@ -444,13 +460,7 @@ lumen::model::Snapshot disk_snapshot(std::size_t n, bool corner,
     }
   }
   lights[observer] = self;
-  const auto [xs, ys] = split(world);
-  lumen::model::SnapshotScratch scratch;
-  lumen::model::Snapshot snap;
-  lumen::model::build_snapshot(xs, ys, lights, observer,
-                               lumen::model::LocalFrame{world[observer], 0.0, 1.0, false},
-                               scratch, snap);
-  return snap;
+  return look_snapshot(world, lights, observer);
 }
 
 void BM_ConvexHullView(benchmark::State& state) {
@@ -466,31 +476,110 @@ void BM_ConvexHullView(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvexHullView)->Arg(512)->Arg(4096);
 
-void BM_BuildView(benchmark::State& state, bool corner) {
-  // Compute's classification step. A Corner view is decided by the O(n)
-  // corner certificate; an interior one still builds the local hull.
-  const auto snap = disk_snapshot(static_cast<std::size_t>(state.range(0)), corner,
-                                  0.0, lumen::model::Light::kOff);
+/// A late-stage async-log world: n robots, ~88% of them Corner-lit on a
+/// unit ring (jittered angles), the rest inside it, a `transit_share` of
+/// those Transit-lit. The observer is a ring robot (`corner`) — a
+/// near-flat corner, its interior angle about pi - 2 pi / ring — or the
+/// interior robot nearest the centre, lit `self`.
+lumen::model::Snapshot ring_snapshot(std::size_t n, bool corner, double transit_share,
+                                     lumen::model::Light self) {
+  using lumen::model::Light;
+  const std::size_t ring = n * 7 / 8;
+  lumen::util::Prng rng{21};
+  std::vector<Vec2> world;
+  std::vector<Light> lights;
+  for (std::size_t k = 0; k < ring; ++k) {
+    const double a = 6.283185307179586 * (static_cast<double>(k) + rng.uniform(-0.3, 0.3)) /
+                     static_cast<double>(ring);
+    world.push_back({std::cos(a), std::sin(a)});
+    lights.push_back(Light::kCorner);
+  }
+  std::size_t observer = 0;
+  while (world.size() < n) {
+    const Vec2 p{rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)};
+    if (lumen::geom::norm(p) > 0.9) continue;
+    world.push_back(p);
+    lights.push_back(rng.bernoulli(transit_share) ? Light::kTransit : Light::kInterior);
+    if (!corner && (observer == 0 || lumen::geom::norm(p) < lumen::geom::norm(world[observer]))) {
+      observer = world.size() - 1;
+    }
+  }
+  lights[observer] = self;
+  return look_snapshot(world, lights, observer);
+}
+
+/// The Compute-stage benchmark views.
+enum class StageView { kDiskCorner, kRingCorner, kDiskInterior, kRingInterior };
+
+lumen::model::Snapshot stage_snapshot(StageView kind, std::size_t n,
+                                      double transit_share, lumen::model::Light self) {
+  switch (kind) {
+    case StageView::kDiskCorner:
+      return disk_snapshot(n, true, transit_share, self);
+    case StageView::kRingCorner:
+      return ring_snapshot(n, true, transit_share, self);
+    case StageView::kDiskInterior:
+      return disk_snapshot(n, false, transit_share, self);
+    case StageView::kRingInterior:
+      break;
+  }
+  return ring_snapshot(n, false, transit_share, self);
+}
+
+void BM_BuildView(benchmark::State& state, StageView kind) {
+  // Compute's classification step. A Corner view is decided by the corner
+  // certificate; an interior one still builds the local hull.
+  const auto snap = stage_snapshot(kind, static_cast<std::size_t>(state.range(0)), 0.0,
+                                   lumen::model::Light::kCorner);
   for (auto _ : state) {
     auto view = lumen::core::build_view(snap);
     benchmark::DoNotOptimize(view);
   }
 }
-BENCHMARK_CAPTURE(BM_BuildView, corner, true)->Arg(512);
-BENCHMARK_CAPTURE(BM_BuildView, interior, false)->Arg(512);
+BENCHMARK_CAPTURE(BM_BuildView, corner, StageView::kDiskCorner)->Arg(512);
+BENCHMARK_CAPTURE(BM_BuildView, flat_corner, StageView::kRingCorner)->Arg(512);
+BENCHMARK_CAPTURE(BM_BuildView, interior, StageView::kDiskInterior)->Arg(512);
 
-void BM_AsyncArbitration(benchmark::State& state) {
+void BM_AsyncArbitration(benchmark::State& state, StageView kind) {
   // A Transit observer's move-Look in async-log: plan, then arbitrate
-  // against ~40% Transit rivals (gap-first prefilter, rival re-planning).
-  const auto snap = disk_snapshot(static_cast<std::size_t>(state.range(0)), false,
-                                  0.4, lumen::model::Light::kTransit);
+  // against ~40% Transit rivals (reach prefilter, rival re-planning). The
+  // disk view has ~27 hull edges; the late-stage ring view ~450, like the
+  // interior views of async-headline's large cells.
+  const auto snap = stage_snapshot(kind, static_cast<std::size_t>(state.range(0)), 0.4,
+                                   lumen::model::Light::kTransit);
   const lumen::core::CompleteVisibilityAsync algo;
   for (auto _ : state) {
     auto action = algo.compute(snap);
     benchmark::DoNotOptimize(action);
   }
 }
-BENCHMARK(BM_AsyncArbitration)->Arg(512);
+BENCHMARK_CAPTURE(BM_AsyncArbitration, disk, StageView::kDiskInterior)->Arg(512);
+BENCHMARK_CAPTURE(BM_AsyncArbitration, late, StageView::kRingInterior)->Arg(512);
+
+void BM_PlanExits(benchmark::State& state) {
+  // The planning a late-stage Transit observer does in one Compute: its
+  // view's gate table, its own plans, and the plans of every Transit rival
+  // it models.
+  using lumen::model::Light;
+  const auto snap = ring_snapshot(static_cast<std::size_t>(state.range(0)), false, 0.4,
+                                  Light::kTransit);
+  const auto view = lumen::core::build_view(snap);
+  std::vector<std::size_t> subjects = {0};
+  for (std::size_t i = 1; i < view.count(); ++i) {
+    if (view.lights[i] == Light::kTransit) subjects.push_back(i);
+  }
+  std::vector<lumen::core::ExitPlan> plans;
+  for (auto _ : state) {
+    const lumen::core::GateTable table(view);
+    for (const std::size_t i : subjects) {
+      table.plan_exits(view.pts[i], plans);
+      benchmark::DoNotOptimize(plans.data());
+    }
+  }
+  state.counters["subjects"] = static_cast<double>(subjects.size());
+  state.counters["hull"] = static_cast<double>(view.hull.size());
+}
+BENCHMARK(BM_PlanExits)->Arg(512);
 
 void BM_VerifySuccess(benchmark::State& state, bool converged) {
   // A campaign cell's success verdict under "complete-visibility": a

@@ -7,15 +7,20 @@ Usage:
 
 Compares real_time of every benchmark present in BOTH files and exits
 non-zero if any gated kernel regressed by more than --threshold (fractional;
-0.20 = 20%). By default only the visibility and round-step kernels are
-gated -- the ones the in-run parallelism and SIMD work optimize and CI
-protects:
+0.20 = 20%). By default only the visibility, round-step and Compute-stage
+kernels are gated -- the ones the in-run parallelism, SIMD and planner work
+optimize and CI protects:
 
     BM_VisibleFrom/*  BM_VisibleFromSoA/*  BM_ComputeVisibility/*
     BM_SsyncRoundStep/*  BM_IncrementalRound/*  BM_BuildKeys/*
-    BM_HullCull/*
+    BM_HullCull/*  BM_BuildView/*  BM_AsyncArbitration/*  BM_PlanExits/*
 
 Pass --all to gate every shared benchmark instead.
+
+A gated benchmark that the baseline lists but the current run lacks also
+fails (exit 1): renaming or deleting a gated kernel must come with a
+re-recorded baseline, or its gate would silently disappear. Benchmarks
+only one side lists are otherwise reported and skipped.
 
 --calibrate NAME divides every time by the named benchmark's time in its own
 file before comparing, turning absolute times into multiples of a tiny
@@ -34,7 +39,8 @@ import sys
 
 GATED_PREFIXES = ("BM_VisibleFrom", "BM_ComputeVisibility/",
                   "BM_ComputeVisibility_", "BM_SsyncRoundStep/",
-                  "BM_IncrementalRound/", "BM_BuildKeys/", "BM_HullCull/")
+                  "BM_IncrementalRound/", "BM_BuildKeys/", "BM_HullCull/",
+                  "BM_BuildView/", "BM_AsyncArbitration/", "BM_PlanExits/")
 
 
 def build_type_of(path):
@@ -87,8 +93,8 @@ def main(argv):
                     help="normalize both files by this benchmark's time "
                          "(e.g. BM_Orient2dFiltered) before comparing")
     ap.add_argument("--all", action="store_true",
-                    help="gate every shared benchmark, not just the "
-                         "visibility/round-step kernels")
+                    help="gate every benchmark, not just the "
+                         "GATED_PREFIXES kernels")
     ap.add_argument("--allow-non-release", action="store_true",
                     help="compare files recorded from non-Release builds "
                          "anyway (numbers are meaningless for gating)")
@@ -131,10 +137,12 @@ def main(argv):
               file=sys.stderr)
         return 2
     # Benchmarks present in only one file are expected across revisions
-    # (kernels get added and retired); warn so renames don't silently
-    # shrink the gated set, then compare the intersection.
+    # (kernels get added and retired), but a gated one missing from the
+    # current run fails: a rename would otherwise drop its gate unnoticed.
     only_base = sorted(set(base) - set(cur))
     only_cur = sorted(set(cur) - set(base))
+    missing_gated = [n for n in only_base if is_gated(n, args.all)]
+    only_base = [n for n in only_base if not is_gated(n, args.all)]
     if only_base:
         print(f"warning: {len(only_base)} benchmark(s) only in baseline, "
               f"skipped: {', '.join(only_base)}", file=sys.stderr)
@@ -174,11 +182,18 @@ def main(argv):
         geo = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
         print(f"{fam:<44} {len(ratios):>3} {geo:>14.3f}")
 
+    if missing_gated:
+        print(f"\nFAIL: {len(missing_gated)} gated benchmark(s) in the "
+              f"baseline are missing from the current run (renamed or "
+              f"deleted? re-record the baseline):", file=sys.stderr)
+        for name in missing_gated:
+            print(f"  {name}", file=sys.stderr)
     if failures:
         print(f"\nFAIL: {len(failures)} gated kernel(s) regressed more than "
               f"{args.threshold:.0%}:", file=sys.stderr)
         for name, ratio in failures:
             print(f"  {name}: {ratio:.2f}x baseline", file=sys.stderr)
+    if missing_gated or failures:
         return 1
     print(f"\nOK: no gated kernel regressed more than {args.threshold:.0%} "
           f"({len(shared)} benchmarks compared)")

@@ -84,64 +84,97 @@ std::optional<Vec2> interior_insertion_target(const LocalView& view,
 
 namespace {
 
-/// Perpendicular-approach target used by plan_exits: the point straight out
-/// from `from`'s own projection onto the gate, at a wedge-bounded height.
-/// nullopt when the projection falls outside the central [0.08, 0.92] band
-/// (approach slabs must stay clear of the gate's corners) or the gate is
-/// degenerate.
-std::optional<Vec2> perpendicular_target(const LocalView& view,
-                                         const GateEdge& gate, Vec2 from,
-                                         Vec2 interior_witness) {
-  const Vec2 d = gate.c2 - gate.c1;
-  const double len = geom::norm(d);
-  if (len <= 0.0) return std::nullopt;
-  const Vec2 u = d / len;
-  Vec2 n{u.y, -u.x};
-  if (geom::dot(n, interior_witness - gate.c1) > 0.0) n = -n;
-
-  const double t_raw = geom::dot(from - gate.c1, u) / len;
+/// Perpendicular-approach target of the plans through gate g: the point
+/// straight out from `from`'s own projection onto the gate, at a
+/// wedge-bounded height. nullopt when the projection falls outside the
+/// central [0.08, 0.92] band (approach slabs must stay clear of the gate's
+/// corners) or the gate is degenerate.
+std::optional<Vec2> perpendicular_target(const LocalView& view, const TableGate& g,
+                                         Vec2 from) {
+  if (g.len <= 0.0) return std::nullopt;
+  const double t_raw = geom::dot(from - g.gate.c1, g.u) / g.len;
   if (t_raw < 0.08 || t_raw > 0.92) return std::nullopt;
-  const Vec2 base = gate.c1 + u * (t_raw * len);
+  const Vec2 base = g.gate.c1 + g.u * (t_raw * g.len);
 
-  const double h_wedge = adjacent_wedge_bound(view, gate, base, n);
-  double h_cap = 0.25 * len;
+  const double h_wedge = adjacent_wedge_bound(view, g.gate, base, g.n);
+  double h_cap = 0.25 * g.len;
   if (std::isfinite(h_wedge)) h_cap = std::min(h_cap, 0.45 * h_wedge);
-  if (h_cap <= len * 1e-12) h_cap = 0.05 * len;
+  if (h_cap <= g.len * 1e-12) h_cap = 0.05 * g.len;
   const double height = h_cap * (0.4 + 0.5 * t_raw);
-  return base + n * height;
+  return base + g.n * height;
 }
 
 }  // namespace
 
-std::vector<ExitPlan> plan_exits(const LocalView& view, Vec2 from) {
-  std::vector<ExitPlan> plans;
+GateTable::GateTable(const LocalView& view) : view_(&view) {
   const std::size_t h = view.hull.size();
-  if (h < 3) return plans;
+  if (h < 3) return;
   // Interior witness for outward orientation: the hull vertex mean is
-  // strictly inside any convex polygon, and stays valid even when `from`
-  // itself is outside the hull (a mid-flight rival being modelled).
+  // strictly inside any convex polygon, and stays valid even when the
+  // planning robot itself is outside the hull (a mid-flight rival being
+  // modelled).
   Vec2 witness{};
   for (const std::size_t k : view.hull) witness += view.pts[k];
   witness = witness / static_cast<double>(h);
+  gates_.reserve(h);
+  edges_.reserve(h);
+  units_.reserve(h);
   for (std::size_t k = 0; k < h; ++k) {
     const std::size_t i1 = view.hull[k];
     const std::size_t i2 = view.hull[(k + 1) % h];
+    const geom::Segment e{view.pts[i1], view.pts[i2]};
+    const double len = geom::norm(e.b - e.a);
+    const Vec2 u = (e.b - e.a) / len;
+    edges_.push_back(e);
+    units_.push_back(u);
+    longest_edge_ = std::max(longest_edge_, len);
+    max_coord_ = std::max({max_coord_, std::fabs(e.a.x), std::fabs(e.a.y)});
     if (i1 == 0 || i2 == 0) continue;  // Own vertex cannot anchor a gate.
     if (view.lights[i1] != model::Light::kCorner ||
         view.lights[i2] != model::Light::kCorner) {
       continue;
     }
-    const geom::Segment edge{view.pts[i1], view.pts[i2]};
-    GateEdge gate{i1, i2, edge.a, edge.b, 0.0, k};
-    const auto target = perpendicular_target(view, gate, from, witness);
+    // CCW hull: the interior is LEFT of c1->c2, so outward is right; the
+    // witness settles it without trusting the orientation.
+    Vec2 n{u.y, -u.x};
+    if (geom::dot(n, witness - e.a) > 0.0) n = -n;
+    gates_.push_back(TableGate{GateEdge{i1, i2, e.a, e.b, 0.0, k}, len, u, n});
+  }
+}
+
+double GateTable::bound_slack(Vec2 p, double extent) const noexcept {
+  const double m = std::max({max_coord_, std::fabs(p.x), std::fabs(p.y)});
+  return 0x1p-40 * (m + extent) + std::numeric_limits<double>::min();
+}
+
+double GateTable::nearest_edge_distance(Vec2 p) const noexcept {
+  const double slack = bound_slack(p, 0.0);
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < edges_.size(); ++k) {
+    if (distance_bound(k, p, slack) >= best) continue;
+    best = std::min(best, geom::point_segment_distance(edges_[k], p));
+  }
+  return best;
+}
+
+void GateTable::plan_exits(Vec2 from, std::vector<ExitPlan>& plans) const {
+  plans.clear();
+  for (const TableGate& g : gates_) {
+    const auto target = perpendicular_target(*view_, g, from);
     if (!target) continue;
     // Ranked only for gates that pass the band test, so only those pay it.
-    gate.distance = geom::point_segment_distance(edge, from);
+    GateEdge gate = g.gate;
+    gate.distance = geom::point_segment_distance(geom::Segment{gate.c1, gate.c2}, from);
     plans.push_back(ExitPlan{gate, *target, geom::distance(from, *target)});
   }
   std::sort(plans.begin(), plans.end(), [](const ExitPlan& a, const ExitPlan& b) {
     return a.gate.distance < b.gate.distance;
   });
+}
+
+std::vector<ExitPlan> plan_exits(const LocalView& view, Vec2 from) {
+  std::vector<ExitPlan> plans;
+  GateTable(view).plan_exits(from, plans);
   return plans;
 }
 

@@ -19,9 +19,13 @@
 #pragma once
 
 #include "core/view.hpp"
+#include "geom/segment.hpp"
 #include "geom/vec2.hpp"
 
+#include <cmath>
 #include <optional>
+#include <span>
+#include <vector>
 
 namespace lumen::core {
 
@@ -37,6 +41,67 @@ struct ExitPlan {
   double exit_distance = 0.0;  ///< |from -> target|, the handshake priority.
 };
 
+/// One eligible gate of a GateTable with the quantities every plan through
+/// it shares: the edge length, the unit direction and the outward unit
+/// normal, each computed by the expression a per-call planner would use.
+struct TableGate {
+  GateEdge gate;       ///< distance is 0: a gate's distance depends on `from`.
+  double len = 0.0;    ///< |c2 - c1|.
+  geom::Vec2 u{};      ///< (c2 - c1) / len.
+  geom::Vec2 n{};      ///< Outward normal: points away from the hull-vertex mean.
+};
+
+/// Everything the ASYNC exit planner and its arbitration read from one view,
+/// derived once per Compute (DESIGN §4.1.1): the eligible gates — hull edges
+/// with both endpoints Corner-lit, neither the observer — in hull order; the
+/// line of every hull edge, for certified distance lower bounds; and the
+/// longest edge. The table borrows the view, which must outlive it.
+class GateTable {
+ public:
+  explicit GateTable(const LocalView& view);
+
+  [[nodiscard]] const LocalView& view() const noexcept { return *view_; }
+  [[nodiscard]] std::span<const TableGate> gates() const noexcept { return gates_; }
+  /// Number of hull edges; 0 when the hull has fewer than three vertices.
+  [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }
+  /// Hull edge k: from hull[k] to hull[(k + 1) % h].
+  [[nodiscard]] const geom::Segment& edge(std::size_t k) const noexcept { return edges_[k]; }
+  [[nodiscard]] double longest_edge() const noexcept { return longest_edge_; }
+
+  /// The slack that turns line distances into certified lower bounds for p:
+  /// 2^-40 * (M + extent) + DBL_MIN, where M is the largest coordinate
+  /// magnitude of p and of every hull vertex, and extent >= 0.
+  [[nodiscard]] double bound_slack(geom::Vec2 p, double extent) const noexcept;
+
+  /// A lower bound on point_segment_distance(edge(k), p), given
+  /// slack = bound_slack(p, extent): the rounded distance from p to edge k's
+  /// line, less the slack. The proof is in DESIGN §4.1.1.
+  [[nodiscard]] double distance_bound(std::size_t k, geom::Vec2 p,
+                                      double slack) const noexcept {
+    const geom::Segment& e = edges_[k];
+    const geom::Vec2 u = units_[k];
+    return std::fabs(u.x * (p.y - e.a.y) - u.y * (p.x - e.a.x)) - slack;
+  }
+
+  /// Distance from p to the nearest hull edge (+inf without edges): the
+  /// minimum of point_segment_distance over every edge, the scalar the
+  /// fallback serialization orders robots by. Edges whose distance_bound
+  /// is not below the best distance so far cannot lower it and are skipped.
+  [[nodiscard]] double nearest_edge_distance(geom::Vec2 p) const noexcept;
+
+  /// The exit plans for a robot at `from` (the contract of plan_exits),
+  /// written to `plans`, which is cleared first.
+  void plan_exits(geom::Vec2 from, std::vector<ExitPlan>& plans) const;
+
+ private:
+  const LocalView* view_;
+  std::vector<TableGate> gates_;
+  std::vector<geom::Segment> edges_;
+  std::vector<geom::Vec2> units_;  ///< (b - a) / |b - a| of each edge.
+  double longest_edge_ = 0.0;
+  double max_coord_ = 0.0;
+};
+
 /// The ASYNC algorithm's exit planner, usable both for the observer itself
 /// and for MODELLING a rival's intention (`from` = the rival's position).
 /// Candidate gates are the hull edges with both endpoints Corner-lit whose
@@ -45,7 +110,8 @@ struct ExitPlan {
 /// on the observer's own column (straight perpendicular approach), so
 /// concurrent exits at one edge follow parallel, non-crossing paths, at
 /// heights bounded by the adjacent-edge wedge (every old corner stays a
-/// corner).
+/// corner). Builds the view's GateTable and plans with it; callers planning
+/// for many robots of one view build the table once.
 [[nodiscard]] std::vector<ExitPlan> plan_exits(const LocalView& view,
                                                geom::Vec2 from);
 

@@ -5,9 +5,12 @@
 #include "geom/segment.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace lumen::core {
@@ -57,8 +60,18 @@ class CorridorBox {
     hi_ = Vec2{std::max(path.a.x, path.b.x) + reach, std::max(path.a.y, path.b.y) + reach};
   }
 
-  [[nodiscard]] bool excludes(Vec2 q) const noexcept {
-    return q.x < lo_.x || q.x > hi_.x || q.y < lo_.y || q.y > hi_.y;
+  /// Bit i set iff pts[begin + i] is not excluded by the box, for the up to
+  /// 64 points from `begin`; branch-free, so a scan pays no mispredicted
+  /// branch per robot.
+  [[nodiscard]] std::uint64_t admits(std::span<const Vec2> pts, std::size_t begin,
+                                     std::size_t end) const noexcept {
+    std::uint64_t mask = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const Vec2 q = pts[i];
+      const bool excluded = (q.x < lo_.x) | (q.x > hi_.x) | (q.y < lo_.y) | (q.y > hi_.y);
+      mask |= std::uint64_t{!excluded} << (i - begin);
+    }
+    return mask;
   }
 
  private:
@@ -66,39 +79,75 @@ class CorridorBox {
   Vec2 hi_;
 };
 
+/// Robots per block of the branch-free scans: one 64-bit mask.
+constexpr std::size_t kBlock = 64;
+
+/// Squared distance from pts[subject] to its nearest other robot (+inf when
+/// it sees nobody): the minimum over four independent lanes, which is the
+/// minimum of the whole set whatever the order.
+double nearest_sq_of(std::span<const Vec2> pts, std::size_t subject) noexcept {
+  constexpr std::size_t kLanes = 4;
+  const Vec2 from = pts[subject];
+  double lane[kLanes];
+  std::fill(lane, lane + kLanes, std::numeric_limits<double>::infinity());
+  const auto fold = [&](std::size_t begin, std::size_t end) {
+    std::size_t i = begin;
+    for (; i + kLanes <= end; i += kLanes) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const double d = geom::distance_sq(from, pts[i + l]);
+        lane[l] = d < lane[l] ? d : lane[l];
+      }
+    }
+    for (; i < end; ++i) lane[0] = std::min(lane[0], geom::distance_sq(from, pts[i]));
+  };
+  fold(0, subject);
+  fold(subject + 1, pts.size());
+  return std::min({lane[0], lane[1], lane[2], lane[3]});
+}
+
+/// True iff no robot but the subject and the gate's anchors lies within
+/// `corridor` of `path`. The box mask picks the robots that take the exact
+/// test, a block at a time.
+bool corridor_clear(std::span<const Vec2> pts, const geom::Segment& path,
+                    double corridor, std::size_t subject, const GateEdge& gate) {
+  const CorridorBox box(path, corridor);
+  for (std::size_t begin = 0; begin < pts.size(); begin += kBlock) {
+    const std::size_t end = std::min(pts.size(), begin + kBlock);
+    for (std::uint64_t near = box.admits(pts, begin, end); near != 0; near &= near - 1) {
+      const std::size_t i = begin + static_cast<std::size_t>(std::countr_zero(near));
+      if (i == subject || i == gate.i1 || i == gate.i2) continue;
+      if (geom::point_segment_distance(path, pts[i]) <= corridor) return false;
+    }
+  }
+  return true;
+}
+
 /// First plan (for the robot at pts[subject], usually the observer at 0)
 /// whose approach corridor is free of parked robots: nobody may sit
 /// essentially ON the straight path (grazing guard; a robot exactly on the
 /// path would be run over). Gate anchors are at the edge ends, outside the
 /// central approach band, so they never trip this. Used both for the
 /// observer's own decision and — with the same logic, for estimate
-/// consistency — to model a rival's plan.
-std::optional<ExitPlan> first_clear_plan(const LocalView& view,
-                                         std::size_t subject) {
-  const geom::Vec2 from = view.pts[subject];
+/// consistency — to model a rival's plan. `plans` is scratch space.
+std::optional<ExitPlan> first_clear_plan(const GateTable& table, std::size_t subject,
+                                         std::vector<ExitPlan>& plans) {
+  const std::span<const Vec2> pts = table.view().pts;
+  const geom::Vec2 from = pts[subject];
+  table.plan_exits(from, plans);
+  if (plans.empty()) return std::nullopt;
   // Corridor width scales with the LOCAL packing (distance to the nearest
   // visible robot): wide enough to rule out grazing a parked robot, narrow
   // enough that dense configurations still admit many concurrent plans.
   // (Scaling it with the gate edge length instead throttles global
   // throughput to a constant — the hull edges are huge early on.)
-  double nearest_sq = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < view.pts.size(); ++i) {
-    if (i == subject) continue;
-    nearest_sq = std::min(nearest_sq, geom::distance_sq(from, view.pts[i]));
-  }
+  const double nearest_sq = nearest_sq_of(pts, subject);
   const double corridor =
       std::isfinite(nearest_sq) ? 0.05 * std::sqrt(nearest_sq) : 0.0;
-  for (const ExitPlan& plan : plan_exits(view, from)) {
-    const geom::Segment path{from, plan.target};
-    const CorridorBox box(path, corridor);
-    bool clear = true;
-    for (std::size_t i = 0; i < view.pts.size() && clear; ++i) {
-      if (i == subject || i == plan.gate.i1 || i == plan.gate.i2) continue;
-      const Vec2 q = view.pts[i];
-      if (box.excludes(q)) continue;
-      if (geom::point_segment_distance(path, q) <= corridor) clear = false;
+  for (const ExitPlan& plan : plans) {
+    if (corridor_clear(pts, geom::Segment{from, plan.target}, corridor, subject,
+                       plan.gate)) {
+      return plan;
     }
-    if (clear) return plan;
   }
   return std::nullopt;
 }
@@ -108,23 +157,17 @@ std::optional<ExitPlan> first_clear_plan(const LocalView& view,
 /// vertex): the diagonal lambda-squash insertion at the nearest eligible
 /// gate. Diagonal paths are not modellable by rivals, so fallback flights
 /// are serialized globally by the caller.
-std::optional<ExitPlan> fallback_plan(const LocalView& view) {
-  const std::size_t h = view.hull.size();
-  if (h < 3) return std::nullopt;
+std::optional<ExitPlan> fallback_plan(const GateTable& table) {
+  const LocalView& view = table.view();
   std::optional<GateEdge> best;
   double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t i1 = view.hull[k];
-    const std::size_t i2 = view.hull[(k + 1) % h];
-    if (i1 == 0 || i2 == 0) continue;
-    if (view.lights[i1] != Light::kCorner || view.lights[i2] != Light::kCorner) {
-      continue;
-    }
-    const geom::Segment e{view.pts[i1], view.pts[i2]};
-    const double d = geom::point_segment_distance(e, view.self());
+  for (const TableGate& g : table.gates()) {
+    const double d = geom::point_segment_distance(
+        geom::Segment{g.gate.c1, g.gate.c2}, view.self());
     if (d < best_dist) {
       best_dist = d;
-      best = GateEdge{i1, i2, e.a, e.b, d, k};
+      best = g.gate;
+      best->distance = d;
     }
   }
   if (!best) return std::nullopt;
@@ -134,40 +177,41 @@ std::optional<ExitPlan> fallback_plan(const LocalView& view) {
   return ExitPlan{*best, *target, geom::distance(view.self(), *target)};
 }
 
-/// Distance from p to hull edge k of the view.
-double edge_distance(const LocalView& view, std::size_t k, geom::Vec2 p) {
-  const std::size_t h = view.hull.size();
-  const geom::Segment e{view.pts[view.hull[k]], view.pts[view.hull[(k + 1) % h]]};
-  return geom::point_segment_distance(e, p);
-}
-
-/// Distance from p to the nearest hull edge of the view — the shared scalar
-/// the fallback serialization orders rivals by.
-double nearest_edge_distance(const LocalView& view, geom::Vec2 p) {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < view.hull.size(); ++k) {
-    best = std::min(best, edge_distance(view, k, p));
-  }
-  return best;
-}
-
 /// The arbitration prefilter's skip test,
-///   gap > (nearest_edge_distance(view, p) + quarter_edge) + slack,
-/// decided without the O(h) minimum wherever a bound settles it. The minimum
-/// is >= 0, so gap <= quarter_edge + slack keeps the rival; it is <= every
-/// edge's distance d_k, so gap > (d_k + quarter_edge) + slack at any edge
-/// skips it. Rounded addition is monotone, so neither bound can flip the
-/// comparison; only a full scan with no skipping edge keeps the rival.
-/// `edge` is where the scan starts — the edge that skipped the previous
-/// rival, since neighbours tend to be skipped by the same edge — and is left
-/// at the edge that skipped this one.
-bool out_of_reach(const LocalView& view, geom::Vec2 p, double gap,
+///   gap > (table.nearest_edge_distance(p) + quarter_edge) + slack,
+/// decided without the O(h) exact minimum. The minimum is >= 0, so
+/// gap <= quarter_edge + slack keeps the rival; it is <= every edge's
+/// distance d_k, so gap > (d_k + quarter_edge) + slack at any edge skips it.
+/// Rounded addition is monotone, so neither bound can flip the comparison.
+/// An edge can only skip the rival if its certified lower bound b_k <= d_k
+/// passes the same test, so a branch-free pass over the bounds picks the
+/// edges that take the exact test; a rival none of them skips is kept.
+/// `edge` is tried first — the edge that skipped the previous rival, since
+/// neighbours tend to be skipped by the same edge — and is left at the edge
+/// that skipped this one.
+bool out_of_reach(const GateTable& table, geom::Vec2 p, double gap,
                   double quarter_edge, double slack, std::size_t& edge) {
   if (gap <= quarter_edge + slack) return false;
-  const std::size_t h = view.hull.size();
-  for (std::size_t step = 0; step < h; ++step) {
-    if (gap > (edge_distance(view, edge, p) + quarter_edge) + slack) return true;
-    edge = edge + 1 == h ? 0 : edge + 1;
+  const auto skips = [&](std::size_t k) {
+    return gap > (geom::point_segment_distance(table.edge(k), p) + quarter_edge) + slack;
+  };
+  if (skips(edge)) return true;
+  const double bound_slack = table.bound_slack(p, gap);
+  const std::size_t h = table.edge_count();
+  for (std::size_t begin = 0; begin < h; begin += kBlock) {
+    const std::size_t end = std::min(h, begin + kBlock);
+    std::uint64_t maybe = 0;
+    for (std::size_t k = begin; k < end; ++k) {
+      const double bound = table.distance_bound(k, p, bound_slack);
+      maybe |= std::uint64_t{!(gap <= (bound + quarter_edge) + slack)} << (k - begin);
+    }
+    for (; maybe != 0; maybe &= maybe - 1) {
+      const std::size_t k = begin + static_cast<std::size_t>(std::countr_zero(maybe));
+      if (skips(k)) {
+        edge = k;
+        return true;
+      }
+    }
   }
   return false;
 }
@@ -224,9 +268,11 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
       // Because a robot's kTransit commit precedes its move-Look, two
       // conflicting robots can never both reach flight unseen: at least one
       // of them arbitrates with the other's light visible.
-      auto plan = first_clear_plan(view, 0);
+      const GateTable table(view);
+      std::vector<ExitPlan> plans;
+      auto plan = first_clear_plan(table, 0, plans);
       const bool fallback = !plan.has_value();
-      if (fallback) plan = fallback_plan(view);
+      if (fallback) plan = fallback_plan(table);
       if (!plan) {
         // No eligible gate right now (or all corridors blocked): withdraw
         // any stale intent so rivals stop yielding to it.
@@ -241,11 +287,11 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
         // so they run under global exclusivity: yield to every flight, and
         // among intents fly only as the robot strictly closest to the hull
         // boundary (a shared, frame-invariant total order).
-        const double own = nearest_edge_distance(view, view.self());
+        const double own = table.nearest_edge_distance(view.self());
         for (std::size_t i = 1; i < view.pts.size(); ++i) {
           if (view.lights[i] == Light::kMoving) return Action::stay(Light::kTransit);
           if (view.lights[i] == Light::kTransit &&
-              nearest_edge_distance(view, view.pts[i]) <= own) {
+              table.nearest_edge_distance(view.pts[i]) <= own) {
             return Action::stay(Light::kTransit);
           }
         }
@@ -258,14 +304,7 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
       // around the rival, so rivals farther than that from my path (plus
       // 0.1 * my exit) cannot conflict — skip the expensive plan modelling
       // for them.
-      double longest_edge = 0.0;
-      for (std::size_t k = 0; k < view.hull.size(); ++k) {
-        longest_edge = std::max(
-            longest_edge,
-            geom::distance(view.pts[view.hull[k]],
-                           view.pts[view.hull[(k + 1) % view.hull.size()]]));
-      }
-      const double quarter_edge = 0.25 * longest_edge;
+      const double quarter_edge = 0.25 * table.longest_edge();
       const double slack = 0.1 * plan->exit_distance;
       std::size_t skip_edge = 0;
       for (std::size_t i = 1; i < view.pts.size(); ++i) {
@@ -273,7 +312,7 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
         if (light != Light::kTransit && light != Light::kMoving) continue;
         const Vec2 rival = view.pts[i];
         const double gap = geom::point_segment_distance(my_path, rival);
-        if (out_of_reach(view, rival, gap, quarter_edge, slack, skip_edge)) continue;
+        if (out_of_reach(table, rival, gap, quarter_edge, slack, skip_edge)) continue;
         // A robot in flight close to my intended path is a hazard no matter
         // what its (unknowable) destination is — yield on position alone.
         if (light == Light::kMoving && gap <= 0.03 * plan->exit_distance) {
@@ -281,7 +320,7 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
         }
         // Model the rival with the SAME planner the rival itself runs, so
         // both parties arbitrate on (approximately) the same two paths.
-        const auto rival_plan = first_clear_plan(view, i);
+        const auto rival_plan = first_clear_plan(table, i, plans);
         geom::Segment rival_path{rival, rival};
         double rival_exit = 0.0;
         if (rival_plan) {

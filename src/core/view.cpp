@@ -2,6 +2,7 @@
 
 #include "geom/hull.hpp"
 #include "geom/predicates.hpp"
+#include "geom/simd.hpp"
 
 #include <algorithm>
 #include <numeric>
@@ -100,27 +101,42 @@ class HalfPlaneCone {
   bool single_ray_ = true;
 };
 
+/// Golden-stride steps the corner certificate takes before the vectorised
+/// pass: an interior view's cone fails after ~50 of them on average.
+constexpr std::size_t kWalkPrefix = 64;
+
 /// The corner certificate: true iff pts[0] is a strict vertex of the convex
 /// hull of pts, i.e. iff every point not coincident with it lies in one open
 /// half-plane bounded by a line through it. The monotone-chain hull keeps
 /// exactly the strict vertices (and index 0 among coincident points), so
 /// this equals "convex_hull_indices(pts) contains 0", in O(n) instead of
-/// O(n log n). The walk takes golden-ratio strides through the snapshot: the
-/// Look emits robots in angular order, and an interior observer's cone only
-/// fails once it holds a robot from the observer's sparsest side, which a
-/// walk in snapshot order would often reach last.
+/// O(n log n). Two phases. The cone walk takes golden-ratio strides through
+/// the snapshot: the Look emits robots in angular order, and an interior
+/// observer's cone only fails once it holds a robot from the observer's
+/// sparsest side, which a walk in snapshot order would often reach last.
+/// A bounded prefix of that walk rejects most interior views; a view that
+/// survives it is most likely a corner, which geom::simd's one-pass
+/// certificate proves. Only when that proof fails does the walk resume where
+/// it stopped, so the answer is the walk's on every input.
 bool observer_is_strict_vertex(std::span<const Vec2> pts) noexcept {
   const std::size_t m = pts.size() - 1;  // Robots besides the observer.
   std::size_t stride =
       std::max<std::size_t>(1, static_cast<std::size_t>(0.618 * static_cast<double>(m)));
   while (std::gcd(stride, m) != 1) ++stride;  // Coprime: each robot once.
   HalfPlaneCone cone(pts[0]);
-  for (std::size_t step = 0, j = 0; step < m; ++step) {
-    if (!cone.add(pts[1 + j])) return false;
-    j += stride;
-    if (j >= m) j -= m;
-  }
-  return true;
+  std::size_t step = 0;
+  std::size_t j = 0;
+  const auto walk_to = [&](std::size_t end) {
+    for (; step < end; ++step) {
+      if (!cone.add(pts[1 + j])) return false;
+      j += stride;
+      if (j >= m) j -= m;
+    }
+    return true;
+  };
+  if (!walk_to(std::min(m, kWalkPrefix))) return false;
+  if (step == m || geom::simd::corner_certificate(pts.data(), pts.size())) return true;
+  return walk_to(m);
 }
 
 }  // namespace

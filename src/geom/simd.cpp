@@ -16,6 +16,7 @@ void hull_cull_mask(const Vec2* pts, std::size_t n,
                     std::span<const Vec2> polygon, std::uint8_t* inside);
 void sort_f32key_records(std::vector<std::uint64_t>& records,
                          std::vector<std::uint64_t>& tmp, float max_key);
+bool corner_certificate(const Vec2* pts, std::size_t n);
 }  // namespace scalar
 
 #ifdef LUMEN_SIMD_HAVE_WIDE128
@@ -27,6 +28,7 @@ void hull_cull_mask(const Vec2* pts, std::size_t n,
                     std::span<const Vec2> polygon, std::uint8_t* inside);
 void sort_f32key_records(std::vector<std::uint64_t>& records,
                          std::vector<std::uint64_t>& tmp, float max_key);
+bool corner_certificate(const Vec2* pts, std::size_t n);
 }  // namespace wide128
 #endif
 
@@ -39,6 +41,7 @@ void hull_cull_mask(const Vec2* pts, std::size_t n,
                     std::span<const Vec2> polygon, std::uint8_t* inside);
 void sort_f32key_records(std::vector<std::uint64_t>& records,
                          std::vector<std::uint64_t>& tmp, float max_key);
+bool corner_certificate(const Vec2* pts, std::size_t n);
 }  // namespace avx2
 #endif
 
@@ -54,7 +57,7 @@ Table make_table() noexcept {
   Table t;
   t.rows[t.size++] = {Level::kScalar, scalar::build_keys_soa,
                       scalar::sort_f32key_records, scalar::hull_extremes,
-                      scalar::hull_cull_mask};
+                      scalar::hull_cull_mask, scalar::corner_certificate};
 #ifdef LUMEN_SIMD_HAVE_WIDE128
   // The 128-bit level's public name depends on the architecture the
   // wide128 TU was compiled for.
@@ -65,13 +68,13 @@ Table make_table() noexcept {
 #endif
   t.rows[t.size++] = {kWide128Level, wide128::build_keys_soa,
                       wide128::sort_f32key_records, wide128::hull_extremes,
-                      wide128::hull_cull_mask};
+                      wide128::hull_cull_mask, wide128::corner_certificate};
 #endif
 #ifdef LUMEN_SIMD_HAVE_AVX2
   if (__builtin_cpu_supports("avx2") != 0) {
     t.rows[t.size++] = {Level::kAvx2, avx2::build_keys_soa,
                         avx2::sort_f32key_records, avx2::hull_extremes,
-                        avx2::hull_cull_mask};
+                        avx2::hull_cull_mask, avx2::corner_certificate};
   }
 #endif
   return t;
@@ -123,6 +126,10 @@ HullExtremes hull_extremes(const Vec2* pts, std::size_t n) {
 void hull_cull_mask(const Vec2* pts, std::size_t n,
                     std::span<const Vec2> polygon, std::uint8_t* inside) {
   active().hull_cull_mask(pts, n, polygon, inside);
+}
+
+bool corner_certificate(const Vec2* pts, std::size_t n) {
+  return active().corner_certificate(pts, n);
 }
 
 }  // namespace lumen::geom::simd

@@ -1,9 +1,10 @@
 // lumen_geom: runtime-dispatched SIMD batch kernels over split arrays.
 //
 // The hottest inner loops of the geometry substrate — the per-observer
-// angular-key build that feeds the visibility sort, and the Akl–Toussaint
+// angular-key build that feeds the visibility sort, the Akl–Toussaint
 // extremes scan and interior cull that shrink the convex-hull candidate
-// set — are data parallel over the coordinate arrays. This layer provides
+// set, and the corner certificate of a Compute's view — are data parallel
+// over the coordinate arrays. This layer provides
 // batched versions of them, compiled per instruction set (SSE2/AVX2 on
 // x86-64, NEON on aarch64, plus an always-present scalar reference). The
 // CPU alone picks the level: the dispatched entry points run the widest
@@ -11,13 +12,14 @@
 // first use.
 //
 // The hard contract is BIT-IDENTITY: every level produces byte-for-byte the
-// same AngularKey sequences, presort records, extremes and cull mask as the
-// scalar reference. The vector kernels evaluate exactly the scalar formulas —
-// same IEEE operations in the same order, compiled with FP contraction off
-// so no fused multiply-add can change a rounding — and SIMD is only ever
-// allowed to CERTIFY a stage-A decision the scalar filter would also
-// certify, never to decide an uncertain one (uncertain lanes keep the
-// conservative outcome, exactly like the scalar certify-only filters).
+// same AngularKey sequences, presort records, extremes, cull mask and
+// corner verdict as the scalar reference. The vector kernels evaluate
+// exactly the scalar formulas — same IEEE operations in the same order,
+// compiled with FP contraction off so no fused multiply-add can change a
+// rounding — and SIMD is only ever allowed to CERTIFY a stage-A decision
+// the scalar filter would also certify, never to decide an uncertain one
+// (uncertain lanes keep the conservative outcome, exactly like the scalar
+// certify-only filters, or take the exact predicate).
 // tests/geom_simd_test.cpp walks kernel_table() and pins every row against
 // the scalar row; the golden-seed digests pin it end to end.
 #pragma once
@@ -63,6 +65,7 @@ struct Kernels {
   HullExtremes (*hull_extremes)(const Vec2* pts, std::size_t n);
   void (*hull_cull_mask)(const Vec2* pts, std::size_t n,
                          std::span<const Vec2> polygon, std::uint8_t* inside);
+  bool (*corner_certificate)(const Vec2* pts, std::size_t n);
 };
 
 /// The levels compiled into this binary AND runnable on this CPU, in
@@ -108,5 +111,19 @@ void sort_angular_records(std::vector<std::uint64_t>& records,
 /// is accepted; a zero-length edge certifies nothing.
 void hull_cull_mask(const Vec2* pts, std::size_t n,
                     std::span<const Vec2> polygon, std::uint8_t* inside);
+
+/// The one-pass corner certificate: true only when it PROVES pts[0] a
+/// strict vertex of conv(pts[0..n)) (n >= 1). It picks the candidate cone (a, b) — the
+/// points of least and greatest pseudo-angle (simd_common.hpp: cone_key)
+/// measured from the first point distinct from pts[0], ties to the smallest
+/// index — then verifies orient(pts[0], a, b) > 0 and, for every point p,
+/// orient(pts[0], a, p) >= 0 and orient(pts[0], p, b) >= 0: every point
+/// other than pts[0] then lies in a closed cone opening below pi. The
+/// orientations are exact: a stage-A filter certifies the clear lanes and
+/// orient2d_around decides the rest. False means "not proven", never "not
+/// a vertex" — the pick can miss the true extremes by rounding — so
+/// callers keep an exact fallback. Every level returns the scalar row's
+/// answer, because the pick and the exact verification are the same.
+[[nodiscard]] bool corner_certificate(const Vec2* pts, std::size_t n);
 
 }  // namespace lumen::geom::simd

@@ -13,7 +13,9 @@
 #include "geom/visibility_detail.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 namespace lumen::geom::simd::detail {
@@ -89,6 +91,69 @@ inline void fold_extremes(Vec2 p, std::uint32_t j, ExtremeKeys& lo,
       ext[i + 4] = j;
     }
   }
+}
+
+/// Pseudo-angle of the offset d measured from the reference direction r:
+/// in [0, 2] counter-clockwise of r and in [-2, 0] clockwise of it,
+/// monotone in the signed angle as computed. NaN when the dot and cross
+/// products both round to zero or overflow; such a key is never picked.
+inline double cone_key(Vec2 r, Vec2 d) noexcept {
+  const double x = r.x * d.x + r.y * d.y;
+  const double y = r.x * d.y - r.y * d.x;
+  const double s = x / (std::fabs(x) + std::fabs(y));
+  return y >= 0.0 ? 1.0 - s : s - 1.0;
+}
+
+/// The corner certificate's candidate pair: the smallest and largest cone
+/// keys folded so far and the indices that attain them first.
+struct ConePick {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+};
+
+/// Folds point j (offset d from the observer) into the pick. Offsets equal
+/// to zero (robots coincident with the observer) are skipped. Strict
+/// comparisons: of equal keys, the point folded first wins.
+inline void fold_cone_key(Vec2 r, Vec2 d, std::uint32_t j, ConePick& pick) noexcept {
+  if (d.x == 0.0 && d.y == 0.0) return;
+  const double key = cone_key(r, d);
+  if (key < pick.lo) {
+    pick.lo = key;
+    pick.a = j;
+  }
+  if (key > pick.hi) {
+    pick.hi = key;
+    pick.b = j;
+  }
+}
+
+/// The offset of the first point after pts[0] that differs from it, or the
+/// zero vector when every point coincides with pts[0].
+inline Vec2 cone_reference(const Vec2* pts, std::size_t n) noexcept {
+  for (std::size_t j = 1; j < n; ++j) {
+    if (pts[j] != pts[0]) return pts[j] - pts[0];
+  }
+  return Vec2{};
+}
+
+/// The candidate cone from ray o->a counter-clockwise to ray o->b, with the
+/// offsets da = a - o and db = b - o every orientation below shares.
+struct Cone {
+  Vec2 o, a, b, da, db;
+};
+
+/// Exact: orient(o, a, b) > 0, so the cone opens strictly below pi.
+inline bool cone_is_proper(const Cone& c) noexcept {
+  return orient2d_around(c.da, c.db, c.a, c.b, c.o) > 0;
+}
+
+/// Exact: p (offset dp = p - o) lies in the closed cone, i.e.
+/// orient(o, a, p) >= 0 and orient(o, p, b) >= 0.
+inline bool in_closed_cone(const Cone& c, Vec2 p, Vec2 dp) noexcept {
+  return orient2d_around(c.da, dp, c.a, p, c.o) >= 0 &&
+         orient2d_around(dp, c.db, p, c.b, c.o) >= 0;
 }
 
 /// Scalar cull test for one point against the closed polyline `polygon`,

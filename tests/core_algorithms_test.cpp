@@ -519,6 +519,85 @@ TEST(CvAsync, PrunedArbitrationMatchesUnprunedOracle) {
   EXPECT_GT(withdrew, 20);
 }
 
+/// The oracle's arbitration prefilter: is a rival at p skipped against my
+/// plan, gap > (nearest edge + 0.25 * longest edge) + 0.1 * exit?
+bool oracle_skips(const LocalView& view, const ExitPlan& plan, Vec2 p) {
+  const std::size_t h = view.hull.size();
+  double longest_edge = 0.0;
+  for (std::size_t k = 0; k < h; ++k) {
+    longest_edge = std::max(longest_edge, geom::distance(view.pts[view.hull[k]],
+                                                         view.pts[view.hull[(k + 1) % h]]));
+  }
+  const double reach = oracle::nearest_edge_distance(view, p) + 0.25 * longest_edge;
+  const double gap = geom::point_segment_distance(geom::Segment{view.self(), plan.target}, p);
+  return gap > reach + 0.1 * plan.exit_distance;
+}
+
+TEST(CvAsync, ReachBoundKeepsRivalsAtTheSkipThreshold) {
+  // Rivals on either side of the prefilter's skip threshold, one parameter
+  // ulp apart: bisect along a segment from a robot toward a hull vertex to
+  // where the oracle's exact skip test flips. Every edge's certified lower
+  // bound must stay below its computed distance there, and compute() must
+  // decide views holding such pairs exactly like the unpruned oracle.
+  const CompleteVisibilityAsync algo;
+  util::Prng rng{2025};
+  int straddles = 0;
+  int compared = 0;
+  for (const double scale : {1e-3, 1.0, 1e6}) {
+    for (int trial = 0; trial < 300; ++trial) {
+      std::vector<SnapshotEntry> visible = arbitration_view(rng, scale);
+      const Snapshot snap = make_snapshot(Light::kTransit, visible);
+      const LocalView view = build_view(snap);
+      if (view.role != Role::kInterior) continue;
+      const auto plan = oracle::first_clear_plan(view, 0);
+      if (!plan) continue;
+      const Vec2 start = view.pts[1 + rng.next_below(view.count() - 1)];
+      const Vec2 end = view.pts[view.hull[rng.next_below(view.hull.size())]];
+      const auto at = [&](double t) { return geom::lerp(start, end, t); };
+      double lo = 0.0;
+      double hi = 1.0;
+      const bool lo_skips = oracle_skips(view, *plan, at(lo));
+      if (lo_skips == oracle_skips(view, *plan, at(hi))) continue;
+      for (double mid = 0.5; mid > lo && mid < hi; mid = 0.5 * (lo + hi)) {
+        (oracle_skips(view, *plan, at(mid)) == lo_skips ? lo : hi) = mid;
+      }
+      if (lo == 0.0 || hi == 1.0) continue;
+      const GateTable table(view);
+      const geom::Segment my_path{view.self(), plan->target};
+      for (const Vec2 p : {at(lo), at(hi)}) {
+        const double gap = geom::point_segment_distance(my_path, p);
+        for (const double extent : {0.0, gap}) {
+          const double slack = table.bound_slack(p, extent);
+          for (std::size_t k = 0; k < table.edge_count(); ++k) {
+            EXPECT_LE(table.distance_bound(k, p, slack),
+                      geom::point_segment_distance(table.edge(k), p))
+                << "scale " << scale << " trial " << trial << " edge " << k;
+          }
+        }
+        visible.push_back({p, rng.bernoulli(0.7) ? Light::kTransit : Light::kMoving});
+      }
+      const Snapshot with_rivals = make_snapshot(Light::kTransit, visible);
+      const LocalView rival_view = build_view(with_rivals);
+      ASSERT_EQ(rival_view.role, Role::kInterior);
+      const Action expected = oracle::interior(rival_view, Light::kTransit);
+      const Action actual = algo.compute(with_rivals);
+      EXPECT_EQ(actual.light, expected.light) << "scale " << scale << " trial " << trial;
+      EXPECT_EQ(actual.target.x, expected.target.x) << "scale " << scale << " trial " << trial;
+      EXPECT_EQ(actual.target.y, expected.target.y) << "scale " << scale << " trial " << trial;
+      ++compared;
+      // The pair still straddles the threshold when the added robots left
+      // my plan as it was.
+      const auto replan = oracle::first_clear_plan(rival_view, 0);
+      if (replan && replan->target == plan->target &&
+          oracle_skips(rival_view, *replan, at(lo)) != oracle_skips(rival_view, *replan, at(hi))) {
+        ++straddles;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100);
+  EXPECT_GT(straddles, 100);
+}
+
 // --- baseline specific ------------------------------------------------------
 
 TEST(SeqBaseline, AnyVisibleTransitFreezesEverything) {

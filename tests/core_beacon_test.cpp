@@ -6,9 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <vector>
+
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
 #include "geom/predicates.hpp"
+#include "geom/segment.hpp"
 #include "model/snapshot.hpp"
 #include "nearest_gate.hpp"
 #include "split_points.hpp"
@@ -294,6 +303,199 @@ TEST(InteriorInsertion, DegenerateGateRejected) {
   const GateEdge gate{1, 2, {1, 1}, {1, 1}, 0.0};
   EXPECT_FALSE(interior_insertion_target(view, gate).has_value());
   EXPECT_FALSE(side_popout_target(view, gate).has_value());
+}
+
+// --- the gate table against the per-call planner ----------------------------
+
+// The exit planner as it was before the GateTable: every call re-derives each
+// gate's length, unit direction, witness and outward normal. plan_exits now
+// reads them from the table, so it must agree with this copy bit for bit.
+namespace oracle {
+
+double tri(Vec2 a, Vec2 b, Vec2 c) {
+  return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
+}
+
+double wedge_bound(Vec2 u, Vec2 v, Vec2 base, Vec2 n) {
+  const double a0 = tri(u, v, base);
+  const double slope = tri(u, v, base + n) - a0;
+  if (slope >= 0.0) return std::numeric_limits<double>::infinity();
+  if (a0 <= 0.0) return 0.0;
+  return a0 / -slope;
+}
+
+double adjacent_wedge_bound(const LocalView& view, const GateEdge& gate, Vec2 base, Vec2 n) {
+  double h_wedge = std::numeric_limits<double>::infinity();
+  const std::size_t h = view.hull.size();
+  if (gate.k == kNoHullPosition || h < 3) return h_wedge;
+  const Vec2 c0 = view.pts[view.hull[(gate.k + h - 1) % h]];
+  h_wedge = std::min(h_wedge, wedge_bound(c0, gate.c1, base, n));
+  const Vec2 c3 = view.pts[view.hull[(gate.k + 2) % h]];
+  return std::min(h_wedge, wedge_bound(gate.c2, c3, base, n));
+}
+
+std::optional<Vec2> perpendicular_target(const LocalView& view, const GateEdge& gate,
+                                         Vec2 from, Vec2 interior_witness) {
+  const Vec2 d = gate.c2 - gate.c1;
+  const double len = geom::norm(d);
+  if (len <= 0.0) return std::nullopt;
+  const Vec2 u = d / len;
+  Vec2 n{u.y, -u.x};
+  if (geom::dot(n, interior_witness - gate.c1) > 0.0) n = -n;
+  const double t_raw = geom::dot(from - gate.c1, u) / len;
+  if (t_raw < 0.08 || t_raw > 0.92) return std::nullopt;
+  const Vec2 base = gate.c1 + u * (t_raw * len);
+  const double h_wedge = adjacent_wedge_bound(view, gate, base, n);
+  double h_cap = 0.25 * len;
+  if (std::isfinite(h_wedge)) h_cap = std::min(h_cap, 0.45 * h_wedge);
+  if (h_cap <= len * 1e-12) h_cap = 0.05 * len;
+  const double height = h_cap * (0.4 + 0.5 * t_raw);
+  return base + n * height;
+}
+
+std::vector<ExitPlan> plan_exits(const LocalView& view, Vec2 from) {
+  std::vector<ExitPlan> plans;
+  const std::size_t h = view.hull.size();
+  if (h < 3) return plans;
+  Vec2 witness{};
+  for (const std::size_t k : view.hull) witness += view.pts[k];
+  witness = witness / static_cast<double>(h);
+  for (std::size_t k = 0; k < h; ++k) {
+    const std::size_t i1 = view.hull[k];
+    const std::size_t i2 = view.hull[(k + 1) % h];
+    if (i1 == 0 || i2 == 0) continue;
+    if (view.lights[i1] != Light::kCorner || view.lights[i2] != Light::kCorner) continue;
+    const geom::Segment edge{view.pts[i1], view.pts[i2]};
+    GateEdge gate{i1, i2, edge.a, edge.b, 0.0, k};
+    const auto target = perpendicular_target(view, gate, from, witness);
+    if (!target) continue;
+    gate.distance = geom::point_segment_distance(edge, from);
+    plans.push_back(ExitPlan{gate, *target, geom::distance(from, *target)});
+  }
+  std::sort(plans.begin(), plans.end(), [](const ExitPlan& a, const ExitPlan& b) {
+    return a.gate.distance < b.gate.distance;
+  });
+  return plans;
+}
+
+}  // namespace oracle
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_plan(const ExitPlan& a, const ExitPlan& b) {
+  return a.gate.i1 == b.gate.i1 && a.gate.i2 == b.gate.i2 && a.gate.k == b.gate.k &&
+         a.gate.c1 == b.gate.c1 && a.gate.c2 == b.gate.c2 &&
+         same_bits(a.gate.distance, b.gate.distance) &&
+         same_bits(a.target.x, b.target.x) && same_bits(a.target.y, b.target.y) &&
+         same_bits(a.exit_distance, b.exit_distance);
+}
+
+TEST(PlanExits, TableMatchesPerCallOracle) {
+  // Random views — a ring of mostly Corner-lit anchors around interior
+  // robots, a few outside the hull mid-flight — planned for EVERY robot in
+  // them, as arbitration models rivals: the table-driven planner, through
+  // the wrapper and through one table reused for all subjects, must return
+  // the per-call planner's plans bit for bit.
+  util::Prng rng{606};
+  std::size_t compared = 0;
+  std::size_t planned = 0;
+  for (const double scale : {1e-3, 1.0, 1e6}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const Vec2 centre{rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)};
+      std::vector<Vec2> world;
+      std::vector<Light> lights;
+      const std::uint64_t ring = 3 + rng.next_below(60);
+      for (std::uint64_t k = 0; k < ring; ++k) {
+        const double theta = rng.uniform(0.0, 6.283185307179586);
+        world.push_back(centre + Vec2{std::cos(theta), std::sin(theta)});
+        lights.push_back(rng.bernoulli(0.85) ? Light::kCorner : Light::kOff);
+      }
+      const std::uint64_t inside = 1 + rng.next_below(40);
+      for (std::uint64_t i = 0; i < inside; ++i) {
+        Vec2 p{rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)};
+        if (rng.bernoulli(0.1)) p = p * 1.5;  // Beyond the ring, in flight.
+        world.push_back(centre + p);
+        lights.push_back(rng.bernoulli(0.5) ? Light::kTransit : Light::kInterior);
+      }
+      for (Vec2& p : world) p = p * scale;
+      const std::size_t observer = ring + rng.next_below(inside);
+      const model::LocalFrame frame{world[observer], 0.0, 1.0, false};
+      const auto snap = testutil::snapshot_of(world, lights, observer, frame);
+      const LocalView view = build_view(snap);
+      if (view.role != Role::kInterior) continue;
+      const GateTable table(view);
+      std::vector<ExitPlan> reused;
+      for (std::size_t subject = 0; subject < view.count(); ++subject) {
+        const Vec2 from = view.pts[subject];
+        const auto expected = oracle::plan_exits(view, from);
+        const auto wrapped = plan_exits(view, from);
+        table.plan_exits(from, reused);
+        ASSERT_EQ(expected.size(), wrapped.size()) << "scale " << scale << " trial " << trial;
+        ASSERT_EQ(expected.size(), reused.size()) << "scale " << scale << " trial " << trial;
+        for (std::size_t p = 0; p < expected.size(); ++p) {
+          EXPECT_TRUE(same_plan(expected[p], wrapped[p]))
+              << "scale " << scale << " trial " << trial << " subject " << subject;
+          EXPECT_TRUE(same_plan(expected[p], reused[p]))
+              << "scale " << scale << " trial " << trial << " subject " << subject;
+        }
+        ++compared;
+        planned += expected.size();
+      }
+    }
+  }
+  EXPECT_GT(compared, 2000u);
+  EXPECT_GT(planned, 2000u);
+}
+
+TEST(GateTable, NearestEdgeDistanceMatchesFullScan) {
+  // The pruned minimum must equal the full scan over every hull edge bit
+  // for bit: at every robot of random views, at random points inside and
+  // outside the hull, and at points ulps from an edge's interior or ends.
+  util::Prng rng{707};
+  std::size_t compared = 0;
+  for (const double scale : {1e-3, 1.0, 1e6}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<Vec2> world;
+      const std::uint64_t ring = 3 + rng.next_below(80);
+      for (std::uint64_t k = 0; k < ring; ++k) {
+        const double theta = rng.uniform(0.0, 6.283185307179586);
+        world.push_back(Vec2{std::cos(theta), std::sin(theta)} * scale);
+      }
+      world.push_back(Vec2{rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)} * scale);
+      const std::size_t observer = world.size() - 1;
+      const model::LocalFrame frame{world[observer], 0.0, 1.0, false};
+      const auto snap = testutil::snapshot_of(
+          world, std::vector<Light>(world.size(), Light::kCorner), observer, frame);
+      const LocalView view = build_view(snap);
+      if (view.hull.size() < 3) continue;
+      const GateTable table(view);
+      std::vector<Vec2> probes(view.pts.begin(), view.pts.end());
+      for (int i = 0; i < 60; ++i) {
+        probes.push_back(Vec2{rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)} * scale);
+        const geom::Segment& e = table.edge(rng.next_below(table.edge_count()));
+        Vec2 q = geom::lerp(e.a, e.b, rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 1.0));
+        for (std::uint64_t u = rng.next_below(4); u > 0; --u) {
+          q.x = std::nextafter(q.x, rng.bernoulli(0.5) ? 1e300 : -1e300);
+          q.y = std::nextafter(q.y, rng.bernoulli(0.5) ? 1e300 : -1e300);
+        }
+        probes.push_back(q);
+      }
+      const std::size_t h = view.hull.size();
+      for (const Vec2 p : probes) {
+        double expected = std::numeric_limits<double>::infinity();
+        for (std::size_t k = 0; k < h; ++k) {
+          const geom::Segment e{view.pts[view.hull[k]], view.pts[view.hull[(k + 1) % h]]};
+          expected = std::min(expected, geom::point_segment_distance(e, p));
+        }
+        EXPECT_TRUE(same_bits(expected, table.nearest_edge_distance(p)))
+            << "scale " << scale << " trial " << trial;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000u);
 }
 
 }  // namespace

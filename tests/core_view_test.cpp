@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
@@ -345,6 +346,68 @@ TEST(CornerCertificate, CircleThroughOrigin) {
   }
   EXPECT_GT(tally.corners, 100);
   EXPECT_GT(tally.others, 10);
+}
+
+TEST(CornerCertificate, LargeViewsTakeBothPhases) {
+  // Views past the walk's prefix: the vectorised certificate decides most
+  // corners, and the walk resumes whenever it cannot prove one. Shifted
+  // disks, ring corners (with and without robots inside), near-flat ring
+  // corners, ring corners with one robot just beyond or just inside the
+  // tangent line at the observer, and cones whose extreme ray holds a robot
+  // with a twin a subnormal beyond it: the twins' rounded pseudo-angles tie,
+  // the pick takes the first, and only the resumed walk proves the corner.
+  util::Prng rng{15};
+  CertificateTally tally;
+  for (const double scale : kCertificateScales) {
+    for (int trial = 0; trial < 120; ++trial) {
+      const std::uint64_t n = 65 + rng.next_below(600);
+      std::vector<Vec2> pts;
+      switch (trial % 4) {
+        case 3: {
+          const double opening = rng.uniform(0.5, 3.0);
+          for (std::uint64_t i = 0; i < n; ++i) {
+            const double theta = rng.uniform(0.0, opening);
+            pts.push_back(Vec2{std::cos(theta), std::sin(theta)} * rng.uniform(0.5, 2.0) * scale);
+          }
+          const double t = rng.uniform(0.5, 2.0) * scale;
+          pts.insert(pts.begin(), Vec2{t, 0.0});
+          pts.push_back(Vec2{t, -std::numeric_limits<double>::denorm_min()});
+          break;
+        }
+        case 0: {
+          const double sx = rng.uniform(-1.5, 1.5), sy = rng.uniform(-1.5, 1.5);
+          for (std::uint64_t i = 0; i < n; ++i) {
+            pts.push_back(Vec2{rng.uniform(-1, 1) + sx, rng.uniform(-1, 1) + sy} * scale);
+          }
+          break;
+        }
+        default: {
+          // The observer is vertex 0 of a ring through the origin: a full
+          // unit ring of n vertices, or the quarter nearest the observer of
+          // 4n vertices on a ring of radius 1e4, where every angle is nearly
+          // straight.
+          const double r = trial % 4 == 1 ? 1.0 : 1e4;
+          const double step = 6.283185307179586 / static_cast<double>(trial % 4 == 1 ? n : 4 * n);
+          const auto vertex = [&](double k) {
+            return Vec2{r * std::cos(k * step) - r, r * std::sin(k * step)};
+          };
+          for (std::uint64_t k = 1; k < n; ++k) {
+            pts.push_back(vertex(static_cast<double>(k) - static_cast<double>(n) / 2.0) * scale);
+          }
+          if (rng.bernoulli(0.5)) pts.push_back(Vec2{-r, 0.0} * scale);  // The centre.
+          if (rng.bernoulli(0.5)) {
+            // Just beyond (or inside) the tangent line at the observer.
+            const double x = (rng.bernoulli(0.5) ? 1e-9 : -1e-9) * r * step * step;
+            pts.push_back(Vec2{x, rng.uniform(-1.0, 1.0) * r * step} * scale);
+          }
+        }
+      }
+      add_coincident(pts, rng);
+      check_certificate(pts, tally);
+    }
+  }
+  EXPECT_GT(tally.corners, 200);
+  EXPECT_GT(tally.others, 15);
 }
 
 }  // namespace

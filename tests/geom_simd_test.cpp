@@ -9,6 +9,7 @@
 // the dy == 0 half-plane tie-break), coincident-heavy (skipped lanes), and
 // a small integer lattice (exactly representable coordinates, maximal key
 // ties) — at sizes chosen to hit every vector-width remainder path.
+#include "geom/hull.hpp"
 #include "geom/predicates.hpp"
 #include "geom/simd.hpp"
 #include "geom/visibility.hpp"
@@ -350,6 +351,213 @@ TEST(GeomSimd, EveryLevelSortsRecordsCanonically) {
       row.sort_angular_records(got, tmp, 2.0f);
       EXPECT_EQ(expected, got)
           << "m=" << m << " level=" << geom::simd::to_string(row.level);
+    }
+  }
+}
+
+// --- the corner certificate -------------------------------------------------
+
+/// Exact oracle: pts[0] is a strict vertex of conv(pts) iff the monotone
+/// chain keeps index 0 (it keeps exactly the strict vertices, and index 0
+/// among points coincident with it).
+bool hull_keeps_first(const std::vector<Vec2>& pts) {
+  const auto hull = geom::convex_hull_indices(pts);
+  return std::find(hull.begin(), hull.end(), std::size_t{0}) != hull.end();
+}
+
+/// True iff some robot lies off the line through pts[0] and the first robot
+/// distinct from it — the views a one-cone certificate can prove at all.
+bool spans_plane(const std::vector<Vec2>& pts) {
+  std::size_t first = 1;
+  while (first < pts.size() && pts[first] == pts[0]) ++first;
+  for (std::size_t j = first + 1; j < pts.size(); ++j) {
+    if (geom::orient2d(pts[0], pts[first], pts[j]) != 0) return true;
+  }
+  return false;
+}
+
+/// An observer at the origin followed by its view.
+using CornerView = std::vector<Vec2>;
+
+CornerView disk_view(util::Prng& rng, std::size_t n) {
+  // A disk whose centre ranges from the origin to well beyond its rim.
+  const Vec2 centre{rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)};
+  CornerView pts = {Vec2{}};
+  while (pts.size() < n) {
+    const Vec2 p{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    if (geom::norm(p) <= 1.0) pts.push_back(centre + p);
+  }
+  return pts;
+}
+
+CornerView lattice_half_plane_view(util::Prng& rng, std::size_t n) {
+  // Lattice points with a*i + b*j >= 0: exact collinearities on the
+  // boundary line, which holds points on one ray, both or neither.
+  const auto a = rng.uniform_int(-3, 3);
+  const auto b = rng.uniform_int(-3, 3);
+  CornerView pts = {Vec2{}};
+  for (std::size_t tries = 0; pts.size() < n && tries < 40 * n; ++tries) {
+    const auto i = rng.uniform_int(-9, 9);
+    const auto j = rng.uniform_int(-9, 9);
+    if ((i == 0 && j == 0) || a * i + b * j < 0) continue;
+    pts.push_back(Vec2{static_cast<double>(i), static_cast<double>(j)});
+  }
+  return pts;
+}
+
+CornerView collinear_but_one_view(util::Prng& rng, std::size_t n) {
+  const Vec2 dir{static_cast<double>(rng.uniform_int(-3, 3)),
+                 static_cast<double>(rng.uniform_int(1, 3))};
+  const Vec2 offset = rng.bernoulli(0.5) ? Vec2{}
+                                         : Vec2{static_cast<double>(rng.uniform_int(-2, 2)),
+                                                static_cast<double>(rng.uniform_int(-2, 2))};
+  const bool both_rays = rng.bernoulli(0.5);
+  CornerView pts = {Vec2{}};
+  while (pts.size() + 1 < n) {
+    auto t = static_cast<double>(1 + rng.next_below(40));
+    if (both_rays && rng.bernoulli(0.5)) t = -t;
+    const Vec2 p = offset + dir * t;
+    if (p != Vec2{}) pts.push_back(p);
+  }
+  pts.push_back(Vec2{static_cast<double>(rng.uniform_int(-5, 5)),
+                     static_cast<double>(rng.uniform_int(-5, 5))});
+  return pts;
+}
+
+CornerView coincident_view(util::Prng& rng, std::size_t n) {
+  // A disk view with copies of the observer (both zero signs) and repeated
+  // robots in every lane position.
+  CornerView pts = disk_view(rng, n);
+  for (std::size_t j = 1; j < pts.size(); ++j) {
+    if (rng.bernoulli(0.3)) {
+      pts[j] = rng.bernoulli(0.5) ? Vec2{0.0, 0.0} : Vec2{-0.0, -0.0};
+    } else if (rng.bernoulli(0.3)) {
+      pts[j] = pts[1 + rng.next_below(j)];
+    }
+  }
+  return pts;
+}
+
+CornerView circle_through_origin_view(util::Prng& rng, std::size_t n) {
+  // Rounded points of a circle through the origin: the observer's
+  // neighbours make near-degenerate orientations; the centre, when added,
+  // makes the origin lose its corner status.
+  const double phi = rng.uniform(0.0, 6.283185307179586);
+  const Vec2 centre{std::cos(phi), std::sin(phi)};
+  const double spread = rng.bernoulli(0.5) ? 1e-6 : 3.0;
+  CornerView pts = {Vec2{}};
+  while (pts.size() < n) {
+    const double theta = phi + 3.141592653589793 + rng.uniform(-spread, spread);
+    pts.push_back(centre + Vec2{std::cos(theta), std::sin(theta)});
+  }
+  if (rng.bernoulli(0.3)) pts[1 + rng.next_below(n - 1)] = centre;
+  return pts;
+}
+
+CornerView regular_polygon_view(util::Prng& rng, std::size_t n) {
+  // A vertex of a regular 4096-gon seeing n - 1 of the others, in offsets
+  // from it: the neighbours lie within pi/4096 of the extreme rays.
+  const auto vertex = [](std::size_t k) {
+    const double a = 6.283185307179586 * static_cast<double>(k) / 4096.0;
+    return Vec2{1000.0 * std::cos(a), 1000.0 * std::sin(a)};
+  };
+  const std::size_t self = rng.next_below(4096);
+  CornerView pts = {Vec2{}};
+  while (pts.size() < n) {
+    const std::size_t k = rng.next_below(4096);
+    if (k != self) pts.push_back(vertex(k) - vertex(self));
+  }
+  // Both neighbours in view, so the extreme rays are the polygon's edges.
+  pts[1 + rng.next_below(n - 1)] = vertex((self + 1) % 4096) - vertex(self);
+  pts[1 + rng.next_below(n - 1)] = vertex((self + 4095) % 4096) - vertex(self);
+  return pts;
+}
+
+CornerView off_ray_view(util::Prng& rng, std::size_t n) {
+  // A cone of opening below pi filled with robots, plus robots on its two
+  // extreme rays nudged a few ulps to either side of them.
+  const double start = rng.uniform(0.0, 6.283185307179586);
+  const double opening = rng.uniform(0.5, 3.14159);
+  const Vec2 a{std::cos(start), std::sin(start)};
+  const Vec2 b{std::cos(start + opening), std::sin(start + opening)};
+  CornerView pts = {Vec2{}, a, b};
+  while (pts.size() < n) {
+    const double t = rng.uniform(0.5, 3.0);
+    Vec2 p;
+    switch (rng.next_below(3)) {
+      case 0: p = a * t; break;
+      case 1: p = b * t; break;
+      default: {
+        const double theta = start + rng.uniform(0.0, opening);
+        p = Vec2{std::cos(theta), std::sin(theta)} * t;
+      }
+    }
+    const auto ulps = static_cast<int>(rng.next_below(4));
+    const double toward = rng.bernoulli(0.5) ? 1e9 : -1e9;
+    for (int k = 0; k < ulps; ++k) {
+      if (rng.bernoulli(0.5)) {
+        p.x = std::nextafter(p.x, toward);
+      } else {
+        p.y = std::nextafter(p.y, toward);
+      }
+    }
+    pts.push_back(p);
+  }
+  return pts;
+}
+
+struct CornerFamily {
+  const char* name;
+  CornerView (*make)(util::Prng& rng, std::size_t n);
+};
+
+constexpr CornerFamily kCornerFamilies[] = {
+    {"disk", disk_view},
+    {"lattice-half-plane", lattice_half_plane_view},
+    {"collinear-but-one", collinear_but_one_view},
+    {"coincident", coincident_view},
+    {"circle-through-origin", circle_through_origin_view},
+    {"regular-4096-gon", regular_polygon_view},
+    {"off-ray", off_ray_view},
+};
+
+TEST(GeomSimd, EveryLevelProvesTheCornersTheScalarRowProves) {
+  // Every level returns the scalar row's verdict; a proof is never wrong
+  // (the exact oracle agrees); and the certificate proves the corners of
+  // generic 2-D views, so the fast path carries the workload.
+  const auto table = geom::simd::kernel_table();
+  util::Prng rng(4242);
+  constexpr std::size_t kCornerSizes[] = {2, 3, 4, 5, 8, 9, 17, 64, 257, 700};
+  for (const CornerFamily& family : kCornerFamilies) {
+    int proven = 0;
+    int corners = 0;
+    for (const double scale : {1e-3, 1.0, 1e6}) {
+      for (const std::size_t n : kCornerSizes) {
+        for (int trial = 0; trial < 12; ++trial) {
+          CornerView pts = family.make(rng, n);
+          for (Vec2& p : pts) p = p * scale;
+          const bool exact = hull_keeps_first(pts);
+          const bool ref = table.front().corner_certificate(pts.data(), pts.size());
+          const std::string what = std::string(family.name) + " n=" + std::to_string(n) +
+                                   " scale=" + std::to_string(scale);
+          EXPECT_TRUE(!ref || exact) << what << ": proved a non-vertex";
+          for (const Kernels& row : table.subspan(1)) {
+            EXPECT_EQ(ref, row.corner_certificate(pts.data(), pts.size()))
+                << what << " level=" << geom::simd::to_string(row.level);
+          }
+          if (exact && spans_plane(pts)) {
+            ++corners;
+            proven += ref ? 1 : 0;
+          }
+          if (family.make == regular_polygon_view && n > 2) {
+            EXPECT_TRUE(ref) << what;
+          }
+        }
+      }
+    }
+    EXPECT_GT(corners, 0) << family.name;
+    if (family.make == disk_view || family.make == coincident_view) {
+      EXPECT_EQ(proven, corners) << family.name;
     }
   }
 }
