@@ -7,13 +7,14 @@ Usage:
 
 Compares real_time of every benchmark present in BOTH files and exits
 non-zero if any gated kernel regressed by more than --threshold (fractional;
-0.20 = 20%). By default only the visibility, round-step and Compute-stage
-kernels are gated -- the ones the in-run parallelism, SIMD and planner work
-optimize and CI protects:
+0.20 = 20%). By default only the visibility, snapshot, round-step,
+Compute-stage and verify kernels are gated -- the ones the in-run
+parallelism, SIMD and planner work optimize and CI protects:
 
     BM_VisibleFrom/*  BM_VisibleFromSoA/*  BM_ComputeVisibility/*
     BM_SsyncRoundStep/*  BM_IncrementalRound/*  BM_BuildKeys/*
-    BM_HullCull/*  BM_BuildView/*  BM_AsyncArbitration/*  BM_PlanExits/*
+    BM_HullCull/*  BM_FillSnapshot/*  BM_ConvexHullView/*  BM_BuildView/*
+    BM_AsyncArbitration/*  BM_PlanExits/*  BM_VerifySuccess/*
 
 Pass --all to gate every shared benchmark instead.
 
@@ -40,7 +41,9 @@ import sys
 GATED_PREFIXES = ("BM_VisibleFrom", "BM_ComputeVisibility/",
                   "BM_ComputeVisibility_", "BM_SsyncRoundStep/",
                   "BM_IncrementalRound/", "BM_BuildKeys/", "BM_HullCull/",
-                  "BM_BuildView/", "BM_AsyncArbitration/", "BM_PlanExits/")
+                  "BM_FillSnapshot/", "BM_ConvexHullView/", "BM_BuildView/",
+                  "BM_AsyncArbitration/", "BM_PlanExits/",
+                  "BM_VerifySuccess/")
 
 
 def build_type_of(path):

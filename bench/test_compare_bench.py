@@ -4,7 +4,8 @@
     python3 bench/test_compare_bench.py
 
 Writes small bench_micro-shaped JSON files to a temporary directory and
-checks that the comparison passes, fails on a gated regression, fails when a
+checks that the comparison passes, fails on a gated regression (including
+the snapshot, view-hull and verify kernels), fails when a
 gated baseline benchmark is missing from the current run (a renamed kernel),
 and only warns when an ungated one is.
 """
@@ -34,7 +35,9 @@ def bench_file(directory, name, times):
 
 
 BASE = {"BM_Orient2dFiltered": 5.0, "BM_BuildView/corner/512": 4000.0,
-        "BM_PlanExits/512": 50000.0, "BM_ConvexHull/512": 9000.0}
+        "BM_PlanExits/512": 50000.0, "BM_ConvexHull/512": 9000.0,
+        "BM_FillSnapshot/512": 2000.0, "BM_ConvexHullView/512": 30000.0,
+        "BM_VerifySuccess/converged/512": 60000.0}
 
 
 class CompareBenchTest(unittest.TestCase):
@@ -52,6 +55,12 @@ class CompareBenchTest(unittest.TestCase):
     def test_gated_regression_fails(self):
         cur = dict(BASE, **{"BM_PlanExits/512": 65000.0})
         self.assertEqual(self.run_compare(cur)[0], 1)
+
+    def test_snapshot_hull_and_verify_regressions_fail(self):
+        for name in ("BM_FillSnapshot/512", "BM_ConvexHullView/512",
+                     "BM_VerifySuccess/converged/512"):
+            cur = dict(BASE, **{name: BASE[name] * 1.3})
+            self.assertEqual(self.run_compare(cur)[0], 1, name)
 
     def test_ungated_regression_passes(self):
         cur = dict(BASE, **{"BM_ConvexHull/512": 90000.0})

@@ -59,8 +59,14 @@ class HalfPlaneCone {
  public:
   explicit HalfPlaneCone(Vec2 o) noexcept : o_(o) {}
 
+  /// True once the cone has two rays, i.e. orient(o, a, b) > 0.
+  bool proper() const noexcept { return !single_ray_; }
+  Vec2 da() const noexcept { return a_ - o_; }
+  Vec2 db() const noexcept { return b_ - o_; }
+
   /// Adds p; false once the points added no longer fit in one open
   /// half-plane bounded by a line through o (points equal to o are ignored).
+  /// A point strictly inside the cone leaves it unchanged.
   bool add(Vec2 p) noexcept {
     if (p == o_) return true;
     if (empty_) {
@@ -101,42 +107,46 @@ class HalfPlaneCone {
   bool single_ray_ = true;
 };
 
-/// Golden-stride steps the corner certificate takes before the vectorised
-/// pass: an interior view's cone fails after ~50 of them on average.
+/// Golden-stride steps the corner walk takes before its in-order sweep: an
+/// interior view's cone fails after ~50 of them on average.
 constexpr std::size_t kWalkPrefix = 64;
 
-/// The corner certificate: true iff pts[0] is a strict vertex of the convex
-/// hull of pts, i.e. iff every point not coincident with it lies in one open
+/// The corner walk: true iff pts[0] is a strict vertex of the convex hull
+/// of pts, i.e. iff every point not coincident with it lies in one open
 /// half-plane bounded by a line through it. The monotone-chain hull keeps
 /// exactly the strict vertices (and index 0 among coincident points), so
 /// this equals "convex_hull_indices(pts) contains 0", in O(n) instead of
-/// O(n log n). Two phases. The cone walk takes golden-ratio strides through
-/// the snapshot: the Look emits robots in angular order, and an interior
+/// O(n log n). The walk first takes golden-ratio strides through the
+/// snapshot: the Look emits robots in angular order, and an interior
 /// observer's cone only fails once it holds a robot from the observer's
 /// sparsest side, which a walk in snapshot order would often reach last.
-/// A bounded prefix of that walk rejects most interior views; a view that
-/// survives it is most likely a corner, which geom::simd's one-pass
-/// certificate proves. Only when that proof fails does the walk resume where
-/// it stopped, so the answer is the walk's on every input.
+/// That bounded prefix rejects most interior views. A view that survives it
+/// is most likely a corner, and the walk then sweeps every robot in
+/// snapshot order, letting geom::simd::cone_skip pass over the robots the
+/// stage-A filter certifies strictly inside the current cone. Adding such a
+/// robot would leave the cone unchanged, and the answer depends only on the
+/// set of robots added, so the skip never changes it.
 bool observer_is_strict_vertex(std::span<const Vec2> pts) noexcept {
   const std::size_t m = pts.size() - 1;  // Robots besides the observer.
   std::size_t stride =
       std::max<std::size_t>(1, static_cast<std::size_t>(0.618 * static_cast<double>(m)));
   while (std::gcd(stride, m) != 1) ++stride;  // Coprime: each robot once.
   HalfPlaneCone cone(pts[0]);
-  std::size_t step = 0;
-  std::size_t j = 0;
-  const auto walk_to = [&](std::size_t end) {
-    for (; step < end; ++step) {
-      if (!cone.add(pts[1 + j])) return false;
-      j += stride;
-      if (j >= m) j -= m;
+  const std::size_t prefix = std::min(m, kWalkPrefix);
+  for (std::size_t step = 0, j = 0; step < prefix; ++step) {
+    if (!cone.add(pts[1 + j])) return false;
+    j += stride;
+    if (j >= m) j -= m;
+  }
+  if (prefix == m) return true;
+  for (std::size_t i = 1; i < pts.size(); ++i) {
+    if (cone.proper()) {
+      i = geom::simd::cone_skip(pts.data(), i, pts.size(), pts[0], cone.da(), cone.db());
+      if (i == pts.size()) break;
     }
-    return true;
-  };
-  if (!walk_to(std::min(m, kWalkPrefix))) return false;
-  if (step == m || geom::simd::corner_certificate(pts.data(), pts.size())) return true;
-  return walk_to(m);
+    if (!cone.add(pts[i])) return false;
+  }
+  return true;
 }
 
 }  // namespace

@@ -16,7 +16,8 @@ void hull_cull_mask(const Vec2* pts, std::size_t n,
                     std::span<const Vec2> polygon, std::uint8_t* inside);
 void sort_f32key_records(std::vector<std::uint64_t>& records,
                          std::vector<std::uint64_t>& tmp, float max_key);
-bool corner_certificate(const Vec2* pts, std::size_t n);
+std::size_t cone_skip(const Vec2* pts, std::size_t begin, std::size_t n,
+                      Vec2 o, Vec2 da, Vec2 db);
 }  // namespace scalar
 
 #ifdef LUMEN_SIMD_HAVE_WIDE128
@@ -28,7 +29,8 @@ void hull_cull_mask(const Vec2* pts, std::size_t n,
                     std::span<const Vec2> polygon, std::uint8_t* inside);
 void sort_f32key_records(std::vector<std::uint64_t>& records,
                          std::vector<std::uint64_t>& tmp, float max_key);
-bool corner_certificate(const Vec2* pts, std::size_t n);
+std::size_t cone_skip(const Vec2* pts, std::size_t begin, std::size_t n,
+                      Vec2 o, Vec2 da, Vec2 db);
 }  // namespace wide128
 #endif
 
@@ -41,7 +43,8 @@ void hull_cull_mask(const Vec2* pts, std::size_t n,
                     std::span<const Vec2> polygon, std::uint8_t* inside);
 void sort_f32key_records(std::vector<std::uint64_t>& records,
                          std::vector<std::uint64_t>& tmp, float max_key);
-bool corner_certificate(const Vec2* pts, std::size_t n);
+std::size_t cone_skip(const Vec2* pts, std::size_t begin, std::size_t n,
+                      Vec2 o, Vec2 da, Vec2 db);
 }  // namespace avx2
 #endif
 
@@ -57,7 +60,7 @@ Table make_table() noexcept {
   Table t;
   t.rows[t.size++] = {Level::kScalar, scalar::build_keys_soa,
                       scalar::sort_f32key_records, scalar::hull_extremes,
-                      scalar::hull_cull_mask, scalar::corner_certificate};
+                      scalar::hull_cull_mask, scalar::cone_skip};
 #ifdef LUMEN_SIMD_HAVE_WIDE128
   // The 128-bit level's public name depends on the architecture the
   // wide128 TU was compiled for.
@@ -68,13 +71,13 @@ Table make_table() noexcept {
 #endif
   t.rows[t.size++] = {kWide128Level, wide128::build_keys_soa,
                       wide128::sort_f32key_records, wide128::hull_extremes,
-                      wide128::hull_cull_mask, wide128::corner_certificate};
+                      wide128::hull_cull_mask, wide128::cone_skip};
 #endif
 #ifdef LUMEN_SIMD_HAVE_AVX2
   if (__builtin_cpu_supports("avx2") != 0) {
     t.rows[t.size++] = {Level::kAvx2, avx2::build_keys_soa,
                         avx2::sort_f32key_records, avx2::hull_extremes,
-                        avx2::hull_cull_mask, avx2::corner_certificate};
+                        avx2::hull_cull_mask, avx2::cone_skip};
   }
 #endif
   return t;
@@ -128,8 +131,9 @@ void hull_cull_mask(const Vec2* pts, std::size_t n,
   active().hull_cull_mask(pts, n, polygon, inside);
 }
 
-bool corner_certificate(const Vec2* pts, std::size_t n) {
-  return active().corner_certificate(pts, n);
+std::size_t cone_skip(const Vec2* pts, std::size_t begin, std::size_t n,
+                      Vec2 o, Vec2 da, Vec2 db) {
+  return active().cone_skip(pts, begin, n, o, da, db);
 }
 
 }  // namespace lumen::geom::simd

@@ -3,7 +3,7 @@
 // The hottest inner loops of the geometry substrate — the per-observer
 // angular-key build that feeds the visibility sort, the Akl–Toussaint
 // extremes scan and interior cull that shrink the convex-hull candidate
-// set, and the corner certificate of a Compute's view — are data parallel
+// set, and the in-cone skip of a Compute's corner walk — are data parallel
 // over the coordinate arrays. This layer provides
 // batched versions of them, compiled per instruction set (SSE2/AVX2 on
 // x86-64, NEON on aarch64, plus an always-present scalar reference). The
@@ -13,13 +13,13 @@
 //
 // The hard contract is BIT-IDENTITY: every level produces byte-for-byte the
 // same AngularKey sequences, presort records, extremes, cull mask and
-// corner verdict as the scalar reference. The vector kernels evaluate
+// skip index as the scalar reference. The vector kernels evaluate
 // exactly the scalar formulas — same IEEE operations in the same order,
 // compiled with FP contraction off so no fused multiply-add can change a
 // rounding — and SIMD is only ever allowed to CERTIFY a stage-A decision
 // the scalar filter would also certify, never to decide an uncertain one
 // (uncertain lanes keep the conservative outcome, exactly like the scalar
-// certify-only filters, or take the exact predicate).
+// certify-only filter simd_common.hpp: certainly_ccw).
 // tests/geom_simd_test.cpp walks kernel_table() and pins every row against
 // the scalar row; the golden-seed digests pin it end to end.
 #pragma once
@@ -65,7 +65,8 @@ struct Kernels {
   HullExtremes (*hull_extremes)(const Vec2* pts, std::size_t n);
   void (*hull_cull_mask)(const Vec2* pts, std::size_t n,
                          std::span<const Vec2> polygon, std::uint8_t* inside);
-  bool (*corner_certificate)(const Vec2* pts, std::size_t n);
+  std::size_t (*cone_skip)(const Vec2* pts, std::size_t begin, std::size_t n,
+                           Vec2 o, Vec2 da, Vec2 db);
 };
 
 /// The levels compiled into this binary AND runnable on this CPU, in
@@ -103,7 +104,7 @@ void sort_angular_records(std::vector<std::uint64_t>& records,
 /// Batched Akl–Toussaint stage-A cull: inside[j] = 1 iff point j is
 /// CERTIFIED strictly left of every edge of the closed polyline `polygon`
 /// (polygon[i] -> polygon[i+1], last -> first) by the scalar certify-only
-/// filter (geom/simd_common.hpp: certainly_left). When the vertices are
+/// filter (geom/simd_common.hpp: certainly_ccw). When the vertices are
 /// input points, such a point has winding number >= 1 and so lies strictly
 /// inside the hull whether or not the polyline is convex (DESIGN §15.6);
 /// uncertified lanes report 0 ("keep"), so a hull built from the surviving
@@ -112,18 +113,15 @@ void sort_angular_records(std::vector<std::uint64_t>& records,
 void hull_cull_mask(const Vec2* pts, std::size_t n,
                     std::span<const Vec2> polygon, std::uint8_t* inside);
 
-/// The one-pass corner certificate: true only when it PROVES pts[0] a
-/// strict vertex of conv(pts[0..n)) (n >= 1). It picks the candidate cone (a, b) — the
-/// points of least and greatest pseudo-angle (simd_common.hpp: cone_key)
-/// measured from the first point distinct from pts[0], ties to the smallest
-/// index — then verifies orient(pts[0], a, b) > 0 and, for every point p,
-/// orient(pts[0], a, p) >= 0 and orient(pts[0], p, b) >= 0: every point
-/// other than pts[0] then lies in a closed cone opening below pi. The
-/// orientations are exact: a stage-A filter certifies the clear lanes and
-/// orient2d_around decides the rest. False means "not proven", never "not
-/// a vertex" — the pick can miss the true extremes by rounding — so
-/// callers keep an exact fallback. Every level returns the scalar row's
-/// answer, because the pick and the exact verification are the same.
-[[nodiscard]] bool corner_certificate(const Vec2* pts, std::size_t n);
+/// The in-cone skip of the corner walk: the first index j in [begin, n)
+/// whose point the stage-A filter does not certify strictly inside the cone
+/// around o from ray o->a counter-clockwise to ray o->b, given the offsets
+/// da = a - o and db = b - o; n when every point is certified. A point p
+/// is certified when certainly_ccw(da, p - o) and certainly_ccw(p - o, db)
+/// hold, which proves orient(o, a, p) > 0 and orient(o, p, b) > 0. Points
+/// equal to o, on a ray, outside the cone or too close to call stop the
+/// skip, so the caller decides them exactly.
+[[nodiscard]] std::size_t cone_skip(const Vec2* pts, std::size_t begin,
+                                    std::size_t n, Vec2 o, Vec2 da, Vec2 db);
 
 }  // namespace lumen::geom::simd

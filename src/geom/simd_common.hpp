@@ -15,7 +15,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <span>
 
 namespace lumen::geom::simd::detail {
@@ -44,25 +43,23 @@ inline void append_key(Vec2 d, std::uint32_t j, VisibilityScratch& scratch) {
   }
 }
 
-/// True only when the stage-A filter CERTIFIES orient2d(a, b, c) > 0 (c
-/// strictly left of a->b). No exact fallback: an uncertain sign returns
-/// false, which the interior cull treats as "keep the point" — sound,
-/// because a false negative merely forgoes a discard.
-inline bool certainly_left(Vec2 a, Vec2 b, Vec2 c) noexcept {
-  const double detleft = (a.x - c.x) * (b.y - c.y);
-  const double detright = (a.y - c.y) * (b.x - c.x);
-  const double det = detleft - detright;
-  if (!(det > 0.0)) return false;
-  double detsum = 0.0;
-  if (detleft > 0.0) {
-    if (detright <= 0.0) return true;  // Opposite signs: det sign is exact.
-    detsum = detleft + detright;
-  } else if (detleft < 0.0) {
-    detsum = -detleft - detright;  // det > 0 forces detright < detleft < 0.
-  } else {
-    return false;  // detleft rounded to zero: cannot certify.
-  }
-  return det >= geom::detail::kCcwErrBoundA * detsum;
+/// True only when the stage-A filter CERTIFIES u x v > 0 for the rounded
+/// offsets u = a - c and v = b - c, i.e. orient2d(a, b, c) > 0 (c strictly
+/// left of a->b). This is orient2d's filter in closed form: its error sum
+/// is |u.x v.y| + |u.y v.x| in every case that can certify a positive sign
+/// (in the exact-sign case u.x v.y > 0 >= u.y v.x that sum and det are the
+/// same rounded sum, so the bound passes), and a product rounded to zero
+/// certifies nothing. The bound is strict: for subnormal products it
+/// rounds to zero, and det = 0 must not pass. No exact fallback: an
+/// uncertain sign returns false, which the interior cull treats as "keep
+/// the point" and the cone skip as "stop here" — sound, because a false
+/// negative merely forgoes a shortcut.
+inline bool certainly_ccw(Vec2 u, Vec2 v) noexcept {
+  const double dl = u.x * v.y;
+  const double dr = u.y * v.x;
+  const double det = dl - dr;
+  return dl != 0.0 &&
+         det > geom::detail::kCcwErrBoundA * (std::fabs(dl) + std::fabs(dr));
 }
 
 /// The four keys whose minima and maxima are the hull extremes, in the
@@ -93,77 +90,14 @@ inline void fold_extremes(Vec2 p, std::uint32_t j, ExtremeKeys& lo,
   }
 }
 
-/// Pseudo-angle of the offset d measured from the reference direction r:
-/// in [0, 2] counter-clockwise of r and in [-2, 0] clockwise of it,
-/// monotone in the signed angle as computed. NaN when the dot and cross
-/// products both round to zero or overflow; such a key is never picked.
-inline double cone_key(Vec2 r, Vec2 d) noexcept {
-  const double x = r.x * d.x + r.y * d.y;
-  const double y = r.x * d.y - r.y * d.x;
-  const double s = x / (std::fabs(x) + std::fabs(y));
-  return y >= 0.0 ? 1.0 - s : s - 1.0;
-}
-
-/// The corner certificate's candidate pair: the smallest and largest cone
-/// keys folded so far and the indices that attain them first.
-struct ConePick {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-};
-
-/// Folds point j (offset d from the observer) into the pick. Offsets equal
-/// to zero (robots coincident with the observer) are skipped. Strict
-/// comparisons: of equal keys, the point folded first wins.
-inline void fold_cone_key(Vec2 r, Vec2 d, std::uint32_t j, ConePick& pick) noexcept {
-  if (d.x == 0.0 && d.y == 0.0) return;
-  const double key = cone_key(r, d);
-  if (key < pick.lo) {
-    pick.lo = key;
-    pick.a = j;
-  }
-  if (key > pick.hi) {
-    pick.hi = key;
-    pick.b = j;
-  }
-}
-
-/// The offset of the first point after pts[0] that differs from it, or the
-/// zero vector when every point coincides with pts[0].
-inline Vec2 cone_reference(const Vec2* pts, std::size_t n) noexcept {
-  for (std::size_t j = 1; j < n; ++j) {
-    if (pts[j] != pts[0]) return pts[j] - pts[0];
-  }
-  return Vec2{};
-}
-
-/// The candidate cone from ray o->a counter-clockwise to ray o->b, with the
-/// offsets da = a - o and db = b - o every orientation below shares.
-struct Cone {
-  Vec2 o, a, b, da, db;
-};
-
-/// Exact: orient(o, a, b) > 0, so the cone opens strictly below pi.
-inline bool cone_is_proper(const Cone& c) noexcept {
-  return orient2d_around(c.da, c.db, c.a, c.b, c.o) > 0;
-}
-
-/// Exact: p (offset dp = p - o) lies in the closed cone, i.e.
-/// orient(o, a, p) >= 0 and orient(o, p, b) >= 0.
-inline bool in_closed_cone(const Cone& c, Vec2 p, Vec2 dp) noexcept {
-  return orient2d_around(c.da, dp, c.a, p, c.o) >= 0 &&
-         orient2d_around(dp, c.db, p, c.b, c.o) >= 0;
-}
-
 /// Scalar cull test for one point against the closed polyline `polygon`,
 /// matching the vector lanes decision for decision. An empty polyline
 /// certifies nothing.
 inline bool inside_polygon(std::span<const Vec2> polygon, Vec2 p) noexcept {
   const std::size_t k = polygon.size();
-  if (k == 0 || !certainly_left(polygon[k - 1], polygon[0], p)) return false;
+  if (k == 0 || !certainly_ccw(polygon[k - 1] - p, polygon[0] - p)) return false;
   for (std::size_t i = 0; i + 1 < k; ++i) {
-    if (!certainly_left(polygon[i], polygon[i + 1], p)) return false;
+    if (!certainly_ccw(polygon[i] - p, polygon[i + 1] - p)) return false;
   }
   return true;
 }

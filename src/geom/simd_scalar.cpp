@@ -63,22 +63,13 @@ void sort_f32key_records(std::vector<std::uint64_t>& records,
   util::sort_f32key_records(records, tmp, max_key);
 }
 
-bool corner_certificate(const Vec2* pts, std::size_t n) {
-  const Vec2 o = pts[0];
-  const Vec2 r = detail::cone_reference(pts, n);
-  if (r == Vec2{}) return false;
-  detail::ConePick pick;
-  for (std::size_t j = 1; j < n; ++j) {
-    detail::fold_cone_key(r, pts[j] - o, static_cast<std::uint32_t>(j), pick);
+std::size_t cone_skip(const Vec2* pts, std::size_t begin, std::size_t n,
+                      Vec2 o, Vec2 da, Vec2 db) {
+  for (std::size_t j = begin; j < n; ++j) {
+    const Vec2 d = pts[j] - o;
+    if (!detail::certainly_ccw(da, d) || !detail::certainly_ccw(d, db)) return j;
   }
-  const Vec2 a = pts[pick.a];
-  const Vec2 b = pts[pick.b];
-  const detail::Cone cone{o, a, b, a - o, b - o};
-  if (!detail::cone_is_proper(cone)) return false;
-  for (std::size_t j = 1; j < n; ++j) {
-    if (!detail::in_closed_cone(cone, pts[j], pts[j] - o)) return false;
-  }
-  return true;
+  return n;
 }
 
 }  // namespace lumen::geom::simd::scalar

@@ -256,6 +256,22 @@ TEST(Experiments, DoublingShardsPartitionTheUnshardedRows) {
   EXPECT_EQ(both, whole);
 }
 
+// E5 reads C6 only from runs whose corner count reaches both N/2 and N as
+// thresholds; those are powers of two, so N = 24 measures no run and the
+// check cannot pass on it.
+TEST(Experiments, DoublingWithNoMeasuredRunIsUndecided) {
+  const auto* e = ExperimentRegistry::instance().find("E5");
+  ASSERT_NE(e, nullptr);
+  ScenarioSpec spec = e->defaults;
+  spec.ns = {24};
+  spec.runs = 2;
+  const ExperimentResult result = e->run(spec, ExperimentContext{});
+  ASSERT_FALSE(result.rows.empty());
+  ASSERT_EQ(result.checks.size(), 1u);
+  EXPECT_EQ(result.checks[0].verdict, Verdict::kUndecided);
+  EXPECT_TRUE(result.passed());
+}
+
 // ---------------------------------------------------------------------------
 // Reporters.
 

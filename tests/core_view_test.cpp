@@ -349,13 +349,12 @@ TEST(CornerCertificate, CircleThroughOrigin) {
 }
 
 TEST(CornerCertificate, LargeViewsTakeBothPhases) {
-  // Views past the walk's prefix: the vectorised certificate decides most
-  // corners, and the walk resumes whenever it cannot prove one. Shifted
-  // disks, ring corners (with and without robots inside), near-flat ring
-  // corners, ring corners with one robot just beyond or just inside the
-  // tangent line at the observer, and cones whose extreme ray holds a robot
-  // with a twin a subnormal beyond it: the twins' rounded pseudo-angles tie,
-  // the pick takes the first, and only the resumed walk proves the corner.
+  // Views past the walk's golden-stride prefix, so the in-order sweep with
+  // its vectorised in-cone skip decides them. Shifted disks, ring corners
+  // (with and without robots inside), near-flat ring corners, ring corners
+  // with one robot just beyond or just inside the tangent line at the
+  // observer, and cones whose extreme ray holds a robot with a twin a
+  // subnormal beyond it, which the skip must hand to the exact cone.
   util::Prng rng{15};
   CertificateTally tally;
   for (const double scale : kCertificateScales) {

@@ -9,7 +9,6 @@
 // the dy == 0 half-plane tie-break), coincident-heavy (skipped lanes), and
 // a small integer lattice (exactly representable coordinates, maximal key
 // ties) — at sizes chosen to hit every vector-width remainder path.
-#include "geom/hull.hpp"
 #include "geom/predicates.hpp"
 #include "geom/simd.hpp"
 #include "geom/visibility.hpp"
@@ -23,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lumen {
@@ -355,26 +355,7 @@ TEST(GeomSimd, EveryLevelSortsRecordsCanonically) {
   }
 }
 
-// --- the corner certificate -------------------------------------------------
-
-/// Exact oracle: pts[0] is a strict vertex of conv(pts) iff the monotone
-/// chain keeps index 0 (it keeps exactly the strict vertices, and index 0
-/// among points coincident with it).
-bool hull_keeps_first(const std::vector<Vec2>& pts) {
-  const auto hull = geom::convex_hull_indices(pts);
-  return std::find(hull.begin(), hull.end(), std::size_t{0}) != hull.end();
-}
-
-/// True iff some robot lies off the line through pts[0] and the first robot
-/// distinct from it — the views a one-cone certificate can prove at all.
-bool spans_plane(const std::vector<Vec2>& pts) {
-  std::size_t first = 1;
-  while (first < pts.size() && pts[first] == pts[0]) ++first;
-  for (std::size_t j = first + 1; j < pts.size(); ++j) {
-    if (geom::orient2d(pts[0], pts[first], pts[j]) != 0) return true;
-  }
-  return false;
-}
+// --- the corner walk's in-cone skip ----------------------------------------
 
 /// An observer at the origin followed by its view.
 using CornerView = std::vector<Vec2>;
@@ -521,44 +502,85 @@ constexpr CornerFamily kCornerFamilies[] = {
     {"off-ray", off_ray_view},
 };
 
-TEST(GeomSimd, EveryLevelProvesTheCornersTheScalarRowProves) {
-  // Every level returns the scalar row's verdict; a proof is never wrong
-  // (the exact oracle agrees); and the certificate proves the corners of
-  // generic 2-D views, so the fast path carries the workload.
+/// The cone a corner walk ends with: the robots of least and greatest
+/// angle around pts[0], found with exact orientations (meaningful when the
+/// robots fit in an open half-plane through pts[0]; some pair otherwise).
+std::pair<Vec2, Vec2> extreme_rays(const CornerView& pts) {
+  std::size_t first = 1;
+  while (first + 1 < pts.size() && pts[first] == pts[0]) ++first;
+  Vec2 a = pts[first];
+  Vec2 b = a;
+  for (const Vec2& p : pts) {
+    if (p == pts[0]) continue;
+    if (geom::orient2d(pts[0], a, p) < 0) a = p;
+    if (geom::orient2d(pts[0], b, p) > 0) b = p;
+  }
+  return {a, b};
+}
+
+TEST(GeomSimd, EveryLevelSkipsWhereTheScalarRowSkips) {
+  // Random starts and cones — the view's extreme rays, where robots sit on
+  // and a few ulps off the rays, or two random robots of the view: every
+  // level returns the scalar row's index, and every robot skipped lies
+  // strictly inside the cone by the exact predicate.
   const auto table = geom::simd::kernel_table();
   util::Prng rng(4242);
-  constexpr std::size_t kCornerSizes[] = {2, 3, 4, 5, 8, 9, 17, 64, 257, 700};
+  constexpr std::size_t kViewSizes[] = {2, 3, 4, 5, 8, 9, 17, 64, 257, 700};
   for (const CornerFamily& family : kCornerFamilies) {
-    int proven = 0;
-    int corners = 0;
+    std::size_t skipped = 0;
     for (const double scale : {1e-3, 1.0, 1e6}) {
-      for (const std::size_t n : kCornerSizes) {
+      for (const std::size_t n : kViewSizes) {
         for (int trial = 0; trial < 12; ++trial) {
           CornerView pts = family.make(rng, n);
           for (Vec2& p : pts) p = p * scale;
-          const bool exact = hull_keeps_first(pts);
-          const bool ref = table.front().corner_certificate(pts.data(), pts.size());
+          const Vec2 o = pts[0];
+          auto [a, b] = rng.bernoulli(0.5)
+                            ? extreme_rays(pts)
+                            : std::pair{pts[rng.next_below(n)], pts[rng.next_below(n)]};
+          if (geom::orient2d(o, a, b) < 0) std::swap(a, b);
+          const std::size_t begin = rng.next_below(n + 1);
+          const std::size_t ref =
+              table.front().cone_skip(pts.data(), begin, n, o, a - o, b - o);
           const std::string what = std::string(family.name) + " n=" + std::to_string(n) +
-                                   " scale=" + std::to_string(scale);
-          EXPECT_TRUE(!ref || exact) << what << ": proved a non-vertex";
+                                   " scale=" + std::to_string(scale) +
+                                   " begin=" + std::to_string(begin);
+          ASSERT_GE(ref, begin) << what;
+          ASSERT_LE(ref, n) << what;
+          for (std::size_t j = begin; j < ref; ++j) {
+            ASSERT_GT(geom::orient2d(o, a, pts[j]), 0) << what << " j=" << j;
+            ASSERT_GT(geom::orient2d(o, pts[j], b), 0) << what << " j=" << j;
+          }
+          skipped += ref - begin;
           for (const Kernels& row : table.subspan(1)) {
-            EXPECT_EQ(ref, row.corner_certificate(pts.data(), pts.size()))
+            EXPECT_EQ(ref, row.cone_skip(pts.data(), begin, n, o, a - o, b - o))
                 << what << " level=" << geom::simd::to_string(row.level);
-          }
-          if (exact && spans_plane(pts)) {
-            ++corners;
-            proven += ref ? 1 : 0;
-          }
-          if (family.make == regular_polygon_view && n > 2) {
-            EXPECT_TRUE(ref) << what;
           }
         }
       }
     }
-    EXPECT_GT(corners, 0) << family.name;
-    if (family.make == disk_view || family.make == coincident_view) {
-      EXPECT_EQ(proven, corners) << family.name;
-    }
+    EXPECT_GT(skipped, 0u) << family.name;
+  }
+}
+
+TEST(GeomSimd, UnderflowedProductsCertifyNothing) {
+  // At coordinates near 2^-515 the filter's products are subnormal and its
+  // error bound rounds to zero, so a zero determinant must not pass it: a
+  // point on a polygon edge stays uncertified by the cull, and a robot on a
+  // cone's ray stops the skip, at every level.
+  const double s = std::ldexp(1.0, -515);
+  const std::vector<Vec2> triangle = {{s, s}, {2 * s, 2 * s}, {0.0, 2 * s}};
+  const std::vector<Vec2> on_edge(8, Vec2{1.5 * s, 1.5 * s});
+  const CornerView view = {Vec2{}, {s, 2 * s}, {s, 2 * s}, {s, 2 * s}, {s, 2 * s},
+                           {s, 2 * s}, {2 * s, 2 * s}, {s, 2 * s}, {s, 2 * s}};
+  for (const Kernels& row : geom::simd::kernel_table()) {
+    std::vector<std::uint8_t> mask(on_edge.size(), 0xab);
+    row.hull_cull_mask(on_edge.data(), on_edge.size(), triangle, mask.data());
+    EXPECT_EQ(mask, std::vector<std::uint8_t>(on_edge.size(), 0))
+        << geom::simd::to_string(row.level);
+    // Cone from ray (s, s) to ray (0, s): robot 6 sits on the first ray.
+    EXPECT_EQ(6u, row.cone_skip(view.data(), 1, view.size(), Vec2{}, Vec2{s, s},
+                                Vec2{0.0, s}))
+        << geom::simd::to_string(row.level);
   }
 }
 
