@@ -75,7 +75,7 @@ class HalfPlaneCone {
       return true;
     }
     if (single_ray_) {
-      const int s = geom::orient2d_inline(o_, a_, p);
+      const int s = geom::orient2d(o_, a_, p);
       if (s > 0) {
         b_ = p;
       } else if (s < 0) {
@@ -86,8 +86,8 @@ class HalfPlaneCone {
       single_ray_ = false;
       return true;
     }
-    const int sa = geom::orient2d_inline(o_, a_, p);
-    const int sb = geom::orient2d_inline(o_, p, b_);
+    const int sa = geom::orient2d(o_, a_, p);
+    const int sb = geom::orient2d(o_, p, b_);
     if (sa >= 0 && sb >= 0) return true;  // Inside the closed cone.
     if (sa < 0 && sb > 0) {
       a_ = p;  // Clockwise of a by less than the remaining opening.
@@ -206,11 +206,11 @@ bool gate_blocked_by_closer_robot(const LocalView& view, const GateEdge& gate) {
     // (a, c1, c2) or (a, c2, c1); all three signs must agree and be
     // nonzero, so each test short-circuits the next — most robots fail on
     // the first edge, which keeps this O(n) scan out of the profile.
-    const int o1 = geom::orient2d_inline(a, gate.c1, p);
+    const int o1 = geom::orient2d(a, gate.c1, p);
     if (o1 == 0) continue;
-    const int o2 = geom::orient2d_inline(gate.c1, gate.c2, p);
+    const int o2 = geom::orient2d(gate.c1, gate.c2, p);
     if (o2 != o1) continue;
-    const int o3 = geom::orient2d_inline(gate.c2, a, p);
+    const int o3 = geom::orient2d(gate.c2, a, p);
     if (o3 == o1) return true;
   }
   return false;

@@ -167,11 +167,11 @@ std::vector<std::size_t> convex_hull_indices(std::span<const Vec2> points) {
 
   std::vector<std::size_t> hull(2 * m);
   std::size_t k = 0;
-  // Lower hull. orient2d_inline keeps the stage-A filter in the loop.
+  // Lower hull.
   for (std::size_t idx = 0; idx < m; ++idx) {
     const std::size_t i = order[idx];
-    while (k >= 2 && orient2d_inline(points[hull[k - 2]], points[hull[k - 1]],
-                                     points[i]) <= 0) {
+    while (k >= 2 && orient2d(points[hull[k - 2]], points[hull[k - 1]],
+                              points[i]) <= 0) {
       --k;
     }
     hull[k++] = i;
@@ -180,9 +180,8 @@ std::vector<std::size_t> convex_hull_indices(std::span<const Vec2> points) {
   const std::size_t lower_size = k + 1;
   for (std::size_t idx = m - 1; idx-- > 0;) {
     const std::size_t i = order[idx];
-    while (k >= lower_size &&
-           orient2d_inline(points[hull[k - 2]], points[hull[k - 1]],
-                           points[i]) <= 0) {
+    while (k >= lower_size && orient2d(points[hull[k - 2]],
+                                       points[hull[k - 1]], points[i]) <= 0) {
       --k;
     }
     hull[k++] = i;

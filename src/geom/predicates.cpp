@@ -1,8 +1,7 @@
 // Robust orientation predicate.
 //
-// Stage 1 (filter): the textbook determinant on translated coordinates with
-// Shewchuk's stage-A forward error bound; if |det| exceeds the bound the
-// sign is certified.
+// Stage 1 (filter): certainly_ccw (predicates.hpp) on the translated
+// coordinates, in both directions; a certified sign is returned as is.
 // Stage 2 (exact): the determinant of the ORIGINAL coordinates,
 //   ax*by - ax*cy + ay*cx - ay*bx + bx*cy - by*cx,
 // evaluated as a floating-point expansion: each product is split exactly
@@ -23,8 +22,6 @@ std::ostream& operator<<(std::ostream& os, Vec2 v) {
 }
 
 namespace {
-
-using detail::kCcwErrBoundA;
 
 /// Knuth two-sum: x + y == a + b exactly, x = fl(a+b), y is the roundoff.
 inline void two_sum(double a, double b, double& x, double& y) noexcept {
@@ -99,42 +96,16 @@ Expansion orient2d_expansion(Vec2 a, Vec2 b, Vec2 c) noexcept {
   return e;
 }
 
-/// Stage-A filter. Returns the filtered determinant and whether its sign is
-/// certified against the exact value.
-inline bool orient2d_filter(Vec2 a, Vec2 b, Vec2 c, double& det) noexcept {
-  const double detleft = (a.x - c.x) * (b.y - c.y);
-  const double detright = (a.y - c.y) * (b.x - c.x);
-  det = detleft - detright;
-  double detsum = 0.0;
-  if (detleft > 0.0) {
-    if (detright <= 0.0) return true;
-    detsum = detleft + detright;
-  } else if (detleft < 0.0) {
-    if (detright >= 0.0) return true;
-    detsum = -detleft - detright;
-  } else {
-    // detleft rounded to zero: only trustworthy if it is exactly zero,
-    // which we cannot certify cheaply here — defer to the exact stage
-    // unless detright alone decides with margin.
-    return false;
-  }
-  const double errbound = kCcwErrBoundA * detsum;
-  return det >= errbound || -det >= errbound;
-}
-
 }  // namespace
 
-int orient2d(Vec2 a, Vec2 b, Vec2 c) noexcept {
-  double det = 0.0;
-  if (orient2d_filter(a, b, c, det)) {
-    return det > 0.0 ? 1 : (det < 0.0 ? -1 : 0);
-  }
-  return orient2d_expansion(a, b, c).sign();
-}
-
 double orient2d_value(Vec2 a, Vec2 b, Vec2 c) noexcept {
-  double det = 0.0;
-  if (orient2d_filter(a, b, c, det)) return det;
+  const Vec2 u = a - c;
+  const Vec2 v = b - c;
+  if (certainly_ccw(u, v) || certainly_ccw(v, u)) {
+    const double dl = u.x * v.y;
+    const double dr = u.y * v.x;
+    return dl - dr;
+  }
   return orient2d_expansion(a, b, c).approx();
 }
 

@@ -19,7 +19,7 @@
 // rounding — and SIMD is only ever allowed to CERTIFY a stage-A decision
 // the scalar filter would also certify, never to decide an uncertain one
 // (uncertain lanes keep the conservative outcome, exactly like the scalar
-// certify-only filter simd_common.hpp: certainly_ccw).
+// certify-only filter geom::certainly_ccw in predicates.hpp).
 // tests/geom_simd_test.cpp walks kernel_table() and pins every row against
 // the scalar row; the golden-seed digests pin it end to end.
 #pragma once
@@ -104,7 +104,7 @@ void sort_angular_records(std::vector<std::uint64_t>& records,
 /// Batched Akl–Toussaint stage-A cull: inside[j] = 1 iff point j is
 /// CERTIFIED strictly left of every edge of the closed polyline `polygon`
 /// (polygon[i] -> polygon[i+1], last -> first) by the scalar certify-only
-/// filter (geom/simd_common.hpp: certainly_ccw). When the vertices are
+/// filter (geom/predicates.hpp: certainly_ccw). When the vertices are
 /// input points, such a point has winding number >= 1 and so lies strictly
 /// inside the hull whether or not the polyline is convex (DESIGN §15.6);
 /// uncertified lanes report 0 ("keep"), so a hull built from the surviving

@@ -13,7 +13,6 @@
 #include "geom/visibility_detail.hpp"
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <span>
 
@@ -41,25 +40,6 @@ inline void append_key(Vec2 d, std::uint32_t j, VisibilityScratch& scratch) {
     scratch.lower_order.push_back(order_record(akey, scratch.lower.size()));
     scratch.lower.push_back(AngularKey{d, norm_sq(d), akey, j});
   }
-}
-
-/// True only when the stage-A filter CERTIFIES u x v > 0 for the rounded
-/// offsets u = a - c and v = b - c, i.e. orient2d(a, b, c) > 0 (c strictly
-/// left of a->b). This is orient2d's filter in closed form: its error sum
-/// is |u.x v.y| + |u.y v.x| in every case that can certify a positive sign
-/// (in the exact-sign case u.x v.y > 0 >= u.y v.x that sum and det are the
-/// same rounded sum, so the bound passes), and a product rounded to zero
-/// certifies nothing. The bound is strict: for subnormal products it
-/// rounds to zero, and det = 0 must not pass. No exact fallback: an
-/// uncertain sign returns false, which the interior cull treats as "keep
-/// the point" and the cone skip as "stop here" — sound, because a false
-/// negative merely forgoes a shortcut.
-inline bool certainly_ccw(Vec2 u, Vec2 v) noexcept {
-  const double dl = u.x * v.y;
-  const double dr = u.y * v.x;
-  const double det = dl - dr;
-  return dl != 0.0 &&
-         det > geom::detail::kCcwErrBoundA * (std::fabs(dl) + std::fabs(dr));
 }
 
 /// The four keys whose minima and maxima are the hull extremes, in the
@@ -90,9 +70,9 @@ inline void fold_extremes(Vec2 p, std::uint32_t j, ExtremeKeys& lo,
   }
 }
 
-/// Scalar cull test for one point against the closed polyline `polygon`,
-/// matching the vector lanes decision for decision. An empty polyline
-/// certifies nothing.
+/// Scalar cull test for one point against the closed polyline `polygon`
+/// (geom::certainly_ccw per edge), matching the vector lanes decision for
+/// decision. An empty polyline certifies nothing.
 inline bool inside_polygon(std::span<const Vec2> polygon, Vec2 p) noexcept {
   const std::size_t k = polygon.size();
   if (k == 0 || !certainly_ccw(polygon[k - 1] - p, polygon[0] - p)) return false;

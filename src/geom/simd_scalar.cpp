@@ -67,7 +67,7 @@ std::size_t cone_skip(const Vec2* pts, std::size_t begin, std::size_t n,
                       Vec2 o, Vec2 da, Vec2 db) {
   for (std::size_t j = begin; j < n; ++j) {
     const Vec2 d = pts[j] - o;
-    if (!detail::certainly_ccw(da, d) || !detail::certainly_ccw(d, db)) return j;
+    if (!geom::certainly_ccw(da, d) || !geom::certainly_ccw(d, db)) return j;
   }
   return n;
 }

@@ -12,17 +12,22 @@
 // collision monitor treats same-round movers as concurrent.
 //
 // All world state, quiescence accounting and instrumentation fan-out lives
-// in ExecutionCore (execution_core.hpp); the drivers below own only their
-// scheduling shape. Observers delivered per the contract in observer.hpp;
-// the SYNC driver delivers all of a round's commits before any of its move
-// completions, mirroring their simultaneity.
+// in ExecutionCore (execution_core.hpp). run_simulation builds the core and
+// runs the prologue and epilogue every scheduler shares (initial positions,
+// run-begin, the empty-swarm return, run-end, finalize); the drivers below
+// own only their scheduling loop, which returns {quiescent, end time,
+// rounds}. Both loops call the same core phases in the same order per
+// robot — begin_cycle, look, commit, complete_move, record_cycle — and poll
+// the same quiescent(). Observers delivered per the contract in
+// observer.hpp; the SYNC driver delivers all of a round's commits before
+// any of its move completions, mirroring their simultaneity.
 //
-// In-run parallelism: the SYNC drivers fan each round's Look+Compute over
-// RunConfig::pool via ExecutionCore::look_batch (bit-identical for any pool
-// size — see DESIGN.md §10). The ASYNC driver stays serial by construction:
-// its event loop processes one robot phase at a time and every event both
-// reads and advances the shared world clock, so there is no simultaneous
-// batch to distribute.
+// In-run parallelism: the SYNC drivers hand each round's activated set to
+// one ExecutionCore::look call, which fans Look+Compute over
+// RunConfig::pool (bit-identical for any pool size — see DESIGN.md §10).
+// The ASYNC driver stays serial by construction: its event loop processes
+// one robot phase at a time and every event both reads and advances the
+// shared world clock, so there is no simultaneous batch to distribute.
 #include "sim/run.hpp"
 
 #include "sim/execution_core.hpp"
@@ -93,34 +98,24 @@ struct EventLater {
   }
 };
 
+/// What a driver's loop reports back to run_simulation.
+struct LoopEnd {
+  bool quiescent;
+  double time;
+  std::uint64_t rounds;  ///< Sync rounds executed (0 for ASYNC).
+};
+
 class AsyncDriver {
  public:
-  AsyncDriver(const model::Algorithm& algorithm, std::span<const Vec2> initial,
-              const RunConfig& config, std::span<RunObserver* const> observers)
+  AsyncDriver(ExecutionCore& core, const RunConfig& config)
       : config_(config),
-        core_(algorithm, initial, config, observers),
-        adversary_(sched::make_adversary(config.adversary)) {
-    core_.seed_frames(core_.split_stream("frames"));
-    schedule_rng_ = core_.split_stream("schedule");
-    core_.set_look_frame_stream(core_.split_stream("look-frames"));
-    timing_.assign(core_.size(), sched::PhaseTiming{});
-  }
+        core_(core),
+        schedule_rng_(core.split_stream("schedule")),
+        adversary_(sched::make_adversary(config.adversary)),
+        timing_(core.size()) {}
 
-  RunResult run() {
-    RunResult result;
-    const WorldState& ws = core_.world_state();
-    result.initial_positions.resize(ws.size());
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      result.initial_positions[i] = ws.position(i);
-    }
-    core_.notify_run_begin();
+  LoopEnd run() {
     const std::size_t n = core_.size();
-    if (n == 0) {
-      core_.notify_run_end(0.0);
-      core_.finalize(result, /*converged=*/true, /*final_time=*/0.0);
-      return result;
-    }
-
     // Boot every robot's first cycle.
     for (std::size_t i = 0; i < n; ++i) start_cycle(i, 0.0);
 
@@ -128,24 +123,22 @@ class AsyncDriver {
     bool quiescent = false;
     // Every robot may have crash-stopped at boot (kTimes schedules with
     // t=0 entries), leaving the queue empty before the loop runs.
-    if (events_.empty()) quiescent = core_.quiescent_async();
+    if (events_.empty()) quiescent = core_.quiescent();
     while (!events_.empty()) {
       const Event ev = events_.top();
       events_.pop();
       now_ = ev.time;
       switch (ev.type) {
         case PhaseEvent::kLook: {
-          core_.look(ev.robot, now_);
+          core_.look(std::span<const std::size_t>(&ev.robot, 1), now_);
           push_event(now_ + timing_[ev.robot].compute, ev.robot,
                      PhaseEvent::kCommit);
           break;
         }
         case PhaseEvent::kCommit: {
-          if (core_.commit_async(ev.robot, now_,
-                                 timing_[ev.robot].move_duration,
-                                 schedule_rng_)) {
-            push_event(now_ + timing_[ev.robot].move_duration, ev.robot,
-                       PhaseEvent::kMoveDone);
+          const double done = now_ + timing_[ev.robot].move_duration;
+          if (core_.commit(ev.robot, now_, done, now_, schedule_rng_)) {
+            push_event(done, ev.robot, PhaseEvent::kMoveDone);
           } else {
             finish_cycle(ev.robot);
           }
@@ -157,7 +150,7 @@ class AsyncDriver {
           break;
         }
       }
-      if (ev.type != PhaseEvent::kLook && core_.quiescent_async()) {
+      if (ev.type != PhaseEvent::kLook && core_.quiescent()) {
         quiescent = true;
         break;
       }
@@ -167,12 +160,9 @@ class AsyncDriver {
       if (core_.deadline_exceeded()) break;
       // If the last live robot just crashed the queue drains without a
       // further non-Look event; the survivors' fixpoint still counts.
-      if (events_.empty()) quiescent = core_.quiescent_async();
+      if (events_.empty()) quiescent = core_.quiescent();
     }
-
-    core_.notify_run_end(now_);
-    core_.finalize(result, quiescent, now_);
-    return result;
+    return LoopEnd{quiescent, now_, 0};
   }
 
  private:
@@ -196,8 +186,8 @@ class AsyncDriver {
   }
 
   const RunConfig& config_;
-  ExecutionCore core_;
-  util::Prng schedule_rng_{0};
+  ExecutionCore& core_;
+  util::Prng schedule_rng_;
   std::unique_ptr<sched::Adversary> adversary_;
   std::vector<sched::PhaseTiming> timing_;
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;
@@ -211,34 +201,17 @@ class AsyncDriver {
 
 class SyncDriver {
  public:
-  SyncDriver(const model::Algorithm& algorithm, std::span<const Vec2> initial,
-             const RunConfig& config, std::span<RunObserver* const> observers)
-      : config_(config), core_(algorithm, initial, config, observers) {
-    const sched::ActivationKind kind = config.scheduler == SchedulerKind::kFsync
+  SyncDriver(ExecutionCore& core, const RunConfig& config)
+      : config_(config),
+        core_(core),
+        activation_rng_(core.split_stream("activation")),
+        motion_rng_(core.split_stream("motion")),
+        policy_(sched::make_activation(config.scheduler == SchedulerKind::kFsync
                                            ? sched::ActivationKind::kAll
-                                           : config.activation;
-    policy_ = sched::make_activation(kind);
-    activation_rng_ = core_.split_stream("activation");
-    motion_rng_ = core_.split_stream("motion");
-    core_.set_look_frame_stream(core_.split_stream("look-frames"));
-    core_.seed_frames(core_.split_stream("frames"));
-  }
+                                           : config.activation)) {}
 
-  RunResult run() {
-    RunResult result;
-    const WorldState& ws = core_.world_state();
-    result.initial_positions.resize(ws.size());
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      result.initial_positions[i] = ws.position(i);
-    }
-    core_.notify_run_begin();
+  LoopEnd run() {
     const std::size_t n = core_.size();
-    if (n == 0) {
-      core_.notify_run_end(0.0);
-      core_.finalize(result, /*converged=*/true, /*final_time=*/0.0);
-      return result;
-    }
-
     const std::size_t round_cap = config_.max_cycles_per_robot;
     std::uint64_t round = 0;
     bool quiescent = false;
@@ -264,12 +237,12 @@ class SyncDriver {
       // (bit-identical to the serial loop; commit order below is what the
       // downstream bits depend on and it never changes).
       for (const std::size_t r : active) core_.begin_cycle(r, t0);
-      core_.look_batch(active, t0);
+      core_.look(active, t0);
       // Simultaneous application: all commits land before any position
       // write, so same-round movers see each other's pre-round positions.
       started.assign(active.size(), 0);
       for (std::size_t k = 0; k < active.size(); ++k) {
-        started[k] = core_.commit_sync(active[k], t0, t1, motion_rng_) ? 1 : 0;
+        started[k] = core_.commit(active[k], t0, t1, t1, motion_rng_) ? 1 : 0;
       }
       for (std::size_t k = 0; k < active.size(); ++k) {
         if (started[k] != 0) core_.complete_move(active[k], t1);
@@ -277,26 +250,21 @@ class SyncDriver {
       for (const std::size_t r : active) core_.record_cycle(r, t1);
       core_.notify_round(round, t1);
       ++round;
-      if (core_.quiescent_sync()) {
+      if (core_.quiescent()) {
         quiescent = true;
         break;
       }
       // Cooperative watchdog at the round boundary (quiescence wins ties).
       if (core_.deadline_exceeded()) break;
     }
-
-    const double final_time = static_cast<double>(round);
-    core_.notify_run_end(final_time);
-    core_.finalize(result, quiescent, final_time);
-    result.rounds = round;
-    return result;
+    return LoopEnd{quiescent, static_cast<double>(round), round};
   }
 
  private:
   const RunConfig& config_;
-  ExecutionCore core_;
-  util::Prng activation_rng_{0};
-  util::Prng motion_rng_{0};
+  ExecutionCore& core_;
+  util::Prng activation_rng_;
+  util::Prng motion_rng_;
   std::unique_ptr<sched::ActivationPolicy> policy_;
   std::vector<std::size_t> alive_;  ///< Crash-filtered activation scratch.
 };
@@ -313,14 +281,24 @@ RunResult run_simulation(const model::Algorithm& algorithm,
   if (config.record_moves) attached.push_back(&move_recorder);
   if (record_faults) attached.push_back(&fault_recorder);
 
+  ExecutionCore core(algorithm, initial, config, attached);
   RunResult result;
-  if (config.scheduler == SchedulerKind::kAsync) {
-    AsyncDriver driver(algorithm, initial, config, attached);
-    result = driver.run();
-  } else {
-    SyncDriver driver(algorithm, initial, config, attached);
-    result = driver.run();
+  const WorldState& ws = core.world_state();
+  result.initial_positions.resize(ws.size());
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    result.initial_positions[i] = ws.position(i);
   }
+  core.notify_run_begin();
+  // The empty swarm is trivially converged at time zero.
+  LoopEnd end{/*quiescent=*/true, /*time=*/0.0, /*rounds=*/0};
+  if (core.size() > 0) {
+    end = config.scheduler == SchedulerKind::kAsync
+              ? AsyncDriver(core, config).run()
+              : SyncDriver(core, config).run();
+  }
+  core.notify_run_end(end.time);
+  core.finalize(result, end.quiescent, end.time);
+  result.rounds = end.rounds;
   if (config.record_moves) result.moves = std::move(move_recorder.moves());
   if (record_faults) result.fault_events = std::move(fault_recorder.events());
   return result;

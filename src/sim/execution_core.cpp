@@ -72,6 +72,19 @@ ExecutionCore::ExecutionCore(const model::Algorithm& algorithm,
     deadline_ = std::chrono::steady_clock::now() +
                 std::chrono::milliseconds(config.deadline_ms);
   }
+  // Local frames: the persistent per-robot parameters (used when
+  // refresh_frames_each_look is false) are drawn in robot order, and
+  // refreshed frames come from their own stream.
+  util::Prng frame_rng = rng_.split("frames");
+  frame_params_.reserve(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    frame_params_.push_back(FrameParams{
+        frame_rng.uniform(0.0, 6.283185307179586),
+        std::exp2(frame_rng.uniform(-2.0, 2.0)),
+        frame_rng.bernoulli(0.5),
+    });
+  }
+  look_frame_rng_ = rng_.split("look-frames");
 }
 
 bool ExecutionCore::deadline_exceeded() noexcept {
@@ -84,21 +97,8 @@ util::Prng ExecutionCore::split_stream(std::string_view tag) const noexcept {
   return rng_.split(tag);
 }
 
-void ExecutionCore::seed_frames(util::Prng frame_rng) {
-  frame_params_.clear();
-  frame_params_.reserve(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    frame_params_.push_back(FrameParams{
-        frame_rng.uniform(0.0, 6.283185307179586),
-        std::exp2(frame_rng.uniform(-2.0, 2.0)),
-        frame_rng.bernoulli(0.5),
-    });
-  }
-}
-
 void ExecutionCore::begin_cycle(std::size_t robot, double time) {
   cycle_start_[robot] = time;
-  in_wait_[robot] = 1;
 }
 
 bool ExecutionCore::crash_check(std::size_t robot, double time) {
@@ -241,36 +241,14 @@ void ExecutionCore::compute_pending(std::size_t robot,
       (!action.moves() && action.light == world_.light(robot)) ? 1 : 0;
 }
 
-void ExecutionCore::look(std::size_t robot, double time) {
-  in_wait_[robot] = 0;
-  look_time_[robot] = time;
-  const std::uint64_t seq = look_seq_++;
-  const auto [xs, ys] = fill_look_world(time);
-  const geom::Vec2 origin{xs[robot], ys[robot]};
-  const model::LocalFrame frame = make_frame(robot, origin);
-  fault::LookFaultStats stats;
-  compute_pending(robot, frame, seq, xs, ys, arena_->snapshot_scratch,
-                  arena_->snapshot, arena_->view_scratch, stats);
-  notify_look_faults(robot, time, origin, stats);
-  for (RunObserver* o : observers_) o->on_look(robot, time, world(time));
-}
-
-void ExecutionCore::look_batch(std::span<const std::size_t> robots, double time) {
-  util::ThreadPool* pool = config_.pool;
-  if (pool == nullptr || robots.size() < 2) {
-    for (const std::size_t r : robots) look(r, time);
-    return;
-  }
-  // Serial prologue in `robots` order: the same state writes and frame-rng
-  // draws, in the same order, as the serial loop above — the one world fill
-  // suffices because nobody is mid-move between SYNC rounds, so every
-  // serial look() would return identical spans (the committed arrays).
+void ExecutionCore::look(std::span<const std::size_t> robots, double time) {
+  // Serial prologue in `robots` order: state writes, frame-rng draws and
+  // look sequence numbers. One world fill serves every robot, since they
+  // all Look at the same instant.
   const auto [xs, ys] = fill_look_world(time);
   LookArena& a = *arena_;
   a.frames.clear();
-  a.frames.reserve(robots.size());
   a.seqs.clear();
-  a.seqs.reserve(robots.size());
   a.stats.assign(robots.size(), fault::LookFaultStats{});
   for (const std::size_t r : robots) {
     in_wait_[r] = 0;
@@ -278,22 +256,25 @@ void ExecutionCore::look_batch(std::span<const std::size_t> robots, double time)
     a.frames.push_back(make_frame(r, geom::Vec2{xs[r], ys[r]}));
     a.seqs.push_back(look_seq_++);
   }
-  // Parallel Look + Compute: per-slot scratch, per-robot pending slots.
-  // Thread interleaving cannot affect the result — Compute is pure, fault
-  // draws are keyed by the pre-assigned look sequence, the visibility cache
-  // touches only the observer's own entry, and every write lands in the
-  // robot's own slot.
-  a.slots.resize(pool->slot_count());
-  pool->parallel_for_slots(robots.size(), [&, xs = xs,
-                                           ys = ys](std::size_t slot,
-                                                    std::size_t k) {
+  util::ThreadPool* pool = robots.size() < 2 ? nullptr : config_.pool;
+  const std::size_t slots = pool == nullptr ? 1 : pool->slot_count();
+  if (a.slots.size() < slots) a.slots.resize(slots);
+  const auto compute = [&, xs = xs, ys = ys](std::size_t slot, std::size_t k) {
     LookSlot& ls = a.slots[slot];
     compute_pending(robots[k], a.frames[k], a.seqs[k], xs, ys, ls.scratch,
                     ls.snapshot, ls.view, a.stats[k]);
-  });
+  };
+  if (pool == nullptr) {
+    for (std::size_t k = 0; k < robots.size(); ++k) compute(0, k);
+  } else {
+    // Thread interleaving cannot affect the result: Compute is pure, fault
+    // draws are keyed by the pre-assigned look sequence, the visibility
+    // cache touches only the observer's own entry, and every write lands in
+    // the robot's own slot.
+    pool->parallel_for_slots(robots.size(), compute);
+  }
   // Observers fire serially afterwards, in `robots` order: nothing a Look
-  // mutates is visible through WorldView, so the delivered stream is
-  // byte-identical to the serial loop's.
+  // mutates is visible through WorldView.
   for (std::size_t k = 0; k < robots.size(); ++k) {
     const std::size_t r = robots[k];
     notify_look_faults(r, time, geom::Vec2{xs[r], ys[r]}, a.stats[k]);
@@ -322,8 +303,8 @@ geom::Vec2 ExecutionCore::apply_motion_adversary(geom::Vec2 from, geom::Vec2 to,
   return geom::lerp(from, to, travelled / dist);
 }
 
-bool ExecutionCore::commit_async(std::size_t robot, double now,
-                                 double move_duration, util::Prng& motion_rng) {
+bool ExecutionCore::commit(std::size_t robot, double t0, double t1,
+                           double changed_at, util::Prng& motion_rng) {
   const model::Action action = pending_[robot];
   const bool light_changed = world_.light(robot) != action.light;
   world_.set_light(robot, action.light);
@@ -334,59 +315,23 @@ bool ExecutionCore::commit_async(std::size_t robot, double now,
   const geom::Vec2 to = grid_ ? grid_leg(from, action.target)
                               : apply_motion_adversary(from, action.target,
                                                        motion_rng);
-  const double dist = geom::distance(from, to);
-  if (light_changed) last_change_ = now;
-  const bool starts_move = dist > 0.0;
-  CommitEvent event;
-  event.robot = robot;
-  event.time = now;
-  event.action = model::Action{to, action.light};
-  event.light_changed = light_changed;
-  if (starts_move) {
-    last_change_ = now;
-    current_move_[robot] =
-        MoveSegment{robot, now, now + move_duration, from, to};
-    world_.begin_move(robot);
-    event.move_started = &current_move_[robot];
-  } else if (!light_changed) {
-    // Null cycle: this Look observed a configuration the robot is content
-    // with; quiescence needs it to postdate the last world change.
-    last_null_look_[robot] = look_time_[robot];
-  }
-  notify_commit(event, now);
-  return starts_move;
-}
-
-bool ExecutionCore::commit_sync(std::size_t robot, double t0, double t1,
-                                util::Prng& motion_rng) {
-  const model::Action action = pending_[robot];
-  const geom::Vec2 from = world_.position(robot);
-  geom::Vec2 to = action.target;
-  if (grid_) {
-    to = grid_leg(from, to);
-  } else if (to != from) {
-    to = apply_motion_adversary(from, to, motion_rng);
-  }
-  const bool light_changed = world_.light(robot) != action.light;
   const bool moved = to != from;
-  world_.set_light(robot, action.light);
-  lights_seen_[light_index(action.light)] = true;
   CommitEvent event;
   event.robot = robot;
   event.time = t0;
   event.action = model::Action{to, action.light};
   event.light_changed = light_changed;
   if (moved) {
-    // Unit-interval segment; the position write waits for complete_move so
-    // every robot in the round commits against the pre-round world.
     current_move_[robot] = MoveSegment{robot, t0, t1, from, to};
     world_.begin_move(robot);
     event.move_started = &current_move_[robot];
   }
-  if (light_changed) {
-    last_change_ = t1;
-  } else if (!moved) {
-    last_null_look_[robot] = t0;
+  if (light_changed || moved) {
+    last_change_ = changed_at;
+  } else {
+    // Null cycle: this Look observed a configuration the robot is content
+    // with; quiescence needs it to postdate the last world change.
+    last_null_look_[robot] = look_time_[robot];
   }
   notify_commit(event, t0);
   return moved;
@@ -410,6 +355,7 @@ void ExecutionCore::complete_move(std::size_t robot, double t) {
 }
 
 void ExecutionCore::record_cycle(std::size_t robot, double end) {
+  in_wait_[robot] = 1;
   const std::size_t closed = epochs_.add_cycle(
       sched::CycleRecord{robot, cycle_start_[robot], end});
   ++total_cycles_;
@@ -421,21 +367,13 @@ void ExecutionCore::record_cycle(std::size_t robot, double end) {
   }
 }
 
-bool ExecutionCore::quiescent_async() const noexcept {
+bool ExecutionCore::quiescent() const noexcept {
   for (std::size_t i = 0; i < n_; ++i) {
     // Crashed robots execute no further cycles: quiescence is over the
     // survivors (a fully-crashed swarm is trivially quiescent).
     if (fault_.crashed(i)) continue;
     if (world_.is_moving(i)) return false;
     if (in_wait_[i] == 0 && pending_null_[i] == 0) return false;
-    if (last_null_look_[i] < last_change_) return false;
-  }
-  return true;
-}
-
-bool ExecutionCore::quiescent_sync() const noexcept {
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (fault_.crashed(i)) continue;
     if (last_null_look_[i] < last_change_) return false;
   }
   return true;

@@ -20,16 +20,22 @@
 // in a LookArena — private by default, shareable across runs through
 // RunConfig::arena so campaign cells keep warmed capacity.
 //
-// The core is deliberately scheduling-agnostic: commit_async and commit_sync
-// differ only in how time is stamped (commit instant + sampled duration vs
-// the round's [t0, t1]) and in when the position write lands (immediately
-// scheduled vs deferred to the round's completion sweep).
+// The core is deliberately scheduling-agnostic: it keeps one path per LCM
+// phase. look() takes the robots that Look at one instant (one robot under
+// ASYNC, a round's activated set under SYNC); commit() takes the move
+// segment [t0, t1] and the instant a change is stamped at (the commit
+// instant under ASYNC, the round's end under SYNC); quiescent() is the one
+// fixpoint test both drivers poll. run_simulation builds the core and owns
+// the run's prologue and epilogue, so a driver's loop returns only whether
+// it reached quiescence, when it ended and how many rounds it ran.
 //
-// Determinism: the core draws randomness ONLY from streams the driver hands
-// it (motion adversary draws come from the driver's rng so the historical
-// stream interleavings are preserved bit-for-bit), plus the look-frame
-// stream it is explicitly given. run_simulation results are bit-identical
-// to the pre-refactor engines; tests/sim_golden_test.cpp pins that.
+// Determinism: besides the "frames" and "look-frames" streams the core
+// splits from the master seed itself (splits are pure, so their order does
+// not matter), it draws randomness ONLY from streams the driver hands it
+// (motion adversary draws come from the driver's rng so the historical
+// stream interleavings are preserved bit-for-bit). run_simulation results
+// are bit-identical to the pre-refactor engines; tests/sim_golden_test.cpp
+// pins that.
 #pragma once
 
 #include "fault/state.hpp"
@@ -62,15 +68,8 @@ class ExecutionCore {
   [[nodiscard]] const WorldState& world_state() const noexcept { return world_; }
 
   /// Derives a named substream from the master seed (pure; the driver
-  /// controls which streams exist and in what roles, as the engines did).
+  /// controls which scheduling streams exist and in what roles).
   [[nodiscard]] util::Prng split_stream(std::string_view tag) const noexcept;
-
-  /// Draws each robot's persistent frame parameters (used when
-  /// refresh_frames_each_look is false) from `frame_rng`, in robot order.
-  void seed_frames(util::Prng frame_rng);
-
-  /// Installs the stream consumed when refresh_frames_each_look is true.
-  void set_look_frame_stream(util::Prng rng) { look_frame_rng_ = rng; }
 
   /// Marks the start of robot's next LCM cycle at `time` (Wait phase).
   void begin_cycle(std::size_t robot, double time);
@@ -98,50 +97,43 @@ class ExecutionCore {
     return fault_;
   }
 
-  /// Look + Compute at `time`: snapshots the instantaneous world (movers
-  /// interpolated), runs the algorithm and parks the world-frame action as
-  /// pending. Allocation-free in steady state: the world fill, the
-  /// visibility scratch and the Snapshot all live in the arena and are
-  /// reused across Looks (and across runs when the arena is shared).
-  void look(std::size_t robot, double time);
+  /// Look + Compute at `time` for every robot in `robots` (one robot under
+  /// ASYNC, the round's activated set under SYNC): each snapshots the
+  /// instantaneous world (movers interpolated), runs the algorithm and parks
+  /// the world-frame action as pending. Frame draws and look sequence
+  /// numbers are assigned serially in `robots` order; Compute is pure, so
+  /// with config.pool and two or more robots the per-robot work fans out
+  /// with per-slot scratch (a serial Look uses slot 0) and stays
+  /// bit-identical to the serial order. Observers fire serially afterwards
+  /// (their WorldView is untouched by Look). Allocation-free in steady
+  /// state: the world fill, the visibility scratch and the Snapshots all
+  /// live in the arena.
+  void look(std::span<const std::size_t> robots, double time);
 
-  /// Batched Look + Compute for a SYNC round: every robot in `robots`
-  /// snapshots the SAME instant (nobody is mid-move between rounds) and
-  /// Compute is pure, so the per-robot work fans out over config.pool with
-  /// per-slot scratch while staying bit-identical to serial look() calls in
-  /// `robots` order — frame draws happen serially in that order first, the
-  /// pending action lands in the robot's own pre-indexed slot, and
-  /// observers fire serially afterwards (their WorldView is untouched by
-  /// Look). Falls back to the serial loop without a pool.
-  void look_batch(std::span<const std::size_t> robots, double time);
-
-  /// ASYNC commit at `now`: applies the pending light, runs the non-rigid
-  /// motion adversary (drawing from `motion_rng`), and either starts a move
-  /// of `move_duration` (returns true; the driver schedules its completion)
-  /// or ends the cycle as a null commit (returns false).
-  bool commit_async(std::size_t robot, double now, double move_duration,
-                    util::Prng& motion_rng);
-
-  /// SYNC commit for the round [t0, t1]: same semantics with unit-interval
-  /// move segments and the position write deferred until complete_move —
-  /// every activated robot Looks and commits against the pre-round world.
-  bool commit_sync(std::size_t robot, double t0, double t1,
-                   util::Prng& motion_rng);
+  /// Commit: applies the pending light, runs the non-rigid motion adversary
+  /// (drawing from `motion_rng`; a stay never draws) and either starts a
+  /// move along the segment [t0, t1] (returns true; the driver lands it via
+  /// complete_move) or ends the cycle as a null commit (returns false). A
+  /// light change or a move stamps the last world change at `changed_at`:
+  /// the commit instant under ASYNC, the round's end under SYNC, where the
+  /// position write waits for complete_move so every robot in the round
+  /// commits against the pre-round world.
+  bool commit(std::size_t robot, double t0, double t1, double changed_at,
+              util::Prng& motion_rng);
 
   /// Lands the in-flight move of `robot` at time `t` (its segment's end).
   void complete_move(std::size_t robot, double t);
 
-  /// Closes robot's cycle at `end` (started at the begin_cycle time): feeds
-  /// the streaming epoch detector and fires on_epoch for any epoch this
-  /// closes.
+  /// Closes robot's cycle at `end` (started at the begin_cycle time): marks
+  /// the robot as waiting, feeds the streaming epoch detector and fires
+  /// on_epoch for any epoch this closes.
   void record_cycle(std::size_t robot, double end);
 
-  /// ASYNC quiescence: nobody moving, no non-null action pending, and every
-  /// robot completed a null cycle observing the post-last-change world.
-  [[nodiscard]] bool quiescent_async() const noexcept;
-
-  /// SYNC quiescence: every robot's latest null Look postdates last change.
-  [[nodiscard]] bool quiescent_sync() const noexcept;
+  /// Quiescence: nobody moving, no non-null action pending, and every
+  /// surviving robot completed a null cycle observing the post-last-change
+  /// world. At a SYNC round boundary nobody moves and every robot waits, so
+  /// only the last condition can fail there.
+  [[nodiscard]] bool quiescent() const noexcept;
 
   [[nodiscard]] WorldView world(double time) const noexcept;
 
@@ -185,8 +177,8 @@ class ExecutionCore {
   /// whose draws depend only on (robot, look_seq)), run Compute, park the
   /// world-frame action in robot's pending slot. Reads only shared
   /// immutable state + the given scratch (the visibility cache entry for
-  /// `robot` is owned by this call), so look_batch may run it concurrently
-  /// for distinct robots.
+  /// `robot` is owned by this call), so look may run it concurrently for
+  /// distinct robots.
   void compute_pending(std::size_t robot, const model::LocalFrame& frame,
                        std::uint64_t look_seq, std::span<const double> xs,
                        std::span<const double> ys,

@@ -1,16 +1,15 @@
 // lumen_sim: cross-run Look-path workspace.
 //
-// Every buffer the Look path touches — the visibility sort scratch, the
-// snapshot arrays, the fault view buffers, the per-pool-slot copies of all
-// three, the interpolated world-fill arrays and the incremental visibility
-// cache — lives in a LookArena. ExecutionCore owns a private arena by
-// default, which preserves the historical per-run behavior; a caller that
-// executes many runs back to back (the campaign worker loop) passes one
-// arena through RunConfig::arena instead, so capacity warmed by one cell
-// carries into the next and the steady state stays allocation-free across
-// engine resets, not just across Looks. Like RunConfig::pool, the arena is
-// a process-local resource, never serialized, and never read concurrently
-// by two runs.
+// Every buffer the Look path touches — the per-pool-slot visibility sort
+// scratch, snapshot arrays and fault view buffers, the interpolated
+// world-fill arrays and the incremental visibility cache — lives in a
+// LookArena. ExecutionCore owns a private arena by default, which preserves
+// the historical per-run behavior; a caller that executes many runs back to
+// back (the campaign worker loop) passes one arena through RunConfig::arena
+// instead, so capacity warmed by one cell carries into the next and the
+// steady state stays allocation-free across engine resets, not just across
+// Looks. Like RunConfig::pool, the arena is a process-local resource, never
+// serialized, and never read concurrently by two runs.
 #pragma once
 
 #include "fault/state.hpp"
@@ -31,12 +30,7 @@ struct LookSlot {
 };
 
 struct LookArena {
-  // Serial-path workspace (also slot 0 semantics for unbatched looks).
-  model::SnapshotScratch snapshot_scratch;
-  model::Snapshot snapshot;
-  fault::ViewScratch view_scratch;
-
-  // Per-pool-slot workspaces for the parallel SYNC Look batch.
+  // Per-pool-slot workspaces; a serial Look uses slot 0.
   std::vector<LookSlot> slots;
 
   // Interpolated world fill: committed coordinates with in-flight movers
@@ -51,7 +45,7 @@ struct LookArena {
   // capacity survives, which is the point of sharing the arena).
   geom::VisibilityCache visibility_cache;
 
-  // look_batch per-round staging, aligned with the batch's robot list.
+  // Per-Look staging, aligned with the robots that Look at one instant.
   std::vector<model::LocalFrame> frames;
   std::vector<std::uint64_t> seqs;
   std::vector<fault::LookFaultStats> stats;

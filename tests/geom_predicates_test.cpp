@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <tuple>
 
@@ -86,6 +87,25 @@ TEST(Orient2d, TranslatedGridDegeneracies) {
     // a,b,c all on the line y = 2x - base exactly? y-coords: base+2i vs
     // 2*(base+i) - base = base + 2i. Yes: exactly collinear.
     EXPECT_EQ(orient2d(a, b, c), 0) << i;
+  }
+}
+
+TEST(Orient2d, CollinearSubnormalTripleReadsZeroInEveryPermutation) {
+  // In every order the two stage-A products are equal subnormals, so
+  // det = 0 and the error bound underflows to zero: a non-strict filter
+  // (det >= bound) would certify det = 0 as a sign. Every entry point must
+  // defer to the exact stage.
+  const Vec2 p{std::ldexp(1.0, -515), std::ldexp(1.0, -515)};
+  const Vec2 q{std::ldexp(1.0, -514), std::ldexp(1.0, -514)};
+  const Vec2 r{std::ldexp(1.5, -515), std::ldexp(1.5, -515)};
+  const std::array<std::array<Vec2, 3>, 6> perms = {{
+      {p, q, r}, {p, r, q}, {q, p, r}, {q, r, p}, {r, p, q}, {r, q, p},
+  }};
+  for (const auto& [a, b, c] : perms) {
+    const int exact = detail::orient2d_exact_sign(a, b, c);
+    EXPECT_EQ(exact, 0);
+    EXPECT_EQ(orient2d(a, b, c), exact);
+    EXPECT_EQ(orient2d_around(a - c, b - c, a, b, c), exact);
   }
 }
 

@@ -49,16 +49,44 @@ RunConfig async_config(std::uint64_t seed) {
   return config;
 }
 
+/// Counts the run-boundary hooks, which must fire exactly once per run.
+class RunBoundaryCounter final : public RunObserver {
+ public:
+  void on_run_begin(const WorldView&) override { ++begins; }
+  void on_run_end(const WorldView&) override { ++ends; }
+  int begins = 0;
+  int ends = 0;
+};
+
 TEST(Engine, EmptyAndSingletonConfigurations) {
   const StayAlgorithm algo;
-  const auto empty = run_simulation(algo, std::vector<Vec2>{}, async_config(1));
-  EXPECT_TRUE(empty.converged);
-  EXPECT_EQ(empty.total_cycles, 0u);
+  for (const SchedulerKind kind :
+       {SchedulerKind::kAsync, SchedulerKind::kFsync, SchedulerKind::kSsync}) {
+    SCOPED_TRACE(to_string(kind));
+    RunConfig config = async_config(1);
+    config.scheduler = kind;
 
-  const auto one = run_simulation(algo, std::vector<Vec2>{{3, 3}}, async_config(1));
-  EXPECT_TRUE(one.converged);
-  EXPECT_EQ(one.total_moves, 0u);
-  EXPECT_EQ(one.final_positions[0], (Vec2{3, 3}));
+    RunBoundaryCounter empty_hooks;
+    RunObserver* const empty_observers[] = {&empty_hooks};
+    const auto empty =
+        run_simulation(algo, std::vector<Vec2>{}, config, empty_observers);
+    EXPECT_TRUE(empty.converged);
+    EXPECT_EQ(empty.total_cycles, 0u);
+    EXPECT_EQ(empty.rounds, 0u);
+    EXPECT_EQ(empty.epochs, 0u);
+    EXPECT_EQ(empty_hooks.begins, 1);
+    EXPECT_EQ(empty_hooks.ends, 1);
+
+    RunBoundaryCounter one_hooks;
+    RunObserver* const one_observers[] = {&one_hooks};
+    const auto one =
+        run_simulation(algo, std::vector<Vec2>{{3, 3}}, config, one_observers);
+    EXPECT_TRUE(one.converged);
+    EXPECT_EQ(one.total_moves, 0u);
+    EXPECT_EQ(one.final_positions[0], (Vec2{3, 3}));
+    EXPECT_EQ(one_hooks.begins, 1);
+    EXPECT_EQ(one_hooks.ends, 1);
+  }
 }
 
 TEST(Engine, StayAlgorithmQuiescesQuickly) {
