@@ -62,7 +62,12 @@ def build_type_of(path):
 
 
 def load_times(path):
-    """name -> real_time (ns), aggregate-free plain runs only."""
+    """name -> real_time (ns), aggregate-free plain runs only.
+
+    A benchmark run with --benchmark_repetitions lists one entry per
+    repetition; its time is the minimum over them, the least host-disturbed
+    reading.
+    """
     with open(path) as f:
         data = json.load(f)
     times = {}
@@ -75,7 +80,8 @@ def load_times(path):
         # Normalize to nanoseconds regardless of the per-benchmark unit.
         unit = entry.get("time_unit", "ns")
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}.get(unit, 1.0)
-        times[name] = float(entry["real_time"]) * scale
+        t = float(entry["real_time"]) * scale
+        times[name] = min(t, times.get(name, t))
     return times
 
 

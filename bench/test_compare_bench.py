@@ -7,7 +7,8 @@ Writes small bench_micro-shaped JSON files to a temporary directory and
 checks that the comparison passes, fails on a gated regression (including
 the snapshot, view-hull and verify kernels), fails when a
 gated baseline benchmark is missing from the current run (a renamed kernel),
-and only warns when an ungated one is.
+only warns when an ungated one is, and reads a repeated benchmark as the
+minimum over its repetitions.
 """
 
 import json
@@ -22,14 +23,16 @@ SCRIPT = os.path.join(HERE, "compare_bench.py")
 
 
 def bench_file(directory, name, times):
-    """A Release-stamped bench_micro JSON with the given name -> ns times."""
+    """A Release-stamped bench_micro JSON with the given name -> ns times
+    (a dict, or a list of (name, ns) pairs when a name repeats)."""
     path = os.path.join(directory, name)
+    pairs = times.items() if isinstance(times, dict) else times
     with open(path, "w") as f:
         json.dump({
             "context": {"lumen_build_type": "release"},
             "benchmarks": [{"name": n, "run_type": "iteration",
                             "real_time": t, "time_unit": "ns"}
-                           for n, t in times.items()],
+                           for n, t in pairs],
         }, f)
     return path
 
@@ -84,6 +87,21 @@ class CompareBenchTest(unittest.TestCase):
         cur = dict(BASE)
         del cur["BM_ConvexHull/512"]
         self.assertEqual(self.run_compare(cur, "--all")[0], 1)
+
+    def test_repetitions_read_as_their_minimum(self):
+        # --benchmark_repetitions lists each repetition under the same name:
+        # one disturbed repetition (last here) must not read as a regression.
+        cur = [(n, t) for n, t in BASE.items()
+               if n not in ("BM_Orient2dFiltered", "BM_PlanExits/512")]
+        cur += [("BM_Orient2dFiltered", 9.0), ("BM_Orient2dFiltered", 5.0),
+                ("BM_PlanExits/512", 51000.0), ("BM_PlanExits/512", 49000.0),
+                ("BM_PlanExits/512", 90000.0)]
+        self.assertEqual(
+            self.run_compare(cur, "--calibrate", "BM_Orient2dFiltered")[0], 0)
+        # Every repetition slow is still a regression.
+        slow = [(n, t * 1.3 if n == "BM_PlanExits/512" else t) for n, t in cur]
+        self.assertEqual(
+            self.run_compare(slow, "--calibrate", "BM_Orient2dFiltered")[0], 1)
 
 
 if __name__ == "__main__":

@@ -384,7 +384,7 @@ ExperimentResult run_collisions(const ScenarioSpec& spec,
 // ---------------------------------------------------------------------------
 // E5 — claim C6 (the supporting lemma family): beacon-directed insertion
 // grows the hull corner count geometrically. For each run we record the
-// corner census at every move completion and report the time at which the
+// corner census at every epoch boundary and report the epoch at which the
 // count first reached each power of two.
 
 ExperimentResult run_doubling(const ScenarioSpec& spec,
@@ -392,13 +392,13 @@ ExperimentResult run_doubling(const ScenarioSpec& spec,
   ExperimentResult result;
   result.experiment = "doubling";
   result.title =
-      "E5: corner-count growth — time at which each corner-count threshold "
+      "E5: corner-count growth — epoch at which each corner-count threshold "
       "is first reached (claim C6)";
   result.columns = {"family", "N", "seed", "initial corners",
-                    "corner-count trajectory (at each 2^k threshold: time)"};
+                    "corner-count trajectory (at each 2^k threshold: epoch)"};
   const auto algo = core::make_algorithm(spec.algorithm);
   bool geometric = true;
-  std::size_t measured = 0;  // Runs with first-reach times for N/2 and N.
+  std::size_t measured = 0;  // Runs with first-reach epochs for N/2 and N.
 
   for (const auto family :
        {gen::ConfigFamily::kGaussianBlob, gen::ConfigFamily::kUniformDisk}) {
@@ -419,8 +419,7 @@ ExperimentResult run_doubling(const ScenarioSpec& spec,
         sim::RunConfig config = spec.run;
         config.seed = seed;
         config.record_moves = false;
-        sim::HullHistoryRecorder recorder(config.scheduler !=
-                                          sim::SchedulerKind::kAsync);
+        sim::HullHistoryRecorder recorder;
         sim::RunObserver* observers[] = {&recorder};
         const auto run = sim::run_simulation(*algo, initial, config, observers);
         const auto& history = recorder.samples();
@@ -428,37 +427,37 @@ ExperimentResult run_doubling(const ScenarioSpec& spec,
           geometric = false;
           continue;
         }
-        // First time each power-of-two corner count is reached.
-        std::map<std::size_t, double> first_reach;
+        // First epoch at which each power-of-two corner count is reached.
+        std::map<std::size_t, std::size_t> first_reach;
         std::size_t running_max = 0;
         for (const auto& sample : history) {
           running_max = std::max(running_max, sample.corners);
           for (std::size_t threshold = 4; threshold <= n; threshold *= 2) {
             if (running_max >= threshold && !first_reach.count(threshold)) {
-              first_reach[threshold] = sample.time;
+              first_reach[threshold] = sample.epoch;
             }
           }
           if (running_max >= n && !first_reach.count(n)) {
-            first_reach[n] = sample.time;
+            first_reach[n] = sample.epoch;
           }
         }
         std::string trajectory;
-        for (const auto& [threshold, time] : first_reach) {
-          trajectory += std::to_string(threshold) + "@" +
-                        util::format_number(time, 1) + "  ";
+        for (const auto& [threshold, epoch] : first_reach) {
+          trajectory +=
+              std::to_string(threshold) + "@" + std::to_string(epoch) + "  ";
         }
         result.row() = {cell(gen::to_string(family)), cell(n),
                         cell(static_cast<std::size_t>(seed)),
                         cell(history.front().corners), cell(trajectory)};
-        // Geometric-growth check: the time to go from N/2 to N corners must
-        // not exceed the total time to reach N/2 corners by more than a
+        // Geometric-growth check: the epochs to go from N/2 to N corners
+        // must not exceed the epochs to reach N/2 corners by more than a
         // small factor (a linear schedule spends half the robots — and half
         // the time — in that last stretch).
         if (first_reach.count(n) && first_reach.count(n / 2) &&
-            first_reach[n / 2] > 0.0) {
-          const double last_stage = first_reach[n] - first_reach[n / 2];
-          const double before = first_reach[n / 2];
-          if (last_stage > 6.0 * before) geometric = false;
+            first_reach[n / 2] > 0) {
+          const std::size_t last_stage = first_reach[n] - first_reach[n / 2];
+          const std::size_t before = first_reach[n / 2];
+          if (last_stage > 6 * before) geometric = false;
           ++measured;
         }
       }
@@ -997,9 +996,10 @@ ExperimentRegistry::ExperimentRegistry() {
     e.name = "doubling";
     e.id = "E5";
     e.description =
-        "Doubling schedule (claim C6): per-run hull corner census over "
-        "time; the time at which each power-of-two corner count is first "
-        "reached must grow geometrically, not linearly. Swept over `ns`.";
+        "Doubling schedule (claim C6): per-run hull corner census at every "
+        "epoch boundary; the epoch at which each power-of-two corner count "
+        "is first reached must grow geometrically, not linearly. Swept over "
+        "`ns`.";
     e.defaults = make_defaults({64, 128, 256}, 3, false);
     e.run = run_doubling;
     experiments_.push_back(std::move(e));

@@ -52,10 +52,16 @@ void visible_from(std::span<const double> xs, std::span<const double> ys,
                                 out);
 }
 
-VisibilityGraph compute_visibility(std::span<const double> xs,
-                                   std::span<const double> ys,
+VisibilityGraph compute_visibility(std::span<const Vec2> pts,
                                    util::ThreadPool* pool) {
-  const std::size_t n = xs.size();
+  const std::size_t n = pts.size();
+  std::vector<double> xs, ys;
+  xs.reserve(n);
+  ys.reserve(n);
+  for (const Vec2 p : pts) {
+    xs.push_back(p.x);
+    ys.push_back(p.y);
+  }
   VisibilityGraph g(n);
   if (pool != nullptr && n >= detail::kMinParallelObservers) {
     // Every observer writes only its own row; the per-observer relation is
@@ -84,18 +90,6 @@ VisibilityGraph compute_visibility(std::span<const double> xs,
     for (const std::size_t j : out) g.set_half(i, j);
   }
   return g;
-}
-
-VisibilityGraph compute_visibility(std::span<const Vec2> pts,
-                                   util::ThreadPool* pool) {
-  std::vector<double> xs, ys;
-  xs.reserve(pts.size());
-  ys.reserve(pts.size());
-  for (const Vec2 p : pts) {
-    xs.push_back(p.x);
-    ys.push_back(p.y);
-  }
-  return compute_visibility(xs, ys, pool);
 }
 
 bool visible_naive(std::span<const Vec2> pts, std::size_t i, std::size_t j) {

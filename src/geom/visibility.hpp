@@ -118,16 +118,11 @@ void visible_from(std::span<const double> xs, std::span<const double> ys,
                   std::size_t i, VisibilityScratch& scratch,
                   std::vector<std::size_t>& out);
 
-/// Full visibility graph over split coordinate arrays, O(n^2 log n). With
-/// a pool, observers fan out across the workers (each task fills only its
-/// own rows, so the result is bit-identical to the serial sweep for any
-/// pool size); nullptr runs serially on the caller.
-[[nodiscard]] VisibilityGraph compute_visibility(std::span<const double> xs,
-                                                 std::span<const double> ys,
-                                                 util::ThreadPool* pool = nullptr);
-
-/// Full graph over Vec2 points: splits them once into xs/ys and runs the
-/// split-array sweep above, so the output is identical to it.
+/// Full visibility graph, O(n^2 log n): splits the points once into xs/ys
+/// and runs visible_from per observer. With a pool, observers fan out
+/// across the workers (each task fills only its own rows, so the result is
+/// bit-identical to the serial sweep for any pool size); nullptr runs
+/// serially on the caller.
 [[nodiscard]] VisibilityGraph compute_visibility(std::span<const Vec2> pts,
                                                  util::ThreadPool* pool = nullptr);
 

@@ -72,8 +72,9 @@ class VisibilityCache {
 
   /// Rebinds to a swarm of n robots under a storage budget (0 disables
   /// caching entirely). Invalidates every entry — version stamps restart
-  /// with each run — but keeps entry capacity, so reuse across engine
-  /// resets (sim::LookArena) stays allocation-free in steady state.
+  /// with each run — and zeroes the hit counters, but keeps entry capacity,
+  /// so reuse across engine resets (sim::LookArena) stays allocation-free in
+  /// steady state.
   void reset(std::size_t n, std::size_t budget_bytes);
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }

@@ -58,12 +58,9 @@ ExecutionCore::ExecutionCore(const model::Algorithm& algorithm,
   arena_->look_xs.assign(world_.xs().begin(), world_.xs().end());
   arena_->look_ys.assign(world_.ys().begin(), world_.ys().end());
   arena_->prev_movers.clear();
+  // Zeroes the cache's hit counters too, so they count this run alone even
+  // when the arena is shared across runs.
   arena_->visibility_cache.reset(n_, config.visibility_cache_budget);
-  // Shared arenas carry the cache (and its lifetime counters) across runs;
-  // baselines let finalize report this run's hit mix as deltas.
-  cache_base_replays_ = arena_->visibility_cache.replays();
-  cache_base_repairs_ = arena_->visibility_cache.repairs();
-  cache_base_rebuilds_ = arena_->visibility_cache.rebuilds();
   // Fault streams are split() children of rng_, so an empty plan leaves
   // every existing stream untouched (bit-identity with fault-free runs).
   fault_.init(config.fault, rng_, n_);
@@ -103,7 +100,6 @@ void ExecutionCore::begin_cycle(std::size_t robot, double time) {
 
 bool ExecutionCore::crash_check(std::size_t robot, double time) {
   if (!fault_.try_crash(robot, time)) return false;
-  world_.kill(robot);
   fault::FaultEvent event;
   event.channel = fault::FaultChannel::kCrash;
   event.robot = robot;
@@ -112,13 +108,7 @@ bool ExecutionCore::crash_check(std::size_t robot, double time) {
   for (RunObserver* o : observers_) o->on_fault(event, world(time));
   // The dead robot drops out of the epoch requirement: later epochs measure
   // survivor progress. Retiring the laggard can close pent-up epochs.
-  const std::size_t closed = epochs_.retire(robot);
-  for (std::size_t k = 0; k < closed; ++k) {
-    const std::size_t index = epochs_emitted_++;
-    for (RunObserver* o : observers_) {
-      o->on_epoch(index, epochs_.boundaries()[index], world(time));
-    }
-  }
+  notify_epochs(epochs_.retire(robot), time);
   return true;
 }
 
@@ -359,12 +349,7 @@ void ExecutionCore::record_cycle(std::size_t robot, double end) {
   const std::size_t closed = epochs_.add_cycle(
       sched::CycleRecord{robot, cycle_start_[robot], end});
   ++total_cycles_;
-  for (std::size_t k = 0; k < closed; ++k) {
-    const std::size_t index = epochs_emitted_++;
-    for (RunObserver* o : observers_) {
-      o->on_epoch(index, epochs_.boundaries()[index], world(end));
-    }
-  }
+  notify_epochs(closed, end);
 }
 
 bool ExecutionCore::quiescent() const noexcept {
@@ -400,6 +385,15 @@ void ExecutionCore::notify_round(std::uint64_t round, double time) {
 
 void ExecutionCore::notify_run_end(double time) {
   for (RunObserver* o : observers_) o->on_run_end(world(time));
+}
+
+void ExecutionCore::notify_epochs(std::size_t closed, double time) {
+  const std::vector<double>& ends = epochs_.boundaries();
+  for (std::size_t index = ends.size() - closed; index < ends.size(); ++index) {
+    for (RunObserver* o : observers_) {
+      o->on_epoch(index, ends[index], world(time));
+    }
+  }
 }
 
 void ExecutionCore::notify_commit(const CommitEvent& event, double time) {
@@ -444,12 +438,11 @@ void ExecutionCore::finalize(RunResult& result, bool converged,
   result.faults = fault_.counters();
   const auto crashed = fault_.crashed_flags();
   result.crashed.assign(crashed.begin(), crashed.end());
-  // This run's visibility-cache hit mix (deltas against the construction
-  // baselines; the cache outlives the run when the arena is shared).
+  // This run's visibility-cache hit mix (reset at construction).
   const geom::VisibilityCache& cache = arena_->visibility_cache;
-  result.cache_replays = cache.replays() - cache_base_replays_;
-  result.cache_repairs = cache.repairs() - cache_base_repairs_;
-  result.cache_rebuilds = cache.rebuilds() - cache_base_rebuilds_;
+  result.cache_replays = cache.replays();
+  result.cache_repairs = cache.repairs();
+  result.cache_rebuilds = cache.rebuilds();
 }
 
 }  // namespace lumen::sim

@@ -2,10 +2,10 @@
 //
 // ExecutionCore owns everything the ASYNC event loop and the SYNC round loop
 // used to duplicate: the world state (a structure-of-arrays WorldState:
-// split x/y coordinate arrays, packed lights, alive and move-in-flight
-// bitsets, and the committed-write log), the local-frame policy, the
-// non-rigid motion adversary, streaming result accounting (cycles, epochs,
-// move totals, lights audit) and the observer fan-out. The engines in
+// split x/y coordinate arrays, packed lights, the move-in-flight bitset and
+// the committed-write log), the local-frame policy, the non-rigid motion
+// adversary, streaming result accounting (cycles, epochs, move totals,
+// lights audit) and the observer fan-out. The engines in
 // engine.cpp reduce to thin drivers that own only their scheduling shape —
 // an event queue with a timing adversary (ASYNC) or an activation policy
 // over unit rounds (SYNC) — and call into the core for every Look / commit
@@ -92,9 +92,6 @@ class ExecutionCore {
   }
   [[nodiscard]] bool crashed(std::size_t robot) const noexcept {
     return fault_.crashed(robot);
-  }
-  [[nodiscard]] const fault::FaultState& faults() const noexcept {
-    return fault_;
   }
 
   /// Look + Compute at `time` for every robot in `robots` (one robot under
@@ -191,6 +188,10 @@ class ExecutionCore {
   void notify_look_faults(std::size_t robot, double time, geom::Vec2 position,
                           const fault::LookFaultStats& stats);
 
+  /// Fires on_epoch, in index order, for the `closed` epochs the detector
+  /// just closed: the last `closed` entries of its boundary list.
+  void notify_epochs(std::size_t closed, double time);
+
   void notify_commit(const CommitEvent& event, double time);
 
   const model::Algorithm& algo_;
@@ -203,7 +204,6 @@ class ExecutionCore {
   util::Prng rng_;
   util::Prng look_frame_rng_{0};
   sched::StreamingEpochDetector epochs_;
-  std::size_t epochs_emitted_ = 0;
   std::span<RunObserver* const> observers_;
 
   // Watchdog state: armed in the constructor when config.deadline_ms > 0.
@@ -245,13 +245,6 @@ class ExecutionCore {
   // otherwise this run's private one.
   LookArena own_arena_;
   LookArena* arena_ = nullptr;
-
-  // VisibilityCache counter baselines, captured at construction: the cache
-  // may be shared across runs (campaign arenas), so finalize reports this
-  // run's hit mix as deltas against these.
-  std::uint64_t cache_base_replays_ = 0;
-  std::uint64_t cache_base_repairs_ = 0;
-  std::uint64_t cache_base_rebuilds_ = 0;
 };
 
 }  // namespace lumen::sim

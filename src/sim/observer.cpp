@@ -6,47 +6,33 @@
 
 namespace lumen::sim {
 
-namespace {
-
-/// Census of strict hull corners vs the rest.
-HullSample hull_census(double time, std::span<const geom::Vec2> positions) {
-  const auto hull = geom::convex_hull_indices(positions);
-  HullSample s;
-  s.time = time;
-  // A degenerate (collinear) hull reports its two extremes as "corners".
-  s.corners = hull.size();
-  s.non_corners = positions.size() - std::min(hull.size(), positions.size());
-  return s;
-}
-
-}  // namespace
-
 void HullHistoryRecorder::on_run_begin(const WorldView& world) {
-  // Nobody is mid-move at t = 0, so this materialises the committed
-  // configuration exactly as the historical AoS view did.
-  sample(0.0, world);
+  sample(0, world);
 }
 
-void HullHistoryRecorder::on_move_complete(const MoveSegment& move,
-                                           const WorldView& world) {
-  if (per_round_) return;
-  sample(move.t1, world);
-}
-
-void HullHistoryRecorder::on_round(std::uint64_t, double time,
+void HullHistoryRecorder::on_epoch(std::size_t epoch_index, double,
                                    const WorldView& world) {
-  if (!per_round_) return;
-  sample(time, world);
+  sample(epoch_index + 1, world);
 }
 
-void HullHistoryRecorder::sample(double time, const WorldView& world) {
-  // ASYNC: other robots may be mid-move at this instant; census their
-  // interpolated positions, as the engine always has.
+void HullHistoryRecorder::on_run_end(const WorldView& world) {
+  // The last sample so far is the run-begin census or the last closed
+  // epoch's.
+  sample(samples_.back().epoch + 1, world);
+}
+
+void HullHistoryRecorder::sample(std::size_t epoch, const WorldView& world) {
+  // Robots may be mid-move when an epoch closes; census their interpolated
+  // positions at the hook's instant.
   world_scratch_.resize(world.size());
   for (std::size_t j = 0; j < world.size(); ++j) {
-    world_scratch_[j] = world.position_at(j, time);
+    world_scratch_[j] = world.position_at(j, world.time);
   }
-  samples_.push_back(hull_census(time, world_scratch_));
+  const auto hull = geom::convex_hull_indices(world_scratch_);
+  // A degenerate (collinear) hull reports its two extremes as "corners".
+  samples_.push_back(HullSample{
+      epoch, hull.size(),
+      world_scratch_.size() - std::min(hull.size(), world_scratch_.size())});
 }
 
 }  // namespace lumen::sim

@@ -34,9 +34,11 @@
 
 namespace lumen::sim {
 
-/// Corner census at one instant (for the doubling experiment, claim C6).
+/// One corner census of the doubling experiment (claim C6).
 struct HullSample {
-  double time = 0.0;
+  /// 0 at run begin, k as epoch k closes, one past the last closed epoch at
+  /// run end.
+  std::size_t epoch = 0;
   std::size_t corners = 0;       ///< Strict hull vertices.
   std::size_t non_corners = 0;   ///< Robots not yet in convex position.
 };
@@ -165,27 +167,24 @@ class FaultLogRecorder final : public RunObserver {
   std::vector<fault::FaultEvent> events_;
 };
 
-/// Corner census over time (claim C6's doubling experiment): samples the
-/// strict-hull corner count at t=0, then after every move completion (ASYNC)
-/// or at every round boundary (SYNC). Costs O(N log N) per sample.
+/// Corner census in epochs (claim C6's doubling experiment), on one rule
+/// for every scheduler: a sample at run begin (epoch 0), one as each epoch
+/// closes (its 1-based index), and one at run end, labelled one past the
+/// last closed epoch. Costs O(N log N) per sample.
 class HullHistoryRecorder final : public RunObserver {
  public:
-  /// `per_round`: sample at round boundaries (SYNC schedulers) instead of at
-  /// individual move completions (ASYNC).
-  explicit HullHistoryRecorder(bool per_round) : per_round_(per_round) {}
-
   void on_run_begin(const WorldView& world) override;
-  void on_move_complete(const MoveSegment& move, const WorldView& world) override;
-  void on_round(std::uint64_t round, double time, const WorldView& world) override;
+  void on_epoch(std::size_t epoch_index, double end_time,
+                const WorldView& world) override;
+  void on_run_end(const WorldView& world) override;
 
   [[nodiscard]] std::vector<HullSample>& samples() noexcept { return samples_; }
 
  private:
-  void sample(double time, const WorldView& world);
+  void sample(std::size_t epoch, const WorldView& world);
 
   std::vector<HullSample> samples_;
   std::vector<geom::Vec2> world_scratch_;
-  bool per_round_ = false;
 };
 
 }  // namespace lumen::sim

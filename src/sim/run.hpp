@@ -162,9 +162,10 @@ struct RunResult {
   std::vector<fault::FaultEvent> fault_events;
   /// This run's geom::VisibilityCache hit mix (Looks served by replaying a
   /// retained angular order, by repairing one from the write log, and by
-  /// full rebuilds). Deltas for THIS run even when the arena (and thus the
-  /// cache) is shared across campaign cells. All zero when caching is
-  /// disabled — every Look then takes the one-shot kernel.
+  /// full rebuilds). THIS run's counts even when the arena (and thus the
+  /// cache) is shared across campaign cells: each run resets the cache's
+  /// counters. All zero when caching is disabled — every Look then takes
+  /// the one-shot kernel.
   std::uint64_t cache_replays = 0;
   std::uint64_t cache_repairs = 0;
   std::uint64_t cache_rebuilds = 0;

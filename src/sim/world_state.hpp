@@ -2,13 +2,12 @@
 //
 // WorldState is the single owner of everything a Look touches per robot:
 // split x/y coordinate arrays (so the visibility kernel streams doubles
-// instead of gathering Vec2 pairs), the packed light array, and two
-// DynamicBitsets — `alive` (cleared when a robot crash-stops) and `moving`
-// (set while a move segment is in flight). The committed position arrays
-// change at exactly one point, set_position (ExecutionCore::complete_move),
-// which also appends the robot to `write_log`: entry k of the log is the
-// robot whose committed position was the (k+1)-th write of the run, and
-// `version()` == write_log.size(). The incremental visibility cache keys
+// instead of gathering Vec2 pairs), the packed light array, and the
+// `moving` DynamicBitset (set while a move segment is in flight). The
+// committed position arrays change at exactly one point, set_position
+// (ExecutionCore::complete_move), which also appends the robot to
+// `write_log`: entry k of the log is the robot whose committed position was
+// the (k+1)-th write of the run. The incremental visibility cache keys
 // its per-observer dirty sets on log suffixes — "everything written since I
 // was last rebuilt" — so a cache entry is validated in O(#writes since)
 // instead of O(N) (see geom::VisibilityCache).
@@ -28,7 +27,7 @@ namespace lumen::sim {
 class WorldState {
  public:
   /// Rebinds to a swarm: committed positions from `initial`, all lights
-  /// kOff, everyone alive, nobody moving, empty write log.
+  /// kOff, nobody moving, empty write log.
   void reset(std::span<const geom::Vec2> initial) {
     const std::size_t n = initial.size();
     xs_.resize(n);
@@ -38,7 +37,6 @@ class WorldState {
       ys_[i] = initial[i].y;
     }
     lights_.assign(n, model::Light::kOff);
-    alive_.assign(n, true);
     moving_.assign(n, false);
     moving_count_ = 0;
     write_log_.clear();
@@ -67,11 +65,8 @@ class WorldState {
     write_log_.push_back(static_cast<std::uint32_t>(i));
   }
 
-  /// Number of committed position writes so far; write_log()[v..] are the
-  /// robots written after a snapshot taken at version v.
-  [[nodiscard]] std::uint64_t version() const noexcept {
-    return write_log_.size();
-  }
+  /// The robots written so far, in write order; write_log()[v..] are the
+  /// robots written after a snapshot taken when the log held v entries.
   [[nodiscard]] std::span<const std::uint32_t> write_log() const noexcept {
     return write_log_;
   }
@@ -96,18 +91,10 @@ class WorldState {
     --moving_count_;
   }
 
-  // -- Alive bits (cleared on crash-stop; the body keeps obstructing) --------
-
-  [[nodiscard]] const util::DynamicBitset& alive() const noexcept {
-    return alive_;
-  }
-  void kill(std::size_t i) noexcept { alive_.reset(i); }
-
  private:
   std::vector<double> xs_;
   std::vector<double> ys_;
   std::vector<model::Light> lights_;
-  util::DynamicBitset alive_;
   util::DynamicBitset moving_;
   std::size_t moving_count_ = 0;
   std::vector<std::uint32_t> write_log_;

@@ -4,6 +4,9 @@
 // bench_time_vs_n / bench_collisions binaries printed), and the reporters.
 #include "analysis/experiments.hpp"
 #include "analysis/reporter.hpp"
+#include "core/registry.hpp"
+#include "gen/generators.hpp"
+#include "sim/run.hpp"
 #include "util/table.hpp"
 
 #include <gtest/gtest.h>
@@ -270,6 +273,48 @@ TEST(Experiments, DoublingWithNoMeasuredRunIsUndecided) {
   ASSERT_EQ(result.checks.size(), 1u);
   EXPECT_EQ(result.checks[0].verdict, Verdict::kUndecided);
   EXPECT_TRUE(result.passed());
+}
+
+// E5 reports claim C6 in the paper's unit of ASYNC time: each trajectory
+// entry `threshold@epoch` is a whole epoch count, and no threshold is
+// reached later than the epoch the run converged in.
+TEST(Experiments, DoublingReportsEpochs) {
+  const auto* e = ExperimentRegistry::instance().find("E5");
+  ASSERT_NE(e, nullptr);
+  ScenarioSpec spec = e->defaults;
+  spec.ns = {16};
+  spec.runs = 2;
+  const ExperimentResult result = e->run(spec, ExperimentContext{});
+  ASSERT_EQ(result.rows.size(), 4u);  // Two families x two seeds.
+  const auto algo = core::make_algorithm(spec.algorithm);
+  for (const auto& row : result.rows) {
+    ASSERT_EQ(row.size(), 5u);
+    const auto family = gen::family_from_string(row[0].text);
+    ASSERT_TRUE(family.has_value()) << row[0].text;
+    const std::uint64_t seed = std::stoull(row[2].text);
+    sim::RunConfig config = spec.run;
+    config.seed = seed;
+    config.record_moves = false;
+    const sim::RunResult run = sim::run_simulation(
+        *algo, gen::generate(*family, 16, seed, spec.min_separation), config);
+    ASSERT_TRUE(run.converged) << row[0].text << " seed " << seed;
+
+    std::istringstream entries(row[4].text);
+    std::string entry;
+    std::size_t count = 0;
+    while (entries >> entry) {
+      const std::size_t at = entry.find('@');
+      ASSERT_NE(at, std::string::npos) << entry;
+      const std::string epoch = entry.substr(at + 1);
+      ASSERT_FALSE(epoch.empty()) << entry;
+      EXPECT_TRUE(std::all_of(epoch.begin(), epoch.end(),
+                              [](char c) { return c >= '0' && c <= '9'; }))
+          << "not a whole epoch count: " << entry;
+      EXPECT_LE(std::stoull(epoch), run.epochs) << entry;
+      ++count;
+    }
+    EXPECT_GT(count, 0u) << row[4].text;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "analysis/campaign.hpp"
 #include "core/registry.hpp"
 #include "gen/generators.hpp"
+#include "geom/hull.hpp"
 #include "sim/monitors.hpp"
 #include "sim/run.hpp"
 
@@ -221,20 +222,45 @@ TEST(Claims, HandshakeSerializesSameGate) {
   EXPECT_GT(ablation_incidents, 0u);
 }
 
+/// Strict-hull corner count at run begin and after every move completion,
+/// with the robots still in flight at their interpolated positions.
+class PerMoveCornerCensus final : public sim::RunObserver {
+ public:
+  void on_run_begin(const sim::WorldView& world) override {
+    census(world, 0.0);
+  }
+  void on_move_complete(const sim::MoveSegment& move,
+                        const sim::WorldView& world) override {
+    census(world, move.t1);
+  }
+
+  std::vector<std::size_t> corners;
+
+ private:
+  void census(const sim::WorldView& world, double t) {
+    std::vector<geom::Vec2> positions(world.size());
+    for (std::size_t j = 0; j < world.size(); ++j) {
+      positions[j] = world.position_at(j, t);
+    }
+    corners.push_back(geom::convex_hull_indices(positions).size());
+  }
+};
+
 TEST(Claims, CornerCountIsMonotoneNonDecreasing) {
   // Supporting invariant for C6: corners never lose corner status.
-  sim::HullHistoryRecorder recorder(/*per_round=*/false);
-  sim::RunObserver* observers[] = {&recorder};
+  PerMoveCornerCensus census;
+  sim::RunObserver* observers[] = {&census};
+  const std::size_t n = 48;
   const Outcome out = execute("async-log", gen::ConfigFamily::kRingWithCore,
-                              48, 2, RunConfig{}, observers);
+                              n, 2, RunConfig{}, observers);
   ASSERT_TRUE(out.run.converged);
-  const auto& history = recorder.samples();
+  const auto& history = census.corners;
+  ASSERT_EQ(history.size(), 1 + out.run.total_moves);
   ASSERT_GE(history.size(), 2u);
   for (std::size_t i = 1; i < history.size(); ++i) {
-    EXPECT_GE(history[i].corners + 1, history[i - 1].corners)
-        << "at sample " << i;
+    EXPECT_GE(history[i] + 1, history[i - 1]) << "at sample " << i;
   }
-  EXPECT_EQ(history.back().non_corners, 0u);
+  EXPECT_EQ(history.back(), n);
 }
 
 TEST(Claims, FinalLightsAreAllCornerLike) {

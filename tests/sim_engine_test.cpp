@@ -177,7 +177,7 @@ TEST(Engine, SsyncSingletonActivatesOneRobotPerRound) {
 TEST(Engine, HullHistoryRecordedWhenRequested) {
   const auto algo = core::make_algorithm("async-log");
   const auto initial = gen::generate(gen::ConfigFamily::kRingWithCore, 32, 6);
-  HullHistoryRecorder recorder(/*per_round=*/false);
+  HullHistoryRecorder recorder;
   RunObserver* observers[] = {&recorder};
   const auto run = run_simulation(*algo, initial, async_config(6), observers);
   ASSERT_TRUE(run.converged);
@@ -186,9 +186,9 @@ TEST(Engine, HullHistoryRecordedWhenRequested) {
   // Corner census ends with everyone a corner.
   EXPECT_EQ(history.back().corners, initial.size());
   EXPECT_EQ(history.back().non_corners, 0u);
-  // Times are non-decreasing.
+  // Epoch labels are strictly increasing.
   for (std::size_t i = 1; i < history.size(); ++i) {
-    EXPECT_LE(history[i - 1].time, history[i].time);
+    EXPECT_LT(history[i - 1].epoch, history[i].epoch);
   }
 }
 

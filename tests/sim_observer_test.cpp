@@ -148,25 +148,26 @@ TEST(ObserverRecorders, ExternalMoveLogMatchesRunResultMoves) {
 TEST(ObserverRecorders, HullRecorderSamplesAtItsSchedulersCadence) {
   for (const SchedulerKind scheduler :
        {SchedulerKind::kAsync, SchedulerKind::kSsync, SchedulerKind::kFsync}) {
-    const bool per_round = scheduler != SchedulerKind::kAsync;
-    const auto algo =
-        core::make_algorithm(per_round ? "ssync-parallel" : "async-log");
+    const auto algo = core::make_algorithm(
+        scheduler == SchedulerKind::kAsync ? "async-log" : "ssync-parallel");
     const auto initial = disk(18, 9);
-    HullHistoryRecorder recorder(per_round);
-    RunObserver* obs[] = {&recorder};
+    HullHistoryRecorder recorder;
+    RecordingObserver epochs;
+    RunObserver* obs[] = {&recorder, &epochs};
     const RunResult run = run_simulation(
         *algo, initial, scheduler_config(scheduler, 9), obs);
     ASSERT_TRUE(run.converged) << to_string(scheduler);
+    ASSERT_GT(epochs.epochs_seen, 0u) << to_string(scheduler);
     const auto& samples = recorder.samples();
-    // One census at t = 0, then one per round (SYNC) or per move (ASYNC).
-    EXPECT_EQ(samples.size(), 1 + (per_round ? run.rounds : run.total_moves))
-        << to_string(scheduler);
-    ASSERT_FALSE(samples.empty());
-    EXPECT_EQ(samples.front().time, 0.0);
-    EXPECT_EQ(samples.back().corners, initial.size()) << to_string(scheduler);
-    for (std::size_t i = 1; i < samples.size(); ++i) {
-      EXPECT_LE(samples[i - 1].time, samples[i].time) << to_string(scheduler);
+    // One census at run begin, one per closed epoch, one at run end — the
+    // same rule under every scheduler.
+    ASSERT_EQ(samples.size(), 2 + epochs.epochs_seen) << to_string(scheduler);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      EXPECT_EQ(samples[i].epoch, i) << to_string(scheduler);
+      EXPECT_EQ(samples[i].corners + samples[i].non_corners, initial.size())
+          << to_string(scheduler);
     }
+    EXPECT_EQ(samples.back().corners, initial.size()) << to_string(scheduler);
   }
 }
 
