@@ -245,11 +245,13 @@ int cmd_describe(const std::vector<std::string>& args) {
 }
 
 /// Shrinks a spec so every experiment finishes in seconds: at most two
-/// sweep sizes, each clamped to <= 16 robots, at most two seeds.
+/// sweep sizes, each clamped to <= 16 robots and run once (the first of two
+/// equal sizes is kept), at most two seeds.
 analysis::ScenarioSpec smoke_spec(analysis::ScenarioSpec spec) {
   const auto shrink = [](std::vector<std::size_t>& ns) {
     if (ns.size() > 2) ns.resize(2);
     for (auto& n : ns) n = std::min<std::size_t>(n, 16);
+    if (ns.size() == 2 && ns[0] == ns[1]) ns.pop_back();
   };
   shrink(spec.ns);
   if (!spec.baseline_ns.empty()) shrink(spec.baseline_ns);

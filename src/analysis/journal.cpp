@@ -148,7 +148,7 @@ CampaignJournal::CampaignJournal(std::string path) : path_(std::move(path)) {
     header.set("type", util::JsonValue::string(std::string(kJournalType)));
     header.set("version", util::JsonValue::integer(kJournalVersion));
     std::lock_guard lock(mutex_);
-    write_line_locked(header);
+    write_locked(util::json_write(header, 0) + "\n");
   }
 }
 
@@ -156,13 +156,12 @@ CampaignJournal::~CampaignJournal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void CampaignJournal::write_line_locked(const util::JsonValue& record) {
+void CampaignJournal::write_locked(const std::string& lines) {
   if (fd_ < 0 || failed_) return;
-  const std::string line = util::json_write(record, 0) + "\n";
   std::size_t written = 0;
-  while (written < line.size()) {
+  while (written < lines.size()) {
     const ssize_t n =
-        ::write(fd_, line.data() + written, line.size() - written);
+        ::write(fd_, lines.data() + written, lines.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
       failed_ = true;
@@ -173,14 +172,22 @@ void CampaignJournal::write_line_locked(const util::JsonValue& record) {
   if (::fsync(fd_) != 0) failed_ = true;
 }
 
-void CampaignJournal::declare_locked(const CampaignSpec& spec,
-                                     const std::string& key) {
-  if (!declared_.insert(key).second) return;
-  util::JsonValue record = util::JsonValue::object();
-  record.set("type", util::JsonValue::string("campaign"));
-  record.set("key", util::JsonValue::string(key));
-  record.set("signature", campaign_signature(spec));
-  write_line_locked(record);
+void CampaignJournal::append_record(const CampaignSpec& spec,
+                                    const std::string& key,
+                                    const util::JsonValue& record) {
+  const std::string line = util::json_write(record, 0) + "\n";
+  std::lock_guard lock(mutex_);
+  if (!declared_.insert(key).second) {
+    write_locked(line);
+    return;
+  }
+  // A new campaign's declaration and its first cell share one write loop
+  // and one fsync; a kill mid-write still tears only the last line.
+  util::JsonValue declaration = util::JsonValue::object();
+  declaration.set("type", util::JsonValue::string("campaign"));
+  declaration.set("key", util::JsonValue::string(key));
+  declaration.set("signature", campaign_signature(spec));
+  write_locked(util::json_write(declaration, 0) + "\n" + line);
 }
 
 void CampaignJournal::append_cell(const CampaignSpec& spec, const RunMetrics& m) {
@@ -190,9 +197,7 @@ void CampaignJournal::append_cell(const CampaignSpec& spec, const RunMetrics& m)
   record.set("key", util::JsonValue::string(key));
   record.set("seed", util::JsonValue::integer(static_cast<std::int64_t>(m.seed)));
   record.set("metrics", run_metrics_to_json(m));
-  std::lock_guard lock(mutex_);
-  declare_locked(spec, key);
-  write_line_locked(record);
+  append_record(spec, key, record);
 }
 
 void CampaignJournal::append_error(const CampaignSpec& spec,
@@ -203,9 +208,7 @@ void CampaignJournal::append_error(const CampaignSpec& spec,
   record.set("key", util::JsonValue::string(key));
   record.set("seed", util::JsonValue::integer(static_cast<std::int64_t>(e.seed)));
   record.set("error", campaign_error_to_json(e));
-  std::lock_guard lock(mutex_);
-  declare_locked(spec, key);
-  write_line_locked(record);
+  append_record(spec, key, record);
 }
 
 std::size_t JournalSnapshot::cell_count() const noexcept {

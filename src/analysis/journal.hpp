@@ -63,7 +63,8 @@ namespace lumen::analysis {
 [[nodiscard]] std::string campaign_result_to_json(const CampaignResult& result);
 
 /// Append-only journal writer. Thread-safe (run_campaign appends from pool
-/// workers); every append is write(2) + fsync(2) under one mutex so a crash
+/// workers); every append is one write(2) loop + one fsync(2) under one
+/// mutex (a new key's declaration rides with its first cell), so a crash
 /// loses at most the record being written. Write failures are sticky and
 /// reported through ok() — journaling is best-effort and never throws into
 /// the campaign (a failing disk should cost the checkpoint, not the run).
@@ -87,8 +88,12 @@ class CampaignJournal {
   void append_error(const CampaignSpec& spec, const CampaignError& e);
 
  private:
-  void declare_locked(const CampaignSpec& spec, const std::string& key);
-  void write_line_locked(const util::JsonValue& record);
+  /// Writes `record` (a cell of campaign `key`), declaring the campaign
+  /// first if this process has not yet declared that key.
+  void append_record(const CampaignSpec& spec, const std::string& key,
+                     const util::JsonValue& record);
+  /// Writes whole lines and fsyncs once.
+  void write_locked(const std::string& lines);
 
   std::string path_;
   int fd_ = -1;

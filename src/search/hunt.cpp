@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <string_view>
+#include <unordered_map>
 
 namespace lumen::search {
 namespace {
@@ -30,23 +32,6 @@ bool better(const Scored& a, const Scored& b) {
     return a.evaluation.score > b.evaluation.score;
   }
   return a.order < b.order;
-}
-
-/// Evaluates a whole batch over the pool. Plans were assembled before this
-/// call, out[] is index-addressed, and each evaluation is a pure function
-/// of its plan — so the batch result is identical for any pool size.
-std::vector<Evaluation> evaluate_batch(const HuntSpec& spec,
-                                       const std::vector<AdversaryPlan>& plans,
-                                       util::ThreadPool& pool,
-                                       const analysis::CampaignControl& control) {
-  std::vector<Evaluation> out(plans.size());
-  if (plans.empty()) return out;
-  pool.parallel_for_slots(plans.size(),
-                          [&](std::size_t, std::size_t index) {
-                            out[index] =
-                                evaluate_plan(spec, plans[index], &pool, control);
-                          });
-  return out;
 }
 
 /// Appends a finished batch to the result, updating the running best.
@@ -77,7 +62,8 @@ bool absorb_batch(HuntResult& result, std::vector<Scored>& scored,
 
 void run_mu_plus_lambda(HuntResult& result, const HuntSpec& spec,
                         util::ThreadPool& pool,
-                        const analysis::CampaignControl& control) {
+                        const analysis::CampaignControl& control,
+                        EvaluationMemo& memo) {
   util::Prng rng(spec.hunt_seed);
   util::Prng init_rng = rng.split("hunt-init");
 
@@ -93,7 +79,8 @@ void run_mu_plus_lambda(HuntResult& result, const HuntSpec& spec,
 
   std::vector<Scored> elite;
   if (!absorb_batch(result, elite,
-                    evaluate_batch(spec, initial, pool, control), control)) {
+                    evaluate_plans(spec, initial, &pool, control, &memo),
+                    control)) {
     return;
   }
 
@@ -127,7 +114,8 @@ void run_mu_plus_lambda(HuntResult& result, const HuntSpec& spec,
     }
 
     if (!absorb_batch(result, elite,
-                      evaluate_batch(spec, children, pool, control), control)) {
+                      evaluate_plans(spec, children, &pool, control, &memo),
+                      control)) {
       return;
     }
     std::sort(elite.begin(), elite.end(), better);
@@ -200,9 +188,42 @@ Evaluation evaluate_plan(const HuntSpec& spec, const AdversaryPlan& plan,
 std::vector<Evaluation> evaluate_plans(const HuntSpec& spec,
                                        const std::vector<AdversaryPlan>& plans,
                                        util::ThreadPool* pool,
-                                       const analysis::CampaignControl& control) {
+                                       const analysis::CampaignControl& control,
+                                       EvaluationMemo* memo) {
   util::ThreadPool& workers = pool != nullptr ? *pool : util::global_pool();
-  return evaluate_batch(spec, plans, workers, control);
+  EvaluationMemo local;
+  EvaluationMemo& known = memo != nullptr ? *memo : local;
+  std::vector<Evaluation> out(plans.size());
+  // source[i]: the first slot of the batch holding plans[i]; `fresh` lists
+  // the first slots whose plan the memo lacks — the only ones that run.
+  std::vector<std::string> keys(plans.size());
+  std::vector<std::size_t> source(plans.size());
+  std::vector<std::size_t> fresh;
+  std::unordered_map<std::string_view, std::size_t> first;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    keys[i] = plan_fingerprint(plans[i]);
+    source[i] = i;
+    if (const auto hit = known.find(keys[i]); hit != known.end()) {
+      out[i] = hit->second;
+      continue;
+    }
+    const auto [slot, inserted] = first.try_emplace(keys[i], i);
+    if (inserted) {
+      fresh.push_back(i);
+    } else {
+      source[i] = slot->second;
+    }
+  }
+  workers.parallel_for_slots(fresh.size(), [&](std::size_t, std::size_t k) {
+    out[fresh[k]] = evaluate_plan(spec, plans[fresh[k]], &workers, control);
+  });
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    if (source[i] != i) out[i] = out[source[i]];
+  }
+  for (const std::size_t i : fresh) {
+    if (!out[i].failed) known.emplace(keys[i], out[i]);
+  }
+  return out;
 }
 
 HuntResult run_hunt(const HuntSpec& spec, util::ThreadPool* pool,
@@ -213,11 +234,12 @@ HuntResult run_hunt(const HuntSpec& spec, util::ThreadPool* pool,
   if (!result.error.empty()) return result;
 
   util::ThreadPool& workers = pool != nullptr ? *pool : util::global_pool();
-  run_mu_plus_lambda(result, spec, workers, control);
+  EvaluationMemo memo;
+  run_mu_plus_lambda(result, spec, workers, control, memo);
 
   if (result.best.has_value() && !result.stopped) {
     MinimizeOutcome minimized =
-        minimize_plan(spec, *result.best, &workers, control);
+        minimize_plan(spec, *result.best, &workers, control, &memo);
     result.minimize_evals = minimized.evaluations;
     result.minimize_accepted = minimized.accepted;
     for (Evaluation& evaluation : minimized.trail) {

@@ -9,7 +9,11 @@
 // is a pure function of its plan and batches are assembled before any
 // evaluation starts, the whole trajectory — every plan proposed, every
 // score observed, the best and the minimized plan — is bit-identical for
-// any pool size, pinned by a golden digest in tests/search_test.cpp.
+// any pool size, pinned by a golden digest in tests/search_test.cpp. The
+// same purity lets a hunt run each distinct plan once: a plan proposed
+// again (a no-op mutation, a crossover of equal parents, a minimizer
+// candidate retried after a sweep) takes the recorded evaluation from the
+// hunt's EvaluationMemo instead of running its cell again.
 //
 // Evaluations reuse the campaign resilience hooks verbatim: pass a
 // CampaignControl with a journal and resume snapshot and a killed hunt
@@ -25,6 +29,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace lumen::search {
@@ -99,24 +104,38 @@ struct HuntResult {
 [[nodiscard]] analysis::ScenarioSpec hunt_scenario(const HuntSpec& spec,
                                                    const AdversaryPlan& plan);
 
-/// Evaluates one plan (one single-cell campaign on the caller thread; the
-/// pool only feeds the in-run SYNC fan-out when called from the driver).
+/// The successful evaluations one hunt has run, keyed by plan_fingerprint
+/// (every plan field, doubles printed with %.17g, so equal keys mean equal
+/// plans). Failed evaluations are never kept: a deadline, an exception or
+/// a stop is not a pure function of the plan.
+using EvaluationMemo = std::unordered_map<std::string, Evaluation>;
+
+/// Evaluates one plan: always runs its single-cell campaign on the caller
+/// thread, with no memo (the pool only feeds the in-run SYNC fan-out when
+/// called off the pool's own workers).
 [[nodiscard]] Evaluation evaluate_plan(const HuntSpec& spec,
                                        const AdversaryPlan& plan,
                                        util::ThreadPool* pool,
                                        const analysis::CampaignControl& control);
 
-/// Evaluates a pre-assembled batch over the pool, index-addressed — the
-/// result is identical for any pool size (E13's uniform-sampling baseline
-/// and the hunt loop both ride this). nullptr pool -> util::global_pool().
+/// Evaluates a pre-assembled batch, index-addressed. Each distinct plan
+/// that `memo` does not hold runs once, over the pool; a repeat within the
+/// batch or a memo hit is copied into its slot and runs no cell (so it
+/// writes no journal record and fires no on_cell). Successful new
+/// evaluations join `memo`. The result is identical for any pool size and
+/// memo content (E13's uniform-sampling baseline, the hunt loop and the
+/// minimizer's windows all ride this). nullptr pool -> util::global_pool();
+/// nullptr memo -> a memo local to this call.
 [[nodiscard]] std::vector<Evaluation> evaluate_plans(
     const HuntSpec& spec, const std::vector<AdversaryPlan>& plans,
     util::ThreadPool* pool = nullptr,
-    const analysis::CampaignControl& control = {});
+    const analysis::CampaignControl& control = {},
+    EvaluationMemo* memo = nullptr);
 
-/// Runs the full hunt: the (μ+λ) loop, then minimization of the winner.
-/// nullptr pool -> util::global_pool(). Control hooks work exactly as in
-/// run_campaign (journal / resume / cooperative stop).
+/// Runs the full hunt: the (μ+λ) loop, then minimization of the winner,
+/// both through one EvaluationMemo. nullptr pool -> util::global_pool().
+/// Control hooks work exactly as in run_campaign (journal / resume /
+/// cooperative stop).
 [[nodiscard]] HuntResult run_hunt(const HuntSpec& spec,
                                   util::ThreadPool* pool = nullptr,
                                   const analysis::CampaignControl& control = {});

@@ -1,6 +1,7 @@
 #include "search/minimize.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 namespace lumen::search {
@@ -155,44 +156,89 @@ constexpr Reduction kReductions[] = {
     canonical_activation,
 };
 
+/// Where the serial sweep stands: the operator and site it tries next, and
+/// whether the current sweep has accepted a candidate yet.
+struct Cursor {
+  std::size_t op = 0;
+  std::size_t site = 0;
+  bool accepted = false;
+};
+
+/// The next candidate the sweep tries against `plan` from `at`, supposing
+/// nothing is accepted meanwhile; moves `at` past it. A multi-site operator
+/// (crash-instant drops) iterates its sites, a single-site one bails after
+/// site 0, and a sweep that ends having accepted a candidate starts the
+/// next. nullopt when a sweep ends with nothing accepted: the plan is
+/// 1-minimal w.r.t. the operator set.
+std::optional<AdversaryPlan> next_candidate(const AdversaryPlan& plan,
+                                            const PlanBounds& bounds,
+                                            Cursor& at) {
+  for (;;) {
+    if (at.op == std::size(kReductions)) {
+      if (!at.accepted) return std::nullopt;
+      at = Cursor{};
+    }
+    std::optional<AdversaryPlan> candidate =
+        kReductions[at.op](plan, bounds, at.site);
+    if (candidate.has_value() && *candidate != plan) {
+      ++at.site;
+      return candidate;
+    }
+    ++at.op;
+    at.site = 0;
+  }
+}
+
 }  // namespace
 
 MinimizeOutcome minimize_plan(const HuntSpec& spec, const Evaluation& winner,
                               util::ThreadPool* pool,
-                              const analysis::CampaignControl& control) {
+                              const analysis::CampaignControl& control,
+                              EvaluationMemo* memo) {
   MinimizeOutcome outcome;
   outcome.evaluation = winner;
   if (winner.failed) return outcome;
   const int target_rank = outcome_rank(winner.metrics.outcome);
+  util::ThreadPool& workers = pool != nullptr ? *pool : util::global_pool();
 
-  bool improved = true;
-  while (improved && outcome.evaluations < spec.minimize_budget) {
-    improved = false;
-    for (const Reduction reduce : kReductions) {
-      // Multi-site operators (crash-instant drops) iterate their sites;
-      // single-site ones bail after index 0.
-      for (std::size_t index = 0;; ++index) {
-        if (outcome.evaluations >= spec.minimize_budget ||
-            stop_requested(control)) {
-          return outcome;
-        }
-        std::optional<AdversaryPlan> candidate =
-            reduce(outcome.evaluation.plan, spec.bounds, index);
-        if (!candidate.has_value()) break;
-        if (*candidate == outcome.evaluation.plan) break;
-        Evaluation trial = evaluate_plan(spec, *candidate, pool, control);
-        ++outcome.evaluations;
-        outcome.trail.push_back(trial);
-        const bool keeps_class =
-            !trial.failed &&
-            outcome_rank(trial.metrics.outcome) == target_rank;
-        if (keeps_class && trial.score >= winner.score) {
-          outcome.evaluation = std::move(trial);
-          ++outcome.accepted;
-          improved = true;
-          // Restart this operator from site 0 against the shrunken plan.
-          index = static_cast<std::size_t>(-1);
-        }
+  Cursor cursor;
+  while (outcome.evaluations < spec.minimize_budget &&
+         !stop_requested(control)) {
+    // The window: the next candidates the serial sweep would try if it
+    // accepted none of them, with the cursor after each.
+    const std::size_t width = std::min(
+        workers.slot_count(), spec.minimize_budget - outcome.evaluations);
+    std::vector<AdversaryPlan> window;
+    std::vector<Cursor> after;
+    Cursor probe = cursor;
+    while (window.size() < width) {
+      std::optional<AdversaryPlan> candidate =
+          next_candidate(outcome.evaluation.plan, spec.bounds, probe);
+      if (!candidate.has_value()) break;
+      window.push_back(std::move(*candidate));
+      after.push_back(probe);
+    }
+    if (window.empty()) break;
+
+    std::vector<Evaluation> trials =
+        evaluate_plans(spec, window, &workers, control, memo);
+    // Consume in serial order; the first acceptance ends the window and the
+    // candidates after it are discarded (they were tried against a plan the
+    // serial sweep has already moved past).
+    for (std::size_t k = 0; k < trials.size(); ++k) {
+      ++outcome.evaluations;
+      outcome.trail.push_back(trials[k]);
+      cursor = after[k];
+      const bool keeps_class =
+          !trials[k].failed &&
+          outcome_rank(trials[k].metrics.outcome) == target_rank;
+      if (keeps_class && trials[k].score >= winner.score) {
+        outcome.evaluation = std::move(trials[k]);
+        ++outcome.accepted;
+        // Restart this operator from site 0 against the shrunken plan.
+        cursor.site = 0;
+        cursor.accepted = true;
+        break;
       }
     }
   }

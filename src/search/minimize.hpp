@@ -8,11 +8,20 @@
 // rates, canonicalize the adversary kinds — re-evaluating each candidate
 // and keeping it only when the badness survives: the outcome class must be
 // preserved exactly and the score must not fall below the winner's.
-// Passes repeat until a full sweep accepts nothing (a 1-minimal plan
-// w.r.t. the operator set) or the evaluation budget runs out. Everything
-// is driver-thread sequential and seeded by nothing: the trajectory is a
-// pure function of (spec, winner), so minimization is as deterministic as
-// the runs underneath.
+// An acceptance restarts that operator at site 0 against the shrunken
+// plan; sweeps repeat until a full sweep accepts nothing (a 1-minimal plan
+// w.r.t. the operator set) or the evaluation budget runs out.
+//
+// The sweep runs in ordered speculative windows. From the current plan
+// and cursor, the driver lists the next W candidates the serial sweep
+// would try if it accepted none of them (W = the pool's slot count, capped
+// by the remaining budget), evaluates them in parallel through the hunt's
+// EvaluationMemo, and consumes the results in serial order: the first
+// acceptance ends the window, and the candidates after it enter neither
+// the trail nor the count (they ran, so they are journaled like any cell
+// and stay in the memo). Nothing is seeded, and the trail, the counts and
+// the result are exactly the serial sweep's for any pool size: a pure
+// function of (spec, winner), as deterministic as the runs underneath.
 #pragma once
 
 #include "search/hunt.hpp"
@@ -31,9 +40,12 @@ struct MinimizeOutcome {
 
 /// Shrinks `winner` within spec.minimize_budget evaluations. The control
 /// hooks work as in run_hunt (journal / resume / cooperative stop; a
-/// stopped minimization returns the best-so-far).
+/// stopped minimization returns the best-so-far). nullptr pool ->
+/// util::global_pool(). `memo` is the hunt's (see evaluate_plans); with
+/// nullptr each window only dedups within itself.
 [[nodiscard]] MinimizeOutcome minimize_plan(
     const HuntSpec& spec, const Evaluation& winner, util::ThreadPool* pool,
-    const analysis::CampaignControl& control = {});
+    const analysis::CampaignControl& control = {},
+    EvaluationMemo* memo = nullptr);
 
 }  // namespace lumen::search

@@ -8,10 +8,11 @@
 // fitness evaluation is a deterministic, journalable unit of work — the
 // same contract campaigns already have.
 //
-// A plan's compact JSON form (plan_fingerprint) is its dedup and digest key,
-// and the seeded mutation / crossover operators are pure functions of
-// (input plans, bounds, rng state): a hunt's whole trajectory replays
-// bit-identically from its seed (tests/search_test.cpp).
+// A plan's compact JSON form (plan_fingerprint) is its digest key and the
+// key of a hunt's EvaluationMemo (hunt.hpp), and the seeded mutation /
+// crossover operators are pure functions of (input plans, bounds, rng
+// state): a hunt's whole trajectory replays bit-identically from its seed
+// (tests/search_test.cpp).
 #pragma once
 
 #include "fault/plan.hpp"

@@ -3,8 +3,9 @@
 // lumen-bench names the dropped record, every resumed report is byte-identical
 // to the uninterrupted one, `run` and `hunt`, which share the
 // --out/--resume/--journal plumbing, reject the same unusable paths, `run`
-// rejects negative integer flags and invalid resolved specs, and `hunt`
-// rejects a swarm of one and the flags of its deleted bandit strategy.
+// rejects negative integer flags and invalid resolved specs, `hunt`
+// rejects a swarm of one and the flags of its deleted bandit strategy, and
+// `run --smoke` prints no row twice.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -100,6 +102,22 @@ TEST(BenchResume, HuntNamesTheTornRecordAndReproducesTheReport) {
 
 TEST(BenchResume, RunNamesTheTornRecordAndReproducesTheReport) {
   expect_torn_resume_matches(" run collisions --smoke --format=json", "run");
+}
+
+TEST(BenchSmoke, DoublingPrintsNoRowTwice) {
+  // E5 sweeps N = 64, 128; --smoke clamps both to 16, which must run once.
+  const std::string base = work_dir() + "/doubling";
+  ASSERT_EQ(run_shell(bench() + " run doubling --smoke --format=csv --out=" +
+                      base + ".csv 2>" + base + ".log"),
+            0)
+      << read_file(base + ".log");
+  std::istringstream csv(read_file(base + ".csv"));
+  std::set<std::string> rows;
+  std::size_t lines = 0;
+  for (std::string line; std::getline(csv, line); ++lines) {
+    EXPECT_TRUE(rows.insert(line).second) << "repeated row: " << line;
+  }
+  EXPECT_GT(lines, 1u);
 }
 
 struct BenchPlumbing : testing::TestWithParam<std::string> {

@@ -1,8 +1,10 @@
 // The adversarial search subsystem (src/search): genome operator
 // determinism, hunt-trajectory bit-identity across repeats and pool sizes
-// (pinned by a golden digest), the shrinking minimizer's contract,
-// regression-scenario round-trip/replay, and the E13 external registration
-// hook.
+// (pinned by a golden digest), a journaled hunt running each distinct plan
+// once, the shrinking minimizer's contract and its windows against a copy
+// of the serial sweep, regression-scenario round-trip/replay, and the E13
+// external registration hook.
+#include "analysis/journal.hpp"
 #include "search/experiment.hpp"
 #include "search/hunt.hpp"
 #include "search/minimize.hpp"
@@ -12,6 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
+#include <filesystem>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -131,13 +139,60 @@ TEST(Hunt, SameSeedSameTrajectory) {
 TEST(Hunt, DigestIsInvariantAcrossPoolSizes) {
   // The whole trajectory — proposals, scores, winner, minimization — is
   // assembled on the driver thread and index-addressed, so the worker count
-  // can only change wall-clock time, never a byte of the result.
+  // can only change wall-clock time, never a byte of the result. Pools of 2
+  // and 3 cut the minimizer's windows short of the candidates left.
   const HuntSpec spec = tiny_spec();
   util::ThreadPool serial{1};
-  util::ThreadPool wide{4};
-  const HuntResult a = run_hunt(spec, &serial);
-  const HuntResult b = run_hunt(spec, &wide);
-  EXPECT_EQ(hunt_digest(a), hunt_digest(b));
+  const std::uint64_t expected = hunt_digest(run_hunt(spec, &serial));
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    util::ThreadPool pool{threads};
+    EXPECT_EQ(hunt_digest(run_hunt(spec, &pool)), expected)
+        << threads << " threads";
+  }
+}
+
+TEST(Hunt, JournalsEachDistinctPlanOnce) {
+  // A plan proposed twice runs once: the journal holds no (key, seed) pair
+  // twice, while the history keeps every proposal, each repeat carrying
+  // the evaluation of its first occurrence. Pinning N (as `lumen-bench
+  // hunt --n=8` does) leaves mutation fewer distinct plans to reach, so
+  // this hunt proposes some twice.
+  HuntSpec spec = tiny_spec();
+  spec.bounds.n_min = spec.bounds.n_max = spec.seed_plan.n;
+  const std::string path = testing::TempDir() + "search_test_journal." +
+                           std::to_string(::getpid()) + ".jsonl";
+  std::filesystem::remove(path);
+  std::atomic<std::size_t> cells_run{0};
+  analysis::CampaignControl control;
+  control.on_cell = [&](std::uint64_t) { ++cells_run; };
+  HuntResult result;
+  {
+    analysis::CampaignJournal journal(path);
+    ASSERT_TRUE(journal.ok());
+    control.journal = &journal;
+    result = run_hunt(spec, nullptr, control);
+  }
+  const analysis::JournalLoad load = analysis::load_journal(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(load.snapshot.has_value()) << load.error;
+  EXPECT_EQ(load.duplicate_cells, 0u);
+  EXPECT_EQ(load.snapshot->cell_count(), cells_run.load());
+  EXPECT_EQ(hunt_digest(result), hunt_digest(run_hunt(spec)));
+
+  std::map<std::string, const Evaluation*> first;
+  std::size_t repeats = 0;
+  for (const Evaluation& evaluation : result.history) {
+    const auto [it, inserted] =
+        first.try_emplace(plan_fingerprint(evaluation.plan), &evaluation);
+    if (inserted) continue;
+    ++repeats;
+    EXPECT_EQ(evaluation.plan, it->second->plan);
+    EXPECT_EQ(evaluation.score, it->second->score);
+    EXPECT_EQ(evaluation.metrics, it->second->metrics);
+    EXPECT_EQ(evaluation.failed, it->second->failed);
+  }
+  EXPECT_GT(repeats, 0u) << "the hunt no longer proposes a plan twice";
+  EXPECT_GE(cells_run.load(), first.size());
 }
 
 TEST(Hunt, GoldenDigestPinned) {
@@ -171,6 +226,152 @@ TEST(Hunt, ValidatorRejectsBadSpecs) {
 
 // ---------------------------------------------------------------------------
 // Minimizer.
+
+// The serial sweep the windowed minimizer replaced, kept as its oracle: the
+// same thirteen reductions in the same order, one candidate at a time.
+std::optional<AdversaryPlan> serial_reduction(const AdversaryPlan& plan,
+                                              const PlanBounds& bounds,
+                                              std::size_t op,
+                                              std::size_t index) {
+  constexpr std::size_t kDropCrashTime = 2;
+  if (op != kDropCrashTime && index > 0) return std::nullopt;
+  AdversaryPlan out = plan;
+  fault::FaultPlan& fault = out.fault;
+  switch (op) {
+    case 0:
+      if (plan.n / 2 < bounds.n_min || plan.n / 2 == plan.n) return {};
+      out.n = plan.n / 2;
+      return out;
+    case 1:
+      if (plan.n <= bounds.n_min) return {};
+      out.n = plan.n - 1;
+      return out;
+    case kDropCrashTime:
+      if (index >= fault.crash.times.size()) return {};
+      fault.crash.times.erase(fault.crash.times.begin() +
+                              static_cast<std::ptrdiff_t>(index));
+      return out;
+    case 3:
+      if (!fault.crash.active()) return {};
+      fault.crash = fault::CrashPlan{};
+      return out;
+    case 4:
+      if (fault.crash.count < 2) return {};
+      --fault.crash.count;
+      return out;
+    case 5:
+      if (!(fault.crash.rate > 0.0)) return {};
+      fault.crash.rate /= 2.0;
+      return out;
+    case 6:
+      if (!fault.light.active()) return {};
+      fault.light = fault::LightCorruptionPlan{};
+      return out;
+    case 7:
+      if (!(fault.light.probability > 0.0)) return {};
+      fault.light.probability /= 2.0;
+      return out;
+    case 8:
+      if (!fault.noise.active()) return {};
+      fault.noise = fault::SensorNoisePlan{};
+      return out;
+    case 9:
+      if (!(fault.noise.sigma > 0.0)) return {};
+      fault.noise.sigma /= 2.0;
+      return out;
+    case 10:
+      if (!(fault.noise.dropout > 0.0)) return {};
+      fault.noise.dropout = 0.0;
+      return out;
+    case 11:
+      if (plan.adversary == sched::AdversaryKind::kUniform) return {};
+      out.adversary = sched::AdversaryKind::kUniform;
+      return out;
+    case 12:
+      if (plan.scheduler == sim::SchedulerKind::kFsync ||
+          plan.activation == sched::ActivationKind::kRandomHalf) {
+        return {};
+      }
+      out.activation = sched::ActivationKind::kRandomHalf;
+      return out;
+    default:
+      return {};
+  }
+}
+
+MinimizeOutcome serial_minimize(const HuntSpec& spec, const Evaluation& winner) {
+  constexpr std::size_t kReductions = 13;
+  MinimizeOutcome outcome;
+  outcome.evaluation = winner;
+  if (winner.failed) return outcome;
+  const int target_rank = outcome_rank(winner.metrics.outcome);
+  bool improved = true;
+  while (improved && outcome.evaluations < spec.minimize_budget) {
+    improved = false;
+    for (std::size_t op = 0; op < kReductions; ++op) {
+      for (std::size_t index = 0;; ++index) {
+        if (outcome.evaluations >= spec.minimize_budget) return outcome;
+        std::optional<AdversaryPlan> candidate =
+            serial_reduction(outcome.evaluation.plan, spec.bounds, op, index);
+        if (!candidate.has_value()) break;
+        if (*candidate == outcome.evaluation.plan) break;
+        Evaluation trial = evaluate_plan(spec, *candidate, nullptr, {});
+        ++outcome.evaluations;
+        outcome.trail.push_back(trial);
+        const bool keeps_class =
+            !trial.failed &&
+            outcome_rank(trial.metrics.outcome) == target_rank;
+        if (keeps_class && trial.score >= winner.score) {
+          outcome.evaluation = std::move(trial);
+          ++outcome.accepted;
+          improved = true;
+          index = static_cast<std::size_t>(-1);
+        }
+      }
+    }
+  }
+  return outcome;
+}
+
+void expect_same_evaluation(const Evaluation& a, const Evaluation& b,
+                            const std::string& where) {
+  EXPECT_EQ(a.plan, b.plan) << where;
+  EXPECT_EQ(a.score, b.score) << where;
+  EXPECT_EQ(a.metrics, b.metrics) << where;
+  EXPECT_EQ(a.failed, b.failed) << where;
+}
+
+TEST(Minimize, WindowsReproduceTheSerialSweep) {
+  // Whatever the window width, the minimizer keeps exactly the serial
+  // sweep's trail, counts and result: discarded speculative candidates
+  // leave no trace but a journal record.
+  std::size_t accepted = 0;
+  for (const FitnessKind fitness :
+       {FitnessKind::kEpochs, FitnessKind::kOutcome,
+        FitnessKind::kMinSeparation}) {
+    HuntSpec spec = tiny_spec(fitness);
+    spec.minimize_budget = 24;
+    const HuntResult hunt = run_hunt(spec);
+    ASSERT_TRUE(hunt.best.has_value());
+    const MinimizeOutcome oracle = serial_minimize(spec, *hunt.best);
+    accepted += oracle.accepted;
+    for (const std::size_t threads : {1u, 2u, 3u, 4u, 7u}) {
+      const std::string where = std::string(to_string(fitness)) + ", " +
+                                std::to_string(threads) + " threads";
+      util::ThreadPool pool{threads};
+      const MinimizeOutcome windowed = minimize_plan(spec, *hunt.best, &pool);
+      EXPECT_EQ(windowed.evaluations, oracle.evaluations) << where;
+      EXPECT_EQ(windowed.accepted, oracle.accepted) << where;
+      ASSERT_EQ(windowed.trail.size(), oracle.trail.size()) << where;
+      for (std::size_t i = 0; i < oracle.trail.size(); ++i) {
+        expect_same_evaluation(windowed.trail[i], oracle.trail[i],
+                               where + ", trail " + std::to_string(i));
+      }
+      expect_same_evaluation(windowed.evaluation, oracle.evaluation, where);
+    }
+  }
+  EXPECT_GT(accepted, 0u) << "no fitness accepted a shrink step";
+}
 
 TEST(Minimize, PreservesTheOutcomeClassAndTheScoreFloor) {
   const HuntSpec spec = tiny_spec(FitnessKind::kOutcome);
