@@ -134,51 +134,12 @@ int usage(std::ostream& os, int code) {
         "  work <lease.json|->      execute one fabric lease (spawned by\n"
         "                           run --workers; \"-\" reads stdin)\n"
         "\n"
-        "run flags:\n"
-        "  --spec=FILE        load a ScenarioSpec JSON (overrides defaults)\n"
-        "  --ns=8,16,32       sweep sizes (fixed-N experiments use the first)\n"
-        "  --baseline-ns=...  comparator sweep sizes (E1)\n"
-        "  --runs=N           seeds per point\n"
-        "  --seed-base=S      run i uses seed S+i\n"
-        "  --algorithm=NAME   algorithm under test\n"
-        "  --family=NAME      default configuration family\n"
-        "  --shard=I/K        run seed indices i with i%K == I; merged\n"
-        "                     shards are bit-identical to an unsharded run\n"
-        "  --format=pretty|csv|json   reporter (default pretty)\n"
-        "  --out=FILE         write the report to FILE instead of stdout\n"
-        "  --save-spec=FILE   write the resolved spec JSON and continue\n"
-        "  --smoke            shrink the spec to a seconds-long sanity run\n"
-        "  --journal=FILE     append one durable JSONL record per finished\n"
-        "                     campaign cell (checkpoint for --resume)\n"
-        "  --resume=FILE      skip cells already recorded in FILE and merge\n"
-        "                     their metrics back (byte-identical to an\n"
-        "                     uninterrupted run); implies --journal=FILE\n"
-        "  --deadline-ms=T    per-run wall-clock watchdog (0 = off)\n"
-        "  --max-attempts=K   retries per hung/throwing cell (default 1)\n"
-        "  --retry-backoff-ms=B   base backoff between a cell's attempts\n"
-        "  --workers=K        distribute campaign cells across K crash-\n"
-        "                     tolerant `lumen-bench work` subprocesses via\n"
-        "                     fenced seed-range leases; the report is byte-\n"
-        "                     identical to an in-process run (0 = in-process)\n"
-        "  --fabric-dir=DIR   lease + shard-journal directory for --workers\n"
-        "  --lease-ttl-ms=T   reclaim a lease from a worker silent for T ms\n"
-        "  --chaos-kill=P     fault injection: SIGKILL a worker with\n"
-        "                     probability P after each finished cell\n"
-        "  --chaos-seed=S     deterministic chaos stream seed\n"
+        "`lumen-bench run --help` and `lumen-bench hunt --help` list each\n"
+        "command's flags.\n"
         "\n"
-        "hunt flags:\n"
-        "  --fitness=KIND     epochs|min-separation|outcome|all (default all)\n"
-        "  --algorithm=NAME   algorithm under attack (default async-log)\n"
-        "  --family=NAME      initial-configuration family\n"
-        "  --scheduler=K      seed plan scheduler (fsync|ssync|async)\n"
-        "  --n=N / --n-min / --n-max   swarm-size search range\n"
-        "  --seed=S           hunt seed (drives the whole trajectory)\n"
-        "  --budget=K         search-loop evaluation budget\n"
-        "  --minimize-budget=K  shrinking-minimizer evaluation budget\n"
-        "  --emit-dir=DIR     write each minimized winner as a regression\n"
-        "                     scenario JSON (the scenarios/adversarial/ form)\n"
-        "  --journal/--resume checkpointing, exactly as for run\n"
-        "  --smoke            shrink budgets to a seconds-long sanity hunt\n"
+        "exit codes: 0 no claim check failed, 1 a claim check failed (hunt:\n"
+        "some fitness had no successful evaluation), 2 usage/spec error,\n"
+        "3 interrupted.\n"
         "\n"
         "SIGINT/SIGTERM drain in-flight cells (and, under --workers, the\n"
         "worker fleet), flush the journal and the partial report, and exit\n"
@@ -363,7 +324,11 @@ int cmd_run(const std::vector<std::string>& raw_args) {
     std::cerr << "error: " << cli.error() << "\n";
     return 2;
   }
-  if (cli.help_requested()) return usage(std::cout, 0);
+  if (cli.help_requested()) {
+    std::cout << cli.usage("lumen-bench run <experiment|all>",
+                           "run one experiment (or every one)");
+    return 0;
+  }
   if (cli.positional().empty()) {
     std::cerr << "error: run needs an experiment name (or `all`)\n";
     return 2;
@@ -526,7 +491,11 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
     std::cerr << "error: " << cli.error() << "\n";
     return 2;
   }
-  if (cli.help_requested()) return usage(std::cout, 0);
+  if (cli.help_requested()) {
+    std::cout << cli.usage("lumen-bench hunt",
+                           "adversarial search for worst-case plans");
+    return 0;
+  }
 
   // Which fitness functions to hunt.
   std::vector<search::FitnessKind> kinds;
@@ -652,6 +621,9 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
 
   bool all_found = true;
   bool interrupted = false;
+  // The hunts share one memo, so a cell one fitness's hunt ran is never run
+  // again for another (each hunt's result is the same as on its own).
+  search::EvaluationMemo memo;
   for (const search::FitnessKind fitness : kinds) {
     search::HuntSpec spec = base;
     spec.fitness = fitness;
@@ -660,7 +632,8 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
       std::cerr << "error: invalid hunt spec: " << invalid << "\n";
       return 2;
     }
-    const search::HuntResult result = search::run_hunt(spec, nullptr, io.control);
+    const search::HuntResult result =
+        search::run_hunt(spec, nullptr, io.control, &memo);
     if (!result.error.empty()) {
       std::cerr << "error: " << result.error << "\n";
       return 2;

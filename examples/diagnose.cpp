@@ -86,7 +86,8 @@ int main(int argc, char** argv) {
     key += to_string(action.light);
     key += action.moves() ? "+move" : "";
     if (view.role == core::Role::kInterior) {
-      const auto plans = core::plan_exits(view, view.self());
+      std::vector<core::ExitPlan> plans;
+      core::GateTable(view).plan_exits(view.self(), plans);
       key += plans.empty() ? "/no-perp-plan" : "/plans:" + std::to_string(plans.size());
     }
     ++census[key];

@@ -5,8 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <limits>
+#include <numbers>
+#include <utility>
 
 namespace lumen::core {
 
@@ -147,14 +148,52 @@ double GateTable::bound_slack(Vec2 p, double extent) const noexcept {
   return 0x1p-40 * (m + extent) + std::numeric_limits<double>::min();
 }
 
-double GateTable::nearest_edge_distance(Vec2 p) const noexcept {
-  const double slack = bound_slack(p, 0.0);
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < edges_.size(); ++k) {
-    if (distance_bound(k, p, slack) >= best) continue;
-    best = std::min(best, geom::point_segment_distance(edges_[k], p));
+namespace {
+
+/// Position in [0, count) of the edge nearest to p among edge(k_of(0)),
+/// ..., edge(k_of(count - 1)), scanned in that order (count when none is
+/// finitely near), and its distance. A later edge wins only when strictly
+/// nearer, and an edge whose certified bound is not below the best so far
+/// cannot be, so it is skipped without the exact distance.
+template <typename EdgeOf>
+std::pair<std::size_t, double> nearest_of(const GateTable& table, Vec2 p,
+                                          std::size_t count, EdgeOf k_of) noexcept {
+  const double slack = table.bound_slack(p, 0.0);
+  std::size_t best = count;
+  double best_dist = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t k = k_of(i);
+    if (table.distance_bound(k, p, slack) >= best_dist) continue;
+    const double d = geom::point_segment_distance(table.edge(k), p);
+    if (d < best_dist) {
+      best = i;
+      best_dist = d;
+    }
   }
-  return best;
+  return {best, best_dist};
+}
+
+}  // namespace
+
+std::optional<GateEdge> GateTable::nearest_edge(Vec2 p) const noexcept {
+  const auto [k, d] = nearest_of(*this, p, edges_.size(), [](std::size_t e) { return e; });
+  if (k == edges_.size()) return std::nullopt;
+  const std::vector<std::size_t>& hull = view_->hull;
+  return GateEdge{hull[k], hull[(k + 1) % hull.size()], edges_[k].a, edges_[k].b, d, k};
+}
+
+std::optional<GateEdge> GateTable::nearest_gate(Vec2 p) const noexcept {
+  const auto [i, d] = nearest_of(*this, p, gates_.size(),
+                                 [this](std::size_t g) { return gates_[g].gate.k; });
+  if (i == gates_.size()) return std::nullopt;
+  GateEdge gate = gates_[i].gate;
+  gate.distance = d;
+  return gate;
+}
+
+double GateTable::nearest_edge_distance(Vec2 p) const noexcept {
+  const auto edge = nearest_edge(p);
+  return edge ? edge->distance : std::numeric_limits<double>::infinity();
 }
 
 void GateTable::plan_exits(Vec2 from, std::vector<ExitPlan>& plans) const {
@@ -172,10 +211,12 @@ void GateTable::plan_exits(Vec2 from, std::vector<ExitPlan>& plans) const {
   });
 }
 
-std::vector<ExitPlan> plan_exits(const LocalView& view, Vec2 from) {
-  std::vector<ExitPlan> plans;
-  GateTable(view).plan_exits(from, plans);
-  return plans;
+std::optional<ExitPlan> insertion_plan(const LocalView& view,
+                                       const std::optional<GateEdge>& gate) {
+  if (!gate || gate_blocked_by_closer_robot(view, *gate)) return std::nullopt;
+  const auto target = interior_insertion_target(view, *gate);
+  if (!target) return std::nullopt;
+  return ExitPlan{*gate, *target, geom::distance(view.self(), *target)};
 }
 
 std::optional<Vec2> side_popout_target(const LocalView& view, const GateEdge& gate) {

@@ -24,7 +24,6 @@
 
 #include <cmath>
 #include <optional>
-#include <span>
 #include <vector>
 
 namespace lumen::core {
@@ -51,17 +50,17 @@ struct TableGate {
   geom::Vec2 n{};      ///< Outward normal: points away from the hull-vertex mean.
 };
 
-/// Everything the ASYNC exit planner and its arbitration read from one view,
-/// derived once per Compute (DESIGN §4.1.1): the eligible gates — hull edges
-/// with both endpoints Corner-lit, neither the observer — in hull order; the
-/// line of every hull edge, for certified distance lower bounds; and the
-/// longest edge. The table borrows the view, which must outlive it.
+/// The one home of gate geometry, derived once per Compute (DESIGN §4.1.1):
+/// the eligible gates — hull edges with both endpoints Corner-lit, neither
+/// the observer — in hull order; the line of every hull edge, for certified
+/// distance lower bounds; and the longest edge. async-log's planner,
+/// arbitration and fallback and both baselines' gate picks read it. The
+/// table borrows the view, which must outlive it.
 class GateTable {
  public:
   explicit GateTable(const LocalView& view);
 
   [[nodiscard]] const LocalView& view() const noexcept { return *view_; }
-  [[nodiscard]] std::span<const TableGate> gates() const noexcept { return gates_; }
   /// Number of hull edges; 0 when the hull has fewer than three vertices.
   [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }
   /// Hull edge k: from hull[k] to hull[(k + 1) % h].
@@ -83,14 +82,28 @@ class GateTable {
     return std::fabs(u.x * (p.y - e.a.y) - u.y * (p.x - e.a.x)) - slack;
   }
 
-  /// Distance from p to the nearest hull edge (+inf without edges): the
-  /// minimum of point_segment_distance over every edge, the scalar the
-  /// fallback serialization orders robots by. Edges whose distance_bound
-  /// is not below the best distance so far cannot lower it and are skipped.
+  /// The hull edge nearest to p, with `distance` = its point_segment_distance
+  /// from p; the first in hull order on ties, empty without edges. Edges
+  /// whose distance_bound is not below the best distance so far cannot win
+  /// and are skipped.
+  [[nodiscard]] std::optional<GateEdge> nearest_edge(geom::Vec2 p) const noexcept;
+
+  /// The same query over the eligible gates only.
+  [[nodiscard]] std::optional<GateEdge> nearest_gate(geom::Vec2 p) const noexcept;
+
+  /// nearest_edge(p)'s distance (+inf without edges): the scalar the
+  /// fallback serialization and seq-baseline's candidate test order robots by.
   [[nodiscard]] double nearest_edge_distance(geom::Vec2 p) const noexcept;
 
-  /// The exit plans for a robot at `from` (the contract of plan_exits),
-  /// written to `plans`, which is cleared first.
+  /// The ASYNC algorithm's exit planner, usable both for the observer itself
+  /// and for MODELLING a rival's intention (`from` = the rival's position).
+  /// Candidate gates are the eligible gates whose PERPENDICULAR foot from
+  /// `from` lands comfortably inside the edge (t in [0.08, 0.92]); plans are
+  /// written to `plans` (cleared first) nearest-gate-first. The target sits
+  /// on the planner's own column (straight perpendicular approach), so
+  /// concurrent exits at one edge follow parallel, non-crossing paths, at
+  /// heights bounded by the adjacent-edge wedge (every old corner stays a
+  /// corner).
   void plan_exits(geom::Vec2 from, std::vector<ExitPlan>& plans) const;
 
  private:
@@ -102,18 +115,13 @@ class GateTable {
   double max_coord_ = 0.0;
 };
 
-/// The ASYNC algorithm's exit planner, usable both for the observer itself
-/// and for MODELLING a rival's intention (`from` = the rival's position).
-/// Candidate gates are the hull edges with both endpoints Corner-lit whose
-/// PERPENDICULAR foot from `from` lands comfortably inside the edge
-/// (t in [0.08, 0.92]); plans come back nearest-gate-first. The target sits
-/// on the observer's own column (straight perpendicular approach), so
-/// concurrent exits at one edge follow parallel, non-crossing paths, at
-/// heights bounded by the adjacent-edge wedge (every old corner stays a
-/// corner). Builds the view's GateTable and plans with it; callers planning
-/// for many robots of one view build the table once.
-[[nodiscard]] std::vector<ExitPlan> plan_exits(const LocalView& view,
-                                               geom::Vec2 from);
+/// The λ-squash insertion through `gate` for the view's observer, the rule
+/// all three algorithms share (DESIGN §4.3): empty without a gate, when a
+/// robot sits strictly inside (observer, c1, c2)
+/// (gate_blocked_by_closer_robot), or when interior_insertion_target is
+/// degenerate.
+[[nodiscard]] std::optional<ExitPlan> insertion_plan(
+    const LocalView& view, const std::optional<GateEdge>& gate);
 
 /// Pop-out point for a SIDE observer sitting on `gate`'s open interior:
 /// straight out along the edge's outward normal (a perpendicular path, so

@@ -152,31 +152,6 @@ std::optional<ExitPlan> first_clear_plan(const GateTable& table, std::size_t sub
   return std::nullopt;
 }
 
-/// Fallback for the rare observer whose perpendicular foot misses the
-/// central band of EVERY eligible edge (it sits in the notch behind a hull
-/// vertex): the diagonal lambda-squash insertion at the nearest eligible
-/// gate. Diagonal paths are not modellable by rivals, so fallback flights
-/// are serialized globally by the caller.
-std::optional<ExitPlan> fallback_plan(const GateTable& table) {
-  const LocalView& view = table.view();
-  std::optional<GateEdge> best;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (const TableGate& g : table.gates()) {
-    const double d = geom::point_segment_distance(
-        geom::Segment{g.gate.c1, g.gate.c2}, view.self());
-    if (d < best_dist) {
-      best_dist = d;
-      best = g.gate;
-      best->distance = d;
-    }
-  }
-  if (!best) return std::nullopt;
-  if (gate_blocked_by_closer_robot(view, *best)) return std::nullopt;
-  const auto target = interior_insertion_target(view, *best);
-  if (!target) return std::nullopt;
-  return ExitPlan{*best, *target, geom::distance(view.self(), *target)};
-}
-
 /// The arbitration prefilter's skip test,
 ///   gap > (table.nearest_edge_distance(p) + quarter_edge) + slack,
 /// decided without the O(h) exact minimum. The minimum is >= 0, so
@@ -271,8 +246,11 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
       const GateTable table(view);
       std::vector<ExitPlan> plans;
       auto plan = first_clear_plan(table, 0, plans);
+      // Fallback for the rare observer whose perpendicular foot misses the
+      // central band of EVERY eligible gate (it sits in the notch behind a
+      // hull vertex): the diagonal λ-squash insertion at the nearest gate.
       const bool fallback = !plan.has_value();
-      if (fallback) plan = fallback_plan(table);
+      if (fallback) plan = insertion_plan(view, table.nearest_gate(view.self()));
       if (!plan) {
         // No eligible gate right now (or all corridors blocked): withdraw
         // any stale intent so rivals stop yielding to it.

@@ -2,40 +2,11 @@
 
 #include "core/beacon.hpp"
 #include "core/view.hpp"
-#include "geom/segment.hpp"
-
-#include <limits>
 
 namespace lumen::core {
 
 using model::Action;
 using model::Light;
-
-namespace {
-
-/// Nearest hull edge not incident to the observer. Unlike the ASYNC
-/// algorithm, endpoints need not be Corner-lit: atomic rounds make hull
-/// vertices trustworthy anchors by themselves.
-std::optional<GateEdge> nearest_gate(const LocalView& view) {
-  const std::size_t h = view.hull.size();
-  if (h < 3) return std::nullopt;
-  std::optional<GateEdge> best;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t i1 = view.hull[k];
-    const std::size_t i2 = view.hull[(k + 1) % h];
-    if (i1 == 0 || i2 == 0) continue;
-    const geom::Segment e{view.pts[i1], view.pts[i2]};
-    const double d = geom::point_segment_distance(e, view.self());
-    if (d < best_dist) {
-      best_dist = d;
-      best = GateEdge{i1, i2, e.a, e.b, d, k};
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 Action SsyncParallel::compute(const model::Snapshot& snap) const {
   const LocalView view = build_view(snap);
@@ -58,14 +29,11 @@ Action SsyncParallel::compute(const model::Snapshot& snap) const {
     }
 
     case Role::kInterior: {
-      const auto gate = nearest_gate(view);
-      if (!gate) return Action::stay(Light::kInterior);
-      if (gate_blocked_by_closer_robot(view, *gate)) {
-        return Action::stay(Light::kInterior);
-      }
-      const auto target = interior_insertion_target(view, *gate);
-      if (!target) return Action::stay(Light::kInterior);
-      return Action::move_to(*target, Light::kTransit);
+      // The nearest hull edge, Corner-lit or not: atomic rounds make hull
+      // vertices trustworthy anchors by themselves.
+      const auto plan = insertion_plan(view, GateTable(view).nearest_edge(view.self()));
+      if (!plan) return Action::stay(Light::kInterior);
+      return Action::move_to(plan->target, Light::kTransit);
     }
   }
   return Action::stay(snap.self_light);

@@ -5,7 +5,10 @@
 // needed: every eligible non-corner robot can move at once. This class is
 // the cv_async rule set with every Transit-based deferral removed — the
 // algorithm whose naive ASYNC translation the paper's baseline (and our
-// SequentialAsyncBaseline) represents.
+// SequentialAsyncBaseline) represents. It shares their geometry through
+// the same calls: an interior robot takes insertion_plan at the GateTable's
+// nearest_edge (any hull edge: atomic rounds make hull vertices anchors
+// without a Corner light).
 //
 // Two uses in the benches:
 //  * under FSYNC/SSYNC it converges in few rounds (the speed reference);

@@ -57,6 +57,9 @@ analysis::ExperimentResult run_adversarial_hunt(
 
   bool all_found = true;
   bool hunt_at_least_tail = true;
+  // One memo for every baseline and hunt below: the fitnesses share the
+  // baseline samples, and the two audited fitnesses share their cells.
+  EvaluationMemo memo;
   for (const FitnessKind fitness : all_fitness_kinds()) {
     if (ctx.stop_requested()) {
       result.partial = true;
@@ -81,7 +84,7 @@ analysis::ExperimentResult run_adversarial_hunt(
       samples.push_back(random_plan(hunt.seed_plan, hunt.bounds, baseline_rng));
     }
     const std::vector<Evaluation> baseline =
-        evaluate_plans(hunt, samples, ctx.pool, ctx.control);
+        evaluate_plans(hunt, samples, ctx.pool, ctx.control, &memo);
     double baseline_sum = 0.0;
     double baseline_worst = 0.0;
     std::size_t baseline_ok = 0;
@@ -108,7 +111,7 @@ analysis::ExperimentResult run_adversarial_hunt(
     }
     if (baseline_best != nullptr) hunt.seed_plan = baseline_best->plan;
 
-    const HuntResult hunted = run_hunt(hunt, ctx.pool, ctx.control);
+    const HuntResult hunted = run_hunt(hunt, ctx.pool, ctx.control, &memo);
     if (hunted.stopped) result.partial = true;
     if (!hunted.best.has_value()) {
       all_found = false;

@@ -1,5 +1,6 @@
 #include "search/hunt.hpp"
 
+#include "analysis/journal.hpp"
 #include "search/minimize.hpp"
 #include "util/json.hpp"
 
@@ -13,6 +14,18 @@ namespace lumen::search {
 namespace {
 
 constexpr double kFailedScore = std::numeric_limits<double>::lowest();
+
+/// The EvaluationMemo key of the cell `plan` projects to.
+std::string cell_key(const HuntSpec& spec, const AdversaryPlan& plan) {
+  return analysis::campaign_key(hunt_scenario(spec, plan).campaign(plan.n)) + '/' +
+         std::to_string(plan.seed);
+}
+
+/// A successful evaluation of `plan` whose cell produced `metrics`.
+Evaluation evaluation_of(const HuntSpec& spec, const AdversaryPlan& plan,
+                         const analysis::RunMetrics& metrics) {
+  return Evaluation{plan, metrics, fitness_score(spec.fitness, metrics), false};
+}
 
 bool stop_requested(const analysis::CampaignControl& control) {
   return control.stop != nullptr &&
@@ -169,20 +182,10 @@ analysis::ScenarioSpec hunt_scenario(const HuntSpec& spec,
 Evaluation evaluate_plan(const HuntSpec& spec, const AdversaryPlan& plan,
                          util::ThreadPool* pool,
                          const analysis::CampaignControl& control) {
-  Evaluation evaluation;
-  evaluation.plan = plan;
-  const analysis::CampaignSpec campaign =
-      hunt_scenario(spec, plan).campaign(plan.n);
   const analysis::CampaignResult result =
-      analysis::run_campaign(campaign, pool, control);
-  if (result.runs.size() == 1) {
-    evaluation.metrics = result.runs.front();
-    evaluation.score = fitness_score(spec.fitness, evaluation.metrics);
-  } else {
-    evaluation.failed = true;
-    evaluation.score = kFailedScore;
-  }
-  return evaluation;
+      analysis::run_campaign(hunt_scenario(spec, plan).campaign(plan.n), pool, control);
+  if (result.runs.size() == 1) return evaluation_of(spec, plan, result.runs.front());
+  return Evaluation{plan, {}, kFailedScore, true};
 }
 
 std::vector<Evaluation> evaluate_plans(const HuntSpec& spec,
@@ -194,17 +197,17 @@ std::vector<Evaluation> evaluate_plans(const HuntSpec& spec,
   EvaluationMemo local;
   EvaluationMemo& known = memo != nullptr ? *memo : local;
   std::vector<Evaluation> out(plans.size());
-  // source[i]: the first slot of the batch holding plans[i]; `fresh` lists
-  // the first slots whose plan the memo lacks — the only ones that run.
+  // source[i]: the first slot of the batch holding plans[i]'s cell; `fresh`
+  // lists the first slots whose cell the memo lacks — the only ones that run.
   std::vector<std::string> keys(plans.size());
   std::vector<std::size_t> source(plans.size());
   std::vector<std::size_t> fresh;
   std::unordered_map<std::string_view, std::size_t> first;
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    keys[i] = plan_fingerprint(plans[i]);
+    keys[i] = cell_key(spec, plans[i]);
     source[i] = i;
     if (const auto hit = known.find(keys[i]); hit != known.end()) {
-      out[i] = hit->second;
+      out[i] = evaluation_of(spec, plans[i], hit->second);
       continue;
     }
     const auto [slot, inserted] = first.try_emplace(keys[i], i);
@@ -218,28 +221,32 @@ std::vector<Evaluation> evaluate_plans(const HuntSpec& spec,
     out[fresh[k]] = evaluate_plan(spec, plans[fresh[k]], &workers, control);
   });
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    if (source[i] != i) out[i] = out[source[i]];
+    if (source[i] == i) continue;
+    out[i] = out[source[i]];
+    out[i].plan = plans[i];
   }
   for (const std::size_t i : fresh) {
-    if (!out[i].failed) known.emplace(keys[i], out[i]);
+    if (!out[i].failed) known.emplace(keys[i], out[i].metrics);
   }
   return out;
 }
 
 HuntResult run_hunt(const HuntSpec& spec, util::ThreadPool* pool,
-                    const analysis::CampaignControl& control) {
+                    const analysis::CampaignControl& control,
+                    EvaluationMemo* memo) {
   HuntResult result;
   result.spec = spec;
   result.error = validate_hunt_spec(spec);
   if (!result.error.empty()) return result;
 
   util::ThreadPool& workers = pool != nullptr ? *pool : util::global_pool();
-  EvaluationMemo memo;
-  run_mu_plus_lambda(result, spec, workers, control, memo);
+  EvaluationMemo local;
+  EvaluationMemo& known = memo != nullptr ? *memo : local;
+  run_mu_plus_lambda(result, spec, workers, control, known);
 
   if (result.best.has_value() && !result.stopped) {
     MinimizeOutcome minimized =
-        minimize_plan(spec, *result.best, &workers, control, &memo);
+        minimize_plan(spec, *result.best, &workers, control, &known);
     result.minimize_evals = minimized.evaluations;
     result.minimize_accepted = minimized.accepted;
     for (Evaluation& evaluation : minimized.trail) {

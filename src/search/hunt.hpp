@@ -10,10 +10,11 @@
 // evaluation starts, the whole trajectory — every plan proposed, every
 // score observed, the best and the minimized plan — is bit-identical for
 // any pool size, pinned by a golden digest in tests/search_test.cpp. The
-// same purity lets a hunt run each distinct plan once: a plan proposed
+// same purity lets a process run each distinct cell once: a plan proposed
 // again (a no-op mutation, a crossover of equal parents, a minimizer
-// candidate retried after a sweep) takes the recorded evaluation from the
-// hunt's EvaluationMemo instead of running its cell again.
+// candidate retried after a sweep, or a cell another fitness's hunt already
+// ran) takes the recorded metrics from an EvaluationMemo, re-scored for the
+// hunt's fitness, instead of running its cell again.
 //
 // Evaluations reuse the campaign resilience hooks verbatim: pass a
 // CampaignControl with a journal and resume snapshot and a killed hunt
@@ -104,11 +105,14 @@ struct HuntResult {
 [[nodiscard]] analysis::ScenarioSpec hunt_scenario(const HuntSpec& spec,
                                                    const AdversaryPlan& plan);
 
-/// The successful evaluations one hunt has run, keyed by plan_fingerprint
-/// (every plan field, doubles printed with %.17g, so equal keys mean equal
-/// plans). Failed evaluations are never kept: a deadline, an exception or
-/// a stop is not a pure function of the plan.
-using EvaluationMemo = std::unordered_map<std::string, Evaluation>;
+/// The metrics of every cell that finished successfully in this process,
+/// keyed by the cell a plan projects to: the campaign_key of
+/// hunt_scenario(spec, plan) plus the plan's seed. A hit is re-scored for
+/// the asking hunt's fitness, so hunts of different fitnesses whose specs
+/// project a plan onto the same cell share it (min-separation and outcome
+/// both audit collisions). Failed evaluations are never kept: a deadline,
+/// an exception or a stop is not a pure function of the cell.
+using EvaluationMemo = std::unordered_map<std::string, analysis::RunMetrics>;
 
 /// Evaluates one plan: always runs its single-cell campaign on the caller
 /// thread, with no memo (the pool only feeds the in-run SYNC fan-out when
@@ -118,14 +122,14 @@ using EvaluationMemo = std::unordered_map<std::string, Evaluation>;
                                        util::ThreadPool* pool,
                                        const analysis::CampaignControl& control);
 
-/// Evaluates a pre-assembled batch, index-addressed. Each distinct plan
+/// Evaluates a pre-assembled batch, index-addressed. Each distinct cell
 /// that `memo` does not hold runs once, over the pool; a repeat within the
-/// batch or a memo hit is copied into its slot and runs no cell (so it
-/// writes no journal record and fires no on_cell). Successful new
-/// evaluations join `memo`. The result is identical for any pool size and
-/// memo content (E13's uniform-sampling baseline, the hunt loop and the
-/// minimizer's windows all ride this). nullptr pool -> util::global_pool();
-/// nullptr memo -> a memo local to this call.
+/// batch or a memo hit is scored into its slot, with its own plan, and runs
+/// no cell (so it writes no journal record and fires no on_cell).
+/// Successful new cells join `memo`. The result is identical for any pool
+/// size and memo content (E13's uniform-sampling baseline, the hunt loop and
+/// the minimizer's windows all ride this). nullptr pool ->
+/// util::global_pool(); nullptr memo -> a memo local to this call.
 [[nodiscard]] std::vector<Evaluation> evaluate_plans(
     const HuntSpec& spec, const std::vector<AdversaryPlan>& plans,
     util::ThreadPool* pool = nullptr,
@@ -133,12 +137,15 @@ using EvaluationMemo = std::unordered_map<std::string, Evaluation>;
     EvaluationMemo* memo = nullptr);
 
 /// Runs the full hunt: the (μ+λ) loop, then minimization of the winner,
-/// both through one EvaluationMemo. nullptr pool -> util::global_pool().
+/// both through one EvaluationMemo — `memo`, which the caller may share
+/// across hunts, or one local to this hunt when nullptr. The result does not
+/// depend on the memo's content. nullptr pool -> util::global_pool().
 /// Control hooks work exactly as in run_campaign (journal / resume /
 /// cooperative stop).
 [[nodiscard]] HuntResult run_hunt(const HuntSpec& spec,
                                   util::ThreadPool* pool = nullptr,
-                                  const analysis::CampaignControl& control = {});
+                                  const analysis::CampaignControl& control = {},
+                                  EvaluationMemo* memo = nullptr);
 
 /// FNV-1a digest over the full trajectory (every plan fingerprint, score
 /// and outcome, plus the minimized plan): the constant tests pin to assert

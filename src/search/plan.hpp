@@ -8,11 +8,11 @@
 // fitness evaluation is a deterministic, journalable unit of work — the
 // same contract campaigns already have.
 //
-// A plan's compact JSON form (plan_fingerprint) is its digest key and the
-// key of a hunt's EvaluationMemo (hunt.hpp), and the seeded mutation /
-// crossover operators are pure functions of (input plans, bounds, rng
-// state): a hunt's whole trajectory replays bit-identically from its seed
-// (tests/search_test.cpp).
+// A plan's compact JSON form (plan_fingerprint) is its digest key (the
+// EvaluationMemo in hunt.hpp keys the cell a plan projects to), and the
+// seeded mutation / crossover operators are pure functions of (input plans,
+// bounds, rng state): a hunt's whole trajectory replays bit-identically
+// from its seed (tests/search_test.cpp).
 #pragma once
 
 #include "fault/plan.hpp"
@@ -83,7 +83,7 @@ void clamp_plan(AdversaryPlan& plan, const PlanBounds& bounds);
                                       const AdversaryPlan& b, util::Prng& rng);
 
 /// Compact single-line JSON form (fixed key order; the fault object always
-/// present) — the dedup/digest key for a plan.
+/// present) — the digest key for a plan.
 [[nodiscard]] std::string plan_fingerprint(const AdversaryPlan& plan);
 
 }  // namespace lumen::search

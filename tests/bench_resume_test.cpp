@@ -120,6 +120,19 @@ TEST(BenchSmoke, DoublingPrintsNoRowTwice) {
   EXPECT_GT(lines, 1u);
 }
 
+TEST(BenchHelp, HuntHelpNamesEveryFlagItAccepts) {
+  // `hunt --help` prints the command's own declared flags, so a flag the
+  // parser accepts cannot be missing from its help.
+  const std::string base = work_dir() + "/hunt-help";
+  ASSERT_EQ(run_shell(bench() + " hunt --help >" + base + ".txt 2>&1"), 0)
+      << read_file(base + ".txt");
+  const std::string help = read_file(base + ".txt");
+  for (const char* flag : {"--adversary", "--activation", "--population",
+                           "--offspring", "--max-cycles", "--out"}) {
+    EXPECT_NE(help.find(flag), std::string::npos) << flag << " missing from:\n" << help;
+  }
+}
+
 struct BenchPlumbing : testing::TestWithParam<std::string> {
   std::string command() const {
     return GetParam() == "run" ? " run collisions --smoke --format=json" : " hunt --smoke";

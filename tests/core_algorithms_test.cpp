@@ -14,7 +14,9 @@
 #include "util/prng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 
@@ -276,7 +278,9 @@ std::optional<ExitPlan> first_clear_plan(const LocalView& view, std::size_t subj
   }
   const double corridor =
       std::isfinite(nearest_sq) ? 0.05 * std::sqrt(nearest_sq) : 0.0;
-  for (const ExitPlan& plan : plan_exits(view, from)) {
+  std::vector<ExitPlan> plans;
+  GateTable(view).plan_exits(from, plans);
+  for (const ExitPlan& plan : plans) {
     const geom::Segment path{from, plan.target};
     bool clear = true;
     for (std::size_t i = 0; i < view.pts.size() && clear; ++i) {
@@ -288,7 +292,7 @@ std::optional<ExitPlan> first_clear_plan(const LocalView& view, std::size_t subj
   return std::nullopt;
 }
 
-std::optional<ExitPlan> fallback_plan(const LocalView& view) {
+std::optional<ExitPlan> diagonal_plan(const LocalView& view) {
   const std::size_t h = view.hull.size();
   if (h < 3) return std::nullopt;
   std::optional<GateEdge> best;
@@ -324,7 +328,7 @@ double nearest_edge_distance(const LocalView& view, Vec2 p) {
 Action interior(const LocalView& view, Light self_light) {
   auto plan = first_clear_plan(view, 0);
   const bool fallback = !plan.has_value();
-  if (fallback) plan = fallback_plan(view);
+  if (fallback) plan = diagonal_plan(view);
   if (!plan) return Action::stay(Light::kInterior);
   if (self_light != Light::kTransit) return Action::stay(Light::kTransit);
   if (fallback) {
@@ -496,7 +500,7 @@ TEST(CvAsync, PrunedArbitrationMatchesUnprunedOracle) {
       const Action expected = oracle::interior(view, self);
       const Action actual = algo.compute(snap);
       ++compared;
-      if (!oracle::first_clear_plan(view, 0) && oracle::fallback_plan(view)) ++fallbacks;
+      if (!oracle::first_clear_plan(view, 0) && oracle::diagonal_plan(view)) ++fallbacks;
       EXPECT_EQ(actual.light, expected.light) << "scale " << scale << " trial " << trial;
       EXPECT_EQ(actual.target.x, expected.target.x) << "scale " << scale << " trial " << trial;
       EXPECT_EQ(actual.target.y, expected.target.y) << "scale " << scale << " trial " << trial;
@@ -643,6 +647,48 @@ TEST(SsyncParallel, MovesWithoutHandshake) {
                     {{0, 6}, Light::kOff}}));
   EXPECT_TRUE(a.moves());
   EXPECT_EQ(a.light, Light::kTransit);
+}
+
+// --- one insertion rule for all three ----------------------------------------
+
+TEST(SharedInsertion, NotchViewLandsAllThreeOnOneTarget) {
+  // A robot in the notch behind a square's corner: its perpendicular foot
+  // misses the central band of every edge, so async-log falls back to the
+  // λ-squash insertion at the nearest gate. With every hull vertex
+  // Corner-lit, that is the gate seq-baseline and ssync-parallel pick too,
+  // and all three land on one target, bit for bit (DESIGN §4.3). The two
+  // parked robots are farther from the boundary and off the gate triangle.
+  const std::vector<SnapshotEntry> visible = {{{-0.3, -0.4}, Light::kCorner},
+                                              {{9.7, -0.4}, Light::kCorner},
+                                              {{9.7, 9.6}, Light::kCorner},
+                                              {{-0.3, 9.6}, Light::kCorner},
+                                              {{4.7, 4.6}, Light::kOff},
+                                              {{2.7, 6.6}, Light::kInterior}};
+  const Snapshot snap = make_snapshot(Light::kTransit, visible);
+  const LocalView view = build_view(snap);
+  ASSERT_EQ(view.role, Role::kInterior);
+  const GateTable table(view);
+  std::vector<ExitPlan> perpendicular;
+  table.plan_exits(view.self(), perpendicular);
+  ASSERT_TRUE(perpendicular.empty()) << "not a notch view";
+  const auto expected = insertion_plan(view, table.nearest_gate(view.self()));
+  ASSERT_TRUE(expected.has_value());
+
+  const Action async_log = CompleteVisibilityAsync().compute(snap);
+  const Action seq = SequentialAsyncBaseline().compute(snap);
+  const Action ssync = SsyncParallel().compute(snap);
+  ASSERT_TRUE(async_log.moves());
+  ASSERT_TRUE(seq.moves());
+  ASSERT_TRUE(ssync.moves());
+  EXPECT_EQ(async_log.light, Light::kMoving);
+  EXPECT_EQ(seq.light, Light::kTransit);
+  EXPECT_EQ(ssync.light, Light::kTransit);
+  for (const Action& a : {async_log, seq, ssync}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.target.x),
+              std::bit_cast<std::uint64_t>(expected->target.x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.target.y),
+              std::bit_cast<std::uint64_t>(expected->target.y));
+  }
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "geom/predicates.hpp"
 #include "geom/segment.hpp"
 #include "model/snapshot.hpp"
-#include "nearest_gate.hpp"
 #include "split_points.hpp"
 #include "util/prng.hpp"
 
@@ -50,7 +49,7 @@ TEST(InteriorInsertion, TargetOutsideGateKeepsHullStrict) {
   const std::vector<Vec2> world = {{5, 2}, {0, 0}, {10, 0}, {10, 10}, {0, 10}};
   const auto view = view_of(world, 0);
   ASSERT_EQ(view.role, Role::kInterior);
-  const auto gate = testutil::nearest_gate(view);
+  const auto gate = GateTable(view).nearest_edge(view.self());
   ASSERT_TRUE(gate.has_value());
   const auto target = interior_insertion_target(view, *gate);
   ASSERT_TRUE(target.has_value());
@@ -83,7 +82,7 @@ TEST(InteriorInsertion, RandomizedConvexityPreservation) {
     if (interior == world.size()) continue;
     const auto view = view_of(world, interior);
     if (view.role != Role::kInterior) continue;
-    const auto gate = testutil::nearest_gate(view);
+    const auto gate = GateTable(view).nearest_edge(view.self());
     if (!gate) continue;
     const auto target = interior_insertion_target(view, *gate);
     ASSERT_TRUE(target.has_value());
@@ -116,8 +115,8 @@ TEST(InteriorInsertion, DistinctMoversGetDistinctTargets) {
     world_b.insert(world_b.begin(), pb);
     const auto va = view_of(world_a, 0);
     const auto vb = view_of(world_b, 0);
-    const auto ga = testutil::nearest_gate(va);
-    const auto gb = testutil::nearest_gate(vb);
+    const auto ga = GateTable(va).nearest_edge(va.self());
+    const auto gb = GateTable(vb).nearest_edge(vb.self());
     if (!ga || !gb) continue;
     const auto ta = interior_insertion_target(va, *ga);
     const auto tb = interior_insertion_target(vb, *gb);
@@ -142,8 +141,8 @@ TEST(InteriorInsertion, ProjectionsBeyondEdgeEndsStillDistinct) {
   world_b.insert(world_b.begin(), Vec2{0.2, 0.35});
   const auto va = view_of(world_a, 0);
   const auto vb = view_of(world_b, 0);
-  const auto ga = testutil::nearest_gate(va);
-  const auto gb = testutil::nearest_gate(vb);
+  const auto ga = GateTable(va).nearest_edge(va.self());
+  const auto gb = GateTable(vb).nearest_edge(vb.self());
   ASSERT_TRUE(ga && gb);
   const auto ta = interior_insertion_target(va, *ga);
   const auto tb = interior_insertion_target(vb, *gb);
@@ -211,6 +210,13 @@ TEST(LineEscape, AloneStaysPut) {
   EXPECT_EQ(line_escape_target(view), (Vec2{}));
 }
 
+/// The observer's own exit plans, from a table built for this one call.
+std::vector<ExitPlan> own_plans(const LocalView& view) {
+  std::vector<ExitPlan> plans;
+  GateTable(view).plan_exits(view.self(), plans);
+  return plans;
+}
+
 TEST(PlanExits, PerpendicularPlansNearestFirstWithValidFeet) {
   // Square of Corner-lit anchors, observer near the bottom edge.
   const std::vector<Vec2> world = {{5, 2}, {0, 0}, {10, 0}, {10, 10}, {0, 10}};
@@ -219,7 +225,7 @@ TEST(PlanExits, PerpendicularPlansNearestFirstWithValidFeet) {
   const model::LocalFrame frame{world[0], 0.0, 1.0, false};
   const auto snap = testutil::snapshot_of(world, lights, 0, frame);
   const auto view = build_view(snap);
-  const auto plans = plan_exits(view, view.self());
+  const auto plans = own_plans(view);
   ASSERT_FALSE(plans.empty());
   // Nearest-first ordering.
   for (std::size_t i = 1; i < plans.size(); ++i) {
@@ -240,7 +246,7 @@ TEST(PlanExits, RequiresCornerLitAnchors) {
   const auto snap = testutil::snapshot_of(
       world, std::vector<Light>(world.size(), Light::kOff), 0, frame);
   const auto view = build_view(snap);
-  EXPECT_TRUE(plan_exits(view, view.self()).empty());
+  EXPECT_TRUE(own_plans(view).empty());
 }
 
 TEST(PlanExits, FootOutsideBandSkipsThatEdge) {
@@ -253,7 +259,7 @@ TEST(PlanExits, FootOutsideBandSkipsThatEdge) {
   const model::LocalFrame frame{world[0], 0.0, 1.0, false};
   const auto snap = testutil::snapshot_of(world, lights, 0, frame);
   const auto view = build_view(snap);
-  for (const auto& plan : plan_exits(view, view.self())) {
+  for (const auto& plan : own_plans(view)) {
     // Local frame: the bottom edge lies at y == -1.5.
     const bool is_bottom =
         std::fabs(plan.gate.c1.y + 1.5) < 1e-9 && std::fabs(plan.gate.c2.y + 1.5) < 1e-9;
@@ -282,7 +288,7 @@ TEST(PlanExits, TargetsExtendHullStrictly) {
     const auto snap = testutil::snapshot_of(world, lights, interior, frame);
     const auto view = build_view(snap);
     if (view.role != Role::kInterior) continue;
-    for (const auto& plan : plan_exits(view, view.self())) {
+    for (const auto& plan : own_plans(view)) {
       ++tested;
       std::vector<Vec2> extended = view.hull_points();
       extended.push_back(plan.target);
@@ -308,8 +314,9 @@ TEST(InteriorInsertion, DegenerateGateRejected) {
 // --- the gate table against the per-call planner ----------------------------
 
 // The exit planner as it was before the GateTable: every call re-derives each
-// gate's length, unit direction, witness and outward normal. plan_exits now
-// reads them from the table, so it must agree with this copy bit for bit.
+// gate's length, unit direction, witness and outward normal. GateTable's
+// plan_exits reads them from the table, so it must agree with this copy bit
+// for bit.
 namespace oracle {
 
 double tri(Vec2 a, Vec2 b, Vec2 c) {
@@ -353,7 +360,7 @@ std::optional<Vec2> perpendicular_target(const LocalView& view, const GateEdge& 
   return base + n * height;
 }
 
-std::vector<ExitPlan> plan_exits(const LocalView& view, Vec2 from) {
+std::vector<ExitPlan> per_call_plans(const LocalView& view, Vec2 from) {
   std::vector<ExitPlan> plans;
   const std::size_t h = view.hull.size();
   if (h < 3) return plans;
@@ -395,9 +402,9 @@ bool same_plan(const ExitPlan& a, const ExitPlan& b) {
 TEST(PlanExits, TableMatchesPerCallOracle) {
   // Random views — a ring of mostly Corner-lit anchors around interior
   // robots, a few outside the hull mid-flight — planned for EVERY robot in
-  // them, as arbitration models rivals: the table-driven planner, through
-  // the wrapper and through one table reused for all subjects, must return
-  // the per-call planner's plans bit for bit.
+  // them, as arbitration models rivals: the table-driven planner, through a
+  // table built per call and through one table reused for all subjects,
+  // must return the per-call planner's plans bit for bit.
   util::Prng rng{606};
   std::size_t compared = 0;
   std::size_t planned = 0;
@@ -429,8 +436,9 @@ TEST(PlanExits, TableMatchesPerCallOracle) {
       std::vector<ExitPlan> reused;
       for (std::size_t subject = 0; subject < view.count(); ++subject) {
         const Vec2 from = view.pts[subject];
-        const auto expected = oracle::plan_exits(view, from);
-        const auto wrapped = plan_exits(view, from);
+        const auto expected = oracle::per_call_plans(view, from);
+        std::vector<ExitPlan> wrapped;
+        GateTable(view).plan_exits(from, wrapped);
         table.plan_exits(from, reused);
         ASSERT_EQ(expected.size(), wrapped.size()) << "scale " << scale << " trial " << trial;
         ASSERT_EQ(expected.size(), reused.size()) << "scale " << scale << " trial " << trial;
@@ -496,6 +504,172 @@ TEST(GateTable, NearestEdgeDistanceMatchesFullScan) {
     }
   }
   EXPECT_GT(compared, 10000u);
+}
+
+// --- GateTable's gate picks against the per-edge scans they replaced --------
+
+namespace oracle {
+
+/// The per-edge scan the algorithms used to pick their gates with: the
+/// nearest hull edge not incident to the observer (only Corner-lit ones
+/// when `corner_lit_only`), the first in hull order on ties.
+std::optional<GateEdge> scan_nearest(const LocalView& view, Vec2 p, bool corner_lit_only) {
+  const std::size_t h = view.hull.size();
+  if (h < 3) return std::nullopt;
+  std::optional<GateEdge> best;
+  double best_dist = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < h; ++k) {
+    const std::size_t i1 = view.hull[k];
+    const std::size_t i2 = view.hull[(k + 1) % h];
+    if (i1 == 0 || i2 == 0) continue;
+    if (corner_lit_only &&
+        (view.lights[i1] != Light::kCorner || view.lights[i2] != Light::kCorner)) {
+      continue;
+    }
+    const geom::Segment e{view.pts[i1], view.pts[i2]};
+    const double d = geom::point_segment_distance(e, p);
+    if (d < best_dist) {
+      best_dist = d;
+      best = GateEdge{i1, i2, e.a, e.b, d, k};
+    }
+  }
+  return best;
+}
+
+}  // namespace oracle
+
+bool same_gate(const std::optional<GateEdge>& a, const std::optional<GateEdge>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a || (a->i1 == b->i1 && a->i2 == b->i2 && a->k == b->k && a->c1 == b->c1 &&
+                a->c2 == b->c2 && same_bits(a->distance, b->distance));
+}
+
+/// Compares both gate picks with the scans at every robot of `view` and at
+/// `extra` random probes around it; returns the number of comparisons.
+std::size_t compare_gate_picks(const LocalView& view, util::Prng& rng, double scale,
+                               int extra) {
+  const GateTable table(view);
+  std::vector<Vec2> probes(view.pts.begin(), view.pts.end());
+  for (int i = 0; i < extra; ++i) {
+    probes.push_back(Vec2{rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)} * scale);
+  }
+  for (const Vec2 p : probes) {
+    EXPECT_TRUE(same_gate(table.nearest_edge(p), oracle::scan_nearest(view, p, false)))
+        << "scale " << scale << " probe " << p.x << "," << p.y;
+    EXPECT_TRUE(same_gate(table.nearest_gate(p), oracle::scan_nearest(view, p, true)))
+        << "scale " << scale << " probe " << p.x << "," << p.y;
+  }
+  return probes.size();
+}
+
+TEST(GateTable, GatePicksMatchThePerEdgeScans) {
+  // Interior views (a ring around the observer) and side views (the
+  // observer exactly on a rectangle's bottom edge), with mixed lights, at
+  // three scales: nearest_edge and nearest_gate prune with certified bounds
+  // and must still pick the scans' edge with the same distance bits.
+  util::Prng rng{808};
+  std::size_t interior = 0;
+  std::size_t side = 0;
+  std::size_t compared = 0;
+  for (const double scale : {1e-3, 1.0, 1e6}) {
+    for (int trial = 0; trial < 80; ++trial) {
+      const bool side_view = trial % 2 == 1;
+      std::vector<Vec2> world;
+      std::vector<Light> lights;
+      const auto anchor_light = [&] {
+        return rng.bernoulli(0.8) ? Light::kCorner : Light::kOff;
+      };
+      if (side_view) {
+        const Vec2 half{rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)};
+        world.push_back(Vec2{rng.uniform(-0.9, 0.9) * half.x, -half.y});  // Observer.
+        lights.push_back(Light::kSide);
+        for (const Vec2 sign : {Vec2{-1, -1}, Vec2{1, -1}, Vec2{1, 1}, Vec2{-1, 1}}) {
+          world.push_back(Vec2{sign.x * half.x, sign.y * half.y});
+          lights.push_back(anchor_light());
+        }
+        for (std::uint64_t k = rng.next_below(12); k > 0; --k) {  // Above the top.
+          const double theta = rng.uniform(0.2, 2.9);
+          world.push_back(Vec2{std::cos(theta) * half.x, half.y + std::sin(theta)});
+          lights.push_back(anchor_light());
+        }
+      } else {
+        world.push_back(Vec2{rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)});
+        lights.push_back(Light::kInterior);
+        for (std::uint64_t k = 3 + rng.next_below(60); k > 0; --k) {
+          const double theta = rng.uniform(0.0, 6.283185307179586);
+          world.push_back(Vec2{std::cos(theta), std::sin(theta)});
+          lights.push_back(anchor_light());
+        }
+      }
+      for (std::uint64_t i = rng.next_below(20); i > 0; --i) {  // Parked inside.
+        world.push_back(Vec2{rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)});
+        constexpr Light kInside[] = {Light::kOff, Light::kInterior, Light::kTransit,
+                                     Light::kMoving};
+        lights.push_back(kInside[rng.next_below(4)]);
+      }
+      for (Vec2& p : world) p = p * scale;
+      const model::LocalFrame frame{world[0], 0.0, 1.0, false};
+      const auto snap = testutil::snapshot_of(world, lights, 0, frame);
+      const LocalView view = build_view(snap);
+      if (view.role != (side_view ? Role::kSide : Role::kInterior)) continue;
+      ASSERT_EQ(std::find(view.hull.begin(), view.hull.end(), 0u), view.hull.end());
+      (side_view ? side : interior) += 1;
+      compared += compare_gate_picks(view, rng, scale, 40);
+    }
+  }
+  EXPECT_GT(interior, 100u);
+  EXPECT_GT(side, 100u);
+  EXPECT_GT(compared, 10000u);
+}
+
+TEST(GateTable, ExactTiesPickTheFirstEdgeInHullOrder) {
+  // An observer at the centre of a square is exactly as far from all four
+  // edges, at every scale: both picks return hull edge 0, and nearest_gate
+  // the first edge whose anchors are both Corner-lit.
+  util::Prng rng{909};
+  std::size_t later_gates = 0;  // Ties won past an ineligible edge 0.
+  for (const double scale : {1e-3, 1.0, 1e6}) {
+    for (std::size_t off = 0; off <= 4; ++off) {
+      const std::vector<Vec2> world = {Vec2{0, 0} * scale, Vec2{-1, -1} * scale,
+                                       Vec2{1, -1} * scale, Vec2{1, 1} * scale,
+                                       Vec2{-1, 1} * scale};
+      std::vector<Light> lights(world.size(), Light::kCorner);
+      lights[0] = Light::kInterior;
+      if (off < 4) lights[1 + off] = Light::kOff;  // One anchor not yet a corner.
+      const model::LocalFrame frame{world[0], 0.0, 1.0, false};
+      const auto snap = testutil::snapshot_of(world, lights, 0, frame);
+      const LocalView view = build_view(snap);
+      ASSERT_EQ(view.role, Role::kInterior);
+      const GateTable table(view);
+      const std::size_t h = view.hull.size();
+      ASSERT_EQ(h, 4u);
+      for (std::size_t k = 1; k < h; ++k) {  // An exact four-way tie.
+        ASSERT_TRUE(same_bits(geom::point_segment_distance(table.edge(k), view.self()),
+                              geom::point_segment_distance(table.edge(0), view.self())));
+      }
+      const auto edge = table.nearest_edge(view.self());
+      ASSERT_TRUE(edge.has_value());
+      EXPECT_EQ(edge->k, 0u) << "scale " << scale;
+      const auto gate = table.nearest_gate(view.self());
+      ASSERT_TRUE(gate.has_value());
+      // The first eligible edge in hull order: both its anchors are
+      // Corner-lit, and every earlier edge has an Off anchor.
+      const auto eligible = [&](std::size_t k) {
+        return view.lights[view.hull[k]] == Light::kCorner &&
+               view.lights[view.hull[(k + 1) % h]] == Light::kCorner;
+      };
+      EXPECT_TRUE(eligible(gate->k));
+      for (std::size_t k = 0; k < gate->k; ++k) {
+        EXPECT_FALSE(eligible(k)) << "scale " << scale << " off " << off << " edge " << k;
+      }
+      if (off == 4) {
+        EXPECT_EQ(gate->k, 0u);
+      }
+      if (gate->k != 0) ++later_gates;
+      compare_gate_picks(view, rng, scale, 20);
+    }
+  }
+  EXPECT_GT(later_gates, 0u);
 }
 
 }  // namespace

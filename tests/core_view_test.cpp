@@ -8,10 +8,10 @@
 #include <cmath>
 #include <limits>
 
+#include "core/beacon.hpp"
 #include "gen/generators.hpp"
 #include "geom/hull.hpp"
 #include "model/snapshot.hpp"
-#include "nearest_gate.hpp"
 #include "split_points.hpp"
 #include "util/prng.hpp"
 
@@ -147,7 +147,7 @@ TEST(GateSelection, NearestHullEdge) {
   const std::vector<Vec2> world = {{5, 1}, {0, 0}, {10, 0}, {10, 10}, {0, 10}};
   const auto view = view_of(world, 0);
   ASSERT_EQ(view.role, Role::kInterior);
-  const auto gate = testutil::nearest_gate(view);
+  const auto gate = GateTable(view).nearest_edge(view.self());
   ASSERT_TRUE(gate.has_value());
   EXPECT_NEAR(gate->distance, 1.0, 1e-9);
   // The gate must be the bottom edge (both endpoints have y == -1 in the
@@ -172,7 +172,7 @@ TEST(GateBlocking, CloserRobotInTriangleBlocks) {
   // triangle between the observer and that edge.
   const std::vector<Vec2> world = {{5, 3}, {0, 0}, {10, 0}, {5, 10}, {5, 1.5}};
   const auto view = view_of(world, 0);
-  const auto gate = testutil::nearest_gate(view);
+  const auto gate = GateTable(view).nearest_edge(view.self());
   ASSERT_TRUE(gate.has_value());
   EXPECT_TRUE(gate_blocked_by_closer_robot(view, *gate));
 }
@@ -180,7 +180,7 @@ TEST(GateBlocking, CloserRobotInTriangleBlocks) {
 TEST(GateBlocking, EmptyTriangleDoesNotBlock) {
   const std::vector<Vec2> world = {{5, 1.5}, {0, 0}, {10, 0}, {5, 10}, {5, 3}};
   const auto view = view_of(world, 0);
-  const auto gate = testutil::nearest_gate(view);
+  const auto gate = GateTable(view).nearest_edge(view.self());
   ASSERT_TRUE(gate.has_value());
   EXPECT_FALSE(gate_blocked_by_closer_robot(view, *gate));
 }

@@ -1,6 +1,6 @@
 // The adversarial search subsystem (src/search): genome operator
 // determinism, hunt-trajectory bit-identity across repeats and pool sizes
-// (pinned by a golden digest), a journaled hunt running each distinct plan
+// (pinned by a golden digest), journaled hunts running each distinct cell
 // once, the shrinking minimizer's contract and its windows against a copy
 // of the serial sweep, regression-scenario round-trip/replay, and the E13
 // external registration hook.
@@ -193,6 +193,47 @@ TEST(Hunt, JournalsEachDistinctPlanOnce) {
   }
   EXPECT_GT(repeats, 0u) << "the hunt no longer proposes a plan twice";
   EXPECT_GE(cells_run.load(), first.size());
+}
+
+TEST(Hunt, OneMemoRunsEachCellOnceAcrossFitnesses) {
+  // `lumen-bench hunt --fitness=all` and E13 hunt every fitness through one
+  // memo keyed by cell. The min-separation and outcome hunts both audit
+  // collisions and start from the same seed plan, so their cells coincide:
+  // through one memo the journal holds no (key, seed) pair twice, and every
+  // hunt's trajectory is the one it has on its own.
+  const std::string path = testing::TempDir() + "search_test_memo." +
+                           std::to_string(::getpid()) + ".jsonl";
+  std::filesystem::remove(path);
+  std::atomic<std::size_t> shared_cells{0};
+  analysis::CampaignControl control;
+  control.on_cell = [&](std::uint64_t) { ++shared_cells; };
+  std::vector<std::uint64_t> digests;
+  {
+    analysis::CampaignJournal journal(path);
+    ASSERT_TRUE(journal.ok());
+    control.journal = &journal;
+    EvaluationMemo memo;
+    for (const FitnessKind fitness : all_fitness_kinds()) {
+      digests.push_back(hunt_digest(run_hunt(tiny_spec(fitness), nullptr, control, &memo)));
+    }
+  }
+  const analysis::JournalLoad load = analysis::load_journal(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(load.snapshot.has_value()) << load.error;
+  EXPECT_EQ(load.duplicate_cells, 0u);
+  EXPECT_EQ(load.snapshot->cell_count(), shared_cells.load());
+
+  std::size_t standalone_cells = 0;
+  for (std::size_t k = 0; k < all_fitness_kinds().size(); ++k) {
+    std::atomic<std::size_t> cells{0};
+    analysis::CampaignControl alone;
+    alone.on_cell = [&](std::uint64_t) { ++cells; };
+    const FitnessKind fitness = all_fitness_kinds()[k];
+    EXPECT_EQ(digests[k], hunt_digest(run_hunt(tiny_spec(fitness), nullptr, alone)))
+        << to_string(fitness);
+    standalone_cells += cells.load();
+  }
+  EXPECT_LT(shared_cells.load(), standalone_cells) << "no cell was shared";
 }
 
 TEST(Hunt, GoldenDigestPinned) {
