@@ -37,7 +37,9 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace {
@@ -135,7 +137,10 @@ int usage(std::ostream& os, int code) {
         "                           run --workers; \"-\" reads stdin)\n"
         "\n"
         "`lumen-bench run --help` and `lumen-bench hunt --help` list each\n"
-        "command's flags.\n"
+        "command's flags. --smoke and --names-only are switches; every other\n"
+        "flag takes a value, as --name=value or --name value. A missing\n"
+        "value, a malformed number, an unknown name or a stray argument\n"
+        "exits 2.\n"
         "\n"
         "exit codes: 0 no claim check failed, 1 a claim check failed (hunt:\n"
         "some fitness had no successful evaluation), 2 usage/spec error,\n"
@@ -149,9 +154,39 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
+/// Parses a command's flags into `cli`. Returns the exit code to stop with
+/// (0 after --help, 2 on a usage error, including a positional argument
+/// given to a command that takes none), or nullopt to go on.
+std::optional<int> parse_command(util::Cli& cli, const std::vector<std::string>& args,
+                                 const std::string& program,
+                                 std::string_view description,
+                                 bool takes_positional) {
+  std::vector<const char*> argv = {program.c_str()};
+  for (const auto& a : args) argv.push_back(a.c_str());
+  if (!cli.parse(static_cast<int>(argv.size()), argv.data())) {
+    std::cerr << "error: " << cli.error() << "\n";
+    return 2;
+  }
+  if (cli.help_requested()) {
+    std::cout << cli.usage(program, description);
+    return 0;
+  }
+  if (!takes_positional && !cli.positional().empty()) {
+    std::cerr << "error: " << program << " takes no positional argument (got \""
+              << cli.positional()[0] << "\")\n";
+    return 2;
+  }
+  return std::nullopt;
+}
+
 int cmd_list(const std::vector<std::string>& args) {
-  const bool names_only =
-      std::find(args.begin(), args.end(), "--names-only") != args.end();
+  util::Cli cli;
+  cli.flag("names-only", "print experiment names only, one a line", "false");
+  if (const auto code = parse_command(cli, args, "lumen-bench list",
+                                      "list registered experiments", false)) {
+    return *code;
+  }
+  const bool names_only = cli.get_bool("names-only");
   for (const auto& e : analysis::ExperimentRegistry::instance().experiments()) {
     if (names_only) {
       std::cout << e.name << "\n";
@@ -220,77 +255,28 @@ analysis::ScenarioSpec smoke_spec(analysis::ScenarioSpec spec) {
   return spec;
 }
 
-bool apply_overrides(const util::Cli& cli, analysis::ScenarioSpec& spec,
-                     std::string& error) {
-  const auto int_list = [&](std::string_view flag,
-                            std::vector<std::size_t>& out) {
-    if (!cli.is_set(flag)) return true;
-    const auto values = cli.get_int_list(flag);
-    if (!values || values->empty() ||
-        std::any_of(values->begin(), values->end(),
-                    [](std::int64_t v) { return v <= 0; })) {
-      error = std::string("--") + std::string(flag) +
-              " must be a comma-separated list of positive integers";
-      return false;
-    }
-    out.assign(values->begin(), values->end());
-    return true;
-  };
-  if (!int_list("ns", spec.ns)) return false;
-  if (!int_list("baseline-ns", spec.baseline_ns)) return false;
-  // Integer flags are only sign-checked before their unsigned casts; the
-  // range rules are validate_scenario's, applied to the resolved spec.
-  const auto non_negative = [&](std::string_view flag) {
-    if (cli.get_int(flag) >= 0) return true;
-    error = std::string("--") + std::string(flag) + " must be non-negative";
-    return false;
-  };
-  if (cli.is_set("runs")) {
-    if (!non_negative("runs")) return false;
-    spec.runs = static_cast<std::size_t>(cli.get_int("runs"));
+/// Applies `run`'s flag overrides to `spec`; returns the first problem, or
+/// "". Flags are checked for form only: the range rules are
+/// validate_scenario's, applied to the resolved spec.
+std::string apply_overrides(util::Cli& cli, analysis::ScenarioSpec& spec) {
+  if (!(cli.read("ns", spec.ns) && cli.read("baseline-ns", spec.baseline_ns) &&
+        cli.read("runs", spec.runs) && cli.read("seed-base", spec.seed_base) &&
+        cli.read("algorithm", spec.algorithm) &&
+        cli.read("family", spec.family, gen::family_from_string) &&
+        cli.read("deadline-ms", spec.run.deadline_ms) &&
+        cli.read("max-attempts", spec.max_attempts) &&
+        cli.read("retry-backoff-ms", spec.retry_backoff_ms))) {
+    return cli.error();
   }
-  if (cli.is_set("seed-base")) {
-    if (!non_negative("seed-base")) return false;
-    spec.seed_base = static_cast<std::uint64_t>(cli.get_int("seed-base"));
+  std::vector<std::size_t> shard;
+  if (!cli.read("shard", shard, '/') || (cli.is_set("shard") && shard.size() != 2)) {
+    return "--shard must be I/K with non-negative integers I and K";
   }
-  if (cli.is_set("algorithm")) spec.algorithm = cli.get("algorithm");
-  if (cli.is_set("family")) {
-    const auto family = gen::family_from_string(cli.get("family"));
-    if (!family) {
-      error = "unknown --family \"" + cli.get("family") + "\"";
-      return false;
-    }
-    spec.family = *family;
+  if (!shard.empty()) {
+    spec.shard_index = shard[0];
+    spec.shard_count = shard[1];
   }
-  if (cli.is_set("shard")) {
-    const std::string shard = cli.get("shard");
-    const auto slash = shard.find('/');
-    const auto index = util::parse_int_list(shard.substr(0, slash));
-    const auto count = slash == std::string::npos
-                           ? std::nullopt
-                           : util::parse_int_list(shard.substr(slash + 1));
-    if (!index || !count || index->size() != 1 || count->size() != 1 ||
-        (*index)[0] < 0 || (*count)[0] < 0) {
-      error = "--shard must be I/K with non-negative integers I and K";
-      return false;
-    }
-    spec.shard_index = static_cast<std::size_t>((*index)[0]);
-    spec.shard_count = static_cast<std::size_t>((*count)[0]);
-  }
-  if (cli.is_set("deadline-ms")) {
-    if (!non_negative("deadline-ms")) return false;
-    spec.run.deadline_ms = static_cast<std::uint64_t>(cli.get_int("deadline-ms"));
-  }
-  if (cli.is_set("max-attempts")) {
-    if (!non_negative("max-attempts")) return false;
-    spec.max_attempts = static_cast<std::size_t>(cli.get_int("max-attempts"));
-  }
-  if (cli.is_set("retry-backoff-ms")) {
-    if (!non_negative("retry-backoff-ms")) return false;
-    spec.retry_backoff_ms =
-        static_cast<std::uint64_t>(cli.get_int("retry-backoff-ms"));
-  }
-  return true;
+  return "";
 }
 
 int cmd_run(const std::vector<std::string>& raw_args) {
@@ -306,7 +292,7 @@ int cmd_run(const std::vector<std::string>& raw_args) {
   cli.flag("format", "pretty|csv|json", "pretty");
   cli.flag("out", "write the report to this file instead of stdout");
   cli.flag("save-spec", "write the resolved spec JSON to this file");
-  cli.flag("smoke", "tiny sanity run; too-short sweeps read UNDECIDED");
+  cli.flag("smoke", "tiny sanity run; too-short sweeps read UNDECIDED", "false");
   cli.flag("journal", "append a durable record per finished campaign cell");
   cli.flag("resume", "skip cells journaled in this file; implies --journal");
   cli.flag("deadline-ms", "per-run wall-clock watchdog, 0 = off");
@@ -318,16 +304,9 @@ int cmd_run(const std::vector<std::string>& raw_args) {
   cli.flag("chaos-kill", "P(SIGKILL a worker after each cell), 0 = off", "0");
   cli.flag("chaos-seed", "deterministic chaos stream seed", "0");
 
-  std::vector<const char*> argv = {"lumen-bench run"};
-  for (const auto& a : raw_args) argv.push_back(a.c_str());
-  if (!cli.parse(static_cast<int>(argv.size()), argv.data())) {
-    std::cerr << "error: " << cli.error() << "\n";
-    return 2;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.usage("lumen-bench run <experiment|all>",
-                           "run one experiment (or every one)");
-    return 0;
+  if (const auto code = parse_command(cli, raw_args, "lumen-bench run <experiment|all>",
+                                      "run one experiment (or every one)", true)) {
+    return *code;
   }
   if (cli.positional().empty()) {
     std::cerr << "error: run needs an experiment name (or `all`)\n";
@@ -357,6 +336,21 @@ int cmd_run(const std::vector<std::string>& raw_args) {
     return 2;
   }
 
+  fabric::FabricConfig fabric_config;
+  if (!(cli.read("workers", fabric_config.workers) &&
+        cli.read("fabric-dir", fabric_config.dir) &&
+        cli.read("lease-ttl-ms", fabric_config.lease_ttl_ms) &&
+        cli.read("chaos-kill", fabric_config.chaos_kill_rate) &&
+        cli.read("chaos-seed", fabric_config.chaos_seed))) {
+    std::cerr << "error: " << cli.error() << "\n";
+    return 2;
+  }
+  // The fabric has no validator of its own; this is the rule's one home.
+  if (!(fabric_config.chaos_kill_rate >= 0.0 && fabric_config.chaos_kill_rate <= 1.0)) {
+    std::cerr << "error: --chaos-kill must be in [0, 1]\n";
+    return 2;
+  }
+
   Plumbing io;
   if (!open_plumbing(cli, io)) return 2;
   std::ostream& out = *io.out;
@@ -367,26 +361,8 @@ int cmd_run(const std::vector<std::string>& raw_args) {
   // The coordinator honors the same journal/resume/stop control, and its
   // report is byte-identical to the in-process run by construction
   // (DESIGN.md §17), so nothing downstream changes.
-  fabric::FabricConfig fabric_config;
-  if (cli.get_int("workers") < 0 || cli.get_int("lease-ttl-ms") < 0 ||
-      cli.get_int("chaos-seed") < 0) {
-    std::cerr << "error: --workers, --lease-ttl-ms and --chaos-seed must be "
-                 "non-negative\n";
-    return 2;
-  }
-  if (const double p = cli.get_double("chaos-kill"); p < 0.0 || p > 1.0) {
-    std::cerr << "error: --chaos-kill must be in [0, 1]\n";
-    return 2;
-  }
-  if (cli.get_int("workers") > 0) {
-    fabric_config.workers = static_cast<std::size_t>(cli.get_int("workers"));
+  if (fabric_config.workers > 0) {
     fabric_config.worker_argv = {g_self_exe, "work"};
-    fabric_config.dir = cli.get("fabric-dir");
-    fabric_config.lease_ttl_ms =
-        static_cast<std::uint64_t>(cli.get_int("lease-ttl-ms"));
-    fabric_config.chaos_kill_rate = cli.get_double("chaos-kill");
-    fabric_config.chaos_seed =
-        static_cast<std::uint64_t>(cli.get_int("chaos-seed"));
     if (io.journal != nullptr) {
       fabric_config.resume_paths.push_back(io.journal->path());
     }
@@ -418,14 +394,12 @@ int cmd_run(const std::vector<std::string>& raw_args) {
       }
       spec = *parsed.spec;
     }
-    std::string error;
-    if (!apply_overrides(cli, spec, error)) {
-      std::cerr << "error: " << error << "\n";
-      return 2;
+    std::string problem = apply_overrides(cli, spec);
+    if (problem.empty()) {
+      if (cli.get_bool("smoke")) spec = smoke_spec(spec);
+      problem = analysis::validate_scenario(spec);
     }
-    if (cli.get_bool("smoke")) spec = smoke_spec(spec);
-    if (const std::string problem = analysis::validate_scenario(spec);
-        !problem.empty()) {
+    if (!problem.empty()) {
       std::cerr << "error: " << problem << "\n";
       return 2;
     }
@@ -463,9 +437,10 @@ int cmd_run(const std::vector<std::string>& raw_args) {
 // prints its trajectory digest (the cross-pool-size determinism witness)
 // and optionally emits its minimized winner as a regression scenario.
 int cmd_hunt(const std::vector<std::string>& raw_args) {
+  search::HuntSpec base;
   util::Cli cli;
   cli.flag("fitness", "epochs|min-separation|outcome|all", "all");
-  cli.flag("algorithm", "algorithm under attack", "async-log");
+  cli.flag("algorithm", "algorithm under attack", base.algorithm);
   cli.flag("family", "initial-configuration family");
   cli.flag("scheduler", "seed plan scheduler (fsync|ssync|async)");
   cli.flag("adversary", "seed plan timing adversary");
@@ -473,117 +448,63 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
   cli.flag("n", "pin the swarm size (sets both n-min and n-max)");
   cli.flag("n-min", "smallest swarm size the hunt may try");
   cli.flag("n-max", "largest swarm size the hunt may try");
-  cli.flag("seed", "hunt seed; the whole trajectory is a function of it", "1");
-  cli.flag("budget", "search-loop evaluation budget", "256");
-  cli.flag("population", "mu: survivors per generation", "8");
-  cli.flag("offspring", "lambda: children per generation", "16");
-  cli.flag("max-cycles", "per-robot cycle budget per evaluation", "256");
-  cli.flag("minimize-budget", "shrinking-minimizer evaluation budget", "96");
+  cli.flag("seed", "hunt seed; the whole trajectory is a function of it",
+           std::to_string(base.hunt_seed));
+  cli.flag("budget", "search-loop evaluation budget", std::to_string(base.budget));
+  cli.flag("population", "mu: survivors per generation",
+           std::to_string(base.population));
+  cli.flag("offspring", "lambda: children per generation",
+           std::to_string(base.offspring));
+  cli.flag("max-cycles", "per-robot cycle budget per evaluation",
+           std::to_string(base.max_cycles_per_robot));
+  cli.flag("minimize-budget", "shrinking-minimizer evaluation budget",
+           std::to_string(base.minimize_budget));
   cli.flag("emit-dir", "write each minimized winner as a scenario JSON here");
   cli.flag("journal", "append a durable record per finished evaluation");
   cli.flag("resume", "skip evaluations journaled here; implies --journal");
   cli.flag("out", "write the summary to this file instead of stdout");
-  cli.flag("smoke", "shrink budgets to a seconds-long sanity hunt");
+  cli.flag("smoke", "shrink budgets to a seconds-long sanity hunt", "false");
+  if (const auto code = parse_command(cli, raw_args, "lumen-bench hunt",
+                                      "adversarial search for worst-case plans",
+                                      false)) {
+    return *code;
+  }
 
-  std::vector<const char*> argv = {"lumen-bench hunt"};
-  for (const auto& a : raw_args) argv.push_back(a.c_str());
-  if (!cli.parse(static_cast<int>(argv.size()), argv.data())) {
+  const auto fitness_kinds =
+      [](std::string_view name) -> std::optional<std::vector<search::FitnessKind>> {
+    if (name == "all") return search::all_fitness_kinds();
+    if (const auto kind = search::fitness_from_string(name)) {
+      return std::vector{*kind};
+    }
+    return std::nullopt;
+  };
+  std::vector<search::FitnessKind> kinds;
+  // --n pins both bounds; --n-min and --n-max, read after it, override one.
+  if (!(cli.read("fitness", kinds, fitness_kinds) &&
+        cli.read("algorithm", base.algorithm) &&
+        cli.read("family", base.family, gen::family_from_string) &&
+        cli.read("scheduler", base.seed_plan.scheduler, sim::scheduler_from_string) &&
+        cli.read("adversary", base.seed_plan.adversary, sched::adversary_from_string) &&
+        cli.read("activation", base.seed_plan.activation,
+                 sched::activation_from_string) &&
+        cli.read("n", base.bounds.n_min) && cli.read("n", base.bounds.n_max) &&
+        cli.read("n-min", base.bounds.n_min) && cli.read("n-max", base.bounds.n_max) &&
+        cli.read("seed", base.hunt_seed) && cli.read("budget", base.budget) &&
+        cli.read("population", base.population) &&
+        cli.read("offspring", base.offspring) &&
+        cli.read("max-cycles", base.max_cycles_per_robot) &&
+        cli.read("minimize-budget", base.minimize_budget))) {
     std::cerr << "error: " << cli.error() << "\n";
     return 2;
   }
-  if (cli.help_requested()) {
-    std::cout << cli.usage("lumen-bench hunt",
-                           "adversarial search for worst-case plans");
-    return 0;
-  }
-
-  // Which fitness functions to hunt.
-  std::vector<search::FitnessKind> kinds;
-  if (cli.get("fitness") == "all") {
-    kinds = search::all_fitness_kinds();
-  } else {
-    const auto kind = search::fitness_from_string(cli.get("fitness"));
-    if (!kind) {
-      std::cerr << "error: unknown --fitness \"" << cli.get("fitness")
-                << "\" (epochs|min-separation|outcome|all)\n";
-      return 2;
-    }
-    kinds = {*kind};
-  }
-
-  search::HuntSpec base;
-  base.algorithm = cli.get("algorithm");
-  if (cli.is_set("family")) {
-    const auto family = gen::family_from_string(cli.get("family"));
-    if (!family) {
-      std::cerr << "error: unknown --family \"" << cli.get("family") << "\"\n";
-      return 2;
-    }
-    base.family = *family;
-  }
-  if (cli.is_set("scheduler")) {
-    const auto scheduler = sim::scheduler_from_string(cli.get("scheduler"));
-    if (!scheduler) {
-      std::cerr << "error: unknown --scheduler \"" << cli.get("scheduler")
-                << "\" (fsync|ssync|async)\n";
-      return 2;
-    }
-    base.seed_plan.scheduler = *scheduler;
-  }
-  if (cli.is_set("adversary")) {
-    const auto adversary = sched::adversary_from_string(cli.get("adversary"));
-    if (!adversary) {
-      std::cerr << "error: unknown --adversary \"" << cli.get("adversary")
-                << "\"\n";
-      return 2;
-    }
-    base.seed_plan.adversary = *adversary;
-  }
-  if (cli.is_set("activation")) {
-    const auto activation =
-        sched::activation_from_string(cli.get("activation"));
-    if (!activation) {
-      std::cerr << "error: unknown --activation \"" << cli.get("activation")
-                << "\"\n";
-      return 2;
-    }
-    base.seed_plan.activation = *activation;
-  }
-  const auto size_flag = [&](std::string_view flag, std::size_t& out,
-                             std::string& error) {
-    if (!cli.is_set(flag)) return true;
-    if (cli.get_int(flag) <= 0) {
-      error = std::string("--") + std::string(flag) + " must be positive";
-      return false;
-    }
-    out = static_cast<std::size_t>(cli.get_int(flag));
-    return true;
-  };
-  std::string error;
-  if (cli.is_set("n")) {
-    std::size_t n = 0;
-    if (!size_flag("n", n, error)) {
-      std::cerr << "error: " << error << "\n";
-      return 2;
-    }
-    base.bounds.n_min = base.bounds.n_max = n;
-  }
-  if (!size_flag("n-min", base.bounds.n_min, error) ||
-      !size_flag("n-max", base.bounds.n_max, error) ||
-      !size_flag("budget", base.budget, error) ||
-      !size_flag("population", base.population, error) ||
-      !size_flag("offspring", base.offspring, error) ||
-      !size_flag("max-cycles", base.max_cycles_per_robot, error) ||
-      !size_flag("minimize-budget", base.minimize_budget, error)) {
-    std::cerr << "error: " << error << "\n";
-    return 2;
-  }
-  if (cli.get_int("seed") < 0) {
-    std::cerr << "error: --seed must be non-negative\n";
-    return 2;
-  }
-  base.hunt_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   base.seed_plan.seed = base.hunt_seed;
+  // Validated before clamping (std::clamp needs n_min <= n_max); the
+  // --smoke shrink below keeps a valid spec valid.
+  if (const std::string invalid = search::validate_hunt_spec(base);
+      !invalid.empty()) {
+    std::cerr << "error: invalid hunt spec: " << invalid << "\n";
+    return 2;
+  }
   base.seed_plan.n = std::clamp(base.seed_plan.n, base.bounds.n_min,
                                 base.bounds.n_max);
 
@@ -627,11 +548,6 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
   for (const search::FitnessKind fitness : kinds) {
     search::HuntSpec spec = base;
     spec.fitness = fitness;
-    const std::string invalid = search::validate_hunt_spec(spec);
-    if (!invalid.empty()) {
-      std::cerr << "error: invalid hunt spec: " << invalid << "\n";
-      return 2;
-    }
     const search::HuntResult result =
         search::run_hunt(spec, nullptr, io.control, &memo);
     if (!result.error.empty()) {

@@ -28,9 +28,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto family = gen::family_from_string(cli.get("family"));
-  if (!family) {
-    std::fprintf(stderr, "unknown family '%s'\n", cli.get("family").c_str());
+  // Every cell shares these; the loops below set algorithm and adversary.
+  analysis::CampaignSpec spec;
+  if (!(cli.read("n", spec.n) && cli.read("seeds", spec.runs) &&
+        cli.read("family", spec.family, gen::family_from_string))) {
+    std::fprintf(stderr, "%s\n", cli.error().c_str());
     return 2;
   }
 
@@ -41,11 +43,7 @@ int main(int argc, char** argv) {
     for (const auto adversary :
          {sched::AdversaryKind::kUniform, sched::AdversaryKind::kBursty,
           sched::AdversaryKind::kStallOne, sched::AdversaryKind::kLockstep}) {
-      analysis::CampaignSpec spec;
       spec.algorithm = std::string(algorithm);
-      spec.family = *family;
-      spec.n = static_cast<std::size_t>(cli.get_int("n"));
-      spec.runs = static_cast<std::size_t>(cli.get_int("seeds"));
       spec.run.adversary = adversary;
       const auto result = analysis::run_campaign(spec);
       const auto epochs = result.epochs();

@@ -39,18 +39,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", cli.error().c_str());
     return 2;
   }
-  const auto n = static_cast<std::size_t>(cli.get_int("n"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  std::size_t n = 0;
+  sim::RunConfig config;
+  if (!(cli.read("n", n) && cli.read("seed", config.seed))) {
+    std::fprintf(stderr, "%s\n", cli.error().c_str());
+    return 2;
+  }
 
-  const auto initial = gen::generate(gen::ConfigFamily::kCollinear, n, seed);
+  const auto initial = gen::generate(gen::ConfigFamily::kCollinear, n, config.seed);
   std::printf("Initial configuration: %zu robots exactly on one line.\n", n);
   std::printf("Each middle robot sees exactly 2 others (its line neighbors); "
               "the endpoints see 1.\n\n");
   print_census("t=0 (line)", initial);
 
   const auto algorithm = core::make_algorithm("async-log");
-  sim::RunConfig config;
-  config.seed = seed;
   const auto run = sim::run_simulation(*algorithm, initial, config);
 
   // Snapshot the world right after the first wave of moves (the line

@@ -46,19 +46,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", cli.error().c_str());
     return 2;
   }
-  const auto n = static_cast<std::size_t>(cli.get_int("n"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto family = gen::family_from_string(cli.get("family"));
-  if (!family) {
-    std::fprintf(stderr, "unknown family '%s'\n", cli.get("family").c_str());
+  std::size_t n = 0;
+  gen::ConfigFamily family{};
+  std::string algo;
+  sim::RunConfig config;
+  if (!(cli.read("n", n) && cli.read("seed", config.seed) &&
+        cli.read("family", family, gen::family_from_string) &&
+        cli.read("algo", algo) && cli.read("cap", config.max_cycles_per_robot))) {
+    std::fprintf(stderr, "%s\n", cli.error().c_str());
     return 2;
   }
 
-  const auto initial = gen::generate(*family, n, seed);
-  const auto algorithm = core::make_algorithm(cli.get("algo"));
-  sim::RunConfig config;
-  config.seed = seed;
-  config.max_cycles_per_robot = static_cast<std::size_t>(cli.get_int("cap"));
+  const auto initial = gen::generate(family, n, config.seed);
+  const auto algorithm = core::make_algorithm(algo);
   const auto run = sim::run_simulation(*algorithm, initial, config);
 
   std::printf("converged=%d epochs=%zu cycles=%zu moves=%zu\n", run.converged,

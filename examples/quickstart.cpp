@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
       .flag("scheduler", "async, ssync or fsync", "async")
       .flag("adversary", "uniform, bursty, stall-one or lockstep (async only)",
             "uniform")
-      .flag("svg", "write an SVG rendering of the run to this path", "");
+      .flag("svg", "write an SVG rendering of the run to this path");
   if (!cli.parse(argc, argv)) {
     std::fprintf(stderr, "%s\n", cli.error().c_str());
     return 2;
@@ -36,33 +36,28 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto n = static_cast<std::size_t>(cli.get_int("n"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto family = lumen::gen::family_from_string(cli.get("family"));
-  if (!family) {
-    std::fprintf(stderr, "unknown family '%s'\n", cli.get("family").c_str());
+  std::size_t n = 0;
+  lumen::gen::ConfigFamily family{};
+  std::string algo;
+  std::string svg_path;
+  lumen::sim::RunConfig config;
+  if (!(cli.read("n", n) && cli.read("seed", config.seed) &&
+        cli.read("family", family, lumen::gen::family_from_string) &&
+        cli.read("algo", algo) &&
+        cli.read("scheduler", config.scheduler, lumen::sim::scheduler_from_string) &&
+        cli.read("adversary", config.adversary, lumen::sched::adversary_from_string) &&
+        cli.read("svg", svg_path))) {
+    std::fprintf(stderr, "%s\n", cli.error().c_str());
     return 2;
   }
 
   // 1. A seeded initial configuration.
-  const auto initial = lumen::gen::generate(*family, n, seed);
+  const auto initial = lumen::gen::generate(family, n, config.seed);
 
   // 2. The algorithm, by registry name.
-  const auto algorithm = lumen::core::make_algorithm(cli.get("algo"));
+  const auto algorithm = lumen::core::make_algorithm(algo);
 
   // 3. One asynchronous execution.
-  lumen::sim::RunConfig config;
-  const auto scheduler = lumen::sim::scheduler_from_string(cli.get("scheduler"));
-  const auto adversary = lumen::sched::adversary_from_string(cli.get("adversary"));
-  if (!scheduler || !adversary) {
-    std::fprintf(stderr, "unknown %s '%s'\n",
-                 scheduler ? "adversary" : "scheduler",
-                 (scheduler ? cli.get("adversary") : cli.get("scheduler")).c_str());
-    return 2;
-  }
-  config.scheduler = *scheduler;
-  config.adversary = *adversary;
-  config.seed = seed;
   const auto run = lumen::sim::run_simulation(*algorithm, initial, config);
 
   // 4. Audit the run against the algorithm's DECLARED success predicate
@@ -75,8 +70,8 @@ int main(int argc, char** argv) {
 
   std::printf("algorithm            : %s\n", std::string(algorithm->name()).c_str());
   std::printf("robots               : %zu (%s, seed %llu)\n", n,
-              std::string(lumen::gen::to_string(*family)).c_str(),
-              static_cast<unsigned long long>(seed));
+              std::string(lumen::gen::to_string(family)).c_str(),
+              static_cast<unsigned long long>(config.seed));
   std::printf("converged            : %s\n", run.converged ? "yes" : "NO");
   std::printf("epochs               : %zu\n", run.epochs);
   std::printf("LCM cycles           : %zu (moves: %zu)\n", run.total_cycles,
@@ -101,7 +96,6 @@ int main(int argc, char** argv) {
   }
   std::printf("distinct colors used : %zu\n", run.distinct_lights_used());
 
-  const std::string svg_path = cli.get("svg");
   if (!svg_path.empty()) {
     if (lumen::sim::save_svg(run, svg_path)) {
       std::printf("svg                  : %s\n", svg_path.c_str());

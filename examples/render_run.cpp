@@ -10,6 +10,7 @@
 #include "util/cli.hpp"
 
 #include <cstdio>
+#include <string>
 
 using namespace lumen;
 
@@ -31,24 +32,24 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto family = gen::family_from_string(cli.get("family"));
-  if (!family) {
-    std::fprintf(stderr, "unknown family '%s'\n", cli.get("family").c_str());
+  std::size_t n = 0;
+  gen::ConfigFamily family{};
+  std::string algo;
+  std::string out;
+  sim::RunConfig config;
+  sim::SvgOptions options;
+  if (!(cli.read("n", n) && cli.read("seed", config.seed) &&
+        cli.read("family", family, gen::family_from_string) &&
+        cli.read("algo", algo) && cli.read("out", out) &&
+        cli.read("width", options.width) && cli.read("height", options.height))) {
+    std::fprintf(stderr, "%s\n", cli.error().c_str());
     return 2;
   }
-  const auto n = static_cast<std::size_t>(cli.get_int("n"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
-  const auto initial = gen::generate(*family, n, seed);
-  const auto algorithm = core::make_algorithm(cli.get("algo"));
-  sim::RunConfig config;
-  config.seed = seed;
+  const auto initial = gen::generate(family, n, config.seed);
+  const auto algorithm = core::make_algorithm(algo);
   const auto run = sim::run_simulation(*algorithm, initial, config);
 
-  sim::SvgOptions options;
-  options.width = cli.get_double("width");
-  options.height = cli.get_double("height");
-  const std::string out = cli.get("out");
   if (!sim::save_svg(run, out, options)) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
     return 1;

@@ -150,6 +150,7 @@ std::string validate_hunt_spec(const HuntSpec& spec) {
     return "bounds.n_min must be <= bounds.n_max";
   }
   if (spec.max_cycles_per_robot < 1) return "max_cycles_per_robot must be >= 1";
+  if (spec.minimize_budget < 1) return "minimize_budget must be >= 1";
   // Everything the campaign layer would reject per evaluation (unknown
   // algorithm, fault domains, min_separation) fails fast here instead.
   AdversaryPlan probe = spec.seed_plan;

@@ -1,10 +1,37 @@
 #include "util/cli.hpp"
 
-#include <cerrno>
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 
 namespace lumen::util {
+
+namespace {
+
+/// The whole of `text` as a T, or nullopt: no sign for unsigned T, no
+/// leading '+' or whitespace, no trailing junk, no overflow.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
+
+std::string must_be(std::string_view name, std::string_view what,
+                    std::string_view text) {
+  return "--" + std::string(name) + " must be " + std::string(what) + " (got \"" +
+         std::string(text) + "\")";
+}
+
+}  // namespace
 
 Cli& Cli::flag(std::string name, std::string help, std::string default_value) {
   specs_[std::move(name)] = Spec{std::move(help), std::move(default_value)};
@@ -18,38 +45,25 @@ bool Cli::parse(int argc, const char* const* argv) {
       help_ = true;
       continue;
     }
-    if (arg.rfind("--", 0) != 0) {
+    if (!arg.starts_with("--")) {
       positional_.emplace_back(arg);
       continue;
     }
     arg.remove_prefix(2);
-    std::string name;
-    std::optional<std::string> value;
-    if (const auto eq = arg.find('='); eq != std::string_view::npos) {
-      name = std::string(arg.substr(0, eq));
-      value = std::string(arg.substr(eq + 1));
-    } else {
-      name = std::string(arg);
-    }
+    const std::size_t eq = arg.find('=');
+    const std::string name(arg.substr(0, eq));
     const auto it = specs_.find(name);
-    if (it == specs_.end()) {
-      error_ = "unknown flag --" + name;
-      return false;
+    if (it == specs_.end()) return fail("unknown flag --" + name);
+    std::string value;
+    if (eq != std::string_view::npos) {
+      value = arg.substr(eq + 1);
+    } else if (it->second.default_value == "false") {
+      value = "true";
+    } else if (i + 1 < argc && !std::string_view(argv[i + 1]).starts_with("--")) {
+      value = argv[++i];
     }
-    if (!value) {
-      // A bare flag is boolean true unless the next token is a value for a
-      // flag whose default is non-boolean-looking.
-      const bool next_is_value =
-          i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0;
-      const std::string& dflt = it->second.default_value;
-      const bool boolean_like = dflt.empty() || dflt == "true" || dflt == "false";
-      if (next_is_value && !boolean_like) {
-        value = std::string(argv[++i]);
-      } else {
-        value = "true";
-      }
-    }
-    values_[name] = *value;
+    if (value.empty()) return fail("--" + name + " needs a value");
+    values_[name] = std::move(value);
   }
   return true;
 }
@@ -61,13 +75,17 @@ std::string Cli::get(std::string_view name) const {
 }
 
 std::int64_t Cli::get_int(std::string_view name) const {
-  const std::string v = get(name);
-  return v.empty() ? 0 : std::strtoll(v.c_str(), nullptr, 10);
+  const std::string text = get(name);
+  if (text.empty()) return 0;
+  if (const auto value = parse_number<std::int64_t>(text)) return *value;
+  throw std::invalid_argument(must_be(name, "an integer", text));
 }
 
 double Cli::get_double(std::string_view name) const {
-  const std::string v = get(name);
-  return v.empty() ? 0.0 : std::strtod(v.c_str(), nullptr);
+  const std::string text = get(name);
+  if (text.empty()) return 0.0;
+  if (const auto value = parse_number<double>(text)) return *value;
+  throw std::invalid_argument(must_be(name, "a finite number", text));
 }
 
 bool Cli::get_bool(std::string_view name) const {
@@ -79,28 +97,58 @@ bool Cli::is_set(std::string_view name) const {
   return values_.find(name) != values_.end();
 }
 
-std::optional<std::vector<std::int64_t>> parse_int_list(std::string_view text) {
-  std::vector<std::int64_t> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = text.find(',', start);
-    const std::string part(text.substr(
-        start, comma == std::string_view::npos ? std::string_view::npos
-                                               : comma - start));
-    if (part.empty()) return std::nullopt;  // "", "8,,16", "8," all land here.
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(part.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0') return std::nullopt;
-    out.push_back(v);
-    if (comma == std::string_view::npos) return out;
-    start = comma + 1;
-  }
+bool Cli::read(std::string_view name, std::string& out) {
+  if (std::string text = get(name); !text.empty()) out = std::move(text);
+  return true;
 }
 
-std::optional<std::vector<std::int64_t>> Cli::get_int_list(
-    std::string_view name) const {
-  return parse_int_list(get(name));
+bool Cli::read(std::string_view name, double& out) {
+  const std::string text = get(name);
+  if (text.empty()) return true;
+  const auto value = parse_number<double>(text);
+  if (!value) return fail(must_be(name, "a finite number", text));
+  out = *value;
+  return true;
+}
+
+bool Cli::read_unsigned(std::string_view name, std::uint64_t& out,
+                        std::uint64_t max) {
+  const std::string text = get(name);
+  if (text.empty()) return true;
+  if (text.front() == '-') return fail(must_be(name, "non-negative", text));
+  const auto value = parse_number<std::uint64_t>(text);
+  if (!value) return fail(must_be(name, "a non-negative integer", text));
+  if (*value > max) return fail(must_be(name, "<= " + std::to_string(max), text));
+  out = *value;
+  return true;
+}
+
+bool Cli::read(std::string_view name, std::vector<std::size_t>& out,
+               char separator) {
+  const std::string text = get(name);
+  if (text.empty()) return true;
+  std::vector<std::size_t> values;
+  for (std::size_t start = 0;;) {
+    const std::size_t end = std::min(text.find(separator, start), text.size());
+    const auto value =
+        parse_number<std::size_t>(std::string_view(text).substr(start, end - start));
+    if (!value) {
+      return fail(must_be(name,
+                          std::string("a '") + separator +
+                              "'-separated list of non-negative integers",
+                          text));
+    }
+    values.push_back(*value);
+    if (end == text.size()) break;
+    start = end + 1;
+  }
+  out = std::move(values);
+  return true;
+}
+
+bool Cli::fail(std::string message) {
+  error_ = std::move(message);
+  return false;
 }
 
 std::string Cli::usage(std::string_view program, std::string_view description) const {

@@ -1,30 +1,34 @@
 // lumen_util: minimal declarative command-line flag parser.
 //
-// Bench binaries and examples share the same flag conventions:
-//   --name=value   or   --name value   or   --flag (bool, sets true)
+// Bench binaries and examples share one flag grammar:
+//   --flag                a switch: a flag registered with default "false"
+//                         (also --flag=false)
+//   --name value          every other flag takes a value, in either form;
+//   --name=value          a value flag given no value is an error
 // Unknown flags are an error (catches typos in sweep scripts); positional
 // arguments are collected in order.
+//
+// read() is the one place a flag's text becomes a value. It checks form
+// only — a complete base-10 integer, its sign, a known enum name — and
+// leaves range rules to the caller's validator.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace lumen::util {
 
-/// Strict comma-separated integer list parser: every element must be a
-/// complete base-10 integer ("8,,16", "8x", "8," and "" are all rejected
-/// with nullopt). The shared primitive behind Cli::get_int_list and any
-/// other list-shaped flag.
-[[nodiscard]] std::optional<std::vector<std::int64_t>> parse_int_list(
-    std::string_view text);
-
 class Cli {
  public:
   /// Registers a flag with a help string and a default rendered in --help.
+  /// Default "false" makes the flag a switch.
   Cli& flag(std::string name, std::string help, std::string default_value = "");
 
   /// Parses argv. Returns false (and fills error()) on unknown flags or
@@ -37,18 +41,44 @@ class Cli {
     return positional_;
   }
 
-  /// Typed accessors fall back to the registered default when unset.
+  /// Accessors fall back to the registered default when unset. The numeric
+  /// ones use read()'s strict parser: empty text reads as 0, malformed text
+  /// throws std::invalid_argument naming the flag.
   [[nodiscard]] std::string get(std::string_view name) const;
   [[nodiscard]] std::int64_t get_int(std::string_view name) const;
   [[nodiscard]] double get_double(std::string_view name) const;
   [[nodiscard]] bool get_bool(std::string_view name) const;
   [[nodiscard]] bool is_set(std::string_view name) const;
 
-  /// Parses comma-separated integers, e.g. "8,16,32". Malformed lists
-  /// (empty elements, trailing commas, non-numeric junk) return nullopt —
-  /// callers must error out rather than run a garbled sweep.
-  [[nodiscard]] std::optional<std::vector<std::int64_t>> get_int_list(
-      std::string_view name) const;
+  /// Reads the flag's text — as given, else its registered default — into
+  /// `out`; a flag with neither leaves `out` untouched, so a flag registered
+  /// without a default is set-if-given. On malformed text returns false and
+  /// error() names the flag.
+  bool read(std::string_view name, std::string& out);
+  /// A finite number.
+  bool read(std::string_view name, double& out);
+  /// A complete non-negative base-10 integer that fits T.
+  template <std::unsigned_integral T>
+  bool read(std::string_view name, T& out) {
+    std::uint64_t value = out;
+    if (!read_unsigned(name, value, std::numeric_limits<T>::max())) return false;
+    out = static_cast<T>(value);
+    return true;
+  }
+  /// Non-negative integers joined by `separator`, e.g. "8,16,32".
+  bool read(std::string_view name, std::vector<std::size_t>& out,
+            char separator = ',');
+  /// A name through its module's parser, e.g. gen::family_from_string.
+  template <typename E>
+  bool read(std::string_view name, E& out,
+            std::type_identity_t<std::optional<E> (*)(std::string_view)> from_string) {
+    const std::string text = get(name);
+    if (text.empty()) return true;
+    std::optional<E> value = from_string(text);
+    if (!value) return fail("unknown --" + std::string(name) + " \"" + text + "\"");
+    out = std::move(*value);
+    return true;
+  }
 
   /// Renders usage text for --help.
   [[nodiscard]] std::string usage(std::string_view program,
@@ -59,6 +89,9 @@ class Cli {
     std::string help;
     std::string default_value;
   };
+  bool read_unsigned(std::string_view name, std::uint64_t& out, std::uint64_t max);
+  bool fail(std::string message);
+
   std::map<std::string, Spec, std::less<>> specs_;
   std::map<std::string, std::string, std::less<>> values_;
   std::vector<std::string> positional_;

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <memory>
 
 namespace lumen::util {
 
@@ -36,17 +38,6 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-  if (first_error_) {
-    auto err = first_error_;
-    first_error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
 void ThreadPool::worker_loop() {
   t_worker_of = this;
   for (;;) {
@@ -57,24 +48,9 @@ void ThreadPool::worker_loop() {
       if (stopping_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
-    try {
-      task();
-    } catch (...) {
-      record_exception();
-    }
-    {
-      std::lock_guard lock(mutex_);
-      --in_flight_;
-    }
-    cv_idle_.notify_all();
+    task();
   }
-}
-
-void ThreadPool::record_exception() {
-  std::lock_guard lock(mutex_);
-  if (!first_error_) first_error_ = std::current_exception();
 }
 
 void ThreadPool::parallel_for(std::size_t count,
@@ -96,8 +72,8 @@ void ThreadPool::parallel_for_slots(
   }
   // Per-invocation completion/error state. Errors stay with THIS caller —
   // two concurrent parallel_for regions on the same pool can never observe
-  // each other's exceptions (the pool-global first_error_ is only for bare
-  // submit()+wait_idle users). The first exception wins; the cancel flag
+  // each other's exceptions; a task never throws, because its chunk loop
+  // catches every invocation. The first exception wins; the cancel flag
   // stops the remaining chunk loops from claiming more work, so a throwing
   // campaign shard fails fast instead of burning the whole index space.
   struct ForState {

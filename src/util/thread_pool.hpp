@@ -3,14 +3,14 @@
 // Campaign sweeps (thousands of independent simulations) are embarrassingly
 // parallel; ThreadPool::parallel_for partitions the index space dynamically
 // (atomic chunk grabbing) so uneven run lengths balance automatically.
-// Exceptions thrown by tasks are captured and rethrown on the caller thread.
+// Exceptions thrown by a loop body are captured and rethrown on the caller
+// thread.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -29,13 +29,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Enqueues a task for asynchronous execution.
-  void submit(std::function<void()> task);
-
-  /// Blocks until all submitted tasks have completed. Rethrows the first
-  /// captured task exception, if any.
-  void wait_idle();
-
   /// Runs body(i) for i in [0, count), distributing dynamically across the
   /// pool and blocking until done. `grain` indices are claimed at a time.
   /// Rethrows the first exception thrown by any invocation; the remaining
@@ -45,7 +38,7 @@ class ThreadPool {
   ///
   /// Reentrant: called from one of this pool's own worker threads (a nested
   /// parallel region), the loop runs inline on that worker instead of
-  /// enqueuing — queueing and then blocking in wait_idle from inside a
+  /// enqueuing — queueing and then blocking on the region from inside a
   /// task would deadlock the pool. Nesting therefore serializes, which is
   /// exactly the right degradation: the outer region already owns all the
   /// workers.
@@ -67,17 +60,15 @@ class ThreadPool {
   }
 
  private:
+  /// Enqueues a task; parallel_for_slots' chunk loops are the only tasks.
+  void submit(std::function<void()> task);
   void worker_loop();
-  void record_exception();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stopping_ = false;
-  std::exception_ptr first_error_;
 };
 
 /// Shared process-wide pool sized to the machine; lazily constructed.

@@ -162,9 +162,10 @@ INSTANTIATE_TEST_SUITE_P(Verbs, BenchPlumbing, testing::Values("run", "hunt"),
                            return param.param;
                          });
 
-// `run` sign-checks its integer flags before their unsigned casts and then
-// validates the resolved spec once: each (flag, message) pair must exit 2
-// naming the flag or the field. The deleted straggler flag is unknown.
+// `run` checks the form of each flag (a complete non-negative integer, a
+// finite number, a value present) and then validates the resolved spec
+// once: each (flag, message) pair must exit 2 naming the flag or the
+// field. The deleted straggler flag is unknown.
 struct RunUsageError
     : testing::TestWithParam<std::pair<std::string, std::string>> {};
 
@@ -173,8 +174,9 @@ TEST_P(RunUsageError, ExitsTwoNamingTheFlag) {
 }
 
 /// Test name from a `--flag=value [--flag=value ...]` parameter: the flag
-/// names joined by '_', with '-' as '_'.
+/// names joined by '_', with '-' as '_'; a bare positional names itself.
 std::string flag_test_name(const std::string& flags) {
+  if (!flags.starts_with("--")) return flags;
   std::string name;
   for (std::size_t at = flags.find("--"); at != std::string::npos;
        at = flags.find(" --", at + 2)) {
@@ -198,9 +200,20 @@ INSTANTIATE_TEST_SUITE_P(
         std::pair{"--straggler-factor=2", "unknown flag --straggler-factor"}),
     [](const auto& param) { return flag_test_name(param.param.first); });
 
+// Malformed text is a usage error before any range rule runs.
+INSTANTIATE_TEST_SUITE_P(
+    Form, RunUsageError,
+    testing::Values(
+        std::pair{"--runs=3x", "--runs must be a non-negative integer"},
+        std::pair{"--deadline-ms=5s", "--deadline-ms must be a non-negative integer"},
+        std::pair{"--chaos-kill=0.4x", "--chaos-kill must be a finite number"},
+        std::pair{"--journal", "--journal needs a value"}),
+    [](const auto& param) { return flag_test_name(param.param.first); });
+
 // Each (flag, message) pair must exit 2 naming the problem: a swarm of one
-// has no robot pair to hunt, and the deleted bandit strategy's flags are
-// unknown.
+// has no robot pair to hunt, the deleted bandit strategy's flags are
+// unknown, a malformed number names its flag, bounds are validated before
+// they clamp anything, and hunt takes no positional argument.
 struct HuntUsageError
     : testing::TestWithParam<std::pair<std::string, std::string>> {};
 
@@ -217,7 +230,48 @@ INSTANTIATE_TEST_SUITE_P(
         std::pair{"--epsilon=0.1", "unknown flag --epsilon"},
         std::pair{"--batch=4", "unknown flag --batch"},
         std::pair{"--crossover-rate=0.5", "unknown flag --crossover-rate"},
-        std::pair{"--keep-fraction=1", "unknown flag --keep-fraction"}),
+        std::pair{"--keep-fraction=1", "unknown flag --keep-fraction"},
+        std::pair{"--seed=xyz", "--seed must be a non-negative integer"},
+        std::pair{"--n-min=10 --n-max=5", "bounds.n_min must be <= bounds.n_max"},
+        std::pair{"stray", "lumen-bench hunt takes no positional argument (got \"stray\")"}),
     [](const auto& param) { return flag_test_name(param.param.first); });
+
+TEST(BenchGrammar, ListRejectsUnknownFlagsAndPositionals) {
+  expect_usage_error(" list", "--bogus", "unknown flag --bogus");
+  expect_usage_error(" list", "stray", "lumen-bench list takes no positional argument");
+}
+
+TEST(BenchGrammar, SpaceSeparatedValuesReachTheirFlags) {
+  // Run from a directory of its own: a value given after a space must reach
+  // its flag, not turn the flag into a switch that writes a file `true`.
+  const std::string dir = work_dir() + "/spaced";
+  std::filesystem::create_directories(dir);
+  const std::string in_dir = "cd " + dir + " && " + bench();
+  ASSERT_EQ(run_shell(in_dir + " hunt --smoke --seed=5 --out=eq.txt 2>eq.log"), 0)
+      << read_file(dir + "/eq.log");
+  ASSERT_EQ(run_shell(in_dir + " hunt --smoke --seed 5 --journal j.jsonl --out s.txt"
+                               " 2>s.log"),
+            0)
+      << read_file(dir + "/s.log");
+  const std::string summary = read_file(dir + "/eq.txt");
+  ASSERT_FALSE(summary.empty());
+  EXPECT_EQ(read_file(dir + "/s.txt"), summary);
+  EXPECT_NE(read_file(dir + "/j.jsonl").find("\"type\":\"cell\""), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/true"));
+
+  ASSERT_EQ(run_shell(in_dir + " hunt --smoke --seed 5 --resume j.jsonl --out r.txt"
+                               " 2>r.log"),
+            0)
+      << read_file(dir + "/r.log");
+  const std::string log = read_file(dir + "/r.log");
+  EXPECT_NE(log.find("journaled cell(s) loaded from j.jsonl"), std::string::npos) << log;
+  EXPECT_EQ(log.find("resume: 0 "), std::string::npos) << log;
+  EXPECT_EQ(read_file(dir + "/r.txt"), summary);
+
+  ASSERT_EQ(run_shell(in_dir + " run colors --smoke --runs 1 --out run.txt 2>run.log"), 0)
+      << read_file(dir + "/run.log");
+  EXPECT_FALSE(read_file(dir + "/run.txt").empty());
+  EXPECT_FALSE(std::filesystem::exists(dir + "/true"));
+}
 
 }  // namespace

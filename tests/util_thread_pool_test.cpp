@@ -77,16 +77,6 @@ TEST(ThreadPool, ConcurrentThrowersDeliverExactlyOneException) {
   }
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  ThreadPool pool{2};
-  std::atomic<int> n{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&n] { n.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(n.load(), 20);
-}
-
 TEST(ThreadPool, SizeReflectsConstruction) {
   ThreadPool pool{3};
   EXPECT_EQ(pool.size(), 3u);
