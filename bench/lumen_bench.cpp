@@ -7,7 +7,7 @@
 //
 // Each experiment (E1–E6, E8–E13) lives in the analysis::ExperimentRegistry;
 // this binary only resolves the spec (defaults -> --spec file -> flag
-// overrides), runs it, and hands the structured result to a Reporter.
+// overrides), runs it, and hands the structured result to write_report.
 // E7 (microbenchmarks) stays in the separate bench_micro binary because
 // google-benchmark owns its harness. `hunt` drives the adversarial search
 // subsystem (src/search): it optimizes an AdversaryPlan against a chosen
@@ -28,10 +28,12 @@
 #include "search/experiment.hpp"
 #include "search/scenario_io.hpp"
 #include "util/cli.hpp"
+#include "util/strings.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -138,9 +140,9 @@ int usage(std::ostream& os, int code) {
         "\n"
         "`lumen-bench run --help` and `lumen-bench hunt --help` list each\n"
         "command's flags. --smoke and --names-only are switches; every other\n"
-        "flag takes a value, as --name=value or --name value. A missing\n"
-        "value, a malformed number, an unknown name or a stray argument\n"
-        "exits 2.\n"
+        "flag takes a value, as --name=value or --name value. Names match\n"
+        "in any case. A missing value, a malformed switch or number, an\n"
+        "unknown name or a stray argument exits 2.\n"
         "\n"
         "exit codes: 0 no claim check failed, 1 a claim check failed (hunt:\n"
         "some fitness had no successful evaluation), 2 usage/spec error,\n"
@@ -154,36 +156,11 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
-/// Parses a command's flags into `cli`. Returns the exit code to stop with
-/// (0 after --help, 2 on a usage error, including a positional argument
-/// given to a command that takes none), or nullopt to go on.
-std::optional<int> parse_command(util::Cli& cli, const std::vector<std::string>& args,
-                                 const std::string& program,
-                                 std::string_view description,
-                                 bool takes_positional) {
-  std::vector<const char*> argv = {program.c_str()};
-  for (const auto& a : args) argv.push_back(a.c_str());
-  if (!cli.parse(static_cast<int>(argv.size()), argv.data())) {
-    std::cerr << "error: " << cli.error() << "\n";
-    return 2;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.usage(program, description);
-    return 0;
-  }
-  if (!takes_positional && !cli.positional().empty()) {
-    std::cerr << "error: " << program << " takes no positional argument (got \""
-              << cli.positional()[0] << "\")\n";
-    return 2;
-  }
-  return std::nullopt;
-}
-
-int cmd_list(const std::vector<std::string>& args) {
+int cmd_list(int argc, const char* const* argv) {
   util::Cli cli;
   cli.flag("names-only", "print experiment names only, one a line", "false");
-  if (const auto code = parse_command(cli, args, "lumen-bench list",
-                                      "list registered experiments", false)) {
+  if (const auto code = cli.parse_command(argc, argv, "lumen-bench list",
+                                          "list registered experiments")) {
     return *code;
   }
   const bool names_only = cli.get_bool("names-only");
@@ -209,16 +186,22 @@ int cmd_list(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_describe(const std::vector<std::string>& args) {
-  if (args.empty()) {
+int cmd_describe(int argc, const char* const* argv) {
+  util::Cli cli;
+  if (const auto code = cli.parse_command(argc, argv, "lumen-bench describe <name>",
+                                          "description + default spec JSON", 1)) {
+    return *code;
+  }
+  if (cli.positional().empty()) {
     std::cerr << "error: describe needs an experiment or algorithm name\n";
     return 2;
   }
+  const std::string& name = cli.positional()[0];
   // Numbers read off this host depend on which batch-kernel ISA the
   // geometry layer dispatched to for this CPU; say so up front.
   std::cout << "simd dispatch: "
             << geom::simd::to_string(geom::simd::active_level()) << "\n\n";
-  const auto* e = analysis::ExperimentRegistry::instance().find(args[0]);
+  const auto* e = analysis::ExperimentRegistry::instance().find(name);
   if (e != nullptr) {
     std::cout << e->id << " " << e->name << "\n\n"
               << e->description << "\n\ndefault spec:\n"
@@ -227,7 +210,7 @@ int cmd_describe(const std::vector<std::string>& args) {
   }
   // Not an experiment — maybe a registered algorithm plugin.
   for (const auto& a : core::algorithm_infos()) {
-    if (a.name != args[0]) continue;
+    if (a.name != name) continue;
     std::cout << "algorithm " << a.name << "\n"
               << "  motion model:      " << model::to_string(a.motion_model)
               << "\n"
@@ -235,7 +218,7 @@ int cmd_describe(const std::vector<std::string>& args) {
               << "  success predicate: " << a.success_predicate << "\n";
     return 0;
   }
-  std::cerr << "error: unknown experiment or algorithm \"" << args[0]
+  std::cerr << "error: unknown experiment or algorithm \"" << name
             << "\" (try `lumen-bench list`)\n";
   return 2;
 }
@@ -279,7 +262,7 @@ std::string apply_overrides(util::Cli& cli, analysis::ScenarioSpec& spec) {
   return "";
 }
 
-int cmd_run(const std::vector<std::string>& raw_args) {
+int cmd_run(int argc, const char* const* argv) {
   util::Cli cli;
   cli.flag("spec", "ScenarioSpec JSON file overriding the defaults");
   cli.flag("ns", "sweep sizes, e.g. 8,16,32");
@@ -304,8 +287,9 @@ int cmd_run(const std::vector<std::string>& raw_args) {
   cli.flag("chaos-kill", "P(SIGKILL a worker after each cell), 0 = off", "0");
   cli.flag("chaos-seed", "deterministic chaos stream seed", "0");
 
-  if (const auto code = parse_command(cli, raw_args, "lumen-bench run <experiment|all>",
-                                      "run one experiment (or every one)", true)) {
+  if (const auto code = cli.parse_command(argc, argv, "lumen-bench run <experiment|all>",
+                                          "run one experiment (or every one)",
+                                          SIZE_MAX)) {
     return *code;
   }
   if (cli.positional().empty()) {
@@ -329,15 +313,10 @@ int cmd_run(const std::vector<std::string>& raw_args) {
     }
   }
 
-  const auto reporter = analysis::make_reporter(cli.get("format"));
-  if (reporter == nullptr) {
-    std::cerr << "error: unknown --format \"" << cli.get("format") << "\" ("
-              << analysis::reporter_formats() << ")\n";
-    return 2;
-  }
-
+  analysis::ReportFormat format{};
   fabric::FabricConfig fabric_config;
-  if (!(cli.read("workers", fabric_config.workers) &&
+  if (!(cli.read("format", format, analysis::report_format_from_string) &&
+        cli.read("workers", fabric_config.workers) &&
         cli.read("fabric-dir", fabric_config.dir) &&
         cli.read("lease-ttl-ms", fabric_config.lease_ttl_ms) &&
         cli.read("chaos-kill", fabric_config.chaos_kill_rate) &&
@@ -413,7 +392,7 @@ int cmd_run(const std::vector<std::string>& raw_args) {
     const auto result = experiment->run(spec, ctx);
     if (!first) out << "\n";
     first = false;
-    reporter->report(result, out);
+    analysis::write_report(result, format, out);
     out.flush();
     all_passed = all_passed && result.passed();
     if (g_stop.load()) {
@@ -436,7 +415,7 @@ int cmd_run(const std::vector<std::string>& raw_args) {
 // requested fitness (default: all three), sharing the same hunt seed; each
 // prints its trajectory digest (the cross-pool-size determinism witness)
 // and optionally emits its minimized winner as a regression scenario.
-int cmd_hunt(const std::vector<std::string>& raw_args) {
+int cmd_hunt(int argc, const char* const* argv) {
   search::HuntSpec base;
   util::Cli cli;
   cli.flag("fitness", "epochs|min-separation|outcome|all", "all");
@@ -464,15 +443,17 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
   cli.flag("resume", "skip evaluations journaled here; implies --journal");
   cli.flag("out", "write the summary to this file instead of stdout");
   cli.flag("smoke", "shrink budgets to a seconds-long sanity hunt", "false");
-  if (const auto code = parse_command(cli, raw_args, "lumen-bench hunt",
-                                      "adversarial search for worst-case plans",
-                                      false)) {
+  if (const auto code = cli.parse_command(argc, argv, "lumen-bench hunt",
+                                          "adversarial search for worst-case plans")) {
     return *code;
   }
 
   const auto fitness_kinds =
       [](std::string_view name) -> std::optional<std::vector<search::FitnessKind>> {
-    if (name == "all") return search::all_fitness_kinds();
+    if (util::iequals(name, "all")) {
+      const auto all = search::all_fitness_kinds();
+      return std::vector(all.begin(), all.end());
+    }
     if (const auto kind = search::fitness_from_string(name)) {
       return std::vector{*kind};
     }
@@ -628,15 +609,16 @@ int cmd_hunt(const std::vector<std::string>& raw_args) {
 // journal, and streams progress events on stdout for the coordinator.
 // Exit codes: 0 every leased cell journaled, 2 unusable lease/journal,
 // 3 drained on SIGINT/SIGTERM with cells left undone.
-int cmd_work(const std::vector<std::string>& args) {
-  if (args.size() != 1 || args[0] == "--help" || args[0] == "-h") {
+int cmd_work(int argc, const char* const* argv) {
+  const std::string_view lease = argc == 2 ? argv[1] : "";
+  if (lease.empty() || lease == "--help" || lease == "-h") {
     std::cerr << "usage: lumen-bench work <lease.json|->\n";
     return 2;
   }
   std::signal(SIGINT, request_stop);
   std::signal(SIGTERM, request_stop);
   fabric::WorkerOptions options;
-  options.lease_path = args[0];
+  options.lease_path = std::string(lease);
   options.stop = &g_stop;
   return fabric::run_worker(options);
 }
@@ -649,18 +631,17 @@ int main(int argc, char** argv) {
   // called before any thread exists.
   lumen::search::register_hunt_experiment();
   g_self_exe = self_executable(argc > 0 ? argv[0] : nullptr);
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.empty()) return usage(std::cerr, 2);
-  const std::string& command = args[0];
-  const std::vector<std::string> rest(args.begin() + 1, args.end());
+  if (argc < 2) return usage(std::cerr, 2);
+  const std::string_view command = argv[1];
   if (command == "--help" || command == "help" || command == "-h") {
     return usage(std::cout, 0);
   }
-  if (command == "list") return cmd_list(rest);
-  if (command == "describe") return cmd_describe(rest);
-  if (command == "run") return cmd_run(rest);
-  if (command == "hunt") return cmd_hunt(rest);
-  if (command == "work") return cmd_work(rest);
+  // Each command parses argv[1..]: its own name, then its arguments.
+  if (command == "list") return cmd_list(argc - 1, argv + 1);
+  if (command == "describe") return cmd_describe(argc - 1, argv + 1);
+  if (command == "run") return cmd_run(argc - 1, argv + 1);
+  if (command == "hunt") return cmd_hunt(argc - 1, argv + 1);
+  if (command == "work") return cmd_work(argc - 1, argv + 1);
   std::cerr << "error: unknown command \"" << command << "\"\n\n";
   return usage(std::cerr, 2);
 }

@@ -18,21 +18,16 @@ int main(int argc, char** argv) {
   cli.flag("n", "number of robots", "48")
       .flag("seeds", "seeds per cell", "3")
       .flag("family", "configuration family", "uniform-disk");
-  if (!cli.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n", cli.error().c_str());
-    return 2;
-  }
-  if (cli.help_requested()) {
-    std::printf("%s",
-                cli.usage("adversary_duel", "algorithms vs adversaries").c_str());
-    return 0;
+  if (const auto code =
+          cli.parse_command(argc, argv, "adversary_duel", "algorithms vs adversaries")) {
+    return *code;
   }
 
   // Every cell shares these; the loops below set algorithm and adversary.
   analysis::CampaignSpec spec;
   if (!(cli.read("n", spec.n) && cli.read("seeds", spec.runs) &&
         cli.read("family", spec.family, gen::family_from_string))) {
-    std::fprintf(stderr, "%s\n", cli.error().c_str());
+    std::fprintf(stderr, "error: %s\n", cli.error().c_str());
     return 2;
   }
 
@@ -40,16 +35,14 @@ int main(int argc, char** argv) {
                      "collision-free", "epochs(mean)", "epochs(max)"});
   bool paper_algo_clean = true;
   for (const auto& algorithm : core::algorithm_names()) {
-    for (const auto adversary :
-         {sched::AdversaryKind::kUniform, sched::AdversaryKind::kBursty,
-          sched::AdversaryKind::kStallOne, sched::AdversaryKind::kLockstep}) {
+    for (const auto& [adversary, adversary_name] : sched::kAdversaryNames) {
       spec.algorithm = std::string(algorithm);
       spec.run.adversary = adversary;
       const auto result = analysis::run_campaign(spec);
       const auto epochs = result.epochs();
       table.row()
           .cell(algorithm)
-          .cell(to_string(adversary))
+          .cell(adversary_name)
           .cell(result.converged_count())
           .cell(result.visibility_ok_count())
           .cell(result.collision_free_count())

@@ -35,14 +35,14 @@ void print_census(const char* label, std::span<const geom::Vec2> positions) {
 int main(int argc, char** argv) {
   util::Cli cli;
   cli.flag("n", "number of robots", "24").flag("seed", "random seed", "2");
-  if (!cli.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n", cli.error().c_str());
-    return 2;
+  if (const auto code = cli.parse_command(argc, argv, "collinear_rescue",
+                                          "escape from an all-collinear start")) {
+    return *code;
   }
   std::size_t n = 0;
   sim::RunConfig config;
   if (!(cli.read("n", n) && cli.read("seed", config.seed))) {
-    std::fprintf(stderr, "%s\n", cli.error().c_str());
+    std::fprintf(stderr, "error: %s\n", cli.error().c_str());
     return 2;
   }
 

@@ -19,22 +19,6 @@
 
 using namespace lumen;
 
-namespace {
-
-const char* role_name(core::Role r) {
-  switch (r) {
-    case core::Role::kAlone: return "alone";
-    case core::Role::kCorner: return "corner";
-    case core::Role::kSide: return "side";
-    case core::Role::kInterior: return "interior";
-    case core::Role::kLine: return "line";
-    case core::Role::kLineEnd: return "line-end";
-  }
-  return "?";
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::Cli cli;
   cli.flag("n", "number of robots", "64")
@@ -42,9 +26,9 @@ int main(int argc, char** argv) {
       .flag("family", "configuration family", "uniform-disk")
       .flag("algo", "algorithm", "async-log")
       .flag("cap", "max cycles per robot", "4096");
-  if (!cli.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n", cli.error().c_str());
-    return 2;
+  if (const auto code = cli.parse_command(argc, argv, "diagnose",
+                                          "post-mortem of a single execution")) {
+    return *code;
   }
   std::size_t n = 0;
   gen::ConfigFamily family{};
@@ -53,7 +37,7 @@ int main(int argc, char** argv) {
   if (!(cli.read("n", n) && cli.read("seed", config.seed) &&
         cli.read("family", family, gen::family_from_string) &&
         cli.read("algo", algo) && cli.read("cap", config.max_cycles_per_robot))) {
-    std::fprintf(stderr, "%s\n", cli.error().c_str());
+    std::fprintf(stderr, "error: %s\n", cli.error().c_str());
     return 2;
   }
 
@@ -79,7 +63,7 @@ int main(int argc, char** argv) {
     model::build_snapshot(xs, ys, run.final_lights, i, frame, scratch, snap);
     const auto view = core::build_view(snap);
     const auto action = algorithm->compute(snap);
-    std::string key = role_name(view.role);
+    std::string key(to_string(view.role));
     key += "/";
     key += to_string(run.final_lights[i]);
     key += "/next:";

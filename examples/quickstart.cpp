@@ -27,13 +27,9 @@ int main(int argc, char** argv) {
       .flag("adversary", "uniform, bursty, stall-one or lockstep (async only)",
             "uniform")
       .flag("svg", "write an SVG rendering of the run to this path");
-  if (!cli.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n", cli.error().c_str());
-    return 2;
-  }
-  if (cli.help_requested()) {
-    std::printf("%s", cli.usage("quickstart", "run Complete Visibility once").c_str());
-    return 0;
+  if (const auto code =
+          cli.parse_command(argc, argv, "quickstart", "run Complete Visibility once")) {
+    return *code;
   }
 
   std::size_t n = 0;
@@ -47,7 +43,7 @@ int main(int argc, char** argv) {
         cli.read("scheduler", config.scheduler, lumen::sim::scheduler_from_string) &&
         cli.read("adversary", config.adversary, lumen::sched::adversary_from_string) &&
         cli.read("svg", svg_path))) {
-    std::fprintf(stderr, "%s\n", cli.error().c_str());
+    std::fprintf(stderr, "error: %s\n", cli.error().c_str());
     return 2;
   }
 

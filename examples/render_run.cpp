@@ -23,13 +23,9 @@ int main(int argc, char** argv) {
       .flag("out", "output SVG path", "run.svg")
       .flag("width", "image width", "900")
       .flag("height", "image height", "900");
-  if (!cli.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n", cli.error().c_str());
-    return 2;
-  }
-  if (cli.help_requested()) {
-    std::printf("%s", cli.usage("render_run", "render one execution to SVG").c_str());
-    return 0;
+  if (const auto code =
+          cli.parse_command(argc, argv, "render_run", "render one execution to SVG")) {
+    return *code;
   }
 
   std::size_t n = 0;
@@ -42,7 +38,7 @@ int main(int argc, char** argv) {
         cli.read("family", family, gen::family_from_string) &&
         cli.read("algo", algo) && cli.read("out", out) &&
         cli.read("width", options.width) && cli.read("height", options.height))) {
-    std::fprintf(stderr, "%s\n", cli.error().c_str());
+    std::fprintf(stderr, "error: %s\n", cli.error().c_str());
     return 2;
   }
 

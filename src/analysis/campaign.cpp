@@ -18,26 +18,6 @@
 
 namespace lumen::analysis {
 
-std::string_view to_string(CampaignErrorKind k) noexcept {
-  switch (k) {
-    case CampaignErrorKind::kSpecInvalid: return "spec-invalid";
-    case CampaignErrorKind::kDeadline: return "deadline";
-    case CampaignErrorKind::kException: return "exception";
-    case CampaignErrorKind::kJournalMismatch: return "journal-mismatch";
-  }
-  return "?";
-}
-
-std::optional<CampaignErrorKind> campaign_error_kind_from_string(
-    std::string_view name) noexcept {
-  for (const auto k :
-       {CampaignErrorKind::kSpecInvalid, CampaignErrorKind::kDeadline,
-        CampaignErrorKind::kException, CampaignErrorKind::kJournalMismatch}) {
-    if (to_string(k) == name) return k;
-  }
-  return std::nullopt;
-}
-
 std::string validate_campaign_spec(const CampaignSpec& spec) {
   const auto names = core::algorithm_names();
   if (std::find(names.begin(), names.end(), spec.algorithm) == names.end()) {
@@ -237,11 +217,6 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
     }
   }
 
-  const auto stop_requested = [&control]() noexcept {
-    return control.stop != nullptr &&
-           control.stop->load(std::memory_order_relaxed);
-  };
-
   // One attempt of one cell: generate, run, reduce to metrics — or classify
   // the failure. Returns metrics on success, an error otherwise.
   const auto attempt_cell = [&](std::uint64_t seed, sim::LookArena* arena)
@@ -320,7 +295,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
     for (std::size_t attempt = 1; attempt <= spec.max_attempts; ++attempt) {
       // Cooperative stop: cells already past this gate drain normally; this
       // one (and its remaining retries) is abandoned without a record.
-      if (stop_requested()) {
+      if (control.stop_requested()) {
         cell.skipped = true;
         return;
       }

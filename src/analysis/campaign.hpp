@@ -23,12 +23,15 @@
 #include "gen/generators.hpp"
 #include "sim/run.hpp"
 #include "util/stats.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lumen::analysis {
@@ -76,11 +79,22 @@ enum class CampaignErrorKind {
                      ///< spec (multi-writer guard); campaign-wide, no cells ran.
 };
 
-[[nodiscard]] std::string_view to_string(CampaignErrorKind k) noexcept;
+inline constexpr auto kCampaignErrorKindNames =
+    std::to_array<util::Named<CampaignErrorKind>>({
+        {CampaignErrorKind::kSpecInvalid, "spec-invalid"},
+        {CampaignErrorKind::kDeadline, "deadline"},
+        {CampaignErrorKind::kException, "exception"},
+        {CampaignErrorKind::kJournalMismatch, "journal-mismatch"},
+    });
 
-/// Exact (case-sensitive) inverse of to_string; nullopt for unknown names.
-[[nodiscard]] std::optional<CampaignErrorKind> campaign_error_kind_from_string(
-    std::string_view name) noexcept;
+[[nodiscard]] constexpr std::string_view to_string(CampaignErrorKind k) noexcept {
+  return util::name_of(kCampaignErrorKindNames, k);
+}
+
+[[nodiscard]] constexpr std::optional<CampaignErrorKind>
+campaign_error_kind_from_string(std::string_view name) noexcept {
+  return util::parse_name(kCampaignErrorKindNames, name);
+}
 
 struct CampaignError {
   CampaignErrorKind kind = CampaignErrorKind::kException;
@@ -170,6 +184,12 @@ struct CampaignControl {
   /// fabric worker uses this to stream per-cell progress to its
   /// coordinator; it must not throw.
   std::function<void(std::uint64_t seed)> on_cell;
+
+  /// Whether `stop` is set: the one stop test every campaign, hunt,
+  /// minimizer, experiment and fabric loop polls.
+  [[nodiscard]] bool stop_requested() const noexcept {
+    return stop != nullptr && stop->load(std::memory_order_relaxed);
+  }
 };
 
 struct CampaignResult {

@@ -95,7 +95,7 @@ Series run_series(const std::string& algorithm, const std::vector<std::size_t>& 
                   ExperimentResult& result) {
   Series series;
   for (const std::size_t n : ns) {
-    if (ctx.stop_requested()) {
+    if (ctx.control.stop_requested()) {
       result.partial = true;
       break;
     }
@@ -410,7 +410,7 @@ ExperimentResult run_doubling(const ScenarioSpec& spec,
         // campaign aggregates), so the shard filter and the cooperative
         // stop run_campaign applies are applied here.
         if (i % spec.shard_count != spec.shard_index) continue;
-        if (ctx.stop_requested()) {
+        if (ctx.control.stop_requested()) {
           result.partial = true;
           break;
         }
@@ -832,7 +832,7 @@ ExperimentResult run_cross_algorithm(const ScenarioSpec& spec,
     for (const auto sched :
          {sim::SchedulerKind::kFsync, sim::SchedulerKind::kSsync,
           sim::SchedulerKind::kAsync}) {
-      if (ctx.stop_requested()) {
+      if (ctx.control.stop_requested()) {
         result.partial = true;
         break;
       }

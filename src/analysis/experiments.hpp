@@ -5,7 +5,7 @@
 // and a run function that reduces campaigns to a structured
 // ExperimentResult (typed rows + free-text notes + named claim checks).
 // The `lumen-bench` driver is a thin shell over this registry —
-// list/describe/run — and the pluggable reporters render the same
+// list/describe/run — and write_report renders the same
 // ExperimentResult as an aligned table, CSV, or JSON. Experiment bodies
 // were moved verbatim from the former ad-hoc bench_*.cpp binaries so the
 // printed metric values are unchanged (tested in
@@ -13,6 +13,7 @@
 #pragma once
 
 #include "analysis/scenario.hpp"
+#include "util/strings.hpp"
 
 #include <functional>
 #include <optional>
@@ -36,6 +37,16 @@ struct MetricCell {
 /// A claim check's outcome; only kFail fails a run. kUndecided: the data
 /// cannot tell, e.g. E1's growth verdict over a too-short sweep.
 enum class Verdict { kPass, kFail, kUndecided };
+
+inline constexpr auto kVerdictNames = std::to_array<util::Named<Verdict>>({
+    {Verdict::kPass, "pass"},
+    {Verdict::kFail, "fail"},
+    {Verdict::kUndecided, "undecided"},
+});
+
+[[nodiscard]] constexpr std::string_view to_string(Verdict v) noexcept {
+  return util::name_of(kVerdictNames, v);
+}
 
 /// The verdict of a yes/no claim.
 [[nodiscard]] constexpr Verdict pass_if(bool ok) noexcept {
@@ -89,11 +100,6 @@ struct ExperimentContext {
   /// is installed, plain run_campaign otherwise.
   [[nodiscard]] CampaignResult execute(const CampaignSpec& spec) const {
     return runner ? runner(spec) : run_campaign(spec, pool, control);
-  }
-
-  [[nodiscard]] bool stop_requested() const noexcept {
-    return control.stop != nullptr &&
-           control.stop->load(std::memory_order_relaxed);
   }
 };
 

@@ -10,15 +10,6 @@ namespace lumen::analysis {
 
 namespace {
 
-std::string verdict_name(Verdict v) {
-  switch (v) {
-    case Verdict::kPass: return "pass";
-    case Verdict::kFail: return "fail";
-    case Verdict::kUndecided: return "undecided";
-  }
-  return "?";
-}
-
 util::Table to_table(const ExperimentResult& result) {
   util::Table table(result.columns);
   for (const auto& row : result.rows) {
@@ -28,39 +19,32 @@ util::Table to_table(const ExperimentResult& result) {
   return table;
 }
 
-class PrettyReporter final : public Reporter {
- public:
-  void report(const ExperimentResult& result, std::ostream& os) const override {
-    to_table(result).print(os, result.title);
-    if (!result.notes.empty()) os << "\n";
-    for (const auto& note : result.notes) os << note << "\n";
-    if (result.partial) {
-      os << "  [PARTIAL] result is incomplete (cells failed or were skipped); "
-            "claim checks are not meaningful\n";
-    }
-    for (const auto& check : result.checks) {
-      std::string tag = verdict_name(check.verdict);
-      for (char& c : tag) c = static_cast<char>(std::toupper(c));
-      os << "  [" << tag << "] " << check.label << "\n";
-    }
-  }
-};
-
-class CsvReporter final : public Reporter {
- public:
-  void report(const ExperimentResult& result, std::ostream& os) const override {
-    to_table(result).write_csv(os);
-  }
-};
-
-class JsonReporter final : public Reporter {
- public:
-  void report(const ExperimentResult& result, std::ostream& os) const override {
-    os << util::json_write(result_to_json(result)) << "\n";
-  }
-};
-
 }  // namespace
+
+void write_report(const ExperimentResult& result, ReportFormat format, std::ostream& os) {
+  switch (format) {
+    case ReportFormat::kPretty:
+      to_table(result).print(os, result.title);
+      if (!result.notes.empty()) os << "\n";
+      for (const auto& note : result.notes) os << note << "\n";
+      if (result.partial) {
+        os << "  [PARTIAL] result is incomplete (cells failed or were skipped); "
+              "claim checks are not meaningful\n";
+      }
+      for (const auto& check : result.checks) {
+        std::string tag(to_string(check.verdict));
+        for (char& c : tag) c = static_cast<char>(std::toupper(c));
+        os << "  [" << tag << "] " << check.label << "\n";
+      }
+      return;
+    case ReportFormat::kCsv:
+      to_table(result).write_csv(os);
+      return;
+    case ReportFormat::kJson:
+      os << util::json_write(result_to_json(result)) << "\n";
+      return;
+  }
+}
 
 util::JsonValue result_to_json(const ExperimentResult& result) {
   util::JsonValue obj = util::JsonValue::object();
@@ -92,7 +76,7 @@ util::JsonValue result_to_json(const ExperimentResult& result) {
   for (const auto& check : result.checks) {
     util::JsonValue entry = util::JsonValue::object();
     entry.set("label", util::JsonValue::string(check.label));
-    entry.set("verdict", util::JsonValue::string(verdict_name(check.verdict)));
+    entry.set("verdict", util::JsonValue::string(std::string(to_string(check.verdict))));
     checks.push_back(std::move(entry));
   }
   obj.set("checks", std::move(checks));
@@ -102,14 +86,5 @@ util::JsonValue result_to_json(const ExperimentResult& result) {
   obj.set("passed", util::JsonValue::boolean(result.passed()));
   return obj;
 }
-
-std::unique_ptr<Reporter> make_reporter(std::string_view format) {
-  if (format == "pretty") return std::make_unique<PrettyReporter>();
-  if (format == "csv") return std::make_unique<CsvReporter>();
-  if (format == "json") return std::make_unique<JsonReporter>();
-  return nullptr;
-}
-
-std::string_view reporter_formats() noexcept { return "pretty|csv|json"; }
 
 }  // namespace lumen::analysis

@@ -18,10 +18,12 @@
 #include "geom/vec2.hpp"
 #include "model/light.hpp"
 #include "model/snapshot.hpp"
+#include "util/strings.hpp"
 
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace lumen::core {
@@ -34,6 +36,19 @@ enum class Role {
   kLine,      ///< Entire snapshot collinear, observer not extreme.
   kLineEnd,   ///< Entire snapshot collinear, observer extreme.
 };
+
+inline constexpr auto kRoleNames = std::to_array<util::Named<Role>>({
+    {Role::kAlone, "alone"},
+    {Role::kCorner, "corner"},
+    {Role::kSide, "side"},
+    {Role::kInterior, "interior"},
+    {Role::kLine, "line"},
+    {Role::kLineEnd, "line-end"},
+});
+
+[[nodiscard]] constexpr std::string_view to_string(Role r) noexcept {
+  return util::name_of(kRoleNames, r);
+}
 
 /// The digest all Compute rules share. Index 0 is always the observer
 /// (at the local origin); indices 1.. are the visible robots in snapshot

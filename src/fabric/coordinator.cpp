@@ -206,13 +206,8 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
     }
   };
 
-  const auto stop_requested = [&]() {
-    return control.stop != nullptr &&
-           control.stop->load(std::memory_order_relaxed);
-  };
-
   // ---- The supervision loop ------------------------------------------------
-  while (!stop_requested()) {
+  while (!control.stop_requested()) {
     bool open_work = false;
     const auto now = Clock::now();
     for (Shard& shard : shards) {
@@ -295,7 +290,7 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
   }
 
   // ---- Drain ---------------------------------------------------------------
-  if (stop_requested()) {
+  if (control.stop_requested()) {
     out.stopped = true;
     say("fabric: stop requested; draining workers");
     for (Shard& shard : shards) {

@@ -8,16 +8,6 @@ namespace {
 constexpr std::string_view kEventType = "lumen-worker";
 }
 
-std::string_view to_string(WorkerEventKind k) noexcept {
-  switch (k) {
-    case WorkerEventKind::kHello: return "hello";
-    case WorkerEventKind::kHeartbeat: return "heartbeat";
-    case WorkerEventKind::kCell: return "cell";
-    case WorkerEventKind::kDone: return "done";
-  }
-  return "?";
-}
-
 std::string worker_event_to_line(const WorkerEvent& event) {
   util::JsonValue obj = util::JsonValue::object();
   obj.set("type", util::JsonValue::string(std::string(kEventType)));
@@ -68,16 +58,9 @@ std::optional<WorkerEvent> worker_event_from_line(std::string_view line,
     return fail("event must be a string");
   }
   WorkerEvent out;
-  bool known = false;
-  for (const auto k : {WorkerEventKind::kHello, WorkerEventKind::kHeartbeat,
-                       WorkerEventKind::kCell, WorkerEventKind::kDone}) {
-    if (to_string(k) == event->as_string()) {
-      out.kind = k;
-      known = true;
-      break;
-    }
-  }
-  if (!known) return fail("unknown event \"" + event->as_string() + "\"");
+  const auto kind = util::parse_name(kWorkerEventKindNames, event->as_string());
+  if (!kind) return fail("unknown event \"" + event->as_string() + "\"");
+  out.kind = *kind;
   const auto want_u64 = [&](std::string_view key, std::uint64_t& into,
                             bool required) {
     const auto* v = doc->find(key);

@@ -17,6 +17,8 @@
 // it cannot advance anything).
 #pragma once
 
+#include "util/strings.hpp"
+
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -26,7 +28,16 @@ namespace lumen::fabric {
 
 enum class WorkerEventKind { kHello, kHeartbeat, kCell, kDone };
 
-[[nodiscard]] std::string_view to_string(WorkerEventKind k) noexcept;
+inline constexpr auto kWorkerEventKindNames = std::to_array<util::Named<WorkerEventKind>>({
+    {WorkerEventKind::kHello, "hello"},
+    {WorkerEventKind::kHeartbeat, "heartbeat"},
+    {WorkerEventKind::kCell, "cell"},
+    {WorkerEventKind::kDone, "done"},
+});
+
+[[nodiscard]] constexpr std::string_view to_string(WorkerEventKind k) noexcept {
+  return util::name_of(kWorkerEventKindNames, k);
+}
 
 struct WorkerEvent {
   WorkerEventKind kind = WorkerEventKind::kHeartbeat;

@@ -8,6 +8,7 @@
 
 #include "geom/vec2.hpp"
 #include "util/fields.hpp"
+#include "util/strings.hpp"
 
 #include <cstddef>
 #include <cstdint>
@@ -20,25 +21,21 @@ namespace lumen::fault {
 /// attribution value used by the safety monitor).
 enum class FaultChannel { kNone, kCrash, kLight, kNoise };
 
+inline constexpr auto kFaultChannelNames = std::to_array<util::Named<FaultChannel>>({
+    {FaultChannel::kNone, "none"},
+    {FaultChannel::kCrash, "crash"},
+    {FaultChannel::kLight, "light"},
+    {FaultChannel::kNoise, "noise"},
+});
+
 [[nodiscard]] constexpr std::string_view to_string(FaultChannel c) noexcept {
-  switch (c) {
-    case FaultChannel::kNone: return "none";
-    case FaultChannel::kCrash: return "crash";
-    case FaultChannel::kLight: return "light";
-    case FaultChannel::kNoise: return "noise";
-  }
-  return "?";
+  return util::name_of(kFaultChannelNames, c);
 }
 
-/// Exact (case-sensitive) inverse of to_string; nullopt for unknown names.
 /// Used by the campaign journal's RunMetrics round-trip.
 [[nodiscard]] constexpr std::optional<FaultChannel> channel_from_string(
     std::string_view name) noexcept {
-  for (const auto c : {FaultChannel::kNone, FaultChannel::kCrash,
-                       FaultChannel::kLight, FaultChannel::kNoise}) {
-    if (to_string(c) == name) return c;
-  }
-  return std::nullopt;
+  return util::parse_name(kFaultChannelNames, name);
 }
 
 /// One injected fault occurrence, as delivered to RunObserver::on_fault.

@@ -1,44 +1,8 @@
 #include "fault/plan.hpp"
 
-#include "util/strings.hpp"
-
 #include <cmath>
 
 namespace lumen::fault {
-
-std::string_view to_string(CrashScheduleKind k) noexcept {
-  switch (k) {
-    case CrashScheduleKind::kRate: return "rate";
-    case CrashScheduleKind::kTimes: return "times";
-  }
-  return "?";
-}
-
-std::optional<CrashScheduleKind> crash_schedule_from_string(
-    std::string_view name) noexcept {
-  for (const auto k : {CrashScheduleKind::kRate, CrashScheduleKind::kTimes}) {
-    if (util::iequals(to_string(k), name)) return k;
-  }
-  return std::nullopt;
-}
-
-std::string_view to_string(CorruptionMode m) noexcept {
-  switch (m) {
-    case CorruptionMode::kStuck: return "stuck";
-    case CorruptionMode::kFlip: return "flip";
-    case CorruptionMode::kRandom: return "random";
-  }
-  return "?";
-}
-
-std::optional<CorruptionMode> corruption_mode_from_string(
-    std::string_view name) noexcept {
-  for (const auto m : {CorruptionMode::kStuck, CorruptionMode::kFlip,
-                       CorruptionMode::kRandom}) {
-    if (util::iequals(to_string(m), name)) return m;
-  }
-  return std::nullopt;
-}
 
 namespace {
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include "util/fields.hpp"
+#include "util/strings.hpp"
 
 #include <cstddef>
 #include <optional>
@@ -26,18 +27,39 @@ namespace lumen::fault {
 /// after times[k] dies").
 enum class CrashScheduleKind { kRate, kTimes };
 
-[[nodiscard]] std::string_view to_string(CrashScheduleKind k) noexcept;
-/// Case-insensitive inverse ("rate" == "RATE"); nullopt for unknown names.
-[[nodiscard]] std::optional<CrashScheduleKind> crash_schedule_from_string(
-    std::string_view name) noexcept;
+inline constexpr auto kCrashScheduleNames =
+    std::to_array<util::Named<CrashScheduleKind>>({
+        {CrashScheduleKind::kRate, "rate"},
+        {CrashScheduleKind::kTimes, "times"},
+    });
+
+[[nodiscard]] constexpr std::string_view to_string(CrashScheduleKind k) noexcept {
+  return util::name_of(kCrashScheduleNames, k);
+}
+
+[[nodiscard]] constexpr std::optional<CrashScheduleKind> crash_schedule_from_string(
+    std::string_view name) noexcept {
+  return util::parse_name(kCrashScheduleNames, name);
+}
 
 /// What a corrupted light read becomes: stuck at kOff, deterministically
 /// flipped to the next palette color, or a uniformly random DIFFERENT color.
 enum class CorruptionMode { kStuck, kFlip, kRandom };
 
-[[nodiscard]] std::string_view to_string(CorruptionMode m) noexcept;
-[[nodiscard]] std::optional<CorruptionMode> corruption_mode_from_string(
-    std::string_view name) noexcept;
+inline constexpr auto kCorruptionModeNames = std::to_array<util::Named<CorruptionMode>>({
+    {CorruptionMode::kStuck, "stuck"},
+    {CorruptionMode::kFlip, "flip"},
+    {CorruptionMode::kRandom, "random"},
+});
+
+[[nodiscard]] constexpr std::string_view to_string(CorruptionMode m) noexcept {
+  return util::name_of(kCorruptionModeNames, m);
+}
+
+[[nodiscard]] constexpr std::optional<CorruptionMode> corruption_mode_from_string(
+    std::string_view name) noexcept {
+  return util::parse_name(kCorruptionModeNames, name);
+}
 
 /// Crash-stop channel: kills up to `count` robots. A crashed robot stops
 /// executing cycles forever; its body keeps obstructing visibility and its

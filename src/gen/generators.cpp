@@ -9,40 +9,6 @@ namespace lumen::gen {
 
 using geom::Vec2;
 
-std::string_view to_string(ConfigFamily f) noexcept {
-  switch (f) {
-    case ConfigFamily::kUniformDisk: return "uniform-disk";
-    case ConfigFamily::kUniformSquare: return "uniform-square";
-    case ConfigFamily::kGaussianBlob: return "gaussian-blob";
-    case ConfigFamily::kMultiCluster: return "multi-cluster";
-    case ConfigFamily::kRingWithCore: return "ring-with-core";
-    case ConfigFamily::kGrid: return "grid";
-    case ConfigFamily::kCollinear: return "collinear";
-    case ConfigFamily::kNearCollinear: return "near-collinear";
-    case ConfigFamily::kDenseDiameter: return "dense-diameter";
-    case ConfigFamily::kLattice: return "lattice";
-  }
-  return "?";
-}
-
-std::optional<ConfigFamily> family_from_string(std::string_view name) noexcept {
-  for (const auto f : all_families()) {
-    if (to_string(f) == name) return f;
-  }
-  return std::nullopt;
-}
-
-const std::vector<ConfigFamily>& all_families() {
-  static const std::vector<ConfigFamily> families = {
-      ConfigFamily::kUniformDisk,   ConfigFamily::kUniformSquare,
-      ConfigFamily::kGaussianBlob,  ConfigFamily::kMultiCluster,
-      ConfigFamily::kRingWithCore,  ConfigFamily::kGrid,
-      ConfigFamily::kCollinear,     ConfigFamily::kNearCollinear,
-      ConfigFamily::kDenseDiameter, ConfigFamily::kLattice,
-  };
-  return families;
-}
-
 namespace {
 
 constexpr double kWorldRadius = 100.0;

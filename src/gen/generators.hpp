@@ -9,10 +9,12 @@
 
 #include "geom/vec2.hpp"
 #include "util/prng.hpp"
+#include "util/strings.hpp"
 
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -38,17 +40,37 @@ enum class ConfigFamily {
                    ///< new entries must never reorder existing ones.
 };
 
-[[nodiscard]] std::string_view to_string(ConfigFamily f) noexcept;
+inline constexpr auto kFamilyNames = std::to_array<util::Named<ConfigFamily>>({
+    {ConfigFamily::kUniformDisk, "uniform-disk"},
+    {ConfigFamily::kUniformSquare, "uniform-square"},
+    {ConfigFamily::kGaussianBlob, "gaussian-blob"},
+    {ConfigFamily::kMultiCluster, "multi-cluster"},
+    {ConfigFamily::kRingWithCore, "ring-with-core"},
+    {ConfigFamily::kGrid, "grid"},
+    {ConfigFamily::kCollinear, "collinear"},
+    {ConfigFamily::kNearCollinear, "near-collinear"},
+    {ConfigFamily::kDenseDiameter, "dense-diameter"},
+    {ConfigFamily::kLattice, "lattice"},
+});
 
-/// Inverse of to_string: exact-name lookup, nullopt for unknown names. This
-/// is THE family parser — CLI boundaries must error out on nullopt instead
-/// of defaulting (a typoed --family silently running uniform-disk is how
+[[nodiscard]] constexpr std::string_view to_string(ConfigFamily f) noexcept {
+  return util::name_of(kFamilyNames, f);
+}
+
+/// THE family parser — CLI boundaries must error out on nullopt instead of
+/// defaulting (a typoed --family silently running uniform-disk is how
 /// sweeps lie).
-[[nodiscard]] std::optional<ConfigFamily> family_from_string(
-    std::string_view name) noexcept;
+[[nodiscard]] constexpr std::optional<ConfigFamily> family_from_string(
+    std::string_view name) noexcept {
+  return util::parse_name(kFamilyNames, name);
+}
+
+inline constexpr auto kAllFamilies = util::values_of(kFamilyNames);
 
 /// All families, in presentation order.
-[[nodiscard]] const std::vector<ConfigFamily>& all_families();
+[[nodiscard]] constexpr std::span<const ConfigFamily> all_families() noexcept {
+  return kAllFamilies;
+}
 
 /// Generates `n` pairwise-distinct positions of the given family.
 /// Guarantees min pairwise separation >= min_separation (rescaling or

@@ -91,20 +91,6 @@ const Kernels& active() noexcept {
 
 }  // namespace
 
-std::string_view to_string(Level level) noexcept {
-  switch (level) {
-    case Level::kScalar:
-      return "scalar";
-    case Level::kSse2:
-      return "sse2";
-    case Level::kNeon:
-      return "neon";
-    case Level::kAvx2:
-      return "avx2";
-  }
-  return "scalar";
-}
-
 std::span<const Kernels> kernel_table() noexcept {
   static const Table t = make_table();
   return {t.rows.data(), t.size};

@@ -26,6 +26,7 @@
 
 #include "geom/vec2.hpp"
 #include "geom/visibility.hpp"
+#include "util/strings.hpp"
 
 #include <array>
 #include <cstddef>
@@ -45,7 +46,16 @@ enum class Level : int {
   kAvx2 = 3,
 };
 
-[[nodiscard]] std::string_view to_string(Level level) noexcept;
+inline constexpr auto kLevelNames = std::to_array<util::Named<Level>>({
+    {Level::kScalar, "scalar"},
+    {Level::kSse2, "sse2"},
+    {Level::kNeon, "neon"},
+    {Level::kAvx2, "avx2"},
+});
+
+[[nodiscard]] constexpr std::string_view to_string(Level level) noexcept {
+  return util::name_of(kLevelNames, level);
+}
 
 /// Indices of the extreme points in the 8 directions the hull cull polygon
 /// is built from, in CCW order of the outward normals (west, south-west,

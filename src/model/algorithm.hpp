@@ -9,6 +9,7 @@
 #include "geom/vec2.hpp"
 #include "model/light.hpp"
 #include "model/snapshot.hpp"
+#include "util/strings.hpp"
 
 #include <cstdint>
 #include <memory>
@@ -29,8 +30,13 @@ namespace lumen::model {
 ///    not apply (grid moves are rigid by definition).
 enum class MotionModel : std::uint8_t { kContinuous, kGrid };
 
+inline constexpr auto kMotionModelNames = std::to_array<util::Named<MotionModel>>({
+    {MotionModel::kContinuous, "continuous"},
+    {MotionModel::kGrid, "grid"},
+});
+
 [[nodiscard]] constexpr std::string_view to_string(MotionModel m) noexcept {
-  return m == MotionModel::kGrid ? "grid" : "continuous";
+  return util::name_of(kMotionModelNames, m);
 }
 
 /// Result of one Compute: where to go (local frame) and what to show.

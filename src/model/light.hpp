@@ -6,7 +6,10 @@
 // the count must not grow with N; bench_colors audits this).
 #pragma once
 
+#include "util/strings.hpp"
+
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -25,25 +28,24 @@ enum class Light : std::uint8_t {
   kLineEnd,      ///< "My whole snapshot is collinear and I am an endpoint."
 };
 
-inline constexpr std::size_t kLightCount = 8;
-
-inline constexpr std::array<Light, kLightCount> kAllLights = {
-    Light::kOff,     Light::kCorner, Light::kSide, Light::kInterior,
-    Light::kTransit, Light::kMoving, Light::kLine, Light::kLineEnd,
-};
+inline constexpr auto kLightNames = std::to_array<util::Named<Light>>({
+    {Light::kOff, "Off"},
+    {Light::kCorner, "Corner"},
+    {Light::kSide, "Side"},
+    {Light::kInterior, "Interior"},
+    {Light::kTransit, "Transit"},
+    {Light::kMoving, "Moving"},
+    {Light::kLine, "Line"},
+    {Light::kLineEnd, "LineEnd"},
+});
 
 [[nodiscard]] constexpr std::string_view to_string(Light l) noexcept {
-  switch (l) {
-    case Light::kOff: return "Off";
-    case Light::kCorner: return "Corner";
-    case Light::kSide: return "Side";
-    case Light::kInterior: return "Interior";
-    case Light::kTransit: return "Transit";
-    case Light::kMoving: return "Moving";
-    case Light::kLine: return "Line";
-    case Light::kLineEnd: return "LineEnd";
-  }
-  return "?";
+  return util::name_of(kLightNames, l);
 }
+
+inline constexpr std::size_t kLightCount = kLightNames.size();
+
+/// Every color, in enum order.
+inline constexpr std::array<Light, kLightCount> kAllLights = util::values_of(kLightNames);
 
 }  // namespace lumen::model

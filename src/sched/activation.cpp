@@ -2,80 +2,27 @@
 
 namespace lumen::sched {
 
-std::string_view to_string(ActivationKind k) noexcept {
-  switch (k) {
-    case ActivationKind::kAll: return "fsync-all";
-    case ActivationKind::kRandomHalf: return "ssync-half";
-    case ActivationKind::kSingleton: return "ssync-singleton";
-    case ActivationKind::kRandomSingle: return "ssync-rand1";
-  }
-  return "?";
-}
-
-std::optional<ActivationKind> activation_from_string(std::string_view name) noexcept {
-  for (const auto k : {ActivationKind::kAll, ActivationKind::kRandomHalf,
-                       ActivationKind::kSingleton, ActivationKind::kRandomSingle}) {
-    if (to_string(k) == name) return k;
-  }
-  return std::nullopt;
-}
-
-namespace {
-
-class AllPolicy final : public ActivationPolicy {
- public:
-  std::vector<std::size_t> activate(std::size_t n, std::uint64_t,
-                                    util::Prng&) const override {
-    std::vector<std::size_t> out(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = i;
-    return out;
-  }
-  ActivationKind kind() const noexcept override { return ActivationKind::kAll; }
-};
-
-class RandomHalfPolicy final : public ActivationPolicy {
- public:
-  std::vector<std::size_t> activate(std::size_t n, std::uint64_t,
-                                    util::Prng& rng) const override {
-    std::vector<std::size_t> out;
-    while (out.empty()) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (rng.bernoulli(0.5)) out.push_back(i);
-      }
-    }
-    return out;
-  }
-  ActivationKind kind() const noexcept override { return ActivationKind::kRandomHalf; }
-};
-
-class SingletonPolicy final : public ActivationPolicy {
- public:
-  std::vector<std::size_t> activate(std::size_t n, std::uint64_t round,
-                                    util::Prng&) const override {
-    return {static_cast<std::size_t>(round % n)};
-  }
-  ActivationKind kind() const noexcept override { return ActivationKind::kSingleton; }
-};
-
-class RandomSinglePolicy final : public ActivationPolicy {
- public:
-  std::vector<std::size_t> activate(std::size_t n, std::uint64_t,
-                                    util::Prng& rng) const override {
-    return {static_cast<std::size_t>(rng.next_below(n))};
-  }
-  ActivationKind kind() const noexcept override { return ActivationKind::kRandomSingle; }
-};
-
-}  // namespace
-
-std::unique_ptr<ActivationPolicy> make_activation(ActivationKind kind) {
+void activate(ActivationKind kind, std::size_t n, std::uint64_t round,
+              util::Prng& rng, std::vector<std::size_t>& out) {
+  out.clear();
   switch (kind) {
-    case ActivationKind::kAll: return std::make_unique<AllPolicy>();
-    case ActivationKind::kRandomHalf: return std::make_unique<RandomHalfPolicy>();
-    case ActivationKind::kSingleton: return std::make_unique<SingletonPolicy>();
-    case ActivationKind::kRandomSingle: return std::make_unique<RandomSinglePolicy>();
+    case ActivationKind::kAll:
+      for (std::size_t i = 0; i < n; ++i) out.push_back(i);
+      return;
+    case ActivationKind::kRandomHalf:
+      while (out.empty()) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (rng.bernoulli(0.5)) out.push_back(i);
+        }
+      }
+      return;
+    case ActivationKind::kSingleton:
+      out.push_back(static_cast<std::size_t>(round % n));
+      return;
+    case ActivationKind::kRandomSingle:
+      out.push_back(static_cast<std::size_t>(rng.next_below(n)));
+      return;
   }
-  return std::make_unique<AllPolicy>();
 }
 
 }  // namespace lumen::sched

@@ -8,9 +8,10 @@
 #pragma once
 
 #include "util/prng.hpp"
+#include "util/strings.hpp"
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -26,25 +27,26 @@ enum class ActivationKind {
   kRandomSingle, ///< SSYNC: one uniformly random robot per round.
 };
 
-[[nodiscard]] std::string_view to_string(ActivationKind k) noexcept;
+inline constexpr auto kActivationNames = std::to_array<util::Named<ActivationKind>>({
+    {ActivationKind::kAll, "fsync-all"},
+    {ActivationKind::kRandomHalf, "ssync-half"},
+    {ActivationKind::kSingleton, "ssync-singleton"},
+    {ActivationKind::kRandomSingle, "ssync-rand1"},
+});
 
-/// Inverse of to_string: exact-name lookup, nullopt for unknown names.
-[[nodiscard]] std::optional<ActivationKind> activation_from_string(
-    std::string_view name) noexcept;
+[[nodiscard]] constexpr std::string_view to_string(ActivationKind k) noexcept {
+  return util::name_of(kActivationNames, k);
+}
 
-class ActivationPolicy {
- public:
-  virtual ~ActivationPolicy() = default;
+[[nodiscard]] constexpr std::optional<ActivationKind> activation_from_string(
+    std::string_view name) noexcept {
+  return util::parse_name(kActivationNames, name);
+}
 
-  /// Indices of the robots activated in `round`; guaranteed non-empty,
-  /// strictly increasing.
-  [[nodiscard]] virtual std::vector<std::size_t> activate(std::size_t n,
-                                                          std::uint64_t round,
-                                                          util::Prng& rng) const = 0;
-
-  [[nodiscard]] virtual ActivationKind kind() const noexcept = 0;
-};
-
-[[nodiscard]] std::unique_ptr<ActivationPolicy> make_activation(ActivationKind kind);
+/// Fills `out` with the robots of `n` (> 0) activated in `round`:
+/// non-empty, strictly increasing. `out` is overwritten, so a caller can
+/// reuse one buffer for every round.
+void activate(ActivationKind kind, std::size_t n, std::uint64_t round,
+              util::Prng& rng, std::vector<std::size_t>& out);
 
 }  // namespace lumen::sched

@@ -1,85 +1,37 @@
 #include "sched/adversary.hpp"
 
-#include <algorithm>
-
 namespace lumen::sched {
 
-std::string_view to_string(AdversaryKind k) noexcept {
-  switch (k) {
-    case AdversaryKind::kUniform: return "uniform";
-    case AdversaryKind::kBursty: return "bursty";
-    case AdversaryKind::kStallOne: return "stall-one";
-    case AdversaryKind::kLockstep: return "lockstep";
-  }
-  return "?";
-}
-
-std::optional<AdversaryKind> adversary_from_string(std::string_view name) noexcept {
-  for (const auto k : {AdversaryKind::kUniform, AdversaryKind::kBursty,
-                       AdversaryKind::kStallOne, AdversaryKind::kLockstep}) {
-    if (to_string(k) == name) return k;
-  }
-  return std::nullopt;
-}
-
-namespace {
-
-class UniformAdversary final : public Adversary {
- public:
-  PhaseTiming sample(std::size_t, std::uint64_t, util::Prng& rng) const override {
-    return PhaseTiming{rng.uniform(0.05, 1.0), rng.uniform(0.05, 0.5),
-                       rng.uniform(0.5, 2.0)};  // Move takes 0.5-2 time units.
-  }
-  AdversaryKind kind() const noexcept override { return AdversaryKind::kUniform; }
-};
-
-class BurstyAdversary final : public Adversary {
- public:
-  PhaseTiming sample(std::size_t, std::uint64_t, util::Prng& rng) const override {
-    // 10% of cycles stall with an exponential tail, the rest are fast;
-    // move durations swing across two orders of magnitude (a mid-move robot
-    // can be observed by dozens of peer Looks).
-    const double wait =
-        rng.bernoulli(0.1) ? 0.5 + rng.exponential(0.2) : rng.uniform(0.01, 0.2);
-    const double compute = rng.uniform(0.01, 0.3);
-    const double move =
-        rng.bernoulli(0.2) ? rng.uniform(3.0, 10.0) : rng.uniform(0.2, 1.0);
-    return PhaseTiming{wait, compute, move};
-  }
-  AdversaryKind kind() const noexcept override { return AdversaryKind::kBursty; }
-};
-
-class StallOneAdversary final : public Adversary {
- public:
-  PhaseTiming sample(std::size_t robot, std::uint64_t, util::Prng& rng) const override {
-    const double slow = robot == 0 ? 12.0 : 1.0;
-    return PhaseTiming{slow * rng.uniform(0.05, 1.0), slow * rng.uniform(0.05, 0.5),
-                       slow * rng.uniform(0.5, 2.0)};
-  }
-  AdversaryKind kind() const noexcept override { return AdversaryKind::kStallOne; }
-};
-
-class LockstepAdversary final : public Adversary {
- public:
-  PhaseTiming sample(std::size_t, std::uint64_t, util::Prng& rng) const override {
-    // Tiny jitter on identical nominal timings: many robots Look within the
-    // same instant and then act on equally stale snapshots.
-    return PhaseTiming{0.5 + rng.uniform(0.0, 1e-3), 0.1 + rng.uniform(0.0, 1e-3),
-                       1.0};
-  }
-  AdversaryKind kind() const noexcept override { return AdversaryKind::kLockstep; }
-};
-
-}  // namespace
-
-std::unique_ptr<Adversary> make_adversary(AdversaryKind kind) {
+// Braced initialization evaluates its elements left to right, so each
+// PhaseTiming below draws wait, compute and move in that order.
+PhaseTiming sample_timing(AdversaryKind kind, std::size_t robot, util::Prng& rng) {
   switch (kind) {
-    case AdversaryKind::kUniform: return std::make_unique<UniformAdversary>();
-    case AdversaryKind::kBursty: return std::make_unique<BurstyAdversary>();
-    case AdversaryKind::kStallOne: return std::make_unique<StallOneAdversary>();
-    case AdversaryKind::kLockstep: return std::make_unique<LockstepAdversary>();
+    case AdversaryKind::kUniform:
+      return PhaseTiming{rng.uniform(0.05, 1.0), rng.uniform(0.05, 0.5),
+                         rng.uniform(0.5, 2.0)};  // Move takes 0.5-2 time units.
+    case AdversaryKind::kBursty: {
+      // 10% of cycles stall with an exponential tail, the rest are fast;
+      // move durations swing across two orders of magnitude (a mid-move
+      // robot can be observed by dozens of peer Looks).
+      const double wait =
+          rng.bernoulli(0.1) ? 0.5 + rng.exponential(0.2) : rng.uniform(0.01, 0.2);
+      const double compute = rng.uniform(0.01, 0.3);
+      const double move =
+          rng.bernoulli(0.2) ? rng.uniform(3.0, 10.0) : rng.uniform(0.2, 1.0);
+      return PhaseTiming{wait, compute, move};
+    }
+    case AdversaryKind::kStallOne: {
+      const double slow = robot == 0 ? 12.0 : 1.0;
+      return PhaseTiming{slow * rng.uniform(0.05, 1.0), slow * rng.uniform(0.05, 0.5),
+                         slow * rng.uniform(0.5, 2.0)};
+    }
+    case AdversaryKind::kLockstep:
+      // Tiny jitter on identical nominal timings: many robots Look within
+      // the same instant and then act on equally stale snapshots.
+      return PhaseTiming{0.5 + rng.uniform(0.0, 1e-3), 0.1 + rng.uniform(0.0, 1e-3),
+                         1.0};
   }
-  return std::make_unique<UniformAdversary>();
+  return PhaseTiming{};  // Unreachable: every kind returns above.
 }
 
 }  // namespace lumen::sched

@@ -9,11 +9,10 @@
 #pragma once
 
 #include "util/prng.hpp"
+#include "util/strings.hpp"
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <optional>
-#include <string>
 #include <string_view>
 
 namespace lumen::sched {
@@ -41,25 +40,25 @@ enum class AdversaryKind {
               ///< Looks so stale-snapshot races collide maximally.
 };
 
-[[nodiscard]] std::string_view to_string(AdversaryKind k) noexcept;
+inline constexpr auto kAdversaryNames = std::to_array<util::Named<AdversaryKind>>({
+    {AdversaryKind::kUniform, "uniform"},
+    {AdversaryKind::kBursty, "bursty"},
+    {AdversaryKind::kStallOne, "stall-one"},
+    {AdversaryKind::kLockstep, "lockstep"},
+});
 
-/// Inverse of to_string: exact-name lookup, nullopt for unknown names.
-[[nodiscard]] std::optional<AdversaryKind> adversary_from_string(
-    std::string_view name) noexcept;
+[[nodiscard]] constexpr std::string_view to_string(AdversaryKind k) noexcept {
+  return util::name_of(kAdversaryNames, k);
+}
 
-class Adversary {
- public:
-  virtual ~Adversary() = default;
+[[nodiscard]] constexpr std::optional<AdversaryKind> adversary_from_string(
+    std::string_view name) noexcept {
+  return util::parse_name(kAdversaryNames, name);
+}
 
-  /// Samples phase timings for the given robot's cycle. `rng` is the
-  /// engine's schedule stream; policies must draw all randomness from it.
-  [[nodiscard]] virtual PhaseTiming sample(std::size_t robot, std::uint64_t cycle,
-                                           util::Prng& rng) const = 0;
-
-  [[nodiscard]] virtual AdversaryKind kind() const noexcept = 0;
-};
-
-/// Factory over the known families.
-[[nodiscard]] std::unique_ptr<Adversary> make_adversary(AdversaryKind kind);
+/// Samples the phase timings of `robot`'s next cycle. `rng` is the engine's
+/// schedule stream; every adversary draws all its randomness from it.
+[[nodiscard]] PhaseTiming sample_timing(AdversaryKind kind, std::size_t robot,
+                                        util::Prng& rng);
 
 }  // namespace lumen::sched

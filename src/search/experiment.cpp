@@ -61,7 +61,7 @@ analysis::ExperimentResult run_adversarial_hunt(
   // baseline samples, and the two audited fitnesses share their cells.
   EvaluationMemo memo;
   for (const FitnessKind fitness : all_fitness_kinds()) {
-    if (ctx.stop_requested()) {
+    if (ctx.control.stop_requested()) {
       result.partial = true;
       break;
     }

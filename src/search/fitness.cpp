@@ -2,32 +2,6 @@
 
 namespace lumen::search {
 
-std::string_view to_string(FitnessKind k) noexcept {
-  switch (k) {
-    case FitnessKind::kEpochs:
-      return "epochs";
-    case FitnessKind::kMinSeparation:
-      return "min-separation";
-    case FitnessKind::kOutcome:
-      return "outcome";
-  }
-  return "epochs";
-}
-
-std::optional<FitnessKind> fitness_from_string(std::string_view name) noexcept {
-  if (name == "epochs") return FitnessKind::kEpochs;
-  if (name == "min-separation") return FitnessKind::kMinSeparation;
-  if (name == "outcome") return FitnessKind::kOutcome;
-  return std::nullopt;
-}
-
-const std::vector<FitnessKind>& all_fitness_kinds() {
-  static const std::vector<FitnessKind> kinds = {FitnessKind::kEpochs,
-                                                 FitnessKind::kMinSeparation,
-                                                 FitnessKind::kOutcome};
-  return kinds;
-}
-
 int outcome_rank(sim::RunOutcome outcome) noexcept {
   switch (outcome) {
     case sim::RunOutcome::kConverged:

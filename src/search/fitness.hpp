@@ -9,8 +9,10 @@
 #pragma once
 
 #include "analysis/campaign.hpp"
+#include "util/strings.hpp"
 
 #include <optional>
+#include <span>
 #include <string_view>
 
 namespace lumen::search {
@@ -21,15 +23,27 @@ enum class FitnessKind {
   kOutcome,        ///< Outcome-class severity, epochs as the tiebreak.
 };
 
-[[nodiscard]] std::string_view to_string(FitnessKind k) noexcept;
+inline constexpr auto kFitnessNames = std::to_array<util::Named<FitnessKind>>({
+    {FitnessKind::kEpochs, "epochs"},
+    {FitnessKind::kMinSeparation, "min-separation"},
+    {FitnessKind::kOutcome, "outcome"},
+});
 
-/// Exact-name inverse ("epochs" / "min-separation" / "outcome"); nullopt
-/// for unknown names.
-[[nodiscard]] std::optional<FitnessKind> fitness_from_string(
-    std::string_view name) noexcept;
+[[nodiscard]] constexpr std::string_view to_string(FitnessKind k) noexcept {
+  return util::name_of(kFitnessNames, k);
+}
+
+[[nodiscard]] constexpr std::optional<FitnessKind> fitness_from_string(
+    std::string_view name) noexcept {
+  return util::parse_name(kFitnessNames, name);
+}
+
+inline constexpr auto kAllFitnessKinds = util::values_of(kFitnessNames);
 
 /// All kinds, in presentation order.
-[[nodiscard]] const std::vector<FitnessKind>& all_fitness_kinds();
+[[nodiscard]] constexpr std::span<const FitnessKind> all_fitness_kinds() noexcept {
+  return kAllFitnessKinds;
+}
 
 /// Severity rank of an outcome for the kOutcome fitness (and the minimizer's
 /// class-preservation check): converged < stalled < deadline-exceeded <

@@ -27,11 +27,6 @@ Evaluation evaluation_of(const HuntSpec& spec, const AdversaryPlan& plan,
   return Evaluation{plan, metrics, fitness_score(spec.fitness, metrics), false};
 }
 
-bool stop_requested(const analysis::CampaignControl& control) {
-  return control.stop != nullptr &&
-         control.stop->load(std::memory_order_relaxed);
-}
-
 /// Proposal order doubles as the deterministic tiebreak: of two equal
 /// scores, the EARLIER evaluation wins, so the trajectory never depends on
 /// sort stability or pool interleaving.
@@ -54,7 +49,7 @@ bool better(const Scored& a, const Scored& b) {
 bool absorb_batch(HuntResult& result, std::vector<Scored>& scored,
                   std::vector<Evaluation> batch,
                   const analysis::CampaignControl& control) {
-  if (stop_requested(control)) {
+  if (control.stop_requested()) {
     result.stopped = true;
     return false;
   }
@@ -137,8 +132,6 @@ void run_mu_plus_lambda(HuntResult& result, const HuntSpec& spec,
 }
 
 }  // namespace
-
-std::string_view to_string(StrategyKind) noexcept { return "mu-lambda"; }
 
 std::string validate_hunt_spec(const HuntSpec& spec) {
   if (spec.budget < 1) return "budget must be >= 1";
@@ -253,7 +246,7 @@ HuntResult run_hunt(const HuntSpec& spec, util::ThreadPool* pool,
     for (Evaluation& evaluation : minimized.trail) {
       result.history.push_back(std::move(evaluation));
     }
-    if (stop_requested(control)) {
+    if (control.stop_requested()) {
       result.stopped = true;
     } else {
       result.minimized = std::move(minimized.evaluation);

@@ -25,6 +25,7 @@
 #include "analysis/scenario.hpp"
 #include "search/fitness.hpp"
 #include "search/plan.hpp"
+#include "util/strings.hpp"
 
 #include <cstdint>
 #include <optional>
@@ -41,7 +42,13 @@ enum class StrategyKind {
   kMuPlusLambda,  ///< (μ+λ) evolutionary loop: mutate/cross the elite.
 };
 
-[[nodiscard]] std::string_view to_string(StrategyKind k) noexcept;
+inline constexpr auto kStrategyNames = std::to_array<util::Named<StrategyKind>>({
+    {StrategyKind::kMuPlusLambda, "mu-lambda"},
+});
+
+[[nodiscard]] constexpr std::string_view to_string(StrategyKind k) noexcept {
+  return util::name_of(kStrategyNames, k);
+}
 
 struct HuntSpec {
   std::string algorithm = "async-log";

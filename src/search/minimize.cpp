@@ -7,11 +7,6 @@
 namespace lumen::search {
 namespace {
 
-bool stop_requested(const analysis::CampaignControl& control) {
-  return control.stop != nullptr &&
-         control.stop->load(std::memory_order_relaxed);
-}
-
 /// The reduction operators, in the order tried within one sweep. Each
 /// returns a candidate derived from `current`, or nullopt when it does not
 /// apply. `index` selects among multi-site operators (crash instants).
@@ -203,7 +198,7 @@ MinimizeOutcome minimize_plan(const HuntSpec& spec, const Evaluation& winner,
 
   Cursor cursor;
   while (outcome.evaluations < spec.minimize_budget &&
-         !stop_requested(control)) {
+         !control.stop_requested()) {
     // The window: the next candidates the serial sweep would try if it
     // accepted none of them, with the cursor after each.
     const std::size_t width = std::min(

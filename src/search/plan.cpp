@@ -1,5 +1,6 @@
 #include "search/plan.hpp"
 
+#include "util/strings.hpp"
 
 #include <algorithm>
 #include <array>
@@ -8,9 +9,7 @@
 namespace lumen::search {
 namespace {
 
-constexpr std::array<sched::AdversaryKind, 4> kAdversaries = {
-    sched::AdversaryKind::kUniform, sched::AdversaryKind::kBursty,
-    sched::AdversaryKind::kStallOne, sched::AdversaryKind::kLockstep};
+constexpr auto kAdversaries = util::values_of(sched::kAdversaryNames);
 
 // FSYNC forces kAll inside the engine, so searching it there is wasted
 // moves; the SSYNC-meaningful kinds are the searchable set.
@@ -18,9 +17,7 @@ constexpr std::array<sched::ActivationKind, 3> kActivations = {
     sched::ActivationKind::kRandomHalf, sched::ActivationKind::kSingleton,
     sched::ActivationKind::kRandomSingle};
 
-constexpr std::array<fault::CorruptionMode, 3> kModes = {
-    fault::CorruptionMode::kStuck, fault::CorruptionMode::kFlip,
-    fault::CorruptionMode::kRandom};
+constexpr auto kModes = util::values_of(fault::kCorruptionModeNames);
 
 constexpr std::uint64_t kSeedMask = 0x7fffffffffffffffULL;
 

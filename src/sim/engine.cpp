@@ -31,48 +31,10 @@
 #include "sim/run.hpp"
 
 #include "sim/execution_core.hpp"
-#include "util/strings.hpp"
 
 #include <queue>
 
 namespace lumen::sim {
-
-std::string_view to_string(SchedulerKind k) noexcept {
-  switch (k) {
-    case SchedulerKind::kFsync: return "FSYNC";
-    case SchedulerKind::kSsync: return "SSYNC";
-    case SchedulerKind::kAsync: return "ASYNC";
-  }
-  return "?";
-}
-
-std::optional<SchedulerKind> scheduler_from_string(std::string_view name) noexcept {
-  for (const auto k :
-       {SchedulerKind::kFsync, SchedulerKind::kSsync, SchedulerKind::kAsync}) {
-    if (util::iequals(to_string(k), name)) return k;
-  }
-  return std::nullopt;
-}
-
-std::string_view to_string(RunOutcome o) noexcept {
-  switch (o) {
-    case RunOutcome::kConverged: return "converged";
-    case RunOutcome::kStalled: return "stalled";
-    case RunOutcome::kCollision: return "collision";
-    case RunOutcome::kBudgetExhausted: return "budget-exhausted";
-    case RunOutcome::kDeadlineExceeded: return "deadline-exceeded";
-  }
-  return "?";
-}
-
-std::optional<RunOutcome> outcome_from_string(std::string_view name) noexcept {
-  for (const auto o : {RunOutcome::kConverged, RunOutcome::kStalled,
-                       RunOutcome::kCollision, RunOutcome::kBudgetExhausted,
-                       RunOutcome::kDeadlineExceeded}) {
-    if (util::iequals(to_string(o), name)) return o;
-  }
-  return std::nullopt;
-}
 
 namespace {
 
@@ -111,7 +73,6 @@ class AsyncDriver {
       : config_(config),
         core_(core),
         schedule_rng_(core.split_stream("schedule")),
-        adversary_(sched::make_adversary(config.adversary)),
         timing_(core.size()) {}
 
   LoopEnd run() {
@@ -174,8 +135,7 @@ class AsyncDriver {
     // Crash-stop fires at cycle boundaries: a dead robot schedules nothing
     // further, but its body and last light stay in the world.
     if (core_.crash_check(robot, time)) return;
-    timing_[robot] = adversary_->sample(
-        robot, static_cast<std::uint64_t>(core_.total_cycles()), schedule_rng_);
+    timing_[robot] = sched::sample_timing(config_.adversary, robot, schedule_rng_);
     core_.begin_cycle(robot, time);
     push_event(time + timing_[robot].wait, robot, PhaseEvent::kLook);
   }
@@ -188,7 +148,6 @@ class AsyncDriver {
   const RunConfig& config_;
   ExecutionCore& core_;
   util::Prng schedule_rng_;
-  std::unique_ptr<sched::Adversary> adversary_;
   std::vector<sched::PhaseTiming> timing_;
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;
   std::uint64_t seq_ = 0;
@@ -206,9 +165,9 @@ class SyncDriver {
         core_(core),
         activation_rng_(core.split_stream("activation")),
         motion_rng_(core.split_stream("motion")),
-        policy_(sched::make_activation(config.scheduler == SchedulerKind::kFsync
-                                           ? sched::ActivationKind::kAll
-                                           : config.activation)) {}
+        activation_(config.scheduler == SchedulerKind::kFsync
+                        ? sched::ActivationKind::kAll
+                        : config.activation) {}
 
   LoopEnd run() {
     const std::size_t n = core_.size();
@@ -219,35 +178,34 @@ class SyncDriver {
     while (round < round_cap) {
       const double t0 = static_cast<double>(round);
       const double t1 = t0 + 1.0;
-      const auto activated = policy_->activate(n, round, activation_rng_);
+      sched::activate(activation_, n, round, activation_rng_, active_);
       // Crash-stop filter: a robot dies (or is already dead) at its
-      // activation instant and simply drops out of the round. Guarded so
-      // the zero-fault path hands the policy's vector through untouched.
-      std::span<const std::size_t> active = activated;
+      // activation instant and simply drops out of the round. The buffer is
+      // compacted in place, in activation order (crash_check draws from the
+      // crash stream).
       if (core_.crash_faults_enabled()) {
-        alive_.clear();
-        for (const std::size_t r : activated) {
-          if (core_.crashed(r) || core_.crash_check(r, t0)) continue;
-          alive_.push_back(r);
+        std::size_t kept = 0;
+        for (const std::size_t r : active_) {
+          if (!core_.crashed(r) && !core_.crash_check(r, t0)) active_[kept++] = r;
         }
-        active = alive_;
+        active_.resize(kept);
       }
       // All activated robots Look at the same pre-round configuration, so
       // the round's Look+Compute fan-out runs on config.pool when present
       // (bit-identical to the serial loop; commit order below is what the
       // downstream bits depend on and it never changes).
-      for (const std::size_t r : active) core_.begin_cycle(r, t0);
-      core_.look(active, t0);
+      for (const std::size_t r : active_) core_.begin_cycle(r, t0);
+      core_.look(active_, t0);
       // Simultaneous application: all commits land before any position
       // write, so same-round movers see each other's pre-round positions.
-      started.assign(active.size(), 0);
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        started[k] = core_.commit(active[k], t0, t1, t1, motion_rng_) ? 1 : 0;
+      started.assign(active_.size(), 0);
+      for (std::size_t k = 0; k < active_.size(); ++k) {
+        started[k] = core_.commit(active_[k], t0, t1, t1, motion_rng_) ? 1 : 0;
       }
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        if (started[k] != 0) core_.complete_move(active[k], t1);
+      for (std::size_t k = 0; k < active_.size(); ++k) {
+        if (started[k] != 0) core_.complete_move(active_[k], t1);
       }
-      for (const std::size_t r : active) core_.record_cycle(r, t1);
+      for (const std::size_t r : active_) core_.record_cycle(r, t1);
       core_.notify_round(round, t1);
       ++round;
       if (core_.quiescent()) {
@@ -265,8 +223,8 @@ class SyncDriver {
   ExecutionCore& core_;
   util::Prng activation_rng_;
   util::Prng motion_rng_;
-  std::unique_ptr<sched::ActivationPolicy> policy_;
-  std::vector<std::size_t> alive_;  ///< Crash-filtered activation scratch.
+  sched::ActivationKind activation_;
+  std::vector<std::size_t> active_;  ///< This round's activated robots.
 };
 
 }  // namespace

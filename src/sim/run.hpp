@@ -16,6 +16,7 @@
 #include "sched/epoch.hpp"
 #include "sim/observer.hpp"
 #include "sim/trajectory.hpp"
+#include "util/strings.hpp"
 
 #include <array>
 #include <cstdint>
@@ -33,12 +34,20 @@ struct LookArena;
 
 enum class SchedulerKind { kFsync, kSsync, kAsync };
 
-[[nodiscard]] std::string_view to_string(SchedulerKind k) noexcept;
+inline constexpr auto kSchedulerNames = std::to_array<util::Named<SchedulerKind>>({
+    {SchedulerKind::kFsync, "FSYNC"},
+    {SchedulerKind::kSsync, "SSYNC"},
+    {SchedulerKind::kAsync, "ASYNC"},
+});
 
-/// Inverse of to_string. Case-insensitive ("async" == "ASYNC"), nullopt for
-/// unknown names.
-[[nodiscard]] std::optional<SchedulerKind> scheduler_from_string(
-    std::string_view name) noexcept;
+[[nodiscard]] constexpr std::string_view to_string(SchedulerKind k) noexcept {
+  return util::name_of(kSchedulerNames, k);
+}
+
+[[nodiscard]] constexpr std::optional<SchedulerKind> scheduler_from_string(
+    std::string_view name) noexcept {
+  return util::parse_name(kSchedulerNames, name);
+}
 
 /// How a run ended, beyond the raw `converged` bit:
 ///  * kConverged — quiescent with no faults injected into the trajectory
@@ -64,11 +73,22 @@ enum class RunOutcome {
   kDeadlineExceeded
 };
 
-[[nodiscard]] std::string_view to_string(RunOutcome o) noexcept;
+inline constexpr auto kOutcomeNames = std::to_array<util::Named<RunOutcome>>({
+    {RunOutcome::kConverged, "converged"},
+    {RunOutcome::kStalled, "stalled"},
+    {RunOutcome::kCollision, "collision"},
+    {RunOutcome::kBudgetExhausted, "budget-exhausted"},
+    {RunOutcome::kDeadlineExceeded, "deadline-exceeded"},
+});
 
-/// Case-insensitive inverse ("stalled" == "STALLED"); nullopt for unknown.
-[[nodiscard]] std::optional<RunOutcome> outcome_from_string(
-    std::string_view name) noexcept;
+[[nodiscard]] constexpr std::string_view to_string(RunOutcome o) noexcept {
+  return util::name_of(kOutcomeNames, o);
+}
+
+[[nodiscard]] constexpr std::optional<RunOutcome> outcome_from_string(
+    std::string_view name) noexcept {
+  return util::parse_name(kOutcomeNames, name);
+}
 
 struct RunConfig {
   SchedulerKind scheduler = SchedulerKind::kAsync;

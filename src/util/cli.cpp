@@ -1,8 +1,11 @@
 #include "util/cli.hpp"
 
+#include "util/strings.hpp"
+
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -31,6 +34,18 @@ std::string must_be(std::string_view name, std::string_view what,
          std::string(text) + "\")";
 }
 
+/// The values a switch takes.
+constexpr auto kSwitchNames = std::to_array<Named<bool>>({
+    {true, "true"},
+    {true, "1"},
+    {true, "yes"},
+    {true, "on"},
+    {false, "false"},
+    {false, "0"},
+    {false, "no"},
+    {false, "off"},
+});
+
 }  // namespace
 
 Cli& Cli::flag(std::string name, std::string help, std::string default_value) {
@@ -54,18 +69,45 @@ bool Cli::parse(int argc, const char* const* argv) {
     const std::string name(arg.substr(0, eq));
     const auto it = specs_.find(name);
     if (it == specs_.end()) return fail("unknown flag --" + name);
+    const bool is_switch = it->second.default_value == "false";
     std::string value;
     if (eq != std::string_view::npos) {
       value = arg.substr(eq + 1);
-    } else if (it->second.default_value == "false") {
+    } else if (is_switch) {
       value = "true";
     } else if (i + 1 < argc && !std::string_view(argv[i + 1]).starts_with("--")) {
       value = argv[++i];
     }
     if (value.empty()) return fail("--" + name + " needs a value");
+    if (is_switch && !parse_name(kSwitchNames, value)) {
+      return fail(must_be(name, "true|1|yes|on or false|0|no|off", value));
+    }
     values_[name] = std::move(value);
   }
   return true;
+}
+
+std::optional<int> Cli::parse_command(int argc, const char* const* argv,
+                                      std::string_view program,
+                                      std::string_view description,
+                                      std::size_t max_positional) {
+  if (!parse(argc, argv)) {
+    std::cerr << "error: " << error_ << "\n";
+    return 2;
+  }
+  if (help_) {
+    std::cout << usage(program, description);
+    return 0;
+  }
+  if (positional_.size() > max_positional) {
+    std::cerr << "error: " << program << " takes "
+              << (max_positional == 0 ? std::string("no positional argument")
+                                      : "at most " + std::to_string(max_positional) +
+                                            " positional argument(s)")
+              << " (got \"" << positional_[max_positional] << "\")\n";
+    return 2;
+  }
+  return std::nullopt;
 }
 
 std::string Cli::get(std::string_view name) const {
@@ -89,8 +131,7 @@ double Cli::get_double(std::string_view name) const {
 }
 
 bool Cli::get_bool(std::string_view name) const {
-  const std::string v = get(name);
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  return parse_name(kSwitchNames, get(name)).value_or(false);
 }
 
 bool Cli::is_set(std::string_view name) const {

@@ -1,12 +1,14 @@
 // lumen_util: minimal declarative command-line flag parser.
 //
 // Bench binaries and examples share one flag grammar:
-//   --flag                a switch: a flag registered with default "false"
-//                         (also --flag=false)
+//   --flag                a switch: a flag registered with default "false";
+//                         --flag=V takes V in true/1/yes/on or
+//                         false/0/no/off, any other V is an error
 //   --name value          every other flag takes a value, in either form;
 //   --name=value          a value flag given no value is an error
 // Unknown flags are an error (catches typos in sweep scripts); positional
-// arguments are collected in order.
+// arguments are collected in order. parse_command is the front end every
+// command shares: usage on --help, exit code 2 on any error.
 //
 // read() is the one place a flag's text becomes a value. It checks form
 // only — a complete base-10 integer, its sign, a known enum name — and
@@ -34,6 +36,15 @@ class Cli {
   /// Parses argv. Returns false (and fills error()) on unknown flags or
   /// missing values. `--help` sets help_requested().
   bool parse(int argc, const char* const* argv);
+
+  /// Parses a command's argv (argv[0] names the command and is skipped)
+  /// and returns the exit code to stop with — 0 after printing usage for
+  /// --help, 2 after printing "error: ..." for a parse error or for more
+  /// than `max_positional` positional arguments — or nullopt to go on.
+  [[nodiscard]] std::optional<int> parse_command(int argc, const char* const* argv,
+                                                 std::string_view program,
+                                                 std::string_view description,
+                                                 std::size_t max_positional = 0);
 
   [[nodiscard]] bool help_requested() const noexcept { return help_; }
   [[nodiscard]] const std::string& error() const noexcept { return error_; }

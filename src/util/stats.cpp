@@ -88,15 +88,6 @@ GrowthVerdict growth_verdict(std::span<const double> ns,
   return v;
 }
 
-std::string_view to_string(Growth g) noexcept {
-  switch (g) {
-    case Growth::kLogarithmic: return "logarithmic";
-    case Growth::kLinear: return "linear";
-    case Growth::kUndecided: return "undecided";
-  }
-  return "?";
-}
-
 Summary summarize(std::span<const double> xs) {
   Summary s;
   s.count = xs.size();

@@ -7,6 +7,8 @@
 // the data cannot tell.
 #pragma once
 
+#include "util/strings.hpp"
+
 #include <cstddef>
 #include <span>
 #include <string_view>
@@ -43,6 +45,16 @@ class RunningStats {
 /// How a series of per-N samples grows as N doubles.
 enum class Growth { kLogarithmic, kLinear, kUndecided };
 
+inline constexpr auto kGrowthNames = std::to_array<Named<Growth>>({
+    {Growth::kLogarithmic, "logarithmic"},
+    {Growth::kLinear, "linear"},
+    {Growth::kUndecided, "undecided"},
+});
+
+[[nodiscard]] constexpr std::string_view to_string(Growth g) noexcept {
+  return name_of(kGrowthNames, g);
+}
+
 /// The one growth verdict behind E1's scaling claims.
 struct GrowthVerdict {
   /// Mean per-doubling ratio of per-N means over the last three doublings:
@@ -66,9 +78,6 @@ inline constexpr double kGrowthRatioThreshold = 1.5;
 /// fixed-seed Prng.
 [[nodiscard]] GrowthVerdict growth_verdict(
     std::span<const double> ns, std::span<const std::vector<double>> samples);
-
-/// "logarithmic", "linear" or "undecided".
-[[nodiscard]] std::string_view to_string(Growth g) noexcept;
 
 /// Summary of a vector of samples, convenient for table rows.
 struct Summary {

@@ -347,7 +347,7 @@ TEST(Reporter, PassedMeansNoCheckFailed) {
 
 TEST(Reporter, PrettyShowsTableNotesAndVerdicts) {
   std::ostringstream os;
-  make_reporter("pretty")->report(sample_result(), os);
+  write_report(sample_result(), ReportFormat::kPretty, os);
   const std::string text = os.str();
   EXPECT_NE(text.find("Sample experiment"), std::string::npos);
   EXPECT_NE(text.find("alpha"), std::string::npos);
@@ -359,7 +359,7 @@ TEST(Reporter, PrettyShowsTableNotesAndVerdicts) {
 
 TEST(Reporter, CsvEmitsHeaderAndDataRows) {
   std::ostringstream os;
-  make_reporter("csv")->report(sample_result(), os);
+  write_report(sample_result(), ReportFormat::kCsv, os);
   EXPECT_EQ(os.str(), "name,value\nalpha,42\nbeta,2.5\n");
 }
 
@@ -389,19 +389,24 @@ TEST(Reporter, JsonKeepsNumbersAsNumbersAndTextAsStrings) {
   const auto reparsed = util::json_parse(util::json_write(doc), nullptr);
   ASSERT_TRUE(reparsed.has_value());
   EXPECT_EQ(util::json_write(*reparsed), util::json_write(doc));
+  // The json format writes exactly this document, one line.
+  std::ostringstream os;
+  write_report(sample_result(), ReportFormat::kJson, os);
+  EXPECT_EQ(os.str(), util::json_write(doc) + "\n");
 }
 
 TEST(Reporter, FormatListNamesEveryAcceptedFormat) {
-  for (const char* format : {"pretty", "csv", "json"}) {
-    EXPECT_NE(reporter_formats().find(format), std::string_view::npos) << format;
-  }
+  ASSERT_EQ(kReportFormatNames.size(), 3u);
+  EXPECT_EQ(to_string(ReportFormat::kPretty), "pretty");
+  EXPECT_EQ(to_string(ReportFormat::kCsv), "csv");
+  EXPECT_EQ(to_string(ReportFormat::kJson), "json");
 }
 
 TEST(Reporter, UnknownFormatReturnsNull) {
-  EXPECT_EQ(make_reporter("xml"), nullptr);
-  EXPECT_NE(make_reporter("pretty"), nullptr);
-  EXPECT_NE(make_reporter("csv"), nullptr);
-  EXPECT_NE(make_reporter("json"), nullptr);
+  EXPECT_EQ(report_format_from_string("xml"), std::nullopt);
+  EXPECT_EQ(report_format_from_string("pretty"), ReportFormat::kPretty);
+  EXPECT_EQ(report_format_from_string("csv"), ReportFormat::kCsv);
+  EXPECT_EQ(report_format_from_string("json"), ReportFormat::kJson);
 }
 
 }  // namespace

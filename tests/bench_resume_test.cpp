@@ -4,8 +4,9 @@
 // to the uninterrupted one, `run` and `hunt`, which share the
 // --out/--resume/--journal plumbing, reject the same unusable paths, `run`
 // rejects negative integer flags and invalid resolved specs, `hunt`
-// rejects a swarm of one and the flags of its deleted bandit strategy, and
-// `run --smoke` prints no row twice.
+// rejects a swarm of one and the flags of its deleted bandit strategy,
+// `run --smoke` prints no row twice, and `describe` and the examples share
+// the command front end (LUMEN_EXAMPLES_DIR holds the examples).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -207,7 +208,9 @@ INSTANTIATE_TEST_SUITE_P(
         std::pair{"--runs=3x", "--runs must be a non-negative integer"},
         std::pair{"--deadline-ms=5s", "--deadline-ms must be a non-negative integer"},
         std::pair{"--chaos-kill=0.4x", "--chaos-kill must be a finite number"},
-        std::pair{"--journal", "--journal needs a value"}),
+        std::pair{"--journal", "--journal needs a value"},
+        std::pair{"--smoke=ture", "--smoke must be true|1|yes|on or false|0|no|off"},
+        std::pair{"--format=xml", "unknown --format \"xml\""}),
     [](const auto& param) { return flag_test_name(param.param.first); });
 
 // Each (flag, message) pair must exit 2 naming the problem: a swarm of one
@@ -240,6 +243,47 @@ TEST(BenchGrammar, ListRejectsUnknownFlagsAndPositionals) {
   expect_usage_error(" list", "--bogus", "unknown flag --bogus");
   expect_usage_error(" list", "stray", "lumen-bench list takes no positional argument");
 }
+
+TEST(BenchGrammar, DescribeTakesExactlyOneName) {
+  expect_usage_error(" describe", "colors extra --bogus", "unknown flag --bogus");
+  expect_usage_error(" describe", "colors extra",
+                     "takes at most 1 positional argument(s) (got \"extra\")");
+  expect_usage_error(" describe", "", "describe needs an experiment or algorithm name");
+  EXPECT_EQ(run_shell(bench() + " describe colors >/dev/null"), 0);
+}
+
+// The examples share lumen-bench's front end: --help prints usage and runs
+// nothing, and a stray positional argument exits 2 naming it.
+struct ExampleGrammar : testing::TestWithParam<std::string> {};
+
+TEST_P(ExampleGrammar, HelpPrintsUsageAndRunsNothing) {
+  const std::string out = work_dir() + "/" + GetParam() + ".help";
+  ASSERT_EQ(run_shell(std::string(LUMEN_EXAMPLES_DIR) + "/" + GetParam() +
+                      " --help >" + out),
+            0);
+  const std::string text = read_file(out);
+  EXPECT_TRUE(text.starts_with(GetParam() + " — ")) << text;
+  EXPECT_NE(text.find("Flags:"), std::string::npos) << text;
+  EXPECT_EQ(text.find("converged="), std::string::npos) << text;
+}
+
+TEST_P(ExampleGrammar, StrayPositionalExitsTwo) {
+  const std::string log = work_dir() + "/" + GetParam() + ".stray";
+  EXPECT_EQ(run_shell(std::string(LUMEN_EXAMPLES_DIR) + "/" + GetParam() +
+                      " 64 >/dev/null 2>" + log),
+            2);
+  EXPECT_NE(read_file(log).find(GetParam() +
+                                " takes no positional argument (got \"64\")"),
+            std::string::npos)
+      << read_file(log);
+}
+
+INSTANTIATE_TEST_SUITE_P(Examples, ExampleGrammar,
+                         testing::Values("quickstart", "diagnose", "render_run",
+                                         "adversary_duel", "collinear_rescue"),
+                         [](const testing::TestParamInfo<std::string>& param) {
+                           return param.param;
+                         });
 
 TEST(BenchGrammar, SpaceSeparatedValuesReachTheirFlags) {
   // Run from a directory of its own: a value given after a space must reach
