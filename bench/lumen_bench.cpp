@@ -4,6 +4,7 @@
 //   lumen-bench describe <experiment>
 //   lumen-bench run <experiment|all> [flags]
 //   lumen-bench hunt [flags]
+//   lumen-bench work <lease.json>
 //
 // Each experiment (E1–E6, E8–E13) lives in the analysis::ExperimentRegistry;
 // this binary only resolves the spec (defaults -> --spec file -> flag
@@ -135,8 +136,7 @@ int usage(std::ostream& os, int code) {
         "  describe <experiment>    description + default spec JSON\n"
         "  run <experiment|all>     run one experiment (or every one)\n"
         "  hunt                     adversarial search for worst-case plans\n"
-        "  work <lease.json|->      execute one fabric lease (spawned by\n"
-        "                           run --workers; \"-\" reads stdin)\n"
+        "  work <lease.json>        execute one fabric lease (run --workers)\n"
         "\n"
         "`lumen-bench run --help` and `lumen-bench hunt --help` list each\n"
         "command's flags. --smoke and --names-only are switches; every other\n"
@@ -283,7 +283,6 @@ int cmd_run(int argc, const char* const* argv) {
   cli.flag("retry-backoff-ms", "base backoff between a cell's attempts");
   cli.flag("workers", "fabric worker subprocesses (0 = in-process)", "0");
   cli.flag("fabric-dir", "lease/shard-journal directory", ".lumen-fabric");
-  cli.flag("lease-ttl-ms", "reclaim a worker silent this long", "5000");
   cli.flag("chaos-kill", "P(SIGKILL a worker after each cell), 0 = off", "0");
   cli.flag("chaos-seed", "deterministic chaos stream seed", "0");
 
@@ -318,7 +317,6 @@ int cmd_run(int argc, const char* const* argv) {
   if (!(cli.read("format", format, analysis::report_format_from_string) &&
         cli.read("workers", fabric_config.workers) &&
         cli.read("fabric-dir", fabric_config.dir) &&
-        cli.read("lease-ttl-ms", fabric_config.lease_ttl_ms) &&
         cli.read("chaos-kill", fabric_config.chaos_kill_rate) &&
         cli.read("chaos-seed", fabric_config.chaos_seed))) {
     std::cerr << "error: " << cli.error() << "\n";
@@ -604,23 +602,24 @@ int cmd_hunt(int argc, const char* const* argv) {
   return all_found ? 0 : 1;
 }
 
-// `work`: the fabric worker half of run --workers. Reads one lease
-// (file path or "-" for stdin), runs the leased shard against its own
-// journal, and streams progress events on stdout for the coordinator.
-// Exit codes: 0 every leased cell journaled, 2 unusable lease/journal,
-// 3 drained on SIGINT/SIGTERM with cells left undone.
+// `work`: the fabric worker half of run --workers. Reads one lease file,
+// runs the leased shard against its own journal, and streams progress
+// events on stdout for the coordinator. Exit codes: 0 every leased cell
+// journaled, 2 usage error or unusable lease/journal, 3 drained on
+// SIGINT/SIGTERM with cells left undone.
 int cmd_work(int argc, const char* const* argv) {
-  const std::string_view lease = argc == 2 ? argv[1] : "";
-  if (lease.empty() || lease == "--help" || lease == "-h") {
-    std::cerr << "usage: lumen-bench work <lease.json|->\n";
+  util::Cli cli;
+  if (const auto code = cli.parse_command(argc, argv, "lumen-bench work <lease.json>",
+                                          "execute one fabric lease", 1)) {
+    return *code;
+  }
+  if (cli.positional().empty()) {
+    std::cerr << "error: work needs a lease file\n";
     return 2;
   }
   std::signal(SIGINT, request_stop);
   std::signal(SIGTERM, request_stop);
-  fabric::WorkerOptions options;
-  options.lease_path = std::string(lease);
-  options.stop = &g_stop;
-  return fabric::run_worker(options);
+  return fabric::run_worker({.lease_path = cli.positional()[0], .stop = &g_stop});
 }
 
 }  // namespace

@@ -55,6 +55,15 @@ std::string validate_campaign_spec(const CampaignSpec& spec) {
   return "";
 }
 
+std::vector<std::uint64_t> shard_seeds(const CampaignSpec& spec) {
+  std::vector<std::uint64_t> seeds;
+  seeds.reserve(spec.runs / spec.shard_count + 1);
+  for (std::size_t i = spec.shard_index; i < spec.runs; i += spec.shard_count) {
+    seeds.push_back(spec.seed_base + i);
+  }
+  return seeds;
+}
+
 std::size_t CampaignResult::converged_count() const noexcept {
   return static_cast<std::size_t>(
       std::count_if(runs.begin(), runs.end(),
@@ -188,14 +197,8 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
                                           std::move(problem)});
     return result;
   }
-  const std::size_t shards = spec.shard_count;
-  // This shard's run indices, in ascending seed order.
-  std::vector<std::size_t> indices;
-  indices.reserve(spec.runs / shards + 1);
-  for (std::size_t i = spec.shard_index % shards; i < spec.runs; i += shards) {
-    indices.push_back(i);
-  }
-  std::vector<Cell> cells(indices.size());
+  const std::vector<std::uint64_t> seeds = shard_seeds(spec);
+  std::vector<Cell> cells(seeds.size());
   const auto algorithm = core::make_algorithm(spec.algorithm);
   util::ThreadPool& workers = pool != nullptr ? *pool : util::global_pool();
 
@@ -207,8 +210,8 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
                               ? campaign_key(spec)
                               : std::string();
   if (control.resume != nullptr) {
-    for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-      const std::uint64_t seed = spec.seed_base + indices[slot];
+    for (std::size_t slot = 0; slot < seeds.size(); ++slot) {
+      const std::uint64_t seed = seeds[slot];
       if (const JournalCell* cell = control.resume->find(key, seed)) {
         cells[slot].metrics = cell->metrics;
         cells[slot].error = cell->error;
@@ -290,7 +293,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, util::ThreadPool* pool,
   const auto run_cell = [&](std::size_t slot, sim::LookArena* arena) {
     Cell& cell = cells[slot];
     if (cell.resumed) return;
-    const std::uint64_t seed = spec.seed_base + indices[slot];
+    const std::uint64_t seed = seeds[slot];
     CampaignError last_error;
     for (std::size_t attempt = 1; attempt <= spec.max_attempts; ++attempt) {
       // Cooperative stop: cells already past this gate drain normally; this

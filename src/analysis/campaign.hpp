@@ -118,6 +118,11 @@ struct CampaignError {
 /// instead of running anything.
 [[nodiscard]] std::string validate_campaign_spec(const CampaignSpec& spec);
 
+/// The seeds the spec's shard owns, ascending: seed_base + i for every run
+/// index i < runs with i % shard_count == shard_index. The one home of the
+/// shard rule; shard_count must be >= 1.
+[[nodiscard]] std::vector<std::uint64_t> shard_seeds(const CampaignSpec& spec);
+
 /// The delay before retry attempt `failed_attempts + 1` of a cell: base
 /// doubled per failed attempt and capped at 5000 ms, then jittered
 /// DETERMINISTICALLY into [delay/2, delay] by a hash of (cell_seed,

@@ -405,16 +405,14 @@ ExperimentResult run_doubling(const ScenarioSpec& spec,
     if (result.partial) break;
     for (const std::size_t n : spec.ns) {
       if (result.partial) break;
-      for (std::size_t i = 0; i < spec.runs; ++i) {
-        // E5 drives run_simulation directly (it needs the hull history, not
-        // campaign aggregates), so the shard filter and the cooperative
-        // stop run_campaign applies are applied here.
-        if (i % spec.shard_count != spec.shard_index) continue;
+      // E5 drives run_simulation directly (it needs the hull history, not
+      // campaign aggregates), so it walks the shard's seeds and checks the
+      // cooperative stop itself.
+      for (const std::uint64_t seed : shard_seeds(spec)) {
         if (ctx.control.stop_requested()) {
           result.partial = true;
           break;
         }
-        const std::uint64_t seed = spec.seed_base + i;
         const auto initial = gen::generate(family, n, seed, spec.min_separation);
         sim::RunConfig config = spec.run;
         config.seed = seed;

@@ -1,8 +1,6 @@
 #include "analysis/scenario.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 namespace lumen::analysis {
 
@@ -33,22 +31,11 @@ ScenarioParse scenario_from_json(std::string_view text) {
 }
 
 bool save_scenario(const ScenarioSpec& spec, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << scenario_to_json(spec);
-  return static_cast<bool>(f);
+  return util::save_document(path, scenario_to_json(spec));
 }
 
 ScenarioParse load_scenario(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    ScenarioParse out;
-    out.error = "cannot open " + path;
-    return out;
-  }
-  std::ostringstream buffer;
-  buffer << f.rdbuf();
-  return scenario_from_json(buffer.str());
+  return util::load_document(path, scenario_from_json);
 }
 
 }  // namespace lumen::analysis

@@ -277,11 +277,14 @@ Action CompleteVisibilityAsync::compute(const model::Snapshot& snap) const {
       }
 
       const geom::Segment my_path{view.self(), plan->target};
-      // Sound prefilter: a rival's exit path never leaves the disk of
-      // radius (distance to its nearest hull edge + 0.25 * longest edge)
-      // around the rival, so rivals farther than that from my path (plus
-      // 0.1 * my exit) cannot conflict — skip the expensive plan modelling
-      // for them.
+      // Reach prefilter, a heuristic rather than a proof: it assumes a
+      // rival's exit path stays inside the disk of radius (distance to its
+      // nearest hull edge + 0.25 * longest edge) around the rival, and skips
+      // the expensive plan modelling for rivals farther than that from my
+      // path (plus 0.1 * my exit). The bound fails when the rival's first
+      // clear plan goes through a gate farther away than its nearest edge,
+      // so a few skipped rivals do have a modelled path within the conflict
+      // margin (ROADMAP item 2 measures 0.8–1.6% of the skipped rivals).
       const double quarter_edge = 0.25 * table.longest_edge();
       const double slack = 0.1 * plan->exit_distance;
       std::size_t skip_edge = 0;

@@ -24,8 +24,6 @@ using Clock = std::chrono::steady_clock;
 /// Sub-shards per worker slot: finer-grained reclamation (a crash loses a
 /// smaller lease) at the cost of more journal files.
 constexpr std::size_t kLeasesPerWorker = 2;
-/// Worker liveness cadence (Lease::heartbeat_ms).
-constexpr std::uint64_t kHeartbeatMs = 100;
 /// Grants per shard (initial + re-grants) before the shard is declared
 /// failed and its cells fall back to local recomputation.
 constexpr std::size_t kMaxLeaseAttempts = 4;
@@ -43,8 +41,8 @@ struct Shard {
   enum class State { kPending, kRunning, kDone, kFailed };
 
   std::size_t id = 0;
-  std::size_t shard_index = 0;  ///< Composed index in the sub-sharded grid.
-  std::vector<std::uint64_t> seeds;  ///< The cells this shard owns.
+  /// The sub-shard's workload: the spec, re-sharded into the composed grid.
+  analysis::ScenarioSpec scenario;
   State state = State::kPending;
   std::size_t attempts = 0;
   std::uint64_t token = 0;  ///< Current grant's fencing token.
@@ -82,35 +80,26 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
   if (fs_error) return run_locally("cannot create fabric dir");
 
   const std::string key = analysis::campaign_key(spec);
-  // The spec as a one-size scenario: the lease document embeds the workload
-  // via the scenario round-trip guarantee.
-  const analysis::ScenarioSpec base_scenario{spec, {spec.n}, {}};
 
   // Decompose the spec's cell set {i : i % c == s} into S sub-shards
   // {i : i % (cS) == s + c*j}; their union is exactly the original set, so
-  // the merged shard journals cover precisely the spec's grid.
+  // the merged shard journals cover precisely the spec's grid. Each
+  // sub-shard is a one-size scenario, which the lease document embeds.
   const std::size_t sub_shards = config.workers * kLeasesPerWorker;
-  const std::size_t total_count = spec.shard_count * sub_shards;
   std::vector<Shard> shards(sub_shards);
   for (std::size_t j = 0; j < sub_shards; ++j) {
-    shards[j].id = j;
-    shards[j].shard_index = spec.shard_index + spec.shard_count * j;
-  }
-  for (std::size_t i = 0; i < spec.runs; ++i) {
-    if (i % spec.shard_count != spec.shard_index) continue;
-    const std::size_t j = (i / spec.shard_count) % sub_shards;
-    shards[j].seeds.push_back(spec.seed_base + i);
-  }
-  for (Shard& shard : shards) {
+    Shard& shard = shards[j];
+    shard.id = j;
+    shard.scenario = analysis::ScenarioSpec{spec, {spec.n}, {}};
+    shard.scenario.shard_index = spec.shard_index + spec.shard_count * j;
+    shard.scenario.shard_count = spec.shard_count * sub_shards;
     // A shard fully covered by the caller's resume snapshot (or owning no
     // cells at all) never needs a worker.
-    const bool covered =
-        std::all_of(shard.seeds.begin(), shard.seeds.end(),
-                    [&](std::uint64_t seed) {
-                      return control.resume != nullptr &&
-                             control.resume->find(key, seed) != nullptr;
-                    });
-    if (shard.seeds.empty() || covered) shard.state = Shard::State::kDone;
+    const auto seeds = analysis::shard_seeds(shard.scenario);
+    const bool covered = std::all_of(seeds.begin(), seeds.end(), [&](std::uint64_t seed) {
+      return control.resume != nullptr && control.resume->find(key, seed) != nullptr;
+    });
+    if (covered) shard.state = Shard::State::kDone;
   }
   out.stats.shards = shards.size();
 
@@ -123,21 +112,22 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
   };
   std::set<std::uint64_t> announced;  ///< Seeds already sent to on_cell.
 
+  // Grant the shard a fresh lease and spawn its worker. The attempt counts
+  // whether or not the grant succeeds: a grant that cannot write its lease
+  // or spawn its worker burns the same budget as a crash.
   const auto grant = [&](Shard& shard) {
-    const std::uint64_t token = next_token++;
+    shard.attempts += 1;
+    shard.token = next_token++;
     const std::string tag =
-        std::to_string(shard.id) + "-t" + std::to_string(token);
+        std::to_string(shard.id) + "-t" + std::to_string(shard.token);
     Lease lease;
     lease.campaign_key = key;
-    lease.token = token;
+    lease.token = shard.token;
     lease.journal_path = config.dir + "/shard-" + tag + ".jsonl";
     lease.resume_paths = config.resume_paths;
     lease.resume_paths.insert(lease.resume_paths.end(),
                               shard.journals.begin(), shard.journals.end());
-    lease.heartbeat_ms = kHeartbeatMs;
-    lease.scenario = base_scenario;
-    lease.scenario.shard_index = shard.shard_index;
-    lease.scenario.shard_count = total_count;
+    lease.scenario = shard.scenario;
     const std::string lease_path = config.dir + "/lease-" + tag + ".json";
     if (!save_lease(lease, lease_path)) {
       say("fabric: cannot write lease " + lease_path);
@@ -152,22 +142,21 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
       return false;
     }
     shard.worker = std::move(*child);
-    shard.token = token;
     shard.journals.push_back(lease.journal_path);
     shard.state = Shard::State::kRunning;
-    shard.attempts += 1;
     shard.last_event = Clock::now();
     out.stats.leases_granted += 1;
     say("fabric: granted shard " + std::to_string(shard.id) + " token " +
-        std::to_string(token) + " (attempt " + std::to_string(shard.attempts) +
+        std::to_string(shard.token) + " (attempt " + std::to_string(shard.attempts) +
         ", pid " + std::to_string(shard.worker.pid()) + ")");
     return true;
   };
 
-  // Reclaim a running shard's lease: the worker (dead or presumed dead) is
-  // detached, and the shard re-queued behind a jittered backoff or declared
-  // failed once past its grant budget. The grant's journal stays on the
-  // shard — whatever it durably finished is never redone.
+  // The one re-queue path, for a grant that failed or whose worker died or
+  // went silent: the shard waits out a jittered backoff before its next
+  // grant, or is declared failed once past its grant budget. Every grant's
+  // journal stays on the shard — whatever it durably finished is never
+  // redone.
   const auto reclaim = [&](Shard& shard, const std::string& why) {
     say("fabric: reclaiming shard " + std::to_string(shard.id) + " token " +
         std::to_string(shard.token) + " (" + why + ")");
@@ -270,19 +259,8 @@ FabricResult run_fabric_campaign(const analysis::CampaignSpec& spec,
       open_work = true;
       if (grant(shard)) {
         ++running;
-      } else if (shard.attempts + 1 >= kMaxLeaseAttempts) {
-        // Grant machinery itself failing (unwritable dir, unspawnable
-        // binary) burns the same budget as a crash.
-        shard.attempts += 1;
-        shard.state = Shard::State::kFailed;
-        out.stats.shards_failed += 1;
       } else {
-        shard.attempts += 1;
-        shard.next_grant =
-            now + std::chrono::milliseconds(static_cast<std::int64_t>(
-                      analysis::retry_backoff_delay_ms(
-                          kRelaunchBackoffMs, shard.attempts,
-                          static_cast<std::uint64_t>(shard.id))));
+        reclaim(shard, "grant failed");
       }
     }
     if (!open_work) break;

@@ -43,8 +43,8 @@ struct FabricConfig {
   std::size_t workers = 2;
   /// A worker silent (no event of any kind) this long is presumed dead and
   /// its lease reclaimed. 0 disables expiry. Keep this several heartbeats
-  /// (100 ms each) wide — expiry of a merely-slow worker is safe (fencing)
-  /// but wasteful.
+  /// (kHeartbeatMs each) wide — expiry of a merely-slow worker is safe
+  /// (fencing) but wasteful.
   std::uint64_t lease_ttl_ms = 5000;
   /// Worker command prefix, e.g. {"/path/to/lumen-bench", "work"}; the
   /// coordinator appends the lease file path.

@@ -2,9 +2,6 @@
 
 #include "analysis/journal.hpp"
 
-#include <fstream>
-#include <sstream>
-
 namespace lumen::fabric {
 
 template <typename Io, util::FieldsOf<Lease> C>
@@ -15,7 +12,6 @@ void fields(Io& io, C& lease) {
   io("token", lease.token);
   io("journal_path", lease.journal_path);
   io("resume_paths", lease.resume_paths);
-  io("heartbeat_ms", lease.heartbeat_ms);
   io.required("scenario", lease.scenario);
 }
 
@@ -43,10 +39,6 @@ LeaseParse lease_from_json(std::string_view text) {
     out.error = "scenario.ns must contain exactly one sweep size";
     return out;
   }
-  if (lease.heartbeat_ms < 1) {
-    out.error = "heartbeat_ms must be >= 1";
-    return out;
-  }
   if (lease.journal_path.empty()) {
     out.error = "journal_path must be non-empty";
     return out;
@@ -65,22 +57,11 @@ LeaseParse lease_from_json(std::string_view text) {
 }
 
 bool save_lease(const Lease& lease, const std::string& path) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) return false;
-  f << lease_to_json(lease);
-  return static_cast<bool>(f.flush());
+  return util::save_document(path, lease_to_json(lease));
 }
 
 LeaseParse load_lease(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    LeaseParse out;
-    out.error = "cannot open " + path;
-    return out;
-  }
-  std::ostringstream text;
-  text << f.rdbuf();
-  return lease_from_json(text.str());
+  return util::load_document(path, lease_from_json);
 }
 
 }  // namespace lumen::fabric

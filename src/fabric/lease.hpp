@@ -5,7 +5,7 @@
 // sharding the base spec already carries), a FENCING TOKEN, the shard
 // journal the worker may append to, prior journals it should resume from,
 // and the full scenario so the lease document is self-contained (a worker
-// needs nothing but the lease to do its work — argv, stdin, or a file).
+// needs nothing but the lease file to do its work).
 //
 // Fencing: tokens are allocated strictly increasing per coordinator run.
 // A reclaimed lease (crash or expiry) is re-granted
@@ -38,8 +38,6 @@ struct Lease {
   /// shard, the canonical resume journal): the worker merges whatever loads
   /// and skips those cells — reclaiming a lease never redoes finished work.
   std::vector<std::string> resume_paths;
-  /// Cadence of the worker's liveness heartbeat on stdout.
-  std::uint64_t heartbeat_ms = 250;
   /// The leased workload: ns = [n], shard_index/shard_count composed so
   /// that scenario.campaign(ns[0]) IS the shard's cell set.
   analysis::ScenarioSpec scenario;
@@ -55,9 +53,8 @@ struct LeaseParse {
 };
 
 /// Parses and validates a lease document: a scenario that passes
-/// validate_scenario with exactly one sweep size, heartbeat_ms >= 1, a
-/// non-empty journal path, and campaign_key matching the scenario's FNV-1a
-/// key.
+/// validate_scenario with exactly one sweep size, a non-empty journal
+/// path, and campaign_key matching the scenario's FNV-1a key.
 [[nodiscard]] LeaseParse lease_from_json(std::string_view text);
 
 bool save_lease(const Lease& lease, const std::string& path);

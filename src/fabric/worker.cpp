@@ -11,10 +11,8 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <iostream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
 namespace lumen::fabric {
@@ -56,14 +54,7 @@ int run_worker(const WorkerOptions& options) {
   // process-killing SIGPIPE mid-journal-append.
   ::signal(SIGPIPE, SIG_IGN);
 
-  LeaseParse parsed;
-  if (options.lease_path == "-") {
-    std::ostringstream text;
-    text << std::cin.rdbuf();
-    parsed = lease_from_json(text.str());
-  } else {
-    parsed = load_lease(options.lease_path);
-  }
+  const LeaseParse parsed = load_lease(options.lease_path);
   if (!parsed.lease) {
     std::cerr << "work: invalid lease: " << parsed.error << "\n";
     return 2;
@@ -120,10 +111,7 @@ int run_worker(const WorkerOptions& options) {
 
   std::atomic<bool> orphaned{false};
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> cells_done{0};
   EventStream events(orphaned);
-  events.emit(WorkerEvent{WorkerEventKind::kHello, lease.token, 0, 0, 0,
-                          static_cast<std::int64_t>(::getpid())});
 
   // Liveness beats on a background thread so one long cell does not read
   // as a hang; it also folds the two external stop sources (driver signal,
@@ -139,10 +127,8 @@ int run_worker(const WorkerOptions& options) {
           orphaned.load(std::memory_order_relaxed)) {
         stop.store(true, std::memory_order_relaxed);
       }
-      events.emit(WorkerEvent{WorkerEventKind::kHeartbeat, lease.token, 0,
-                              cells_done.load(std::memory_order_relaxed), 0,
-                              0});
-      hb_cv.wait_for(lock, std::chrono::milliseconds(lease.heartbeat_ms));
+      events.emit(WorkerEvent{WorkerEventKind::kHeartbeat, lease.token, 0});
+      hb_cv.wait_for(lock, std::chrono::milliseconds(kHeartbeatMs));
     }
   });
 
@@ -151,10 +137,7 @@ int run_worker(const WorkerOptions& options) {
   control.resume = &resume;
   control.stop = &stop;
   control.on_cell = [&](std::uint64_t seed) {
-    const std::uint64_t done =
-        cells_done.fetch_add(1, std::memory_order_relaxed) + 1;
-    events.emit(
-        WorkerEvent{WorkerEventKind::kCell, lease.token, seed, done, 0, 0});
+    events.emit(WorkerEvent{WorkerEventKind::kCell, lease.token, seed});
   };
   const analysis::CampaignResult result = analysis::run_campaign(
       spec, nullptr, control);
@@ -166,9 +149,6 @@ int run_worker(const WorkerOptions& options) {
   hb_cv.notify_all();
   heartbeat.join();
 
-  events.emit(WorkerEvent{WorkerEventKind::kDone, lease.token, 0,
-                          cells_done.load(std::memory_order_relaxed),
-                          result.errors.size(), 0});
   // Done means "every leased cell has a durable record" — metrics or
   // structured error; only stop-skipped cells leave the shard unfinished.
   if (result.cells_skipped == 0) return 0;

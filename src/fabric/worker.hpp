@@ -1,9 +1,9 @@
 // lumen_fabric: the crash-tolerant worker (`lumen-bench work`).
 //
-// A worker's whole life: read a lease, merge every prior journal the lease
-// names (finished cells are never redone), run the leased shard with its
-// own fsync'd journal, and stream hello/heartbeat/cell/done events to the
-// coordinator on stdout. It is deliberately stateless beyond its journal —
+// A worker's whole life: read a lease file, merge every prior journal the
+// lease names (finished cells are never redone), run the leased shard with
+// its own fsync'd journal, and stream heartbeat and cell events to the
+// coordinator on stdout; its exit code reports how the lease ended. It is deliberately stateless beyond its journal —
 // SIGKILL at any instant loses at most the cell in flight, and the fsync'd
 // record-per-cell discipline means whatever it DID finish is durable and
 // mergeable. A worker whose coordinator dies notices (EPIPE on the event
@@ -16,7 +16,7 @@
 namespace lumen::fabric {
 
 struct WorkerOptions {
-  /// Path of the lease document; "-" reads it from stdin.
+  /// Path of the lease document.
   std::string lease_path;
   /// The driver's signal flag (SIGINT/SIGTERM -> drain). May be null.
   const std::atomic<bool>* stop = nullptr;

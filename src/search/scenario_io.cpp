@@ -1,6 +1,5 @@
 #include "search/scenario_io.hpp"
 
-#include <fstream>
 #include <sstream>
 
 namespace lumen::search {
@@ -43,22 +42,11 @@ AdversarialScenarioParse adversarial_scenario_from_json(std::string_view text) {
 
 bool save_adversarial_scenario(const AdversarialScenario& scenario,
                                const std::string& path) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return false;
-  file << adversarial_scenario_to_json(scenario);
-  return static_cast<bool>(file);
+  return util::save_document(path, adversarial_scenario_to_json(scenario));
 }
 
 AdversarialScenarioParse load_adversarial_scenario(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    AdversarialScenarioParse out;
-    out.error = "cannot open " + path;
-    return out;
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return adversarial_scenario_from_json(buffer.str());
+  return util::load_document(path, adversarial_scenario_from_json);
 }
 
 AdversarialScenario make_regression_scenario(const HuntSpec& spec,

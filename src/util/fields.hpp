@@ -26,6 +26,10 @@
 // name, a constant with another value and a missing `required` field are
 // errors naming the key's dotted path ("run.fault.crash.count"). Range
 // rules are not the reader's: each document's validator owns them.
+//
+// Files: save_document writes a document's text and load_document reads a
+// file through the document's *_from_json, so every document file fails to
+// open with the same "cannot open <path>".
 #pragma once
 
 #include "util/json.hpp"
@@ -87,9 +91,9 @@ class FieldWriter {
   void omit_default(std::string_view key, const T& value) {
     if (!(value == T{})) (*this)(key, value);
   }
-  template <typename T>
-  void required(std::string_view key, const T& value) {
-    (*this)(key, value);
+  template <typename T, typename... Parse>
+  void required(std::string_view key, const T& value, Parse... parse) {
+    (*this)(key, value, parse...);
   }
   void constant(std::string_view key, std::string_view text) {
     object_.set(std::string(key), JsonValue::string(std::string(text)));
@@ -163,10 +167,10 @@ class FieldReader {
   void omit_default(std::string_view key, T& value) {
     (*this)(key, value);
   }
-  template <typename T>
-  void required(std::string_view key, T& value) {
+  template <typename T, typename... Parse>
+  void required(std::string_view key, T& value, Parse... parse) {
     if (object_.find(key) == nullptr) return fail("missing " + path(key));
-    (*this)(key, value);
+    (*this)(key, value, parse...);
   }
   void constant(std::string_view key, std::string_view text) {
     const JsonValue* json = claim(key);
@@ -271,6 +275,25 @@ template <typename Doc>
   const auto json = json_parse(text, &error);
   if (!json) return "invalid JSON: " + error;
   return read_fields(*json, doc);
+}
+
+/// The whole text of the file at `path`; nullopt when it cannot be opened.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
+
+/// Writes a document's text to `path`, replacing the file; false when it
+/// cannot be written.
+bool save_document(const std::string& path, std::string_view text);
+
+/// Reads the file at `path` and hands its text to `parse`, a document's
+/// *_from_json; a file that cannot be opened yields a result whose error is
+/// "cannot open <path>".
+template <typename Parse>
+[[nodiscard]] Parse load_document(const std::string& path,
+                                  Parse (*parse)(std::string_view)) {
+  if (const auto text = read_file(path)) return parse(*text);
+  Parse out;
+  out.error = "cannot open " + path;
+  return out;
 }
 
 }  // namespace lumen::util

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 namespace lumen::analysis {
 namespace {
@@ -98,6 +100,46 @@ TEST(Campaign, ShardBeyondRunCountIsEmpty) {
   spec.shard_index = 2;
   spec.shard_count = 5;
   EXPECT_TRUE(run_campaign(spec).runs.empty());
+}
+
+// The fabric splits shard s of c into S sub-shards, sub-shard j being shard
+// s + c*j of c*S. Over a grid of (runs, c, s, S), shard_seeds must list each
+// shard's seeds ascending, and the S sub-shards must be disjoint with the
+// spec's own shard as their union.
+TEST(Campaign, ShardSeedsComposeIntoSubShards) {
+  for (std::size_t runs : {1u, 2u, 7u, 12u, 31u}) {
+    for (std::size_t c = 1; c <= 4; ++c) {
+      for (std::size_t s = 0; s < c; ++s) {
+        CampaignSpec spec = small_spec();
+        spec.runs = runs;
+        spec.seed_base = 1000;
+        spec.shard_index = s;
+        spec.shard_count = c;
+        std::vector<std::uint64_t> own;
+        for (std::size_t i = 0; i < runs; ++i) {
+          if (i % c == s) own.push_back(spec.seed_base + i);
+        }
+        ASSERT_EQ(shard_seeds(spec), own);
+        for (std::size_t sub = 1; sub <= 5; ++sub) {
+          SCOPED_TRACE(testing::Message() << "runs " << runs << " shard " << s
+                                          << "/" << c << " into " << sub);
+          std::vector<std::uint64_t> united;
+          for (std::size_t j = 0; j < sub; ++j) {
+            CampaignSpec part = spec;
+            part.shard_index = s + c * j;
+            part.shard_count = c * sub;
+            const auto seeds = shard_seeds(part);
+            EXPECT_TRUE(std::is_sorted(seeds.begin(), seeds.end()));
+            united.insert(united.end(), seeds.begin(), seeds.end());
+          }
+          std::sort(united.begin(), united.end());
+          EXPECT_EQ(std::adjacent_find(united.begin(), united.end()), united.end())
+              << "a seed sits in two sub-shards";
+          EXPECT_EQ(united, own);
+        }
+      }
+    }
+  }
 }
 
 TEST(Campaign, CollisionAuditCanBeDisabled) {

@@ -5,8 +5,9 @@
 // --out/--resume/--journal plumbing, reject the same unusable paths, `run`
 // rejects negative integer flags and invalid resolved specs, `hunt`
 // rejects a swarm of one and the flags of its deleted bandit strategy,
-// `run --smoke` prints no row twice, and `describe` and the examples share
-// the command front end (LUMEN_EXAMPLES_DIR holds the examples).
+// `run --smoke` prints no row twice, and `describe`, `work` and the
+// examples share the command front end (LUMEN_EXAMPLES_DIR holds the
+// examples).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -198,7 +199,8 @@ INSTANTIATE_TEST_SUITE_P(
         std::pair{"--runs=0", "runs must be >= 1"},
         std::pair{"--algorithm=bogus", "algorithm: unknown algorithm \"bogus\""},
         std::pair{"--shard=2/2", "shard_index must be < shard_count"},
-        std::pair{"--straggler-factor=2", "unknown flag --straggler-factor"}),
+        std::pair{"--straggler-factor=2", "unknown flag --straggler-factor"},
+        std::pair{"--lease-ttl-ms=5", "unknown flag --lease-ttl-ms"}),
     [](const auto& param) { return flag_test_name(param.param.first); });
 
 // Malformed text is a usage error before any range rule runs.
@@ -250,6 +252,16 @@ TEST(BenchGrammar, DescribeTakesExactlyOneName) {
                      "takes at most 1 positional argument(s) (got \"extra\")");
   expect_usage_error(" describe", "", "describe needs an experiment or algorithm name");
   EXPECT_EQ(run_shell(bench() + " describe colors >/dev/null"), 0);
+}
+
+TEST(BenchGrammar, WorkTakesExactlyOneLeaseFile) {
+  const std::string help = work_dir() + "/work.help";
+  ASSERT_EQ(run_shell(bench() + " work --help >" + help), 0);
+  EXPECT_TRUE(read_file(help).starts_with("lumen-bench work <lease.json>"))
+      << read_file(help);
+  expect_usage_error(" work", "a b", "takes at most 1 positional argument(s) (got \"b\")");
+  expect_usage_error(" work", "--bogus", "unknown flag --bogus");
+  expect_usage_error(" work", "", "work needs a lease file");
 }
 
 // The examples share lumen-bench's front end: --help prints usage and runs

@@ -31,7 +31,6 @@ Lease sample_lease() {
   lease.token = 7;
   lease.journal_path = "/tmp/shard-0-t7.jsonl";
   lease.resume_paths = {"/tmp/canonical.jsonl", "/tmp/shard-0-t3.jsonl"};
-  lease.heartbeat_ms = 125;
   return lease;
 }
 
@@ -47,7 +46,6 @@ TEST(Lease, JsonRoundTripIsByteIdentical) {
   EXPECT_EQ(back.lease->token, 7u);
   EXPECT_EQ(back.lease->journal_path, lease.journal_path);
   EXPECT_EQ(back.lease->resume_paths, lease.resume_paths);
-  EXPECT_EQ(back.lease->heartbeat_ms, 125u);
   EXPECT_EQ(back.lease->scenario.shard_index, 1u);
   EXPECT_EQ(back.lease->scenario.shard_count, 4u);
 }
@@ -83,6 +81,13 @@ TEST(Lease, RejectsMalformedDocuments) {
   const LeaseParse unknown = lease_from_json(text);
   EXPECT_FALSE(unknown.lease.has_value());
   EXPECT_NE(unknown.error.find("bogus"), std::string::npos) << unknown.error;
+  // The heartbeat cadence is fixed policy, not a lease field.
+  std::string cadence = lease_to_json(lease);
+  cadence.insert(cadence.find("\"token\""), "\"heartbeat_ms\":250,");
+  const LeaseParse with_cadence = lease_from_json(cadence);
+  EXPECT_FALSE(with_cadence.lease.has_value());
+  EXPECT_NE(with_cadence.error.find("unknown key \"heartbeat_ms\""), std::string::npos)
+      << with_cadence.error;
   // A lease must carry exactly one sweep size: its shard IS one campaign.
   Lease two_ns = sample_lease();
   two_ns.scenario.ns = {12, 16};
@@ -98,41 +103,44 @@ TEST(Lease, RejectsMalformedDocuments) {
 
 TEST(Protocol, EventRoundTrips) {
   const WorkerEvent events[] = {
-      {WorkerEventKind::kHello, 3, 0, 0, 0, 4242},
-      {WorkerEventKind::kHeartbeat, 3, 0, 17, 0, 0},
-      {WorkerEventKind::kCell, 3, 105, 18, 0, 0},
-      {WorkerEventKind::kDone, 3, 0, 20, 2, 0},
+      {WorkerEventKind::kHeartbeat, 3, 0},
+      {WorkerEventKind::kCell, 3, 105},
   };
   for (const WorkerEvent& event : events) {
     SCOPED_TRACE(std::string(to_string(event.kind)));
     std::string error;
     const auto back = worker_event_from_line(worker_event_to_line(event), &error);
     ASSERT_TRUE(back.has_value()) << error;
-    EXPECT_EQ(back->kind, event.kind);
-    EXPECT_EQ(back->token, event.token);
-    EXPECT_EQ(back->seed, event.seed);
-    EXPECT_EQ(back->cells, event.cells);
-    EXPECT_EQ(back->errors, event.errors);
-    EXPECT_EQ(back->pid, event.pid);
+    EXPECT_EQ(*back, event);
   }
+  EXPECT_EQ(worker_event_to_line(events[1]),
+            R"({"type":"lumen-worker","event":"cell","token":3,"seed":105})");
 }
 
 TEST(Protocol, RejectsMalformedLines) {
-  EXPECT_FALSE(worker_event_from_line("").has_value());
-  EXPECT_FALSE(worker_event_from_line("not json").has_value());
-  EXPECT_FALSE(worker_event_from_line(R"({"type":"other"})").has_value());
-  EXPECT_FALSE(worker_event_from_line(
-                   R"({"type":"lumen-worker","event":"nope","token":1})")
-                   .has_value());
+  // Each line is a well-formed cell event but for the one fault it names.
+  const auto rejects = [](std::string_view line, std::string_view why) {
+    std::string error;
+    EXPECT_FALSE(worker_event_from_line(line, &error).has_value()) << line;
+    EXPECT_NE(error.find(why), std::string::npos) << line << ": " << error;
+  };
+  ASSERT_TRUE(worker_event_from_line(
+                  R"({"type":"lumen-worker","event":"cell","token":1,"seed":2})")
+                  .has_value());
+  rejects("", "invalid JSON");
+  rejects("not json", "invalid JSON");
+  rejects(R"({"type":"other","event":"cell","token":1,"seed":2})", "type");
+  rejects(R"({"type":"lumen-worker","event":"nope","token":1,"seed":2})",
+          "unknown name \"nope\"");
+  rejects(R"({"type":"lumen-worker","event":"done","token":1,"seed":2})",
+          "unknown name \"done\"");
   // A cell event without its seed is useless to the coordinator.
-  EXPECT_FALSE(
-      worker_event_from_line(
-          R"({"type":"lumen-worker","event":"cell","token":1,"cells":2})")
-          .has_value());
+  rejects(R"({"type":"lumen-worker","event":"cell","token":1})", "missing seed");
   // Tokens are fencing state; an event without one cannot be attributed.
-  EXPECT_FALSE(worker_event_from_line(
-                   R"({"type":"lumen-worker","event":"heartbeat","cells":0})")
-                   .has_value());
+  rejects(R"({"type":"lumen-worker","event":"cell","seed":2})", "missing token");
+  rejects(R"({"type":"lumen-worker","event":"cell","token":-1,"seed":2})", "token");
+  rejects(R"({"type":"lumen-worker","event":"cell","token":1,"seed":2,"cells":1})",
+          "unknown key \"cells\"");
 }
 
 // ---------------------------------------------------------------------------
