@@ -181,9 +181,9 @@ BENCHMARK(BM_VisibleFromSoA)
     ->Complexity();
 
 void BM_BuildKeys(benchmark::State& state) {
-  // The batched SoA key build in isolation — the stage the SIMD dispatch
-  // vectorizes (subtraction, half-plane split, diamond key, presort
-  // records). Runs at the level the dispatcher selected for this CPU; the
+  // The batched SoA sort-record build in isolation — the stage the SIMD
+  // dispatch vectorizes (subtraction, half-plane split, diamond key, one
+  // 8-byte record per robot). Runs at the level the dispatcher selected for this CPU; the
   // context section records it.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto [xs, ys] = random_split_points(n, 3);

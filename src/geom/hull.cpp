@@ -36,11 +36,11 @@ inline constexpr std::size_t kCullMin = 20;
 /// record.key is coord_key64(x) and the y/index tie-breaks read the points.
 /// One monotone value-bucket scatter (bucket = (x - min_x) * scale, so
 /// bucket order equals key order and equal keys share a bucket) followed by
-/// exact per-bucket comparison sorts of the tiny runs — the same shape as
-/// util::sort_f32key_records, but with the double coordinate as the bucket
-/// value and the full three-way comparator as the finish. Chaining two
-/// 8-pass 64-bit LSD radix sorts here costs 16 histogram+scatter sweeps and
-/// loses ~2x to this at realistic sizes; the bucketed form does one.
+/// exact per-bucket comparison sorts of the tiny runs, with the double
+/// coordinate as the bucket value and the full three-way comparator as the
+/// finish. Chaining two 8-pass 64-bit LSD radix sorts here costs 16
+/// histogram+scatter sweeps and loses ~2x to this at realistic sizes; the
+/// bucketed form does one.
 inline void sort_fringe_records(std::vector<util::Key64Record>& records,
                                 std::vector<util::Key64Record>& tmp,
                                 std::span<const Vec2> points, double min_x,

@@ -14,8 +14,6 @@ void build_keys_soa(const double* xs, const double* ys, std::size_t n,
 HullExtremes hull_extremes(const Vec2* pts, std::size_t n);
 void hull_cull_mask(const Vec2* pts, std::size_t n,
                     std::span<const Vec2> polygon, std::uint8_t* inside);
-void sort_f32key_records(std::vector<std::uint64_t>& records,
-                         std::vector<std::uint64_t>& tmp, float max_key);
 std::size_t cone_skip(const Vec2* pts, std::size_t begin, std::size_t n,
                       Vec2 o, Vec2 da, Vec2 db);
 }  // namespace scalar
@@ -27,8 +25,6 @@ void build_keys_soa(const double* xs, const double* ys, std::size_t n,
 HullExtremes hull_extremes(const Vec2* pts, std::size_t n);
 void hull_cull_mask(const Vec2* pts, std::size_t n,
                     std::span<const Vec2> polygon, std::uint8_t* inside);
-void sort_f32key_records(std::vector<std::uint64_t>& records,
-                         std::vector<std::uint64_t>& tmp, float max_key);
 std::size_t cone_skip(const Vec2* pts, std::size_t begin, std::size_t n,
                       Vec2 o, Vec2 da, Vec2 db);
 }  // namespace wide128
@@ -41,8 +37,6 @@ void build_keys_soa(const double* xs, const double* ys, std::size_t n,
 HullExtremes hull_extremes(const Vec2* pts, std::size_t n);
 void hull_cull_mask(const Vec2* pts, std::size_t n,
                     std::span<const Vec2> polygon, std::uint8_t* inside);
-void sort_f32key_records(std::vector<std::uint64_t>& records,
-                         std::vector<std::uint64_t>& tmp, float max_key);
 std::size_t cone_skip(const Vec2* pts, std::size_t begin, std::size_t n,
                       Vec2 o, Vec2 da, Vec2 db);
 }  // namespace avx2
@@ -59,8 +53,8 @@ struct Table {
 Table make_table() noexcept {
   Table t;
   t.rows[t.size++] = {Level::kScalar, scalar::build_keys_soa,
-                      scalar::sort_f32key_records, scalar::hull_extremes,
-                      scalar::hull_cull_mask, scalar::cone_skip};
+                      scalar::hull_extremes, scalar::hull_cull_mask,
+                      scalar::cone_skip};
 #ifdef LUMEN_SIMD_HAVE_WIDE128
   // The 128-bit level's public name depends on the architecture the
   // wide128 TU was compiled for.
@@ -70,14 +64,14 @@ Table make_table() noexcept {
   constexpr Level kWide128Level = Level::kSse2;
 #endif
   t.rows[t.size++] = {kWide128Level, wide128::build_keys_soa,
-                      wide128::sort_f32key_records, wide128::hull_extremes,
-                      wide128::hull_cull_mask, wide128::cone_skip};
+                      wide128::hull_extremes, wide128::hull_cull_mask,
+                      wide128::cone_skip};
 #endif
 #ifdef LUMEN_SIMD_HAVE_AVX2
   if (__builtin_cpu_supports("avx2") != 0) {
     t.rows[t.size++] = {Level::kAvx2, avx2::build_keys_soa,
-                        avx2::sort_f32key_records, avx2::hull_extremes,
-                        avx2::hull_cull_mask, avx2::cone_skip};
+                        avx2::hull_extremes, avx2::hull_cull_mask,
+                        avx2::cone_skip};
   }
 #endif
   return t;
@@ -101,11 +95,6 @@ Level active_level() noexcept { return active().level; }
 void build_keys_soa(const double* xs, const double* ys, std::size_t n,
                     std::size_t i, Vec2 o, VisibilityScratch& scratch) {
   active().build_keys_soa(xs, ys, n, i, o, scratch);
-}
-
-void sort_angular_records(std::vector<std::uint64_t>& records,
-                          std::vector<std::uint64_t>& tmp, float max_key) {
-  active().sort_angular_records(records, tmp, max_key);
 }
 
 HullExtremes hull_extremes(const Vec2* pts, std::size_t n) {

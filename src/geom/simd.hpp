@@ -1,7 +1,7 @@
 // lumen_geom: runtime-dispatched SIMD batch kernels over split arrays.
 //
 // The hottest inner loops of the geometry substrate — the per-observer
-// angular-key build that feeds the visibility sort, the Akl–Toussaint
+// sort-record build that feeds the visibility sort, the Akl–Toussaint
 // extremes scan and interior cull that shrink the convex-hull candidate
 // set, and the in-cone skip of a Compute's corner walk — are data parallel
 // over the coordinate arrays. This layer provides
@@ -12,14 +12,14 @@
 // first use.
 //
 // The hard contract is BIT-IDENTITY: every level produces byte-for-byte the
-// same AngularKey sequences, presort records, extremes, cull mask and
-// skip index as the scalar reference. The vector kernels evaluate
-// exactly the scalar formulas — same IEEE operations in the same order,
-// compiled with FP contraction off so no fused multiply-add can change a
-// rounding — and SIMD is only ever allowed to CERTIFY a stage-A decision
-// the scalar filter would also certify, never to decide an uncertain one
-// (uncertain lanes keep the conservative outcome, exactly like the scalar
-// certify-only filter geom::certainly_ccw in predicates.hpp).
+// same sort records, extremes, cull mask and skip index as the scalar
+// reference. The vector kernels evaluate exactly the scalar formulas —
+// same IEEE operations in the same order, compiled with FP contraction off
+// so no fused multiply-add can change a rounding — and SIMD is only ever
+// allowed to CERTIFY a stage-A decision the scalar filter would also
+// certify, never to decide an uncertain one (uncertain lanes keep the
+// conservative outcome, exactly like the scalar certify-only filter
+// geom::certainly_ccw in predicates.hpp).
 // tests/geom_simd_test.cpp walks kernel_table() and pins every row against
 // the scalar row; the golden-seed digests pin it end to end.
 #pragma once
@@ -70,8 +70,6 @@ struct Kernels {
   Level level;
   void (*build_keys_soa)(const double* xs, const double* ys, std::size_t n,
                          std::size_t i, Vec2 o, VisibilityScratch& scratch);
-  void (*sort_angular_records)(std::vector<std::uint64_t>& records,
-                               std::vector<std::uint64_t>& tmp, float max_key);
   HullExtremes (*hull_extremes)(const Vec2* pts, std::size_t n);
   void (*hull_cull_mask)(const Vec2* pts, std::size_t n,
                          std::span<const Vec2> polygon, std::uint8_t* inside);
@@ -87,26 +85,14 @@ struct Kernels {
 /// The level the dispatched entry points run: kernel_table().back().level.
 [[nodiscard]] Level active_level() noexcept;
 
-/// Batched SoA angular-key build over pt(j) = {xs[j], ys[j]} (observer `i`
-/// and coincident points skipped; each key is detail::make_key's), filling
-/// scratch.upper/lower with the half-partitioned AngularKeys AND
-/// scratch.upper_order/lower_order with the (akey bits << 32 | slot)
-/// presort records the presort consumes. All four vectors are sized
-/// exactly (a cheap vectorized counting pass precedes the build), so cold
-/// calls reserve the true split rather than a guess.
+/// Batched SoA sort-record build over pt(j) = {xs[j], ys[j]} (observer
+/// `i` and coincident points skipped): fills scratch.upper/lower with one
+/// (akey bits << 32 | j) record per robot, split by half-plane, in rising
+/// j, where akey is the diamond pseudo-angle of pt(j) - o within its half
+/// (visibility_detail.hpp). Both halves are sized for all n robots and
+/// trimmed to their fill, so no counting pass precedes the build.
 void build_keys_soa(const double* xs, const double* ys, std::size_t n,
                     std::size_t i, Vec2 o, VisibilityScratch& scratch);
-
-/// Batched value-bucketed presort of (float_bits << 32 | slot) records —
-/// the dispatched form of util::sort_f32key_records (same preconditions:
-/// keys are bit images of finite non-negative floats bounded by max_key).
-/// Vector levels batch the float->bucket computation of the histogram and
-/// scatter passes; the result is the full ascending 64-bit order, which is
-/// CANONICAL — every level produces identical bytes by construction, so
-/// this kernel carries no bit-identity risk at all. `tmp` is the bucket
-/// cursor + scatter workspace and keeps its capacity across calls.
-void sort_angular_records(std::vector<std::uint64_t>& records,
-                          std::vector<std::uint64_t>& tmp, float max_key);
 
 /// Batched scan for the 8 directional extremes of pts[0..n) (n >= 1).
 [[nodiscard]] HullExtremes hull_extremes(const Vec2* pts, std::size_t n);

@@ -8,12 +8,8 @@
 // multiply-adds, which would change roundings versus the scalar reference.
 #include "geom/simd.hpp"
 #include "geom/simd_common.hpp"
-#include "util/radix.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <cstring>
 
 namespace lumen::geom::simd::avx2 {
 

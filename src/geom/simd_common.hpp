@@ -12,34 +12,54 @@
 #include "geom/visibility.hpp"
 #include "geom/visibility_detail.hpp"
 
-#include <bit>
 #include <cstdint>
 #include <span>
 
 namespace lumen::geom::simd::detail {
 
-/// Packs the radix presort record for a key about to land at `slot` in its
-/// half (callers pass half.size() BEFORE the push_back).
-inline std::uint64_t order_record(float akey, std::size_t slot) noexcept {
-  return (std::uint64_t{std::bit_cast<std::uint32_t>(akey)} << 32) |
-         static_cast<std::uint32_t>(slot);
+/// Write cursors into the two record halves, each sized to hold every
+/// robot plus one slot of slack (see build_records).
+struct RecordSink {
+  std::uint64_t* upper;
+  std::uint64_t* lower;
+  std::size_t n_upper = 0;
+  std::size_t n_lower = 0;
+};
+
+/// Appends the sort records of robots [begin, end) (observer o, coincident
+/// robots skipped) one robot at a time: the scalar level's whole build and
+/// the vector levels' block tails.
+inline void append_records(const double* xs, const double* ys,
+                           std::size_t begin, std::size_t end, Vec2 o,
+                           RecordSink& sink) noexcept {
+  for (std::size_t j = begin; j < end; ++j) {
+    const Vec2 d{xs[j] - o.x, ys[j] - o.y};
+    if (d.x == 0.0 && d.y == 0.0) continue;
+    const std::uint64_t rec = geom::detail::make_record(
+        geom::detail::akey_within_half(d), static_cast<std::uint32_t>(j));
+    if (geom::detail::half_of(d) == 0) {
+      sink.upper[sink.n_upper++] = rec;
+    } else {
+      sink.lower[sink.n_lower++] = rec;
+    }
+  }
 }
 
-/// Appends point j's angular key (direction d = p - o, nonzero; the key is
-/// detail::make_key's) to the half-partitioned key vectors, together with
-/// its presort record.
-inline void append_key(Vec2 d, std::uint32_t j, VisibilityScratch& scratch) {
-  using geom::detail::diamond_key;
-  using geom::detail::half_of;
-  if (half_of(d) == 0) {
-    const float akey = diamond_key(d);
-    scratch.upper_order.push_back(order_record(akey, scratch.upper.size()));
-    scratch.upper.push_back(AngularKey{d, norm_sq(d), akey, j});
-  } else {
-    const float akey = diamond_key(Vec2{-d.x, -d.y});
-    scratch.lower_order.push_back(order_record(akey, scratch.lower.size()));
-    scratch.lower.push_back(AngularKey{d, norm_sq(d), akey, j});
-  }
+/// The record build every level shares: sizes both halves for every robot
+/// plus one slot of slack (the vector levels' both-sides store writes one
+/// slot past a half's fill), runs the level's `append_range` over the
+/// robots before and after observer i, and trims each half to its fill.
+template <class AppendRange>
+void build_records(const double* xs, const double* ys, std::size_t n,
+                   std::size_t i, Vec2 o, VisibilityScratch& scratch,
+                   const AppendRange& append_range) {
+  scratch.upper.resize(n + 1);
+  scratch.lower.resize(n + 1);
+  RecordSink sink{scratch.upper.data(), scratch.lower.data()};
+  append_range(xs, ys, 0, i, o, sink);
+  append_range(xs, ys, i + 1 < n ? i + 1 : n, n, o, sink);
+  scratch.upper.resize(sink.n_upper);
+  scratch.lower.resize(sink.n_lower);
 }
 
 /// The four keys whose minima and maxima are the hull extremes, in the

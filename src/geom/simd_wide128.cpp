@@ -6,12 +6,8 @@
 // provides. Reported as Level::kSse2 or Level::kNeon accordingly.
 #include "geom/simd.hpp"
 #include "geom/simd_common.hpp"
-#include "util/radix.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <cstring>
 
 namespace lumen::geom::simd::wide128 {
 

@@ -9,18 +9,20 @@
 // equal-direction run, the exact nearest robot plus anything coincident
 // with it.
 //
-// The sort itself is two-tier. Each key carries a float diamond
-// pseudo-angle whose uncertainty (~3e-7, dominated by the f32 rounding) is
-// orders of magnitude below kSuspectEps; a 64-bit radix pass orders the
-// keys by that angle, and only "suspect groups" — maximal chains of keys
-// whose consecutive pseudo-angles sit within kSuspectEps — are re-sorted
-// with the exact orient2d_around comparator. Because the exact comparator
-// is a strict total order (orientation, then squared distance, then
-// index), the fixed-up sequence is the unique exact-sorted order, so the
-// output is bit-identical to a direct exact sort. Keys stream out of
-// split x/y coordinate arrays (the simulation's WorldState layout); the
-// Vec2 entry points split their points once and run the same kernel. A
-// brute-force O(n^3) checker is kept as the test oracle.
+// The sort itself is two-tier. Each robot becomes one 8-byte record: the
+// float diamond pseudo-angle of its direction (uncertainty ~3e-7,
+// dominated by the f32 rounding, orders of magnitude below kSuspectEps) in
+// the high word, its index in the low word. A radix pass orders the
+// records by that angle, and only "suspect groups" — maximal chains of
+// records whose consecutive pseudo-angles sit within kSuspectEps — are
+// re-sorted with the exact orient2d_around comparator, which recomputes
+// the direction and squared distance from the coordinates. Because the
+// exact comparator is a strict total order (orientation, then squared
+// distance, then index), the fixed-up sequence is the unique exact-sorted
+// order, so the output is bit-identical to a direct exact sort. Records
+// stream out of split x/y coordinate arrays (the simulation's WorldState
+// layout); the Vec2 entry points split their points once and run the same
+// kernel. A brute-force O(n^3) checker is kept as the test oracle.
 #pragma once
 
 #include "geom/vec2.hpp"
@@ -72,46 +74,35 @@ class VisibilityGraph {
   std::vector<std::uint64_t> bits_;
 };
 
-/// One precomputed angular-sort key: everything the radix presort, the
-/// exact comparator and the dedup pass need, packed into 32 bytes so each
-/// comparison touches two contiguous records instead of re-deriving
-/// subtractions and half-plane indices.
+/// One angular-sort key with its direction and squared distance: the
+/// element of the visibility cache's stored halves (geom/visibility_cache),
+/// whose repair inserts by the exact comparator without recomputing the
+/// survivors' differences.
 struct AngularKey {
-  /// Deliberately uninitialized: the batch key build sizes the scratch
-  /// vectors with resize() and then overwrites every slot with plain
-  /// stores; a zeroing default constructor would memset ~32 bytes/point
-  /// per observer for values that are never read.
-  AngularKey() noexcept {}
-  AngularKey(Vec2 d, double d2, float a, std::uint32_t i) noexcept
-      : diff(d), dist2(d2), akey(a), index(i) {}
-
   Vec2 diff;            ///< pts[index] - observer, rounded once.
   double dist2;         ///< |diff|^2 for the same-ray tie-break.
   float akey;           ///< Diamond pseudo-angle of diff within its half.
   std::uint32_t index;  ///< Original point id.
 };
 
-/// Reusable workspace for visible_from: the per-observer sort keys
-/// partitioned by half-plane (angle in [0, pi) vs [pi, 2pi)), plus the
-/// radix-sort order buffers. Holding one per caller (or per pool worker)
-/// makes the steady-state visibility sweep allocation-free: every buffer
-/// keeps its capacity across calls, including across ExecutionCore resets
-/// when the scratch is owned above the engine (see sim::LookArena).
+/// Reusable workspace for visible_from: the per-observer sort records
+/// (akey bits << 32 | robot index) partitioned by half-plane (angle in
+/// [0, pi) vs [pi, 2pi)), plus the radix scatter buffer. Holding one per
+/// caller (or per pool worker) makes the steady-state visibility sweep
+/// allocation-free: every buffer keeps its capacity across calls,
+/// including across ExecutionCore resets when the scratch is owned above
+/// the engine (see sim::LookArena).
 struct VisibilityScratch {
-  std::vector<AngularKey> upper;  ///< Keys with direction angle in [0, pi).
-  std::vector<AngularKey> lower;  ///< Keys with direction angle in [pi, 2pi).
-  std::vector<std::uint64_t> order_tmp;  ///< Presort bucket workspace.
-  /// Per-half (akey bits << 32 | slot) presort records, filled by the
-  /// batched key build in the same pass that fills upper/lower.
-  std::vector<std::uint64_t> upper_order;
-  std::vector<std::uint64_t> lower_order;
-  std::vector<std::uint32_t> dirty;      ///< VisibilityCache: deduped dirty set.
-  std::vector<std::uint8_t> mark;        ///< VisibilityCache: membership mask.
+  std::vector<std::uint64_t> upper;     ///< Direction angle in [0, pi).
+  std::vector<std::uint64_t> lower;     ///< Direction angle in [pi, 2pi).
+  std::vector<std::uint64_t> sort_tmp;  ///< Radix scatter buffer.
+  std::vector<std::uint32_t> dirty;     ///< VisibilityCache: deduped dirty set.
+  std::vector<std::uint8_t> mark;       ///< VisibilityCache: membership mask.
 };
 
 /// Fills `out` with the indices of the robots visible from observer `i`
 /// (excluding i itself) among the points {xs[j], ys[j]}, using `scratch`
-/// for the sort keys and workspace. Coincident points never see each other
+/// for the sort records and workspace. Coincident points never see each other
 /// (they are collisions, flagged elsewhere). O(n log n); performs no heap
 /// allocation once the buffers have warmed to the point count.
 void visible_from(std::span<const double> xs, std::span<const double> ys,

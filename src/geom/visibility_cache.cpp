@@ -6,16 +6,6 @@
 
 namespace lumen::geom {
 
-namespace {
-
-/// Contiguous-array rank accessor for emit_half / emit_run.
-struct KeyAt {
-  const AngularKey* keys;
-  const AngularKey& operator()(std::size_t k) const noexcept { return keys[k]; }
-};
-
-}  // namespace
-
 void VisibilityCache::reset(std::size_t n, std::size_t budget_bytes) {
   n_ = n;
   const std::size_t per_observer = n == 0 ? 1 : n * kBytesPerRobot;
@@ -39,37 +29,26 @@ void VisibilityCache::rebuild(std::span<const double> xs,
                               VisibilityScratch& scratch,
                               std::vector<std::size_t>& out) {
   rebuilds_.fetch_add(1, std::memory_order_relaxed);
+  detail::visible_from_soa_impl(xs.data(), ys.data(), xs.size(), i, scratch,
+                                out);
+  if (!storable || e == nullptr) return;
+  // Storing rebuild: the sweep left both halves' exactly sorted records in
+  // the scratch; the entry keeps one key per record, in rank order, so
+  // later Looks can repair in place.
   const auto pt = [xs, ys](std::size_t j) noexcept {
     return Vec2{xs[j], ys[j]};
   };
-  if (!storable || e == nullptr) {
-    detail::visible_from_soa_impl(xs.data(), ys.data(), xs.size(), i, scratch,
-                                  out);
-    return;
-  }
-  // Storing rebuild: same sort, but the sorted halves are gathered into the
-  // entry so later Looks can repair in place. Emission over the gathered
-  // arrays visits the identical rank sequence, so the output matches the
-  // one-shot kernel bit for bit. The batch key build (geom/simd.hpp) emits
-  // the presort records fused with the keys, same as the one-shot SoA path.
   const Vec2 o = pt(i);
-  simd::build_keys_soa(xs.data(), ys.data(), xs.size(), i, o, scratch);
-  out.clear();
-  out.reserve(scratch.upper.size() + scratch.lower.size());
-  const auto sort_gather_emit = [&](const std::vector<AngularKey>& keys,
-                                    std::vector<std::uint64_t>& order,
-                                    std::vector<AngularKey>& stored) {
+  const auto store = [&](const std::vector<std::uint64_t>& records,
+                         std::vector<AngularKey>& stored) {
     stored.clear();
-    if (keys.empty()) return;
-    detail::sort_records(pt, o, keys, order, scratch.order_tmp);
-    stored.reserve(keys.size());
-    for (const std::uint64_t rec : order) {
-      stored.push_back(keys[detail::slot_of(rec)]);
+    stored.reserve(records.size());
+    for (const std::uint64_t rec : records) {
+      stored.push_back(detail::key_of(pt, o, rec));
     }
-    detail::emit_half(pt, o, KeyAt{stored.data()}, stored.size(), out);
   };
-  sort_gather_emit(scratch.upper, scratch.upper_order, e->upper);
-  sort_gather_emit(scratch.lower, scratch.lower_order, e->lower);
+  store(scratch.upper, e->upper);
+  store(scratch.lower, e->lower);
   e->ids = out;
   e->version = version;
   e->valid = true;
@@ -170,8 +149,8 @@ void VisibilityCache::visible_from(std::span<const double> xs,
   }
   out.clear();
   out.reserve(e->upper.size() + e->lower.size());
-  detail::emit_half(pt, o, KeyAt{e->upper.data()}, e->upper.size(), out);
-  detail::emit_half(pt, o, KeyAt{e->lower.data()}, e->lower.size(), out);
+  detail::emit_half(pt, o, std::span<const AngularKey>(e->upper), out);
+  detail::emit_half(pt, o, std::span<const AngularKey>(e->lower), out);
   e->ids = out;
   e->version = version;
 }

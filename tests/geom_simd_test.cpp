@@ -1,8 +1,9 @@
 // Bit-identity pinning for the dispatched SIMD batch kernels.
 //
 // The contract in geom/simd.hpp is that every vector level reproduces the
-// scalar reference BYTE FOR BYTE: same AngularKey images, same presort
-// records, same hull extremes and cull mask, same sorted record order.
+// scalar reference BYTE FOR BYTE: same sort records, same hull extremes,
+// cull mask and cone skip. The LSD radix that presorts the records is
+// checked against std::sort here too.
 // These tests walk geom::simd::kernel_table() — every level compiled in and
 // runnable on this CPU, scalar first — and memcmp each row's output against the scalar row
 // across adversarial input families — uniform random, collinear-heavy (exercises
@@ -14,6 +15,7 @@
 #include "geom/visibility.hpp"
 #include "split_points.hpp"
 #include "util/prng.hpp"
+#include "util/radix.hpp"
 
 #include <gtest/gtest.h>
 
@@ -111,18 +113,6 @@ void run_build(const Kernels& row, const std::vector<Vec2>& pts,
   row.build_keys_soa(xs.data(), ys.data(), pts.size(), i, o, scratch);
 }
 
-void expect_keys_equal(const std::vector<geom::AngularKey>& ref,
-                       const std::vector<geom::AngularKey>& got,
-                       const std::string& what) {
-  ASSERT_EQ(ref.size(), got.size()) << what;
-  if (!ref.empty()) {
-    EXPECT_EQ(std::memcmp(ref.data(), got.data(),
-                          ref.size() * sizeof(geom::AngularKey)),
-              0)
-        << what << ": AngularKey bytes differ from the scalar reference";
-  }
-}
-
 TEST(GeomSimd, KernelTableStartsScalarAndDispatchesItsLastRow) {
   const auto table = geom::simd::kernel_table();
   ASSERT_FALSE(table.empty());
@@ -149,10 +139,8 @@ TEST(GeomSimd, EveryLevelBuildsBitIdenticalKeys) {
               std::string(family.name) + " n=" + std::to_string(n) + " i=" +
               std::to_string(i) + " level=" +
               std::string(geom::simd::to_string(row.level));
-          expect_keys_equal(ref.upper, got.upper, what + " upper");
-          expect_keys_equal(ref.lower, got.lower, what + " lower");
-          EXPECT_EQ(ref.upper_order, got.upper_order) << what;
-          EXPECT_EQ(ref.lower_order, got.lower_order) << what;
+          EXPECT_EQ(ref.upper, got.upper) << what << " upper";
+          EXPECT_EQ(ref.lower, got.lower) << what << " lower";
         }
       }
     }
@@ -329,28 +317,41 @@ TEST(GeomSimd, EmptyOrDegeneratePolygonCertifiesNothing) {
   }
 }
 
-TEST(GeomSimd, EveryLevelSortsRecordsCanonically) {
+TEST(GeomSimd, LsdRadixSortsLikeStdSort) {
+  // Adversarial pseudo-angle keys: long runs of one key (every radix digit
+  // constant, so passes are skipped), both ends of [0, 2], keys one ulp
+  // apart, and random keys, at sizes around the std::sort threshold. The
+  // payload is the input position, as in the visibility records, so the
+  // stable radix order must equal the full-word std::sort order.
+  const auto record = [](float key, std::size_t k) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &key, sizeof(key));
+    return (std::uint64_t{bits} << 32) | static_cast<std::uint32_t>(k);
+  };
+  const float near_one = std::nextafter(1.0f, 2.0f);
+  const std::size_t t = util::kLsdMinRecords;
   util::Prng rng(424242);
-  for (std::size_t m : {0u, 1u, 50u, 95u, 96u, 97u, 300u, 4096u}) {
-    // Diamond pseudo-angles: finite floats in [0, 2), heavy on ties.
-    std::vector<std::uint64_t> records;
-    records.reserve(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      const float key = (k % 5 == 0)
-                            ? static_cast<float>(k % 7) * 0.25f
-                            : static_cast<float>(rng.uniform(0.0, 2.0));
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &key, sizeof(key));
-      records.push_back((bits << 32) | static_cast<std::uint32_t>(k));
-    }
-    std::vector<std::uint64_t> expected = records;
-    std::sort(expected.begin(), expected.end());
-    for (const Kernels& row : geom::simd::kernel_table()) {
-      std::vector<std::uint64_t> got = records;
+  for (const std::size_t m : {std::size_t{0}, std::size_t{1}, t - 1, t, t + 1,
+                              2 * t + 3, std::size_t{4096}}) {
+    for (int family = 0; family < 4; ++family) {
+      std::vector<std::uint64_t> records;
+      for (std::size_t k = 0; k < m; ++k) {
+        float key = 0.0f;
+        switch (family) {
+          case 0: key = 1.0f; break;
+          case 1: key = (k % 2 == 0) ? 0.0f : 2.0f; break;
+          case 2: key = (k % 3 == 0) ? 1.0f : near_one; break;
+          default:
+            key = (k % 5 == 0) ? static_cast<float>(k % 9) * 0.25f
+                               : static_cast<float>(rng.uniform(0.0, 2.0));
+        }
+        records.push_back(record(key, k));
+      }
+      std::vector<std::uint64_t> expected = records;
+      std::sort(expected.begin(), expected.end());
       std::vector<std::uint64_t> tmp;
-      row.sort_angular_records(got, tmp, 2.0f);
-      EXPECT_EQ(expected, got)
-          << "m=" << m << " level=" << geom::simd::to_string(row.level);
+      util::sort_high32_records(records, tmp);
+      EXPECT_EQ(expected, records) << "m=" << m << " family=" << family;
     }
   }
 }

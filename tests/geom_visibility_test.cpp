@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "geom/hull.hpp"
@@ -138,6 +139,74 @@ TEST(Visibility, FastMatchesNaiveOnRandomGridConfigs) {
       }
     }
   }
+}
+
+/// Checks visible_from against the naive blocking relation for ~20
+/// observers of `pts`. At n in the hundreds and thousands each half of an
+/// observer's sweep holds enough records to take the radix presort.
+void expect_sampled_observers_match_naive(const std::vector<Vec2>& pts,
+                                          const char* what) {
+  const auto split = testutil::split_points(pts);
+  VisibilityScratch scratch;
+  std::vector<std::size_t> vis;
+  const std::size_t n = pts.size();
+  const std::size_t stride = n / 20 + 1;
+  for (std::size_t i = 0; i < n; i += stride) {
+    visible_from(split.xs, split.ys, i, scratch, vis);
+    std::vector<std::size_t> want;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (visible_naive(pts, i, j)) want.push_back(j);
+    }
+    std::sort(vis.begin(), vis.end());
+    ASSERT_EQ(vis, want) << what << " n=" << n << " observer " << i;
+  }
+}
+
+/// One sampled-observer check per input family, at n = 200 and 2100.
+template <class MakePoint>
+void expect_family_matches_naive(const char* what, MakePoint make_point) {
+  util::Prng rng{77};
+  for (const std::size_t n : {200u, 2100u}) {
+    std::vector<Vec2> pts;
+    for (std::size_t k = 0; k < n; ++k) pts.push_back(make_point(rng));
+    expect_sampled_observers_match_naive(pts, what);
+  }
+}
+
+TEST(Visibility, RadixSizedHalvesMatchNaiveOnUniformPoints) {
+  expect_family_matches_naive("uniform", [](util::Prng& rng) {
+    return Vec2{rng.uniform(-50, 50), rng.uniform(-50, 50)};
+  });
+}
+
+TEST(Visibility, RadixSizedHalvesMatchNaiveOnGridPoints) {
+  // A 24x24 grid: duplicates and exact collinear runs in every direction
+  // of small integer slope.
+  expect_family_matches_naive("grid", [](util::Prng& rng) {
+    return Vec2{static_cast<double>(rng.next_below(24)),
+                static_cast<double>(rng.next_below(24))};
+  });
+}
+
+TEST(Visibility, RadixSizedHalvesMatchNaiveOnSignedZeros) {
+  // Every robot on an axis, its zero coordinate +0.0 or -0.0: differences
+  // along the observer's half boundary come out as both zero signs.
+  expect_family_matches_naive("signed-zero", [](util::Prng& rng) {
+    const double zero = rng.bernoulli(0.5) ? 0.0 : -0.0;
+    const double other = rng.uniform(-5, 5);
+    return rng.bernoulli(0.5) ? Vec2{zero, other} : Vec2{other, zero};
+  });
+}
+
+TEST(Visibility, RadixSizedHalvesMatchNaiveOnTheHalfBoundary) {
+  // Most robots on three horizontal lines, so most observers have robots
+  // on both rays of the half boundary, plus generic points.
+  expect_family_matches_naive("horizontal-ray", [](util::Prng& rng) {
+    return rng.bernoulli(0.6)
+               ? Vec2{rng.uniform(-30, 30),
+                      static_cast<double>(rng.next_below(3))}
+               : Vec2{rng.uniform(-30, 30), rng.uniform(-30, 30)};
+  });
 }
 
 TEST(Visibility, PooledComputeMatchesSerialBitForBit) {

@@ -90,14 +90,12 @@ TEST(LookPathAllocations, VisibleFromSoAOverloadIsAllocationFree) {
       << "the warm SoA visible_from must not touch the heap";
 }
 
-TEST(LookPathAllocations, ColdSoAKeyBuildReservesTheExactSplit) {
-  // The batched key build counts the upper/lower split before sizing, so a
-  // COLD call allocates the true split (~32+8 bytes per point across the
-  // four scratch vectors) plus the sort/output workspace — NOT a 2x-of-n
-  // guess that reserves n for both halves. The bound below sits between
-  // the two: exact sizing passes with plenty of headroom, a both-halves
-  // reserve(n) (64 bytes/point for the key vectors alone, ~112 total)
-  // trips it.
+TEST(LookPathAllocations, ColdSoAVisibleFromAllocatesOnlyTheRecordFootprint) {
+  // A COLD call allocates two record halves sized for every robot (8 bytes
+  // each, 16 per robot), the radix scatter buffer for one half (at most 8
+  // more, 12 if it grows once for the larger half) and the output ids (8):
+  // 32 to 36 bytes per robot. A per-robot key wider than the 8-byte record
+  // trips the bound.
   const std::size_t n = 1024;
   const auto pts = ring_of_points(n);
   const auto [xs, ys] = testutil::split_points(pts);
@@ -106,9 +104,9 @@ TEST(LookPathAllocations, ColdSoAKeyBuildReservesTheExactSplit) {
   const std::size_t before = g_alloc_bytes;
   geom::visible_from(xs, ys, 0, scratch, out);
   const std::size_t cold_bytes = g_alloc_bytes - before;
-  EXPECT_LT(cold_bytes, 75 * n)
+  EXPECT_LE(cold_bytes, 36 * n)
       << "cold SoA visible_from allocated " << cold_bytes
-      << " bytes for n=" << n << "; the key build is over-reserving";
+      << " bytes for n=" << n << "; the sweep is over-reserving";
 }
 
 TEST(LookPathAllocations, BuildSnapshotScratchOverloadIsAllocationFree) {

@@ -77,9 +77,10 @@ std::uint64_t run_digest(const RunResult& r) noexcept {
 
 /// Drives one cache instance through `steps` random events and checks
 /// every Look against the naive kernel. `budget` scales the cached
-/// observer prefix (a small budget exercises the uncached fall-through).
+/// observer prefix (a small budget exercises the uncached fall-through);
+/// most committed Looks come from the `hot` lowest observers.
 void churn_against_oracle(std::uint64_t seed, std::size_t n,
-                          std::size_t budget, int steps) {
+                          std::size_t budget, int steps, std::size_t hot) {
   util::Prng rng(seed);
   std::vector<double> xs(n);
   std::vector<double> ys(n);
@@ -139,9 +140,8 @@ void churn_against_oracle(std::uint64_t seed, std::size_t n,
     // Committed Look. Biasing toward low observers revisits cached entries
     // often enough to pass admission and hit replay (no commits since) and
     // repair (few commits since).
-    const std::size_t observer = roll < 0.8
-                                     ? rng.next_below((n / 4) + 1)
-                                     : rng.next_below(n);
+    const std::size_t observer =
+        roll < 0.8 ? rng.next_below(hot) : rng.next_below(n);
     cache.visible_from(xs, ys, observer, write_log, /*moving_count=*/0,
                        cache_scratch, got);
     geom::visible_from(xs, ys, observer, naive_scratch, want);
@@ -151,16 +151,31 @@ void churn_against_oracle(std::uint64_t seed, std::size_t n,
   // The churn above must actually have exercised the incremental paths,
   // or the property is vacuous.
   EXPECT_GT(cache.rebuilds(), 0u);
-  if (budget >= n * n * geom::VisibilityCache::kBytesPerRobot) {
+  if (cache.cached_observers() >= hot) {
     EXPECT_GT(cache.replays() + cache.repairs(), 0u)
-        << "full-budget churn never replayed or repaired";
+        << "churn over cached observers never replayed or repaired";
   }
+}
+
+void churn_against_oracle(std::uint64_t seed, std::size_t n,
+                          std::size_t budget, int steps) {
+  churn_against_oracle(seed, n, budget, steps, n / 4 + 1);
 }
 
 TEST(IncrementalVisibilityProperty, CacheMatchesNaiveOracleUnderChurn) {
   for (const std::uint64_t seed : {11u, 22u, 33u}) {
     churn_against_oracle(seed, 48, /*budget=*/256u << 20, /*steps=*/600);
   }
+}
+
+TEST(IncrementalVisibilityProperty, CacheMatchesKernelOnRadixSortedHalves) {
+  // Halves of ~1050 records take the radix presort; storing rebuilds fill
+  // the entries from its output and repairs insert into them. A budget for
+  // 24 observers and Looks concentrated on 16 of them let entries pass
+  // admission and see both replays and repairs.
+  const std::size_t n = 2100;
+  const std::size_t budget = 24 * n * geom::VisibilityCache::kBytesPerRobot;
+  churn_against_oracle(44, n, budget, 400, /*hot=*/16);
 }
 
 TEST(IncrementalVisibilityProperty, SmallBudgetFallsThroughToKernel) {
